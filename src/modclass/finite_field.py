@@ -185,7 +185,44 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in GF(%d)" % self.q)
         if self.n == 1:
             return self.pow(a, self.p - 2) if self.p > 2 else a.copy()
-        return self.pow(a, self.q - 2)
+        flat = [self._inv_code(int(c)) for c in a.ravel()]
+        return np.array(flat, dtype=np.int64).reshape(a.shape)
+
+    def _inv_code(self, code: int) -> int:
+        """Inverse of one nonzero code by extended Euclid in F_p[x] mod min_poly.
+
+        Polynomials are constant-first lists of Python ints without trailing
+        zeros; the invariant is s * a = r (mod min_poly) for both pairs.
+        """
+        p = self.p
+        r0 = [int(c) for c in self.min_poly]
+        r1 = [(code // p**i) % p for i in range(self.n)]
+        while r1[-1] == 0:
+            r1.pop()
+        s0: list[int] = []
+        s1 = [1]
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], p - 2, p)
+            rem = list(r0)
+            quot = [0] * (len(r0) - len(r1) + 1)
+            for shift in range(len(quot) - 1, -1, -1):
+                c = rem[shift + len(r1) - 1] * inv_lead % p
+                quot[shift] = c
+                if c:
+                    for i, b in enumerate(r1):
+                        rem[shift + i] = (rem[shift + i] - c * b) % p
+            while rem[-1] == 0:
+                rem.pop()
+            s_new = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(quot):
+                for m, y in enumerate(s1):
+                    s_new[i + m] = (s_new[i + m] - x * y) % p
+            while s_new[-1] == 0:
+                s_new.pop()
+            r0, r1 = r1, rem
+            s0, s1 = s1, s_new
+        scale = pow(r1[0], p - 2, p)
+        return sum(c * scale % p * p**i for i, c in enumerate(s1))
 
     def div(self, a, b) -> np.ndarray:
         return self.mul(a, self.inv(b))

@@ -74,7 +74,8 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     for c, b in zip(coeffs, basis):
         if c:
             phi = field.add(phi, field.mul(np.int64(int(c)), b))
-    assert np.array_equal(_relative_trace(V, T, phi), field.identity(V.dim))
+    if not np.array_equal(_relative_trace(V, T, phi), field.identity(V.dim)):
+        raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)
 
 

@@ -49,12 +49,11 @@ def nullspace(field: FiniteField, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int64)
     m, d = A.shape
     R, pivots = rref(field, A)
-    free = [c for c in range(d) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(d) if c not in pivot_set]
     out = np.zeros((len(free), d), dtype=np.int64)
-    for i, fcol in enumerate(free):
-        out[i, fcol] = 1
-        for row, pcol in enumerate(pivots):
-            out[i, pcol] = field.neg(R[row, fcol])
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = field.neg(R[: len(pivots), free]).T
     return out
 
 
@@ -135,11 +134,16 @@ class RowSpace:
 
     def add(self, v: np.ndarray) -> bool:
         """Insert v if independent of the current rows; returns True if added."""
+        return self._insert(v)[0]
+
+    def _insert(self, v: np.ndarray):
+        """(True, None) after inserting an independent v; otherwise (False,
+        coords) with v's coordinates in the raw basis (None when untracked)."""
         field = self.field
         residual, coords = self._reduce(v, self.track)
         nz = np.nonzero(residual)[0]
         if nz.size == 0:
-            return False
+            return False, coords
         pivot = int(nz[0])
         s = field.inv(residual[pivot])
         row = field.mul(s, residual)
@@ -153,7 +157,7 @@ class RowSpace:
             self._exprs.insert(pos, expr)
         self._pivots.insert(pos, pivot)
         self._rows.insert(pos, row)
-        return True
+        return True, None
 
     def raw_basis_rows(self) -> list[np.ndarray]:
         if not self.track:
@@ -169,23 +173,42 @@ class RowSpace:
         return list(self._pivots)
 
 
-def spin(field: FiniteField, mats: list[np.ndarray], seeds: list[np.ndarray]) -> RowSpace:
+def spin(
+    field: FiniteField, mats: list[np.ndarray], seeds: list[np.ndarray], log: list | None = None
+) -> RowSpace:
     """Close the span of the seeds under the given matrices, breadth-first.
 
-    Deterministic: seeds in order, then each discovered basis vector is hit
-    by every matrix in order.  Returns a tracked RowSpace whose raw basis is
-    the discovery-order spanning set.
+    Deterministic: each discovered basis vector is hit by every matrix in
+    order, and a seed is taken up only once the span of the earlier seeds is
+    closed (and skipped if it lies in that span).  Returns a tracked
+    RowSpace whose raw basis is the discovery-order spanning set.
+
+    If ``log`` is a list, one entry per event is appended in discovery
+    order: ``(-1, i, None)`` when seed i joins the raw basis,
+    ``(j, g, None)`` when ``mats[g] @ raw[j]`` joins it, and
+    ``(j, g, coords)`` when that image is dependent, coords being its
+    coordinates in the raw basis as it stood then.
     """
     ambient = mats[0].shape[0] if mats else len(seeds[0])
     space = RowSpace(field, ambient, track=True)
-    for v in seeds:
-        space.add(v)
-    i = 0
-    while i < len(space._raw):
-        v = space._raw[i]
-        for M in mats:
-            space.add(field.mat_vec(M, v))
-        i += 1
+    raw = space._raw
+    j = 0
+    for i, seed in enumerate(seeds):
+        if space.dim == ambient:
+            break
+        if not space.add(seed):
+            continue
+        if log is not None:
+            log.append((-1, i, None))
+        while j < len(raw):
+            v = raw[j]
+            for g, M in enumerate(mats):
+                w = field.mat_vec(M, v)
+                if log is None:
+                    space.add(w)
+                else:
+                    log.append((j, g, space._insert(w)[1]))
+            j += 1
     return space
 
 

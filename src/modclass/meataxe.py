@@ -244,11 +244,13 @@ def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
         if comp_space.add(e):
             comp_idx.append(c)
     hq = len(comp_idx)
-    assert hq == h - rad_dim
+    if hq != h - rad_dim:
+        raise ConsistencyError("radical complement has the wrong dimension")
 
     def quotient_coords(vec: np.ndarray) -> np.ndarray:
         residual, coords = comp_space.reduce_with_coords(vec)
-        assert not residual.any()
+        if residual.any():
+            raise ConsistencyError("vector outside the span of radical and complement")
         return coords[rad_dim : rad_dim + hq]
 
     q_mults = []
@@ -309,7 +311,8 @@ def _split_by_min_poly(field: FiniteField, phi: np.ndarray):
         for _ in range(e - 1):
             power = P.mul(field, power, f)
         pieces.append(linalg.nullspace(field, P.eval_matrix(field, power, phi)))
-    assert sum(piece.shape[0] for piece in pieces) == phi.shape[0]
+    if sum(piece.shape[0] for piece in pieces) != phi.shape[0]:
+        raise ConsistencyError("generalized eigenspaces do not fill the module")
     return pieces
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, NotSubfieldError
+from .errors import ConsistencyError, InputError, NotSubfieldError
 from .finite_field import FieldAutomorphism, FiniteField, embed, make_field
 from . import linalg
 from .perm_group import PermGroup, Subgroup, pinv, pmul, right_transversal
@@ -232,22 +232,89 @@ class HomSpace:
 
 
 def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """Matrices M with M A_g = B_g M for all generator pairs (A_g, B_g)."""
+    """Matrices M with M A_g = B_g M for all generator pairs (A_g, B_g).
+
+    Standard-basis method (Lux & Szoke, Exp. Math. 12, 2003): spin the
+    source from the unit vectors e_0, e_1, ...  A spun vector
+    v_j = A_g v_parent carries W_j = B_g W_parent, so that M v_j = W_j t_s
+    where t_s = M s is the image of the seed s it was spun from.  Each
+    dependent image A_g v_j = sum_l c_l v_l gives d_tgt linear equations
+    B_g W_j t_s(j) = sum_l c_l W_l t_s(l), so the system has only
+    (number of seeds) * d_tgt unknowns.
+
+    The basis is canonical: it is the one that is the identity on the free
+    columns of the Kronecker system for the row-major vec(M), that is, the
+    reduced echelon form of the solution space with its columns reversed,
+    listed by ascending pivot.  Randomized callers rely on this order.
+    """
     D = d_src * d_tgt
     if D == 0:
         return []
-    blocks = []
-    eye_t = np.eye(d_tgt, dtype=np.int64)
-    eye_s = np.eye(d_src, dtype=np.int64)
-    for A, B in zip(mats_src, mats_tgt):
-        left = np.kron(eye_t, A.T)  # vec(M A), row-major vec
-        right = np.kron(B, eye_s)  # vec(B M)
-        blocks.append(field.sub(left, right))
-    if not blocks:
+    if not len(mats_src):
         return [m.reshape(d_tgt, d_src) for m in np.eye(D, dtype=np.int64)]
-    stacked = np.vstack(blocks)
-    rows = linalg.nullspace(field, stacked)
-    return [row.reshape(d_tgt, d_src) for row in rows]
+    log: list = []
+    space = linalg.spin(field, mats_src, list(field.identity(d_src)), log=log)
+    W: list[np.ndarray] = []  # M v_j = W[j] t_seed_of[j]
+    seed_of: list[int] = []
+    relations = []
+    k = 0  # seeds taken
+    for j, g, coords in log:
+        if coords is not None:
+            relations.append((j, g, coords))
+        elif j < 0:
+            seed_of.append(k)
+            k += 1
+            W.append(field.identity(d_tgt))
+        else:
+            seed_of.append(seed_of[j])
+            W.append(field.mat_mul(mats_tgt[g], W[j]))
+    seed_of = np.array(seed_of)
+    Wst = np.stack(W)
+    by_seed = [np.nonzero(seed_of == s)[0] for s in range(k)]
+
+    # E[r, :, s, :] is the coefficient block of t_s in relation r
+    C = np.zeros((len(relations), d_src), dtype=np.int64)
+    for r, (_, _, coords) in enumerate(relations):
+        C[r, : len(coords)] = coords
+    E = np.zeros((len(relations), d_tgt, k, d_tgt), dtype=np.int64)
+    for s, idx in enumerate(by_seed):
+        comb = field.mat_mul(Wst[idx].transpose(1, 2, 0).reshape(-1, len(idx)), C[:, idx].T)
+        E[:, :, s, :] = field.neg(comb.T).reshape(-1, d_tgt, d_tgt)
+    rel_j = np.array([j for j, _, _ in relations])
+    rel_g = np.array([g for _, g, _ in relations])
+    for g, B in enumerate(mats_tgt):
+        rs = np.nonzero(rel_g == g)[0]
+        if not rs.size:
+            continue
+        js = rel_j[rs]
+        # tall-by-small products, as transposes: (B W)^T = W^T B^T
+        prod_t = field.mat_mul(Wst[js].transpose(0, 2, 1).reshape(-1, d_tgt), B.T)
+        ss = seed_of[js]
+        blocks = prod_t.reshape(-1, d_tgt, d_tgt).transpose(0, 2, 1)
+        E[rs, :, ss, :] = field.add(E[rs, :, ss, :], blocks)
+    N = linalg.nullspace(field, E.reshape(-1, k * d_tgt))
+    h = N.shape[0]
+    if h == 0:
+        return []
+
+    # images of the spun vectors, then M = [M v_j] P^-1 with P = [v_j]
+    T = N.reshape(h, k, d_tgt)
+    Y = np.zeros((d_src, d_tgt, h), dtype=np.int64)
+    for s, idx in enumerate(by_seed):
+        Y[idx] = field.mat_mul(Wst[idx].reshape(-1, d_tgt), T[:, s, :].T).reshape(-1, d_tgt, h)
+    Pinv = linalg.inverse(field, np.stack(space.raw_basis_rows(), axis=1))
+    X = field.mat_mul(Y.transpose(2, 1, 0).reshape(h * d_tgt, d_src), Pinv).reshape(h, D)
+    R, pivots = linalg.rref(field, X[:, ::-1])
+    if len(pivots) != h:
+        raise ConsistencyError("spun homomorphisms are linearly dependent")
+    basis = np.ascontiguousarray(R[h - 1 :: -1, ::-1]).reshape(h, d_tgt, d_src)
+
+    for A, B in zip(mats_src, mats_tgt):
+        left = field.mat_mul(basis.reshape(h * d_tgt, d_src), A).reshape(h, d_tgt, d_src)
+        right_t = field.mat_mul(basis.transpose(0, 2, 1).reshape(h * d_src, d_tgt), B.T)
+        if not np.array_equal(left, right_t.reshape(h, d_src, d_tgt).transpose(0, 2, 1)):
+            raise ConsistencyError("computed homomorphism does not intertwine the actions")
+    return list(basis)
 
 
 def hom_space(V: Rep, U: Rep) -> HomSpace:

@@ -109,6 +109,30 @@ def test_units_and_inverses(p, n):
     assert max(orders) == K.q - 1
 
 
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_inverse_of_every_unit(p, n):
+    K = make_field(p, n)
+    codes = np.arange(1, K.q, dtype=np.int64)
+    inv = K.inv(codes)
+    assert inv.shape == codes.shape
+    assert np.all(K.mul(codes, inv) == 1)
+    assert np.array_equal(inv, K.pow(codes, K.q - 2))
+    for a in codes:  # the scalar path agrees with the elementwise one
+        assert K.inv(a) == inv[a - 1]
+
+
+def test_inverse_in_gf_2_20():
+    K = make_field(2, 20)
+    rng = np.random.default_rng(20)
+    codes = rng.integers(1, K.q, size=200, dtype=np.int64)
+    inv = K.inv(codes)
+    assert np.all(K.mul(codes, inv) == 1)
+    assert np.array_equal(inv[:10], K.pow(codes[:10], K.q - 2))
+    assert int(K.inv(np.int64(1))) == 1
+    with pytest.raises(ZeroDivisionError):
+        K.inv(np.int64(0))
+
+
 def test_add_neg_sub_consistency():
     K = make_field(3, 2)
     rng = np.random.default_rng(0)

@@ -6,9 +6,11 @@ induction of its restriction to Q.  Vertex results are checked against
 that oracle and against the frozen Sylow orders.
 """
 
+import numpy as np
 import pytest
 
-from modclass.errors import InputError
+from modclass import linalg
+from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
 from modclass.meataxe import decompose, is_isomorphic, simple_modules
 from modclass.modrep import induce, regular_module, restrict_subgroup, trivial_module
@@ -179,3 +181,13 @@ def test_projectivity_certificate_is_returned():
     W = decompose(reg).summands[0][0]
     res = is_projective(W)
     assert res and res.relative_endomorphism is not None
+
+
+def test_relative_trace_check_raises_consistency_error(monkeypatch):
+    # a wrong Higman solution must be caught, also under python -O
+    G = catalog()["S3"]
+    tr = trivial_module(G, F2)
+    syl = [Q for Q in p_subgroups_up_to_conjugacy(G, 2) if Q.order == 2][0]
+    monkeypatch.setattr(linalg, "solve", lambda field, A, b: np.zeros(A.shape[1], dtype=np.int64))
+    with pytest.raises(ConsistencyError):
+        is_relatively_projective(tr, syl)

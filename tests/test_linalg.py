@@ -34,6 +34,33 @@ def test_nullspace_annihilates_and_has_right_dim():
                 assert not K.mat_mul(A, N.T).any()
 
 
+def _loop_nullspace(K, A):
+    # reference back-substitution, one entry at a time
+    R, pivots = L.rref(K, A)
+    d = A.shape[1]
+    free = [c for c in range(d) if c not in pivots]
+    out = np.zeros((len(free), d), dtype=np.int64)
+    for i, fcol in enumerate(free):
+        out[i, fcol] = 1
+        for row, pcol in enumerate(pivots):
+            out[i, pcol] = K.neg(R[row, fcol])
+    return out
+
+
+def test_nullspace_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    for K in (F2, F4, F3, make_field(3, 2)):
+        for shape in ((3, 7), (7, 3), (6, 6), (1, 5), (5, 1)):
+            for rank_cap in (0, 1, 2, None):
+                A = K.rand_codes(rng, shape)
+                if rank_cap is not None:  # force a rank-deficient input
+                    left = K.rand_codes(rng, (shape[0], rank_cap))
+                    A = K.mat_mul(left, K.rand_codes(rng, (rank_cap, shape[1])))
+                N = L.nullspace(K, A)
+                ref = _loop_nullspace(K, A)
+                assert N.dtype == ref.dtype and np.array_equal(N, ref)
+
+
 def test_solve_and_inverse():
     rng = np.random.default_rng(4)
     for K in (F2, F4):
