@@ -296,7 +296,7 @@ def _clause(name: str, fn) -> ClauseCheck:
     try:
         detail = fn() or "ok"
         return ClauseCheck(name, True, detail)
-    except (ConsistencyError, InconclusiveError, AssertionError) as exc:
+    except (ConsistencyError, InconclusiveError) as exc:
         return ClauseCheck(name, False, str(exc) or exc.__class__.__name__)
 
 

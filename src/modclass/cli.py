@@ -13,7 +13,8 @@ Report commands (`simples`, `count`, `fiber`, `verify`, `decompose`,
 always write a module document, to `-o FILE` or stdout.
 
 With `--cache-dir DIR` the report commands memoize rendered output keyed
-by a hash of the full request; a cache hit replays byte-identical output.
+by a hash of the full request and the package version; a cache hit replays
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def _resolve_group(name_or_path: str):
 
 
 def _load_module_arg(path: str):
-    V = serialize.load_module(path)
-    return V
+    """(module, document) from one read of the file; the document keys the cache."""
+    doc = serialize.read_module_doc(path)
+    return serialize.module_from_doc(doc), doc
 
 
 def _parse_perm_list(text: str, degree: int):
@@ -174,7 +176,14 @@ def _cache_write(path: str, key_doc, output: str, exit_code: int) -> None:
 
 
 def _run_cached(args, key_doc, render):
-    """render() -> (output_text, exit_code); replayed from cache when possible."""
+    """render() -> (output_text, exit_code); replayed from cache when possible.
+
+    The key carries the package version, so output of an older algorithm
+    never replays after an upgrade.
+    """
+    from . import __version__
+
+    key_doc = dict(key_doc, version=__version__)
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         path, _ = _cache_paths(args.cache_dir, key_doc)
@@ -279,10 +288,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_fiber(args) -> int:
     if args.module:
-        V = _load_module_arg(args.module)
-        with open(args.module) as fh:
-            mdoc = json.load(fh)
-        key_mod = mdoc
+        V, key_mod = _load_module_arg(args.module)
         if not meataxe.is_indecomposable(V, seed=args.seed):
             raise InputError("fibers are defined for indecomposable modules; decompose first")
     else:
@@ -389,9 +395,7 @@ def _cmd_make(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    V = _load_module_arg(args.module)
-    with open(args.module) as fh:
-        mdoc = json.load(fh)
+    V, mdoc = _load_module_arg(args.module)
     key = {
         "command": "decompose",
         "module": mdoc,
@@ -417,9 +421,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_vertex(args) -> int:
-    V = _load_module_arg(args.module)
-    with open(args.module) as fh:
-        mdoc = json.load(fh)
+    V, mdoc = _load_module_arg(args.module)
     key = {
         "command": "vertex",
         "module": mdoc,
@@ -451,7 +453,7 @@ def _cmd_vertex(args) -> int:
 
 
 def _cmd_green(args) -> int:
-    V = _load_module_arg(args.module)
+    V, _ = _load_module_arg(args.module)
     G = V.group
     Q = G.generated_subgroup(_parse_perm_list(args.vertex_gens, G.degree))
     H = G.generated_subgroup(_parse_perm_list(args.subgroup_gens, G.degree))
@@ -460,14 +462,14 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    V = _load_module_arg(args.module)
+    V, _ = _load_module_arg(args.module)
     K = V.field
     L = make_field(K.p, K.n * args.degree)
     return _emit_module(args, extend_scalars(V, L))
 
 
 def _cmd_restrict(args) -> int:
-    V = _load_module_arg(args.module)
+    V, _ = _load_module_arg(args.module)
     K = V.field
     m = args.to_degree
     if K.n % m != 0:

@@ -30,3 +30,12 @@ class ConsistencyError(ModclassError):
 
 class InputError(ModclassError):
     """Malformed user-supplied data (files, flags, module descriptions)."""
+
+
+def _require(cond, msg: str) -> None:
+    """Raise ConsistencyError unless a mathematically forced condition holds.
+
+    Unlike ``assert``, the check survives ``python -O``.
+    """
+    if not cond:
+        raise ConsistencyError(msg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, LimitError, NotSubfieldError
+from .errors import ConsistencyError, InputError, LimitError, NotSubfieldError, _require
 from . import limits
 
 
@@ -83,7 +83,7 @@ def _least_irreducible(p: int, n: int) -> np.ndarray:
         coeffs = tail + [1]
         if _is_irreducible_trial(coeffs, p):
             return np.array(coeffs, dtype=np.int64)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise ConsistencyError("no irreducible polynomial found")  # unreachable
 
 
 class FiniteField:
@@ -120,7 +120,8 @@ class FiniteField:
         rng = np.random.default_rng(self.p * 1_000_003 + self.n)
         a = int(rng.integers(1, self.q)) if self.q > 1 else 1
         if self.q > 2:
-            assert int(self.pow(np.array(a), self.q - 1)) == 1
+            ok = int(self.pow(np.array(a), self.q - 1)) == 1
+            _require(ok, "field spot check a^(q-1) = 1 failed")
 
     # ----- element codec -----
 
@@ -452,7 +453,7 @@ class FieldEmbedding:
 
         f = self.source.min_poly.copy()  # prime-subfield codes are valid in any GF(p^k)
         roots = P.roots_in_field(f, self.target)
-        assert len(roots) == self.source.n, "defining polynomial must split in the target"
+        _require(len(roots) == self.source.n, "defining polynomial must split in the target")
         return int(min(roots))
 
     def _build_table(self) -> np.ndarray:

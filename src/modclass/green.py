@@ -5,7 +5,9 @@ subgroup Q if and only if some Q-endomorphism of V has relative trace equal
 to the identity (Higman's criterion), which is one linear system over the
 coefficient field.  The vertex is found by scanning conjugacy class
 representatives of p-subgroups in ascending order; at the first order with
-a projectivity witness exactly one class can succeed, which is asserted.
+a projectivity witness exactly one class can succeed, and a second success
+raises ConsistencyError.  A source is the first summand U of the restriction
+to the vertex with V a summand of Ind U, decided exactly from hom spaces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 from . import linalg
-from .meataxe import decompose, is_indecomposable, is_isomorphic
+from .meataxe import decompose, is_indecomposable
 from .modrep import Rep, hom_basis_matrices, induce, restrict_subgroup
 from .perm_group import (
     PermGroup,
@@ -44,14 +46,21 @@ class VertexSource:
     source: Rep
 
 
-def _relative_trace(V: Rep, transversal, phi: np.ndarray) -> np.ndarray:
+def _relative_trace(V: Rep, transversal, phis: np.ndarray) -> np.ndarray:
+    """Relative traces sum_t t^-1 phi t of a stack of h maps, shape (h, d, d).
+
+    Two products per transversal element cover all h maps: t^-1 times the
+    d x hd block [phi_1 | ... | phi_h], then the hd x d stack times t.
+    """
     field = V.field
-    acc = field.zeros(V.dim, V.dim)
+    h, d = phis.shape[0], V.dim
+    block = phis.transpose(1, 0, 2).reshape(d, h * d)
+    acc = field.zeros(h * d, d)
     for t in transversal:
-        left = V.element_matrix(pinv(t))
-        right = V.element_matrix(t)
-        acc = field.add(acc, field.mat_mul(field.mat_mul(left, phi), right))
-    return acc
+        left = field.mat_mul(V.element_matrix(pinv(t)), block)
+        stack = left.reshape(d, h, d).transpose(1, 0, 2).reshape(h * d, d)
+        acc = field.add(acc, field.mat_mul(stack, V.element_matrix(t)))
+    return acc.reshape(h, d, d)
 
 
 def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
@@ -64,8 +73,8 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
     basis = hom_basis_matrices(field, q_mats, q_mats, V.dim, V.dim)
     T = right_transversal(V.group, Q)
-    traces = [_relative_trace(V, T, phi) for phi in basis]
-    A = np.stack([tr.reshape(-1) for tr in traces], axis=1)  # (dim^2, len(basis))
+    traces = _relative_trace(V, T, np.stack(basis))
+    A = traces.reshape(len(basis), -1).T  # (dim^2, len(basis))
     target = field.identity(V.dim).reshape(-1)
     coeffs = linalg.solve(field, A, target)
     if coeffs is None:
@@ -74,7 +83,7 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     for c, b in zip(coeffs, basis):
         if c:
             phi = field.add(phi, field.mul(np.int64(int(c)), b))
-    if not np.array_equal(_relative_trace(V, T, phi), field.identity(V.dim)):
+    if not np.array_equal(_relative_trace(V, T, phi[None])[0], field.identity(V.dim)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)
 
@@ -110,18 +119,44 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     raise ConsistencyError("no vertex found; the Sylow level must always succeed")
 
 
+def _is_summand(V: Rep, W: Rep) -> bool:
+    """Whether the indecomposable module V is a direct summand of W.
+
+    End(V) is local, so V | W exactly when beta alpha is invertible for some
+    alpha in a basis of Hom(V, W) and beta in a basis of Hom(W, V): an
+    invertible composite splits alpha, and if every basis composite lies in
+    rad End(V), every composite does, so none is the identity.
+    """
+    field = V.field
+    d, e = V.dim, W.dim
+    alphas = hom_basis_matrices(field, V.matrices, W.matrices, d, e)
+    betas = hom_basis_matrices(field, W.matrices, V.matrices, e, d) if alphas else []
+    if not betas:
+        return False
+    a, b = len(alphas), len(betas)
+    # one product: the (b d) x e stack of betas times the e x (a d) block of alphas
+    stack = np.stack(betas).reshape(b * d, e)
+    block = np.stack(alphas).transpose(1, 0, 2).reshape(e, a * d)
+    prods = field.mat_mul(stack, block)
+    composites = prods.reshape(b, d, a, d).transpose(0, 2, 1, 3).reshape(b * a, d, d)
+    return any(linalg.is_invertible(field, c) for c in composites)
+
+
 def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     """A vertex of V together with a source: an indecomposable Q-module U
-    with U a summand of the restriction and V a summand of its induction."""
+    with U a summand of the restriction and V a summand of its induction.
+
+    The source is the first summand of the restriction, in decomposition
+    order, whose induction has V as a summand.
+    """
     G = V.group
     if Q is None:
         Q = vertex(V, seed=seed)
+    elif not is_indecomposable(V, seed=seed):
+        raise InputError("source is defined for indecomposable modules; decompose first")
     res = restrict_subgroup(V, Q)
-    dec = decompose(res, seed=seed)
-    for U, _ in dec.summands:
-        ind = induce(U, G)
-        back = decompose(ind, seed=seed)
-        if any(is_isomorphic(W, V, seed=seed) for W, _ in back.summands):
+    for U, _ in decompose(res, seed=seed).summands:
+        if _is_summand(V, induce(U, G)):
             return VertexSource(Q, U)
     raise ConsistencyError("no summand of the restriction induces back to the module")
 

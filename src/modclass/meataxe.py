@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConsistencyError, InconclusiveError, InputError
+from .errors import ConsistencyError, InconclusiveError, InputError, _require
 from .finite_field import FiniteField
 from . import limits
 from . import linalg
@@ -494,7 +494,7 @@ def try_canonical_form(V: Rep) -> Rep | None:
             v[i] = c % field.q
             c //= field.q
         span = linalg.spin(field, mats, [v])
-        assert span.dim == d, "canonical form requires a simple module"
+        _require(span.dim == d, "canonical form requires a simple module")
         B = np.stack(span.raw_basis_rows())
         A = linalg.action_on_subspace(field, B, mats)
         key = tuple(int(x) for M in A for x in M.reshape(-1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, NotSubfieldError
+from .errors import ConsistencyError, InputError, NotSubfieldError, _require
 from .finite_field import FieldAutomorphism, FiniteField, embed, make_field
 from . import linalg
 from .perm_group import PermGroup, Subgroup, pinv, pmul, right_transversal
@@ -201,7 +201,7 @@ def induce(V: Rep, G: PermGroup) -> Rep:
             u = pmul(t, gen)
             j = coset_of[u]
             h = pmul(u, pinv(T[j]))
-            assert h in hset
+            _require(h in hset, "coset representative product is not in the subgroup")
             M[i * d : (i + 1) * d, j * d : (j + 1) * d] = V.element_matrix(h)
         mats.append(M)
     return Rep(G, V.field, mats, check=False)

@@ -8,7 +8,7 @@ identity first.  All enumeration here is deterministic.
 
 from __future__ import annotations
 
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, _require
 from . import limits
 
 Perm = tuple[int, ...]
@@ -79,6 +79,9 @@ class PermGroup:
         self.elements: tuple[Perm, ...] = tuple(sorted(words))
         self._words = words
         self._index = {g: i for i, g in enumerate(self.elements)}
+        # p-subgroup class representatives per prime, filled on first request;
+        # kept on the instance because subgroups are tied to it by identity
+        self._p_subgroups: dict[int, tuple[Subgroup, ...]] = {}
 
     @property
     def order(self) -> int:
@@ -185,7 +188,10 @@ class Subgroup:
             if not gens:
                 gens = [identity_perm(self.parent.degree)]
             grp = PermGroup(self.parent.degree, gens, max_order=self.order + 1)
-            assert set(grp.elements) == set(self.elements)
+            _require(
+                set(grp.elements) == set(self.elements),
+                "chosen generators do not generate the subgroup",
+            )
             self._group = grp
         return self._group
 
@@ -229,11 +235,6 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, norm)
 
 
-def conjugate_subgroup(G: PermGroup, H: Subgroup, g: Perm) -> Subgroup:
-    gi = pinv(g)
-    return Subgroup(G, [pmul(pmul(gi, h), g) for h in H.elements])
-
-
 def are_conjugate(G: PermGroup, A: Subgroup, B: Subgroup) -> bool:
     if A.order != B.order:
         return False
@@ -267,7 +268,17 @@ def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
     Built level by level: each class rep of order p^k is extended inside its
     normalizer by p-elements; every class of order p^(k+1) subgroups arises
     this way because p-groups have normal maximal subgroups.
+
+    The classes are computed once per group and prime; each call returns a
+    fresh list of the same Subgroup objects.
     """
+    cached = G._p_subgroups.get(p)
+    if cached is None:
+        cached = G._p_subgroups[p] = tuple(_p_subgroup_classes(G, p))
+    return list(cached)
+
+
+def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
     ident = identity_perm(G.degree)
     trivial = frozenset([ident])
 
@@ -280,7 +291,6 @@ def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
                 best = conj
         return best
 
-    reps_by_level: list[list[frozenset]] = [[trivial]]
     all_reps: list[frozenset] = [trivial]
     current = [trivial]
     while current:
@@ -307,8 +317,6 @@ def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
         current = list(found.values())
         current.sort(key=lambda s: tuple(sorted(s)))
         all_reps.extend(current)
-        if current:
-            reps_by_level.append(current)
     subs = [Subgroup(G, list(S)) for S in all_reps]
     subs.sort(key=lambda H: (H.order, H.elements))
     return subs

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _require
 from .finite_field import FiniteField
 
 ZERO = np.zeros(0, dtype=np.int64)
@@ -297,7 +297,7 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
             vec = field.mat_vec(M, vec)
         for w in chain_vecs:
             space.add(w)
-    assert degree(result) == d
+    _require(degree(result) == d, "characteristic polynomial has the wrong degree")
     return result
 
 

@@ -170,12 +170,16 @@ def save_module(path: str, V: Rep, group_name: str | None = None) -> None:
         fh.write(dumps_canonical(module_to_doc(V, group_name)))
 
 
-def load_module(path: str) -> Rep:
+def read_module_doc(path: str):
+    """The parsed JSON of a module file, not yet validated as a module."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read module file: %s" % exc) from None
     except json.JSONDecodeError as exc:
         raise InputError("module file is not valid JSON: %s" % exc) from None
-    return module_from_doc(doc)
+
+
+def load_module(path: str) -> Rep:
+    return module_from_doc(read_module_doc(path))

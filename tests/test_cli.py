@@ -234,3 +234,36 @@ def test_no_cache_dir_means_no_cache_files(tmp_path, capsys):
         assert os.listdir(".") == []
     finally:
         os.chdir(cwd)
+
+
+def test_vertex_reads_the_module_file_once(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    path = str(tmp_path / "triv.json")
+    _run(capsys, ["make", "trivial", "-g", "S3", "-p", "2", "-o", path])
+    reads = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == path:
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, _ = _run(capsys, ["--cache-dir", str(tmp_path / "cache"), "vertex", "--module", path])
+    assert code == 0
+    assert len(reads) == 1
+
+
+def test_cache_key_carries_package_version(tmp_path, capsys, monkeypatch):
+    import modclass
+
+    cache = str(tmp_path / "cache")
+    argv = ["--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
+    _run(capsys, argv)
+    _run(capsys, argv)
+    assert len([f for f in os.listdir(cache) if f.endswith(".json")]) == 1
+    monkeypatch.setattr(modclass, "__version__", modclass.__version__ + ".post1")
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and out == COUNT_S3_P2_TABLE
+    assert len([f for f in os.listdir(cache) if f.endswith(".json")]) == 2

@@ -7,9 +7,10 @@ brute-force search written directly in this file.
 import numpy as np
 import pytest
 
-from modclass.errors import InputError, LimitError, NotSubfieldError
+from modclass.errors import ConsistencyError, InputError, LimitError, NotSubfieldError
 from modclass.finite_field import (
     FieldAutomorphism,
+    FiniteField,
     automorphisms,
     embed,
     frobenius,
@@ -286,3 +287,10 @@ def test_construction_validation():
 
 def test_field_cache_identity():
     assert make_field(2, 3) is make_field(2, 3)
+
+
+def test_failed_spot_check_raises_consistency_error(monkeypatch):
+    # a forced fact is checked by a raise, not an assert, so python -O keeps it
+    monkeypatch.setattr(FiniteField, "pow", lambda self, a, e: np.int64(2))
+    with pytest.raises(ConsistencyError):
+        FiniteField(5, 1)

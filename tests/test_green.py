@@ -13,8 +13,15 @@ from modclass import linalg
 from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
 from modclass.meataxe import decompose, is_isomorphic, simple_modules
-from modclass.modrep import induce, regular_module, restrict_subgroup, trivial_module
+from modclass.modrep import (
+    hom_basis_matrices,
+    induce,
+    regular_module,
+    restrict_subgroup,
+    trivial_module,
+)
 from modclass.green import (
+    _relative_trace,
     green_correspondent,
     is_projective,
     is_relatively_projective,
@@ -25,6 +32,8 @@ from modclass.perm_group import (
     catalog,
     normalizer,
     p_subgroups_up_to_conjugacy,
+    pinv,
+    right_transversal,
     sylow_p_order,
 )
 
@@ -191,3 +200,72 @@ def test_relative_trace_check_raises_consistency_error(monkeypatch):
     monkeypatch.setattr(linalg, "solve", lambda field, A, b: np.zeros(A.shape[1], dtype=np.int64))
     with pytest.raises(ConsistencyError):
         is_relatively_projective(tr, syl)
+
+
+def _reference_relative_trace(V, transversal, phi):
+    # one map at a time: sum over t of t^-1 phi t
+    field = V.field
+    acc = field.zeros(V.dim, V.dim)
+    for t in transversal:
+        left = V.element_matrix(pinv(t))
+        right = V.element_matrix(t)
+        acc = field.add(acc, field.mat_mul(field.mat_mul(left, phi), right))
+    return acc
+
+
+GROUP_PRIMES = [
+    (name, p) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0
+]
+TRACE_GRID = [(name, p, n) for name, p in GROUP_PRIMES for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, p, n", TRACE_GRID)
+def test_batched_relative_trace_matches_per_map_reference(name, p, n):
+    # the Higman system is built from the traces of the End_Q(V) basis
+    G = catalog()[name]
+    K = make_field(p, n)
+    reg = regular_module(G, K)
+    pim = decompose(reg).summands[0][0]
+    for V in (trivial_module(G, K), reg, pim):
+        for Q in p_subgroups_up_to_conjugacy(G, p):
+            q_mats = [V.element_matrix(g) for g in Q.group.generators]
+            basis = hom_basis_matrices(K, q_mats, q_mats, V.dim, V.dim)
+            T = right_transversal(G, Q)
+            got = _relative_trace(V, T, np.stack(basis))
+            want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, p, n, V.dim, Q.order)
+
+
+def _oracle_source(V, Q, seed=0):
+    # decompose each induced module and look for V among its summands
+    for U, _ in decompose(restrict_subgroup(V, Q), seed=seed).summands:
+        back = decompose(induce(U, V.group), seed=seed)
+        if any(is_isomorphic(W, V, seed=seed) for W, _ in back.summands):
+            return U
+    raise AssertionError("no summand of the restriction induces back to the module")
+
+
+@pytest.mark.parametrize("name, p", GROUP_PRIMES)
+def test_source_matches_decompose_oracle(name, p):
+    G = catalog()[name]
+    K = make_field(p, 1)
+    inputs = [regular_module(G, K)]
+    inputs += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    for M in inputs:
+        for W, _ in decompose(M).summands:
+            Q = vertex(W)
+            want = _oracle_source(W, Q)
+            for vs in (source(W), source(W, Q)):
+                assert vs.vertex == Q
+                got = vs.source
+                assert got.dim == want.dim
+                assert all(A.tobytes() == B.tobytes() for A, B in zip(got.matrices, want.matrices))
+
+
+def test_source_with_given_subgroup_rejects_decomposable():
+    G = catalog()["S3"]
+    reg = regular_module(G, F2)
+    syl = [Q for Q in p_subgroups_up_to_conjugacy(G, 2) if Q.order == 2][0]
+    with pytest.raises(InputError):
+        source(reg, syl)

@@ -256,3 +256,17 @@ def test_group_equality_needs_same_generators():
     c = PermGroup(3, [(2, 0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != c  # same element set, different generator list
+
+
+def test_p_subgroup_classes_are_computed_once_per_group():
+    G = PermGroup(4, catalog()["S4"].generators)
+    first = p_subgroups_up_to_conjugacy(G, 2)
+    second = p_subgroups_up_to_conjugacy(G, 2)
+    assert first == second and first is not second
+    assert all(a is b and a.parent is G for a, b in zip(first, second))
+    first.clear()
+    assert p_subgroups_up_to_conjugacy(G, 2) == second
+    # another group with the same generators has its own subgroups
+    other = p_subgroups_up_to_conjugacy(PermGroup(4, G.generators), 2)
+    assert [H.elements for H in other] == [H.elements for H in second]
+    assert all(H.parent is not G for H in other)
