@@ -139,12 +139,26 @@ def _cache_read(path: str):
 def _cache_write(path: str, key_doc, output: str, exit_code: int) -> None:
     lock = path + ".lock"
     fd = None
-    deadline = time.monotonic() + 5.0
+    wait_s = 5.0
+    deadline = time.monotonic() + wait_s
+    reclaimed = False
     while True:
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             break
         except FileExistsError:
+            try:
+                stale = time.time() - os.stat(lock).st_mtime > wait_s
+            except FileNotFoundError:
+                stale = False  # released in the meantime
+            if stale and not reclaimed:
+                # no live writer holds a lock this long: a crashed one left it
+                reclaimed = True
+                try:
+                    os.unlink(lock)
+                except FileNotFoundError:
+                    pass
+                continue
             if time.monotonic() > deadline:
                 print("warning: cache lock %s is stale, skipping write" % lock, file=sys.stderr)
                 return

@@ -98,6 +98,7 @@ class FiniteField:
         self._powers = p ** np.arange(n, dtype=np.int64)
         self._reduction = self._build_reduction()
         self._frobenius_tables: dict[int, np.ndarray] = {}
+        self._inv_table: np.ndarray | None = None  # prime fields, built on first use
         self._spot_check()
 
     def _build_reduction(self) -> np.ndarray:
@@ -182,10 +183,12 @@ class FiniteField:
 
     def inv(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if (a == 0).any():
             raise ZeroDivisionError("inverse of zero in GF(%d)" % self.q)
         if self.n == 1:
-            return self.pow(a, self.p - 2) if self.p > 2 else a.copy()
+            if self._inv_table is None:
+                self._inv_table = self.pow(np.arange(self.p, dtype=np.int64), self.p - 2)
+            return self._inv_table[a]
         flat = [self._inv_code(int(c)) for c in a.ravel()]
         return np.array(flat, dtype=np.int64).reshape(a.shape)
 
@@ -547,29 +550,3 @@ def automorphisms(field: FiniteField) -> list[FieldAutomorphism]:
 
 def frobenius(field: FiniteField) -> FieldAutomorphism:
     return FieldAutomorphism(field, 1)
-
-
-class ArithmeticContext:
-    """Bound arithmetic for one field, handy for scripting against the API."""
-
-    def __init__(self, field: FiniteField):
-        self.field = field
-        self.add = field.add
-        self.sub = field.sub
-        self.mul = field.mul
-        self.div = field.div
-        self.inv = field.inv
-        self.pow = field.pow
-        self.zero = field.element(0)
-        self.one = field.element(1)
-        self.generator = field.element(field.gen_code)
-
-    def frobenius(self, a, e: int = 1):
-        return self.field.frobenius(a, e)
-
-    def element(self, value) -> FieldElement:
-        return self.field.element(value)
-
-
-def field_arith(field: FiniteField) -> ArithmeticContext:
-    return ArithmeticContext(field)

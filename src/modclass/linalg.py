@@ -1,13 +1,14 @@
 """Exact linear algebra over GF(p^n) on integer-coded numpy matrices.
 
 Vectors are 1-D code arrays; a subspace is held either as rows of a matrix
-or as a :class:`RowSpace`, an incremental echelon structure used by the
-spinning algorithms.  Everything here is deterministic.
+or as a :class:`RowSpace`, a growing set of fully reduced rows used by the
+spinning algorithms.  A RowSpace reduces one vector, or a whole stack of
+them (:meth:`RowSpace.reduce_rows`), with one matrix product, so the
+restricted and quotient actions and the invariance test each reduce all
+images at once.  Everything here is deterministic.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -88,38 +89,68 @@ def is_invertible(field: FiniteField, M: np.ndarray) -> bool:
 
 
 class RowSpace:
-    """Growing echelonized subspace with optional raw-basis coordinate tracking.
+    """Growing subspace with optional raw-basis coordinate tracking.
 
-    Rows added through :meth:`add` are kept twice when tracking: verbatim
-    (the raw basis, in insertion order) and as echelon rows whose expression
-    in the raw basis is maintained, so membership tests can also report
-    coordinates relative to the vectors as they were inserted.
+    The subspace is held as fully reduced rows: row i has a 1 at its pivot
+    column and a 0 at every other row's pivot.  Reducing a vector is then
+    one product of its entries at the pivots with the rows, and the residual
+    is the unique member of v + span with zeros at every pivot;
+    :meth:`reduce_rows` does the same for a whole stack of vectors.
+
+    With tracking, the vectors added through :meth:`add` are also kept
+    verbatim (the raw basis, in insertion order), and each row carries its
+    expression in them to its right, so the same product also yields the
+    coordinates of v - residual in the raw basis.  The rows live in one
+    array that doubles when full.
     """
 
     def __init__(self, field: FiniteField, ambient: int, track: bool = False):
         self.field = field
         self.ambient = ambient
         self.track = track
-        self._pivots: list[int] = []
-        self._rows: list[np.ndarray] = []
-        self._exprs: list[np.ndarray] = []
+        self._k = 0
+        self._alloc(min(ambient, 8))
+        self._inserted: list[np.ndarray] = []  # rows as inserted, before later clearing
         self._raw: list[np.ndarray] = []
+
+    def _alloc(self, cap: int) -> None:
+        """Room for cap rows: pivots, and rows [reduced row | expression]."""
+        k = self._k
+        pivots = np.zeros(cap, dtype=np.intp)
+        rows = np.zeros((cap, self.ambient + (cap if self.track else 0)), dtype=np.int64)
+        if k:
+            pivots[:k] = self._pivots[:k]
+            rows[:k, : self._width(k)] = self._rows[:k, : self._width(k)]
+        self._pivots, self._rows = pivots, rows
+
+    def _width(self, k: int) -> int:
+        """Columns in use while there are k rows."""
+        return self.ambient + k if self.track else self.ambient
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._k
+
+    def reduce_rows(self, V: np.ndarray):
+        """(residuals, coords) of the rows of V; coords is None when untracked."""
+        field = self.field
+        k, a = self._k, self.ambient
+        V = np.asarray(V, dtype=np.int64)
+        combo = field.mat_mul(V[:, self._pivots[:k]], self._rows[:k, : self._width(k)])
+        residual = field.sub(V, combo[:, :a])
+        return residual, combo[:, a:] if self.track else None
 
     def _reduce(self, v: np.ndarray, want_coords: bool):
         field = self.field
-        residual = np.asarray(v, dtype=np.int64).copy()
-        coords = np.zeros(len(self._raw), dtype=np.int64) if want_coords else None
-        for i, pcol in enumerate(self._pivots):
-            factor = residual[pcol]
-            if factor:
-                residual = field.sub(residual, field.mul(factor, self._rows[i]))
-                if want_coords:
-                    coords = field.add(coords, field.mul(factor, self._exprs[i][: len(coords)]))
-        return residual, coords
+        k, a = self._k, self.ambient
+        v = np.asarray(v, dtype=np.int64)
+        f = v[self._pivots[:k]]
+        nz = f.nonzero()[0]
+        if not nz.size:
+            return v.copy(), np.zeros(k, dtype=np.int64) if want_coords else None
+        width = a + k if want_coords else a
+        combo = field.mat_mul(f[None, nz], self._rows[nz, :width])[0]
+        return field.sub(v, combo[:a]), combo[a:] if want_coords else None
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         return self._reduce(v, False)[0]
@@ -141,22 +172,34 @@ class RowSpace:
         coords) with v's coordinates in the raw basis (None when untracked)."""
         field = self.field
         residual, coords = self._reduce(v, self.track)
-        nz = np.nonzero(residual)[0]
-        if nz.size == 0:
+        nz = residual.nonzero()[0]
+        if not nz.size:
             return False, coords
         pivot = int(nz[0])
-        s = field.inv(residual[pivot])
-        row = field.mul(s, residual)
-        pos = bisect.bisect_left(self._pivots, pivot)
+        k, a = self._k, self.ambient
+        if k == len(self._pivots):
+            self._alloc(min(2 * k, a))
+        width = self._width(k + 1)
         if self.track:
-            k = len(self._raw)
-            expr = np.zeros(self.ambient, dtype=np.int64)
-            expr[:k] = field.neg(field.mul(s, coords))
-            expr[k] = s
+            # residual = v - coords . raw, so row = s * (residual | -coords | 1)
+            new = np.empty(width, dtype=np.int64)
+            new[:a] = residual
+            new[a:-1] = field.neg(coords)
+            new[-1] = 1
+        else:
+            new = residual
+        row = field.mul(field.inv(residual[pivot]), new)
+        # clear the new pivot column from the rows that have it
+        hit = self._rows[:k, pivot].nonzero()[0]
+        if hit.size:
+            rows = self._rows[hit, :width]
+            self._rows[hit, :width] = field.sub(rows, field.mul(rows[:, pivot, None], row))
+        self._pivots[k] = pivot
+        self._rows[k, :width] = row
+        self._inserted.append(row[:a].copy() if self.track else row)
+        if self.track:
             self._raw.append(np.asarray(v, dtype=np.int64).copy())
-            self._exprs.insert(pos, expr)
-        self._pivots.insert(pos, pivot)
-        self._rows.insert(pos, row)
+        self._k = k + 1
         return True, None
 
     def raw_basis_rows(self) -> list[np.ndarray]:
@@ -165,12 +208,14 @@ class RowSpace:
         return list(self._raw)
 
     def echelon_matrix(self) -> np.ndarray:
-        if not self._rows:
+        """The rows as they were inserted, sorted by pivot: a semi-echelon basis."""
+        if not self._k:
             return np.zeros((0, self.ambient), dtype=np.int64)
-        return np.stack(self._rows)
+        order = np.argsort(self._pivots[: self._k])
+        return np.stack([self._inserted[i] for i in order])
 
     def pivot_columns(self) -> list[int]:
-        return list(self._pivots)
+        return sorted(self._pivots[: self._k].tolist())
 
 
 def spin(
@@ -188,8 +233,14 @@ def spin(
     ``(j, g, None)`` when ``mats[g] @ raw[j]`` joins it, and
     ``(j, g, coords)`` when that image is dependent, coords being its
     coordinates in the raw basis as it stood then.
+
+    One stacked product gives a vector's images under all the matrices.
+    Once the span is the whole space every image left is dependent: the
+    log gets them from one block reduction, and without a log the spin
+    stops there.
     """
     ambient = mats[0].shape[0] if mats else len(seeds[0])
+    stack = _stacked(mats, ambient)
     space = RowSpace(field, ambient, track=True)
     raw = space._raw
     j = 0
@@ -201,9 +252,16 @@ def spin(
         if log is not None:
             log.append((-1, i, None))
         while j < len(raw):
-            v = raw[j]
-            for g, M in enumerate(mats):
-                w = field.mat_vec(M, v)
+            if space.dim == ambient:
+                # every image left is dependent: log them all from one reduction
+                if log is not None:
+                    rest = field.mat_mul(np.stack(raw[j:]), stack.T).reshape(-1, ambient)
+                    _, coords = space.reduce_rows(rest)
+                    n = len(mats)
+                    log.extend((j + r // n, r % n, c) for r, c in enumerate(coords))
+                break
+            images = field.mat_vec(stack, raw[j]).reshape(-1, ambient)
+            for g, w in enumerate(images):
                 if log is None:
                     space.add(w)
                 else:
@@ -212,34 +270,41 @@ def spin(
     return space
 
 
-def is_invariant(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]) -> bool:
-    space = RowSpace(field, basis_rows.shape[1])
+def _stacked(mats: list[np.ndarray], d: int) -> np.ndarray:
+    """The matrices stacked vertically, so one product applies all of them."""
+    return np.concatenate(mats) if len(mats) else np.zeros((0, d), dtype=np.int64)
+
+
+def _images(field: FiniteField, rows: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """Images M @ r of every row r under every matrix, as rows grouped by M."""
+    k, d = rows.shape
+    prod = field.mat_mul(_stacked(mats, d), rows.T)  # (len(mats) * d, k)
+    return prod.reshape(len(mats), d, k).transpose(0, 2, 1).reshape(-1, d)
+
+
+def _space_of(field: FiniteField, basis_rows: np.ndarray, track: bool = False) -> RowSpace:
+    space = RowSpace(field, basis_rows.shape[1], track=track)
     for row in basis_rows:
         space.add(row)
-    for M in mats:
-        for row in basis_rows:
-            if not space.contains(field.mat_vec(M, row)):
-                return False
-    return True
+    return space
+
+
+def is_invariant(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]) -> bool:
+    space = _space_of(field, basis_rows)
+    residual, _ = space.reduce_rows(_images(field, basis_rows, mats))
+    return not residual.any()
 
 
 def action_on_subspace(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]):
     """Matrices of the restricted action in the coordinates of basis_rows."""
-    k, d = basis_rows.shape
-    space = RowSpace(field, d, track=True)
-    for row in basis_rows:
-        if not space.add(row):
-            raise InputError("subspace basis rows are dependent")
-    out = []
-    for M in mats:
-        A = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            residual, coords = space.reduce_with_coords(field.mat_vec(M, basis_rows[i]))
-            if residual.any():
-                raise InputError("subspace is not invariant under the action")
-            A[:, i] = coords
-        out.append(A)
-    return out
+    k = basis_rows.shape[0]
+    space = _space_of(field, basis_rows, track=True)
+    if space.dim < k:
+        raise InputError("subspace basis rows are dependent")
+    residual, coords = space.reduce_rows(_images(field, basis_rows, mats))
+    if residual.any():
+        raise InputError("subspace is not invariant under the action")
+    return [np.ascontiguousarray(A.T) for A in coords.reshape(len(mats), k, k)]
 
 
 def action_on_quotient(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]):
@@ -249,19 +314,11 @@ def action_on_quotient(field: FiniteField, basis_rows: np.ndarray, mats: list[np
     echelon form (unit vectors there descend to a basis of the quotient).
     Returns (matrices, free_columns).
     """
-    k, d = basis_rows.shape
-    space = RowSpace(field, d)
-    for row in basis_rows:
-        space.add(row)
+    d = basis_rows.shape[1]
+    space = _space_of(field, basis_rows)
     piv = set(space.pivot_columns())
     free = [c for c in range(d) if c not in piv]
-    out = []
-    for M in mats:
-        A = np.zeros((len(free), len(free)), dtype=np.int64)
-        for j, c in enumerate(free):
-            e = np.zeros(d, dtype=np.int64)
-            e[c] = 1
-            residual = space.reduce(field.mat_vec(M, e))
-            A[:, j] = residual[free]
-        out.append(A)
-    return out, free
+    # the image of the unit vector e_c under M is the column M[:, c]
+    residual, _ = space.reduce_rows(_stacked([M[:, free].T for M in mats], d))
+    m = len(free)
+    return [np.ascontiguousarray(R[:, free].T) for R in residual.reshape(len(mats), m, d)], free

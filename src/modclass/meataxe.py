@@ -87,18 +87,22 @@ def _kernel_samples(field: FiniteField, null: np.ndarray, rng, extra: int):
     return out
 
 
+def _projective_points(field: FiniteField, dim: int) -> np.ndarray:
+    """One nonzero vector per line of GF(q)^dim: the one whose first nonzero
+    coordinate is 1, in increasing order of the code sum v[i] * q^i."""
+    codes = np.arange(1, field.q**dim, dtype=np.int64)
+    vecs = (codes[:, None] // field.q ** np.arange(dim, dtype=np.int64)) % field.q
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    return vecs[lead == 1]
+
+
 def _exhaustive_simple(field: FiniteField, mats, dim: int):
     """Complete scan: simple iff every nonzero vector generates everything.
 
     Only called when field.q ** dim <= SCAN_CAP.  One representative per
     projective line suffices since spin(c*v) = spin(v).
     """
-    powers = field.q ** np.arange(dim, dtype=np.int64)
-    for code in range(1, field.q**dim):
-        v = (code // powers) % field.q
-        nz = np.nonzero(v)[0]
-        if v[nz[0]] != 1:
-            continue
+    for v in _projective_points(field, dim):
         span = linalg.spin(field, mats, [v])
         if span.dim < dim:
             return False, span.echelon_matrix()
@@ -191,21 +195,19 @@ def endomorphism_basis(field: FiniteField, mats, dim: int) -> list[np.ndarray]:
 def _algebra_right_mults(field: FiniteField, basis):
     """Right multiplication matrices of an algebra given by a matrix basis."""
     h = len(basis)
-    d2 = basis[0].size
-    space = linalg.RowSpace(field, d2, track=True)
+    d = basis[0].shape[0]
+    space = linalg.RowSpace(field, d * d, track=True)
     for b in basis:
         if not space.add(b.reshape(-1)):
             raise ConsistencyError("algebra basis is linearly dependent")
+    stack = np.concatenate(basis)  # (h * d, d)
     mults = []
-    for k in range(h):
-        Rk = field.zeros(h, h)
-        for j in range(h):
-            prod = field.mat_mul(basis[j], basis[k])
-            residual, coords = space.reduce_with_coords(prod.reshape(-1))
-            if residual.any():
-                raise ConsistencyError("algebra basis is not closed under products")
-            Rk[:, j] = coords
-        mults.append(Rk)
+    for b in basis:
+        # row j of the products is basis[j] @ b, flattened
+        residual, coords = space.reduce_rows(field.mat_mul(stack, b).reshape(h, d * d))
+        if residual.any():
+            raise ConsistencyError("algebra basis is not closed under products")
+        mults.append(np.ascontiguousarray(coords.T))
     return mults
 
 
@@ -247,19 +249,13 @@ def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
     if hq != h - rad_dim:
         raise ConsistencyError("radical complement has the wrong dimension")
 
-    def quotient_coords(vec: np.ndarray) -> np.ndarray:
-        residual, coords = comp_space.reduce_with_coords(vec)
+    q_mults = []
+    for k in comp_idx:
+        # row j: coordinates of the product of complement elements j and k
+        residual, coords = comp_space.reduce_rows(mults[k][:, comp_idx].T)
         if residual.any():
             raise ConsistencyError("vector outside the span of radical and complement")
-        return coords[rad_dim : rad_dim + hq]
-
-    q_mults = []
-    for k in range(hq):
-        Qk = field.zeros(hq, hq)
-        for j in range(hq):
-            prod_coords = mults[comp_idx[k]][:, comp_idx[j]]
-            Qk[:, j] = quotient_coords(prod_coords)
-        q_mults.append(Qk)
+        q_mults.append(np.ascontiguousarray(coords[:, rad_dim : rad_dim + hq].T))
     q_factors = _chop(field, q_mults, hq, rng, limits.RANDOM_ATTEMPTS)
     return h, rad_dim, len(q_factors) == 1
 
@@ -476,9 +472,11 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
 def try_canonical_form(V: Rep) -> Rep | None:
     """Least spin-basis presentation of a simple module, if small enough.
 
-    Scans all nonzero seed vectors, spins each to a full basis (simple
-    modules are cyclic from every nonzero vector) and keeps the matrix
-    tuple that is lexicographically least.  Independent of the input basis.
+    Spins one seed per projective point to a full basis (simple modules are
+    cyclic from every nonzero vector) and keeps the matrix tuple that is
+    lexicographically least.  Spinning c*v gives the basis c*B, in which the
+    action has the same matrices as in B, so the other nonzero seeds add
+    nothing.  Independent of the input basis.
     """
     field = V.field
     d = V.dim
@@ -487,21 +485,34 @@ def try_canonical_form(V: Rep) -> Rep | None:
     mats = list(V.matrices)
     best_key = None
     best = None
-    for code in range(1, field.q**d):
-        v = np.zeros(d, dtype=np.int64)
-        c = code
-        for i in range(d):
-            v[i] = c % field.q
-            c //= field.q
-        span = linalg.spin(field, mats, [v])
+    for v in _projective_points(field, d):
+        log: list = []
+        span = linalg.spin(field, mats, [v], log=log)
         _require(span.dim == d, "canonical form requires a simple module")
-        B = np.stack(span.raw_basis_rows())
-        A = linalg.action_on_subspace(field, B, mats)
-        key = tuple(int(x) for M in A for x in M.reshape(-1))
+        A = _spin_action(log, len(mats), d)
+        key = A.reshape(-1).tolist()
         if best_key is None or key < best_key:
             best_key = key
             best = A
-    return Rep(V.group, field, best, check=False)
+    return Rep(V.group, field, list(best), check=False)
+
+
+def _spin_action(log: list, n_mats: int, d: int) -> np.ndarray:
+    """Action matrices, stacked, in the raw basis of a full-dimensional logged spin.
+
+    Column j of matrix g holds the raw-basis coordinates of mats[g] @ raw[j]:
+    a unit vector when that image joined the basis, else the logged coords.
+    """
+    A = np.zeros((n_mats, d, d), dtype=np.int64)
+    n_raw = 0
+    for j, g, coords in log:
+        if coords is None:
+            if j >= 0:
+                A[g, n_raw, j] = 1
+            n_raw += 1
+        else:
+            A[g, : len(coords), j] = coords
+    return A
 
 
 @dataclass

@@ -284,15 +284,14 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
         chain_vecs = []
         while True:
             reduced = space.reduce(vec)
-            residual, coords = chain.reduce_with_coords(reduced)
-            if not residual.any():
+            if not chain.add(reduced):
+                coords = chain.reduce_with_coords(reduced)[1]
                 k = len(chain_vecs)
                 rel = np.zeros(k + 1, dtype=np.int64)
                 rel[k] = 1
                 rel[: len(coords)] = field.neg(coords)
                 result = mul(field, result, rel)
                 break
-            chain.add(reduced)
             chain_vecs.append(vec)
             vec = field.mat_vec(M, vec)
         for w in chain_vecs:
@@ -321,13 +320,12 @@ def min_poly_mat(field: FiniteField, M: np.ndarray) -> np.ndarray:
         vec = seed
         count = 0
         while True:
-            residual, coords = chain.reduce_with_coords(vec)
-            if not residual.any():
+            if not chain.add(vec):
+                coords = chain.reduce_with_coords(vec)[1]
                 mu = np.zeros(count + 1, dtype=np.int64)
                 mu[count] = 1
                 mu[: len(coords)] = field.neg(coords)
                 break
-            chain.add(vec)
             count += 1
             vec = field.mat_vec(M, vec)
         g = gcd_poly(field, lam, mu)

@@ -3,6 +3,7 @@ exit codes, and the cache replay semantics."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -224,6 +225,26 @@ def test_cache_recovers_from_corruption(tmp_path, capsys):
     # the rewritten entry replays again
     _, out3, err3 = _run(capsys, argv)
     assert out3 == out1 and err3 == ""
+
+
+def test_cache_reclaims_lock_of_crashed_writer(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    argv = ["--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
+    _, out1, _ = _run(capsys, argv)
+    entry = os.path.join(cache, [f for f in os.listdir(cache) if f.endswith(".json")][0])
+    os.unlink(entry)
+    # a lock left behind by a writer that died a minute ago
+    lock = entry + ".lock"
+    open(lock, "w").close()
+    old = time.time() - 60
+    os.utime(lock, (old, old))
+    t0 = time.monotonic()
+    code, out2, err = _run(capsys, argv)
+    elapsed = time.monotonic() - t0
+    assert code == 0 and out2 == out1
+    assert "stale" not in err
+    assert elapsed < 2.5
+    assert os.path.exists(entry) and not os.path.exists(lock)
 
 
 def test_no_cache_dir_means_no_cache_files(tmp_path, capsys):

@@ -4,6 +4,10 @@ The canonical minimal polynomials are cross-checked against an independent
 brute-force search written directly in this file.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -294,3 +298,36 @@ def test_failed_spot_check_raises_consistency_error(monkeypatch):
     monkeypatch.setattr(FiniteField, "pow", lambda self, a, e: np.int64(2))
     with pytest.raises(ConsistencyError):
         FiniteField(5, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_prime_field_inverse_matches_fermat(p):
+    K = make_field(p, 1)
+    units = np.arange(1, p, dtype=np.int64)
+    want = [pow(int(a), p - 2, p) for a in units]
+    assert K.inv(units).tolist() == want
+    assert [int(K.inv(np.int64(a))) for a in units] == want
+    assert K.inv(units.reshape(1, -1)).shape == (1, p - 1)
+    with pytest.raises(ZeroDivisionError):
+        K.inv(np.array([1, 0], dtype=np.int64) % p)
+    with pytest.raises(ZeroDivisionError):
+        K.inv(np.int64(0))
+
+
+def test_forced_fact_checks_survive_python_O():
+    # python -O strips assert statements; the checks of forced facts must stay
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tests = [
+        "tests/test_green.py::test_relative_trace_check_raises_consistency_error",
+        "tests/test_finite_field.py::test_failed_spot_check_raises_consistency_error",
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout

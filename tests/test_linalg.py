@@ -160,3 +160,264 @@ def test_action_on_subspace_rejects_non_invariant():
     B = np.array([[1, 0, 0, 0]], dtype=np.int64)
     with pytest.raises(InputError):
         L.action_on_subspace(F2, B, [M])
+
+
+# ----- oracle: the sequential semi-echelon RowSpace and spin -----
+
+
+class _SequentialRowSpace:
+    """Reference row space: rows kept as inserted, sorted by pivot, and
+    reduced one pivot at a time."""
+
+    def __init__(self, field, ambient, track=False):
+        self.field = field
+        self.ambient = ambient
+        self.track = track
+        self._pivots = []
+        self._rows = []
+        self._exprs = []
+        self._raw = []
+
+    @property
+    def dim(self):
+        return len(self._rows)
+
+    def _reduce(self, v, want_coords):
+        field = self.field
+        residual = np.asarray(v, dtype=np.int64).copy()
+        coords = np.zeros(len(self._raw), dtype=np.int64) if want_coords else None
+        for i, pcol in enumerate(self._pivots):
+            factor = residual[pcol]
+            if factor:
+                residual = field.sub(residual, field.mul(factor, self._rows[i]))
+                if want_coords:
+                    coords = field.add(coords, field.mul(factor, self._exprs[i][: len(coords)]))
+        return residual, coords
+
+    def reduce(self, v):
+        return self._reduce(v, False)[0]
+
+    def reduce_with_coords(self, v):
+        if not self.track:
+            raise InputError("RowSpace built without tracking")
+        return self._reduce(v, True)
+
+    def reduce_rows(self, V):
+        out = [self._reduce(v, self.track) for v in V]
+        residual = np.stack([r for r, _ in out])
+        return residual, np.stack([c for _, c in out]) if self.track else None
+
+    def add(self, v):
+        return self._insert(v)[0]
+
+    def _insert(self, v):
+        field = self.field
+        residual, coords = self._reduce(v, self.track)
+        nz = np.nonzero(residual)[0]
+        if nz.size == 0:
+            return False, coords
+        pivot = int(nz[0])
+        s = field.inv(residual[pivot])
+        row = field.mul(s, residual)
+        pos = int(np.searchsorted(self._pivots, pivot))
+        if self.track:
+            k = len(self._raw)
+            expr = np.zeros(self.ambient, dtype=np.int64)
+            expr[:k] = field.neg(field.mul(s, coords))
+            expr[k] = s
+            self._raw.append(np.asarray(v, dtype=np.int64).copy())
+            self._exprs.insert(pos, expr)
+        self._pivots.insert(pos, pivot)
+        self._rows.insert(pos, row)
+        return True, None
+
+    def raw_basis_rows(self):
+        return list(self._raw)
+
+    def echelon_matrix(self):
+        if not self._rows:
+            return np.zeros((0, self.ambient), dtype=np.int64)
+        return np.stack(self._rows)
+
+    def pivot_columns(self):
+        return list(self._pivots)
+
+
+def _sequential_spin(field, mats, seeds, log=None):
+    ambient = mats[0].shape[0] if mats else len(seeds[0])
+    space = _SequentialRowSpace(field, ambient, track=True)
+    raw = space._raw
+    j = 0
+    for i, seed in enumerate(seeds):
+        if space.dim == ambient:
+            break
+        if not space.add(seed):
+            continue
+        if log is not None:
+            log.append((-1, i, None))
+        while j < len(raw):
+            v = raw[j]
+            for g, M in enumerate(mats):
+                w = field.mat_vec(M, v)
+                if log is None:
+                    space.add(w)
+                else:
+                    log.append((j, g, space._insert(w)[1]))
+            j += 1
+    return space
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)]
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _vector_stream(K, d, rng, n):
+    """Random, zero, sparse, scaled and dependent vectors, then enough random
+    ones to fill the space."""
+    seen = []
+    for t in range(n):
+        kind = t % 5
+        if kind == 0 or not seen:
+            v = K.rand_codes(rng, d)
+        elif kind == 1:
+            v = K.zeros(d)
+        elif kind == 2:
+            v = K.zeros(d)
+            v[rng.integers(0, d)] = rng.integers(1, K.q)
+        elif kind == 3:
+            v = K.mul(np.int64(rng.integers(1, K.q)), seen[rng.integers(0, len(seen))])
+        else:
+            cs = K.rand_codes(rng, len(seen))
+            v = K.mat_vec(np.stack(seen).T.copy(), cs)
+        seen.append(v)
+        yield v
+    for _ in range(6 * d):
+        yield K.rand_codes(rng, d)
+
+
+def _assert_spaces_agree(new, old, probes):
+    assert new.dim == old.dim
+    assert _same(new.echelon_matrix(), old.echelon_matrix())
+    assert new.pivot_columns() == old.pivot_columns()
+    for v in probes:
+        assert _same(new.reduce(v), old.reduce(v))
+        if old.track:
+            r_new, c_new = new.reduce_with_coords(v)
+            r_old, c_old = old.reduce_with_coords(v)
+            assert _same(r_new, r_old) and _same(c_new, c_old)
+    r_new, c_new = new.reduce_rows(np.stack(probes))
+    r_old, c_old = old.reduce_rows(np.stack(probes))
+    assert _same(r_new, r_old) and _same(c_new, c_old)
+    if old.track:
+        raw_new, raw_old = new.raw_basis_rows(), old.raw_basis_rows()
+        assert len(raw_new) == len(raw_old)
+        assert all(_same(a, b) for a, b in zip(raw_new, raw_old))
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+@pytest.mark.parametrize("track", [False, True])
+def test_rowspace_matches_sequential_oracle(p, n, track):
+    K = make_field(p, n)
+    rng = np.random.default_rng(100 * p + 10 * n + track)
+    for d in (1, 5, 11):
+        new = L.RowSpace(K, d, track=track)
+        old = _SequentialRowSpace(K, d, track=track)
+        probes = [K.rand_codes(rng, d) for _ in range(3)] + [K.zeros(d)]
+        for v in _vector_stream(K, d, rng, 3 * d):
+            probes[0] = v
+            assert new.add(v) == old.add(v)
+            _assert_spaces_agree(new, old, probes)
+        assert new.dim == d  # the stream filled the ambient space
+        if not track:
+            with pytest.raises(InputError):
+                new.reduce_with_coords(probes[1])
+
+
+def _random_module(K, d, rng, blocks):
+    """Two generators, block upper triangular along `blocks` when given, so
+    that spins can stop at proper invariant subspaces."""
+    mats = []
+    for _ in range(2):
+        M = K.rand_codes(rng, (d, d))
+        start = 0
+        for b in blocks:
+            M[start + b :, start : start + b] = 0
+            start += b
+        mats.append(M)
+    return mats
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_spin_logs_match_sequential_oracle(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(7 * p + n)
+    for d, blocks in ((6, ()), (9, (3, 2)), (8, (8,)), (7, (1, 1, 1, 1, 1, 1, 1))):
+        mats = _random_module(K, d, rng, blocks)
+        for seeds in (
+            [K.rand_codes(rng, d)],
+            [np.eye(d, dtype=np.int64)[d - 1]],
+            [K.zeros(d), np.eye(d, dtype=np.int64)[d - 1], K.rand_codes(rng, d)],
+            list(K.identity(d)),
+        ):
+            log_new, log_old = [], []
+            new = L.spin(K, mats, seeds, log=log_new)
+            old = _sequential_spin(K, mats, seeds, log=log_old)
+            assert len(log_new) == len(log_old)
+            for (j1, g1, c1), (j2, g2, c2) in zip(log_new, log_old):
+                assert (j1, g1) == (j2, g2) and _same(c1, c2)
+            _assert_spaces_agree(new, old, [K.rand_codes(rng, d)])
+            plain = L.spin(K, mats, seeds)
+            _assert_spaces_agree(plain, old, [K.rand_codes(rng, d)])
+
+
+def _sequential_action_on_subspace(K, B, mats):
+    space = _SequentialRowSpace(K, B.shape[1], track=True)
+    for row in B:
+        space.add(row)
+    out = []
+    for M in mats:
+        A = np.zeros((B.shape[0],) * 2, dtype=np.int64)
+        for i, row in enumerate(B):
+            A[:, i] = space.reduce_with_coords(K.mat_vec(M, row))[1]
+        out.append(A)
+    return out
+
+
+def _sequential_action_on_quotient(K, B, mats):
+    space = _SequentialRowSpace(K, B.shape[1])
+    for row in B:
+        space.add(row)
+    free = [c for c in range(B.shape[1]) if c not in space.pivot_columns()]
+    out = []
+    for M in mats:
+        A = np.zeros((len(free),) * 2, dtype=np.int64)
+        for j, c in enumerate(free):
+            A[:, j] = space.reduce(M[:, c])[free]
+        out.append(A)
+    return out, free
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_block_actions_match_sequential_oracle(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(11 * p + n)
+    d = 9
+    mats = _random_module(K, d, rng, (4, 5))
+    for seed in (np.eye(d, dtype=np.int64)[0], np.eye(d, dtype=np.int64)[3], K.rand_codes(rng, d)):
+        span = L.spin(K, mats, [seed])
+        for B in (span.echelon_matrix(), np.stack(span.raw_basis_rows())):
+            assert L.is_invariant(K, B, mats)
+            got = L.action_on_subspace(K, B, mats)
+            want = _sequential_action_on_subspace(K, B, mats)
+            assert all(_same(a, b) for a, b in zip(got, want))
+            got_q, free = L.action_on_quotient(K, B, mats)
+            want_q, want_free = _sequential_action_on_quotient(K, B, mats)
+            assert free == want_free
+            assert all(_same(a, b) for a, b in zip(got_q, want_q))
+    assert not L.is_invariant(K, np.eye(d, dtype=np.int64)[4:5], mats)

@@ -10,7 +10,7 @@ import pytest
 
 from modclass.errors import InputError
 from modclass.finite_field import make_field
-from modclass import linalg
+from modclass import limits, linalg
 from modclass.modrep import (
     Rep,
     direct_sum,
@@ -32,7 +32,7 @@ from modclass.meataxe import (
     simple_modules,
     try_canonical_form,
 )
-from modclass.perm_group import catalog
+from modclass.perm_group import PermGroup, catalog
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -256,3 +256,50 @@ def test_simple_set_index_of():
 def test_zero_module_rejected():
     with pytest.raises(InputError):
         is_simple(Rep(catalog()["C2"], F2, [np.zeros((0, 0), dtype=np.int64)]))
+
+
+def _full_scan_canonical_form(V):
+    # reference: spin every nonzero seed and read the action off its basis
+    field, d = V.field, V.dim
+    if d == 0 or d > limits.CANONICAL_DIM_CAP or field.q**d > limits.CANONICAL_ORBIT_CAP:
+        return None
+    mats = list(V.matrices)
+    best_key, best = None, None
+    for code in range(1, field.q**d):
+        v = np.array([(code // field.q**i) % field.q for i in range(d)], dtype=np.int64)
+        span = linalg.spin(field, mats, [v])
+        assert span.dim == d
+        A = linalg.action_on_subspace(field, np.stack(span.raw_basis_rows()), mats)
+        key = tuple(int(x) for M in A for x in M.reshape(-1))
+        if best_key is None or key < best_key:
+            best_key, best = key, A
+    return best
+
+
+S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+CANONICAL_GRID = [
+    (name, p, n) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0 for n in (1, 2)
+] + [("S5", 2, 1), ("S5", 3, 1), ("S5", 5, 1)]
+
+
+@pytest.mark.parametrize("name, p, n", CANONICAL_GRID)
+def test_canonical_form_matches_full_scan(name, p, n):
+    G = S5 if name == "S5" else catalog()[name]
+    K = make_field(p, n)
+    seen = set()
+    checked = 0
+    # raw chop factors (arbitrary bases) and the listed simple modules
+    for W in composition_factors(regular_module(G, K)) + list(simple_modules(G, K).modules):
+        key = b"".join(M.tobytes() for M in W.matrices)
+        if key in seen:
+            continue
+        seen.add(key)
+        want = _full_scan_canonical_form(W)
+        got = try_canonical_form(W)
+        if want is None:
+            assert got is None
+            continue
+        checked += 1
+        assert len(got.matrices) == len(want)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.matrices, want))
+    assert checked
