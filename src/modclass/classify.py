@@ -11,10 +11,15 @@ simple W live over the extension of degree dim End(W), in exactly
 dim End(W) classes.  Summing those fiber sizes reproduces the number of
 p-regular conjugacy classes, which this module checks against an
 independent count.
+
+Inside one `verify_classification` call, decompositions, isomorphism tests
+and simplicity tests are kept by module content and computed once per
+distinct input; the memo ends with the call.
 """
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InconclusiveError, InputError, NotSubfieldError
@@ -44,7 +49,7 @@ def classify_module(V: Rep, seed: int = 0) -> ModuleFlags:
     """Simplicity and indecomposability of V, absolutely and over its field."""
     if V.dim == 0:
         raise InputError("classification flags are undefined for the zero module")
-    simple = bool(is_simple(V, seed=seed))
+    simple = _simple(V, seed)
     h, rad_dim, local = end_structure(V, seed=seed)
     return ModuleFlags(
         simple=simple,
@@ -54,8 +59,51 @@ def classify_module(V: Rep, seed: int = 0) -> ModuleFlags:
     )
 
 
+# Results keyed by module content; set only while verify_classification runs.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("classify_memo", default=None)
+
+
+def _content(V: Rep) -> tuple:
+    return (V.group, V.field, V.dim, b"".join(M.tobytes() for M in V.matrices))
+
+
+def _recall(key, compute):
+    """compute(), or its stored result when a memo is in scope.
+
+    `key` is a callable, so nothing is hashed outside the scope."""
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    k = key()
+    if k not in memo:
+        memo[k] = compute()
+    return memo[k]
+
+
 def _summand_classes(V: Rep, seed: int = 0) -> list[tuple[Rep, int]]:
-    return decompose(V, seed=seed).summands
+    return list(
+        _recall(
+            lambda: ("decompose", seed, _content(V)),
+            lambda: tuple(decompose(V, seed=seed).summands),
+        )
+    )
+
+
+def _iso(V: Rep, U: Rep, seed: int) -> bool:
+    # is_isomorphic answers V is U at once; kept out of the memo, that
+    # answer never stands in for a distinct copy of V
+    if V is U:
+        return bool(is_isomorphic(V, U, seed=seed))
+    return _recall(
+        lambda: ("iso", seed, _content(V), _content(U)),
+        lambda: bool(is_isomorphic(V, U, seed=seed)),
+    )
+
+
+def _simple(V: Rep, seed: int) -> bool:
+    return _recall(
+        lambda: ("simple", seed, _content(V)), lambda: bool(is_simple(V, seed=seed))
+    )
 
 
 def up_relation(lower: Rep, upper: Rep, seed: int = 0) -> bool:
@@ -71,11 +119,11 @@ def up_relation(lower: Rep, upper: Rep, seed: int = 0) -> bool:
     if K.p != L.p or L.n % K.n != 0:
         return False
     via_extension = any(
-        bool(is_isomorphic(W, upper, seed=seed))
+        _iso(W, upper, seed)
         for W, _ in _summand_classes(extend_scalars(lower, L), seed)
     )
     via_restriction = any(
-        bool(is_isomorphic(W, lower, seed=seed))
+        _iso(W, lower, seed)
         for W, _ in _summand_classes(restrict_scalars(upper, K), seed)
     )
     if via_extension != via_restriction:
@@ -98,7 +146,7 @@ def _check_single_galois_orbit(entries, field: FiniteField, seed: int) -> None:
     for sigma in automorphisms(field):
         twisted = frobenius_twist(reps[0], sigma)
         for i, W in enumerate(reps):
-            if is_isomorphic(twisted, W, seed=seed):
+            if _iso(twisted, W, seed):
                 reached.add(i)
                 break
         else:
@@ -128,13 +176,13 @@ def trace_to_prime_field(V: Rep, seed: int = 0) -> Rep:
     homogeneity (all components isomorphic, with the dimension balance)."""
     K = V.field
     F = make_field(K.p, 1)
-    if not is_simple(V, seed=seed):
+    if not _simple(V, seed):
         raise InputError("trace to the prime field expects a simple module")
     classes = _summand_classes(restrict_scalars(V, F), seed)
     if len(classes) != 1:
         raise ConsistencyError("restriction of a simple module is not homogeneous")
     W, s = classes[0]
-    if not is_simple(W, seed=seed):
+    if not _simple(W, seed):
         raise ConsistencyError("restriction components of a simple module must be simple")
     if s * W.dim != K.n * V.dim:
         raise ConsistencyError("dimension balance fails for the restriction")
@@ -167,7 +215,7 @@ def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
     F = W.field
     if F.n != 1:
         raise InputError("expected a module over the prime field")
-    if not is_simple(W, seed=seed):
+    if not _simple(W, seed):
         raise InputError("expected a simple module")
     m = len(endomorphism_basis(F, list(W.matrices), W.dim))
     level = fiber(W, m, seed=seed)
@@ -179,7 +227,7 @@ def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
     for V, mult in level.entries:
         if mult != 1:
             raise ConsistencyError("constituents above the splitting degree must be multiplicity-free")
-        if not is_simple(V, seed=seed):
+        if not _simple(V, seed):
             raise ConsistencyError("constituent is not simple")
         if len(endomorphism_basis(level.field, list(V.matrices), V.dim)) != 1:
             raise ConsistencyError("constituent is not absolutely simple")
@@ -353,7 +401,7 @@ def verify_classification(
             for n in range(1, bound + 1):
                 for V, _ in get_level(i, n).entries:
                     T = trace_to_prime_field(V, seed=seed)
-                    if not is_isomorphic(T, W, seed=seed):
+                    if not _iso(T, W, seed):
                         raise ConsistencyError("restriction lands on the wrong simple class")
                     checked += 1
         return "%d components restricted and matched" % checked
@@ -391,7 +439,7 @@ def verify_classification(
         for i, W in enumerate(S.modules):
             level = splitting_fiber(W, seed=seed)
             for V, _ in level.entries:
-                if not is_isomorphic(trace_to_prime_field(V, seed=seed), W, seed=seed):
+                if not _iso(trace_to_prime_field(V, seed=seed), W, seed):
                     raise ConsistencyError("splitting fiber entry escapes its class")
             total += len(level.entries)
         oracle = G.p_regular_class_count(p)
@@ -421,12 +469,16 @@ def verify_classification(
                         checked += 1
         return "%d factorizations found" % checked
 
-    clauses = [
-        _clause("subfield-lattice", subfield_lattice),
-        _clause("restriction-homogeneous", restriction_homogeneous),
-        _clause("galois-orbit", galois_orbits),
-        _clause("lies-under-both-routes", up_both_routes),
-        _clause("fiber-partition-count", fiber_partition),
-        _clause("transitivity", transitivity),
-    ]
+    token = _MEMO.set({})  # one memo for all clauses, gone when the call ends
+    try:
+        clauses = [
+            _clause("subfield-lattice", subfield_lattice),
+            _clause("restriction-homogeneous", restriction_homogeneous),
+            _clause("galois-orbit", galois_orbits),
+            _clause("lies-under-both-routes", up_both_routes),
+            _clause("fiber-partition-count", fiber_partition),
+            _clause("transitivity", transitivity),
+        ]
+    finally:
+        _MEMO.reset(token)
     return VerificationReport(group_name, p, bound, clauses)

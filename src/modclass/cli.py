@@ -574,6 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_caps = limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE
     if args.max_group_order is not None:
         limits.MAX_GROUP_ORDER = args.max_group_order
     if args.max_field_size is not None:
@@ -592,6 +593,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        # the caps hold for this invocation only
+        limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE = saved_caps
 
 
 if __name__ == "__main__":

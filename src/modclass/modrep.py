@@ -212,6 +212,8 @@ def frobenius_twist(V: Rep, sigma: FieldAutomorphism | int) -> Rep:
         sigma = FieldAutomorphism(V.field, sigma)
     if sigma.field is not V.field:
         raise InputError("automorphism belongs to a different field")
+    if sigma.is_identity():
+        return V
     return Rep(V.group, V.field, [sigma.apply_codes(M) for M in V.matrices], check=False)
 
 

@@ -9,6 +9,7 @@ after derivation from endomorphism algebra degrees.
 
 import pytest
 
+from modclass import classify, meataxe
 from modclass.errors import ConsistencyError, InputError, NotSubfieldError
 from modclass.finite_field import make_field
 from modclass.meataxe import (
@@ -226,3 +227,82 @@ def test_verify_classification_small():
     assert "lies-under-both-routes" in names
     for c in rep.clauses:
         assert c.passed, (c.name, c.detail)
+
+
+def _verify_clauses(report):
+    return [(c.name, c.passed, c.detail) for c in report.clauses]
+
+
+def test_verify_decomposes_each_module_once(monkeypatch):
+    G = catalog()["S3"]
+    decomposed, hom_calls = [], [0]
+    real_decompose, real_hom = classify.decompose, meataxe.hom_basis_matrices
+
+    def counting_decompose(V, seed=0):
+        decomposed.append((b"".join(M.tobytes() for M in V.matrices), V.dim, V.field, seed))
+        return real_decompose(V, seed=seed)
+
+    def counting_hom(*args):
+        hom_calls[0] += 1
+        return real_hom(*args)
+
+    monkeypatch.setattr(classify, "decompose", counting_decompose)
+    monkeypatch.setattr(meataxe, "hom_basis_matrices", counting_hom)
+    memoized = _verify_clauses(verify_classification(G, 2, bound=4))
+    memo_decompose, memo_hom = len(decomposed), hom_calls[0]
+    assert len(set(decomposed)) == memo_decompose  # no input decomposed twice
+
+    # every call straight through: the same report from more work
+    decomposed.clear()
+    hom_calls[0] = 0
+    monkeypatch.setattr(classify, "_recall", lambda key, compute: compute())
+    assert _verify_clauses(verify_classification(G, 2, bound=4)) == memoized
+    assert len(decomposed) > memo_decompose
+    assert hom_calls[0] > memo_hom
+
+
+def test_verify_memo_lives_only_inside_the_call(monkeypatch):
+    assert classify._MEMO.get() is None
+    verify_classification(catalog()["C3"], 2, bound=2)
+    assert classify._MEMO.get() is None
+
+    seen = []
+
+    def failing_fiber(W, degree, seed=0):
+        seen.append(classify._MEMO.get())
+        raise RuntimeError("fiber failed")
+
+    monkeypatch.setattr(classify, "fiber", failing_fiber)
+    with pytest.raises(RuntimeError):
+        verify_classification(catalog()["C3"], 2, bound=2)
+    assert seen == [{}]
+    assert classify._MEMO.get() is None
+
+
+def test_verify_memo_key_separates_group_seed_and_field(monkeypatch):
+    trC2 = trivial_module(catalog()["C2"], F2)
+    trC3 = trivial_module(catalog()["C3"], F2)
+    trC3_4 = extend_scalars(trC3, F4)  # the same 1x1 matrix, over GF(4)
+    calls = []
+    real_decompose = classify.decompose
+
+    def counting_decompose(V, seed=0):
+        calls.append(seed)
+        return real_decompose(V, seed=seed)
+
+    monkeypatch.setattr(classify, "decompose", counting_decompose)
+    token = classify._MEMO.set({})
+    try:
+        for V in (trC2, trC3, trC3_4):
+            for W, _ in classify._summand_classes(V, 0):
+                assert W.group is V.group and W.field is V.field
+        assert len(calls) == 3
+        classify._summand_classes(trC3, 1)
+        classify._summand_classes(trC3, 0)  # the only repeat
+        assert calls == [0, 0, 0, 1]
+        # a fresh list per call, so a caller's edit cannot reach the memo
+        first = classify._summand_classes(trC3, 0)
+        first.clear()
+        assert len(classify._summand_classes(trC3, 0)) == 1
+    finally:
+        classify._MEMO.reset(token)

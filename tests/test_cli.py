@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from modclass import cli
+from modclass import cli, limits
+from modclass.errors import LimitError
+from modclass.finite_field import make_field
 from modclass.serialize import load_module
 
 COUNT_S3_P2_TABLE = """\
@@ -19,6 +21,28 @@ total: 2
 p-regular classes: 2
 agree: yes
 """
+
+VERIFY_S3_P2_BOUND6_TABLE = """\
+verification for p=2 through extension degree 6
+subfield-lattice           PASS
+restriction-homogeneous    PASS
+galois-orbit               PASS
+lies-under-both-routes     PASS
+fiber-partition-count      PASS
+transitivity               PASS
+result: PASS
+"""
+
+VERIFY_A4_P2_BOUND4_STRUCTURED = (
+    '{"bound":4,"clauses":['
+    '{"detail":"10 subfield pairs checked","name":"subfield-lattice","passed":true},'
+    '{"detail":"10 components restricted and matched","name":"restriction-homogeneous","passed":true},'
+    '{"detail":"8 fibers checked","name":"galois-orbit","passed":true},'
+    '{"detail":"20 relation instances checked","name":"lies-under-both-routes","passed":true},'
+    '{"detail":"count 3 matches the p-regular class count","name":"fiber-partition-count","passed":true},'
+    '{"detail":"11 factorizations found","name":"transitivity","passed":true}],'
+    '"group":{"name":"A4"},"p":2,"passed":true}\n'
+)
 
 
 def _run(capsys, argv):
@@ -155,6 +179,36 @@ def test_verify_exit_zero(capsys):
     code, out, _ = _run(capsys, ["verify", "-g", "S3", "-p", "2", "--bound", "2"])
     assert code == 0
     assert out.endswith("result: PASS\n")
+
+
+def test_verify_table_output_frozen(capsys):
+    code, out, _ = _run(capsys, ["verify", "-g", "S3", "-p", "2", "--bound", "6"])
+    assert code == 0
+    assert out == VERIFY_S3_P2_BOUND6_TABLE
+
+
+def test_verify_structured_output_frozen(capsys):
+    argv = ["--format", "structured", "verify", "-g", "A4", "-p", "2", "--bound", "4"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == VERIFY_A4_P2_BOUND4_STRUCTURED
+
+
+@pytest.mark.parametrize(
+    "command, want_code",
+    [(["count", "-g", "C3", "-p", "2"], 0), (["count", "-g", "M11", "-p", "2"], 1)],
+)
+def test_cap_overrides_hold_for_one_invocation(capsys, monkeypatch, command, want_code):
+    defaults = (limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE)
+    # restored on teardown even if main leaks the overrides
+    monkeypatch.setattr(limits, "MAX_GROUP_ORDER", defaults[0])
+    monkeypatch.setattr(limits, "MAX_FIELD_SIZE", defaults[1])
+    argv = ["--max-group-order", "500", "--max-field-size", str(2**24)] + command
+    code, _, _ = _run(capsys, argv)
+    assert code == want_code
+    assert (limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE) == defaults
+    with pytest.raises(LimitError):
+        make_field(2, 22)
 
 
 def test_exit_code_unknown_group(capsys):

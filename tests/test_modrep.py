@@ -162,6 +162,13 @@ def test_frobenius_twist_involution_on_gf4():
     assert all(np.array_equal(a, b) for a, b in zip(t0.matrices, reg4.matrices))
 
 
+def test_identity_frobenius_twist_returns_the_module():
+    reg4 = extend_scalars(regular_module(catalog()["C3"], F4), F4)
+    assert frobenius_twist(reg4, 0) is reg4
+    assert frobenius_twist(reg4, F4.n) is reg4  # exponents are taken mod n
+    assert frobenius_twist(reg4, 1) is not reg4
+
+
 def test_hom_space_dimensions():
     G = catalog()["C3"]
     reg = regular_module(G, F2)
