@@ -27,14 +27,7 @@ import sys
 import tempfile
 import time
 
-from .errors import (
-    ConsistencyError,
-    InconclusiveError,
-    InputError,
-    LimitError,
-    ModclassError,
-    NotSubfieldError,
-)
+from .errors import ConsistencyError, InputError, ModclassError
 from . import limits
 from .finite_field import make_field
 from . import classify
@@ -584,13 +577,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 2
-    except (InputError, LimitError, NotSubfieldError, InconclusiveError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ModclassError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ModclassError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     finally:

@@ -73,16 +73,14 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
     basis = hom_basis_matrices(field, q_mats, q_mats, V.dim, V.dim)
     T = right_transversal(V.group, Q)
-    traces = _relative_trace(V, T, np.stack(basis))
+    stack = np.stack(basis)
+    traces = _relative_trace(V, T, stack)
     A = traces.reshape(len(basis), -1).T  # (dim^2, len(basis))
     target = field.identity(V.dim).reshape(-1)
     coeffs = linalg.solve(field, A, target)
     if coeffs is None:
         return ProjectivityResult(False, None)
-    phi = field.zeros(V.dim, V.dim)
-    for c, b in zip(coeffs, basis):
-        if c:
-            phi = field.add(phi, field.mul(np.int64(int(c)), b))
+    phi = field.mat_mul(coeffs[None], stack.reshape(len(basis), -1)).reshape(V.dim, V.dim)
     if not np.array_equal(_relative_trace(V, T, phi[None])[0], field.identity(V.dim)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)

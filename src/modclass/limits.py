@@ -8,11 +8,14 @@ explosions into clean errors instead of hangs.
 MAX_GROUP_ORDER = 200
 MAX_FIELD_SIZE = 2**20
 
-# Exhaustive-scan ceiling: searches over all elements of a small space
-# (endomorphism algebras, spin seeds) are attempted only below this size.
+# Exhaustive-scan ceiling: the Las Vegas searches scan every element of a
+# space (module vectors for Norton, a span of endomorphisms or homomorphisms)
+# after their random attempts only when it has at most this many elements.
 SCAN_CAP = 8192
 
-# Attempt budget for Las Vegas searches before raising InconclusiveError.
+# Random attempts of Norton's test, of splitting an endomorphism algebra and
+# of comparing two decomposable modules, before the scan or InconclusiveError.
+# An isomorphism test with an indecomposable side needs neither budget.
 RANDOM_ATTEMPTS = 200
 
 # Default extension-degree bound for fiber and preimage searches.

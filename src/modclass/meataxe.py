@@ -12,6 +12,12 @@ the regular module of E/rad(E) has a single composition factor, where
 rad(E) is computed as the annihilator of all composition factors of the
 regular module of E (the trace-form shortcut is unsound in characteristic
 p, so it is not used).
+
+Isomorphism is decided exactly when either module is indecomposable: then
+some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
+Splitting an endomorphism algebra and comparing two decomposable modules
+search random combinations of a basis, then every combination of a span of
+at most SCAN_CAP elements (`_span_search`).
 """
 
 from __future__ import annotations
@@ -87,11 +93,16 @@ def _kernel_samples(field: FiniteField, null: np.ndarray, rng, extra: int):
     return out
 
 
-def _projective_points(field: FiniteField, dim: int) -> np.ndarray:
-    """One nonzero vector per line of GF(q)^dim: the one whose first nonzero
-    coordinate is 1, in increasing order of the code sum v[i] * q^i."""
+def _nonzero_vectors(field: FiniteField, dim: int) -> np.ndarray:
+    """Every nonzero vector of GF(q)^dim, in increasing order of sum v[i] * q^i."""
     codes = np.arange(1, field.q**dim, dtype=np.int64)
-    vecs = (codes[:, None] // field.q ** np.arange(dim, dtype=np.int64)) % field.q
+    return (codes[:, None] // field.q ** np.arange(dim, dtype=np.int64)) % field.q
+
+
+def _projective_points(field: FiniteField, dim: int) -> np.ndarray:
+    """One nonzero vector per line of GF(q)^dim, the one whose first nonzero
+    coordinate is 1, in the order of `_nonzero_vectors`."""
+    vecs = _nonzero_vectors(field, dim)
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
     return vecs[lead == 1]
 
@@ -109,7 +120,7 @@ def _exhaustive_simple(field: FiniteField, mats, dim: int):
     return True, None
 
 
-def _norton(field: FiniteField, mats, dim: int, rng, attempts: int):
+def _norton(field: FiniteField, mats, dim: int, rng):
     """(True, None) if the module is simple, else (False, witness_rows).
 
     A proper spin of any kernel vector proves reducibility.  The simple
@@ -120,7 +131,7 @@ def _norton(field: FiniteField, mats, dim: int, rng, attempts: int):
     if dim == 1:
         return True, None
     mats_t = [np.ascontiguousarray(M.T) for M in mats]
-    for k in range(attempts):
+    for k in range(limits.RANDOM_ATTEMPTS):
         if k == 0 and mats:
             z = mats[0]  # deterministic first try
         else:
@@ -146,31 +157,29 @@ def _norton(field: FiniteField, mats, dim: int, rng, attempts: int):
     if field.q**dim <= limits.SCAN_CAP:
         return _exhaustive_simple(field, mats, dim)
     raise InconclusiveError(
-        "no conclusive Norton witness after %d attempts (dim %d)" % (attempts, dim)
+        "no conclusive Norton witness after %d attempts (dim %d)" % (limits.RANDOM_ATTEMPTS, dim)
     )
 
 
-def _chop(field: FiniteField, mats, dim: int, rng, attempts: int):
+def _chop(field: FiniteField, mats, dim: int, rng):
     """Composition factors of a matrix-list module as (mats, dim) pairs."""
     if dim == 0:
         return []
-    ok, witness = _norton(field, mats, dim, rng, attempts)
+    ok, witness = _norton(field, mats, dim, rng)
     if ok:
         return [(mats, dim)]
     sub = linalg.action_on_subspace(field, witness, mats)
     quo, _ = linalg.action_on_quotient(field, witness, mats)
     k = witness.shape[0]
-    return _chop(field, sub, k, rng, attempts) + _chop(field, quo, dim - k, rng, attempts)
+    return _chop(field, sub, k, rng) + _chop(field, quo, dim - k, rng)
 
 
-def is_simple(V: Rep, seed: int = 0, attempts: int | None = None) -> SimplicityResult:
+def is_simple(V: Rep, seed: int = 0) -> SimplicityResult:
     """Norton simplicity test; truthy result, with a witness subspace if not."""
     if V.dim == 0:
         raise InputError("simplicity is undefined for the zero module")
     rng = np.random.default_rng(seed)
-    ok, witness = _norton(
-        V.field, list(V.matrices), V.dim, rng, attempts or limits.RANDOM_ATTEMPTS
-    )
+    ok, witness = _norton(V.field, list(V.matrices), V.dim, rng)
     if ok:
         return SimplicityResult(True, None, "conclusive Norton witness")
     return SimplicityResult(False, witness, "explicit invariant subspace")
@@ -179,7 +188,7 @@ def is_simple(V: Rep, seed: int = 0, attempts: int | None = None) -> SimplicityR
 def composition_factors(V: Rep, seed: int = 0) -> list[Rep]:
     """Multiset of composition factors, as fresh representations."""
     rng = np.random.default_rng(seed)
-    parts = _chop(V.field, list(V.matrices), V.dim, rng, limits.RANDOM_ATTEMPTS)
+    parts = _chop(V.field, list(V.matrices), V.dim, rng)
     reps = [Rep(V.group, V.field, mats, check=False) for mats, _ in parts]
     reps.sort(key=lambda W: W.dim)
     return reps
@@ -229,7 +238,7 @@ def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
     if h == 1:
         return 1, 0, True
     mults = _algebra_right_mults(field, basis)
-    factors = _chop(field, mults, h, rng, limits.RANDOM_ATTEMPTS)
+    factors = _chop(field, mults, h, rng)
     rad = _radical_coords(field, mults, factors)
     rad_dim = rad.shape[0]
     if rad_dim == 0:
@@ -256,7 +265,7 @@ def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
         if residual.any():
             raise ConsistencyError("vector outside the span of radical and complement")
         q_mults.append(np.ascontiguousarray(coords[:, rad_dim : rad_dim + hq].T))
-    q_factors = _chop(field, q_mults, hq, rng, limits.RANDOM_ATTEMPTS)
+    q_factors = _chop(field, q_mults, hq, rng)
     return h, rad_dim, len(q_factors) == 1
 
 
@@ -287,12 +296,37 @@ def is_absolutely_simple(V: Rep, seed: int = 0) -> bool:
 # ----- Krull-Schmidt decomposition -----
 
 
-def _combo(field: FiniteField, basis, coeffs) -> np.ndarray:
-    z = field.zeros(*basis[0].shape)
-    for c, b in zip(coeffs, basis):
-        if c:
-            z = field.add(z, field.mul(np.int64(int(c)), b))
-    return z
+def _combo(field: FiniteField, stack: np.ndarray, coeffs) -> np.ndarray:
+    """sum_i coeffs[i] * stack[i]: the coefficient row times the stacked basis."""
+    flat = stack.reshape(len(stack), -1)
+    return field.mat_mul(np.asarray(coeffs)[None], flat).reshape(stack.shape[1:])
+
+
+def _span_search(field: FiniteField, basis, rng, test):
+    """First non-None test(x) over nonzero combinations x of a matrix basis.
+
+    Seeded random combinations come first.  When the span has at most
+    SCAN_CAP elements, every combination follows, so None means that none
+    passes the test; a larger span raises InconclusiveError instead.
+    """
+    stack = np.stack(basis)
+    h = len(basis)
+    for _ in range(limits.RANDOM_ATTEMPTS):
+        coeffs = field.rand_codes(rng, h)
+        if coeffs.any():
+            found = test(_combo(field, stack, coeffs))
+            if found is not None:
+                return found
+    if field.q**h > limits.SCAN_CAP:
+        raise InconclusiveError(
+            "span search exhausted %d random attempts (span dim %d over %r)"
+            % (limits.RANDOM_ATTEMPTS, h, field)
+        )
+    for coeffs in _nonzero_vectors(field, h):
+        found = test(_combo(field, stack, coeffs))
+        if found is not None:
+            return found
+    return None
 
 
 def _split_by_min_poly(field: FiniteField, phi: np.ndarray):
@@ -331,36 +365,12 @@ def _try_split(field: FiniteField, mats, dim: int, rng):
     _, _, local = algebra_structure(field, basis, rng)
     if local:
         return None
-    for _ in range(limits.RANDOM_ATTEMPTS):
-        coeffs = field.rand_codes(rng, h)
-        if not coeffs.any():
-            continue
-        pieces = _split_by_min_poly(field, _combo(field, basis, coeffs))
-        if pieces:
-            return pieces
-    if field.q**h <= limits.SCAN_CAP:
-        # a non-local algebra owns a nontrivial idempotent; scan for one
-        eye = field.identity(dim)
-        for code in range(1, field.q**h):
-            coeffs = []
-            c = code
-            for _ in range(h):
-                coeffs.append(c % field.q)
-                c //= field.q
-            phi = _combo(field, basis, coeffs)
-            if not np.array_equal(field.mat_mul(phi, phi), phi):
-                continue
-            if not phi.any() or np.array_equal(phi, eye):
-                continue
-            return [
-                linalg.nullspace(field, phi),
-                linalg.nullspace(field, field.sub(eye, phi)),
-            ]
+    # a non-local algebra owns a nontrivial idempotent, whose minimal
+    # polynomial x(x - 1) splits, so a complete scan cannot miss
+    pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi))
+    if pieces is None:
         raise ConsistencyError("non-local algebra without nontrivial idempotent")
-    raise InconclusiveError(
-        "indecomposable-summand search exhausted its budget (dim %d, end dim %d)"
-        % (dim, h)
-    )
+    return pieces
 
 
 def _module_key(V: Rep) -> tuple:
@@ -444,26 +454,16 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
             return IsoResult(True, M, "invertible basis homomorphism")
     if h == 1:
         return IsoResult(False, None, "hom space is one-dimensional and singular")
+    # For indecomposable V and an isomorphism phi: V -> U, the singular maps
+    # form the proper subspace phi * rad End(V), which holds no basis (same
+    # with rad End(U) * phi for indecomposable U).
+    if end_structure(V, seed)[2] or end_structure(U, seed)[2]:
+        return IsoResult(False, None, "no invertible basis map and one side is indecomposable")
     rng = np.random.default_rng(seed)
-    for _ in range(limits.RANDOM_ATTEMPTS):
-        coeffs = field.rand_codes(rng, h)
-        if not coeffs.any():
-            continue
-        M = _combo(field, basis, coeffs)
-        if linalg.is_invertible(field, M):
-            return IsoResult(True, M, "invertible random combination")
-    if field.q**h <= limits.SCAN_CAP:
-        for code in range(1, field.q**h):
-            coeffs = []
-            c = code
-            for _ in range(h):
-                coeffs.append(c % field.q)
-                c //= field.q
-            M = _combo(field, basis, coeffs)
-            if linalg.is_invertible(field, M):
-                return IsoResult(True, M, "invertible combination (exhaustive)")
+    M = _span_search(field, basis, rng, lambda M: M if linalg.is_invertible(field, M) else None)
+    if M is None:
         return IsoResult(False, None, "no invertible homomorphism exists")
-    raise InconclusiveError("isomorphism search exhausted its randomized budget")
+    return IsoResult(True, M, "invertible combination of basis homomorphisms")
 
 
 # ----- canonical forms and the set of simple modules -----

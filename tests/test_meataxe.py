@@ -8,13 +8,15 @@ structure) before being fixed here.
 import numpy as np
 import pytest
 
-from modclass.errors import InputError
+from modclass.errors import InconclusiveError, InputError
 from modclass.finite_field import make_field
-from modclass import limits, linalg
+from modclass import limits, linalg, meataxe
 from modclass.modrep import (
     Rep,
     direct_sum,
     extend_scalars,
+    hom_basis_matrices,
+    induce,
     regular_module,
     restrict_subgroup,
     trivial_module,
@@ -32,7 +34,7 @@ from modclass.meataxe import (
     simple_modules,
     try_canonical_form,
 )
-from modclass.perm_group import PermGroup, catalog
+from modclass.perm_group import PermGroup, catalog, p_subgroups_up_to_conjugacy
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -303,3 +305,148 @@ def test_canonical_form_matches_full_scan(name, p, n):
         assert len(got.matrices) == len(want)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.matrices, want))
     assert checked
+
+
+def _summand_multiset(V):
+    return sorted((W.dim, m) for W, m in decompose(V).summands)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_needs_no_scan_to_separate_indecomposables(monkeypatch, n):
+    # the two 8-dim projectives of S4 share generator characteristic
+    # polynomials and dim Hom = 2 each way; with no room to scan, only the
+    # local-algebra argument can tell them apart
+    reg = regular_module(catalog()["S4"], make_field(2, n))
+    want = _summand_multiset(reg)
+    monkeypatch.setattr(limits, "SCAN_CAP", 1)
+    assert _summand_multiset(reg) == want == [(8, 1), (8, 2)]
+
+
+def _oracle_is_isomorphic(V, U, seed=0):
+    """The isomorphism search without the local-algebra shortcut: basis maps,
+    random combinations, then every combination.  Exact when q^h <= SCAN_CAP,
+    the only case it answers (else None)."""
+    field = V.field
+    if V.dim != U.dim:
+        return False, None
+    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    h = len(basis)
+    if field.q**h > limits.SCAN_CAP:
+        return None
+    for M in basis:
+        if linalg.is_invertible(field, M):
+            return True, M
+
+    def combo(coeffs):
+        z = field.zeros(V.dim, V.dim)
+        for c, b in zip(coeffs, basis):
+            if c:
+                z = field.add(z, field.mul(np.int64(int(c)), b))
+        return z
+
+    rng = np.random.default_rng(seed)
+    for _ in range(limits.RANDOM_ATTEMPTS):
+        M = combo(field.rand_codes(rng, h))
+        if M.any() and linalg.is_invertible(field, M):
+            return True, M
+    for code in range(1, field.q**h):
+        M = combo([(code // field.q**i) % field.q for i in range(h)])
+        if linalg.is_invertible(field, M):
+            return True, M
+    return False, None
+
+
+def _assert_isomorphism(V, U, M):
+    field = V.field
+    assert linalg.is_invertible(field, M)
+    for A, B in zip(V.matrices, U.matrices):
+        assert np.array_equal(field.mat_mul(M, A), field.mat_mul(B, M))
+
+
+ISO_GRID = [
+    (name, p, n) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0 for n in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name, p, n", ISO_GRID)
+def test_is_isomorphic_matches_exhaustive_oracle(name, p, n):
+    G = catalog()[name]
+    K = make_field(p, n)
+    inputs = [regular_module(G, K)]
+    inputs += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    summands = {}
+    for M in inputs:
+        for W, _ in decompose(M).summands:
+            summands.setdefault(b"".join(A.tobytes() for A in W.matrices), W)
+    compared = 0
+    for V in summands.values():
+        for U in summands.values():
+            if V.dim != U.dim:
+                continue
+            want = _oracle_is_isomorphic(V, U)
+            if want is None:
+                continue
+            got = is_isomorphic(V, U)
+            assert bool(got) == want[0], (V.dim, got.reason)
+            if got:
+                _assert_isomorphism(V, U, got.map)
+                _assert_isomorphism(V, U, want[1])
+            compared += 1
+    assert compared
+
+
+def test_is_isomorphic_of_indecomposables_makes_no_search(monkeypatch):
+    P1, P2 = (W for W, _ in decompose(regular_module(catalog()["S4"], F2)).summands)
+    assert len(hom_basis_matrices(F2, list(P1.matrices), list(P2.matrices), 8, 8)) >= 2
+
+    def no_search(*args):
+        raise AssertionError("span search on indecomposable modules")
+
+    monkeypatch.setattr(meataxe, "_span_search", no_search)
+    assert not is_isomorphic(P1, P2)
+    assert not is_isomorphic(P2, P1)
+
+
+def _two_copies_of_trivial_sum():
+    # separately built copies of T + T for S3 over GF(2): End is M_2(GF(2)),
+    # whose canonical basis holds no invertible map
+    S3 = catalog()["S3"]
+    return [direct_sum(trivial_module(S3, F2), trivial_module(S3, F2)) for _ in range(2)]
+
+
+def test_span_search_random_hit(monkeypatch):
+    V, U = _two_copies_of_trivial_sum()
+    monkeypatch.setattr(limits, "SCAN_CAP", 1)  # q^h = 16: only a random draw can hit
+    res = is_isomorphic(V, U)
+    assert res
+    _assert_isomorphism(V, U, res.map)
+
+
+def test_span_search_scan_hit(monkeypatch):
+    V, U = _two_copies_of_trivial_sum()
+    monkeypatch.setattr(limits, "RANDOM_ATTEMPTS", 0)
+    res = is_isomorphic(V, U)
+    assert res
+    _assert_isomorphism(V, U, res.map)
+
+
+def _regular_sums_c2():
+    # R + R and R + T + T for C2 over GF(2): decomposable, same generator
+    # characteristic polynomial, dim Hom = 8, not isomorphic
+    C2 = catalog()["C2"]
+    R, T = regular_module(C2, F2), trivial_module(C2, F2)
+    return direct_sum(R, R), direct_sum(direct_sum(R, T), T)
+
+
+def test_span_search_complete_scan_miss():
+    V, U = _regular_sums_c2()
+    res = is_isomorphic(V, U)
+    assert not res
+    assert res.reason == "no invertible homomorphism exists"
+
+
+def test_span_search_exhausted_budget(monkeypatch):
+    V, U = _regular_sums_c2()
+    monkeypatch.setattr(limits, "SCAN_CAP", 1)
+    with pytest.raises(InconclusiveError):
+        is_isomorphic(V, U)
