@@ -2,9 +2,11 @@
 
 An element of GF(p^n) = F_p[x]/(f) is stored as the integer
 ``c_0 + c_1*p + ... + c_{n-1}*p^{n-1}`` where the ``c_i`` are the
-coefficients of its representative polynomial, constant term first.  All
-bulk arithmetic (matrices of field elements and the like) operates on
-numpy int64 arrays of such codes, so the hot paths stay vectorized.
+coefficients of its representative polynomial, constant term first.  These
+integer codes are the only element representation: every arithmetic operation,
+scalar or bulk, works on numpy int64 arrays of codes, so the hot paths
+stay vectorized.  Embeddings and automorphisms act on code arrays through
+their ``apply_codes`` methods.
 
 The defining polynomial f is canonical: the monic irreducible of degree n
 whose non-leading coefficient vector, read as a base-p integer, is least.
@@ -228,9 +230,6 @@ class FiniteField:
         scale = pow(r1[0], p - 2, p)
         return sum(c * scale % p * p**i for i, c in enumerate(s1))
 
-    def div(self, a, b) -> np.ndarray:
-        return self.mul(a, self.inv(b))
-
     # ----- matrix arithmetic on code arrays -----
 
     def mat_mul(self, A, B) -> np.ndarray:
@@ -256,16 +255,6 @@ class FiniteField:
 
     def mat_vec(self, A, v) -> np.ndarray:
         return self.mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
-
-    def mat_pow(self, A, e: int) -> np.ndarray:
-        result = self.identity(A.shape[0])
-        base = A
-        while e > 0:
-            if e & 1:
-                result = self.mat_mul(result, base)
-            base = self.mat_mul(base, base)
-            e >>= 1
-        return result
 
     def identity(self, d: int) -> np.ndarray:
         return np.eye(d, dtype=np.int64)
@@ -299,24 +288,6 @@ class FiniteField:
         """Code of the residue class of x (zero in the degenerate n=1 case)."""
         return self.p % self.q
 
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise InputError("element belongs to a different field")
-            return value
-        if isinstance(value, (int, np.integer)):
-            v = int(value)
-            if not 0 <= v < self.q:
-                raise InputError("element code %d out of range for GF(%d)" % (v, self.q))
-            return FieldElement(self, v)
-        coeffs = list(value)
-        if len(coeffs) > self.n:
-            raise InputError("too many coefficients for GF(%d)" % self.q)
-        coeffs += [0] * (self.n - len(coeffs))
-        if any(not 0 <= int(c) < self.p for c in coeffs):
-            raise InputError("coefficients must lie in [0, %d)" % self.p)
-        return FieldElement(self, int(self.encode(np.array(coeffs, dtype=np.int64))))
-
     def rand_codes(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
@@ -325,80 +296,6 @@ class FiniteField:
 
     def __reduce__(self):
         return (make_field, (self.p, self.n))
-
-
-class FieldElement:
-    """A single field element; thin wrapper over its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FiniteField, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.field.decode(np.int64(self.code)))
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise InputError("mixed-field arithmetic requires an explicit embedding")
-            return other
-        return self.field.element(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.add(self.code, o.code)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.sub(self.code, o.code)))
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.code)))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.mul(self.code, o.code)))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.div(self.code, o.code)))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(self.field, int(self.field.inv(self.field.pow(self.code, -e))))
-        return FieldElement(self.field, int(self.field.pow(self.code, e)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, (int, np.integer)):
-            return self.code == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else "%dx" % c)
-            else:
-                terms.append("x^%d" % i if c == 1 else "%dx^%d" % (c, i))
-        return "<%s in %r>" % (" + ".join(terms) if terms else "0", self.field)
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
@@ -421,11 +318,6 @@ def make_field(p: int, n: int, max_size: int | None = None) -> FiniteField:
     if field is None:
         field = _FIELD_CACHE.setdefault(key, FiniteField(p, n))
     return field
-
-
-def subfields(field: FiniteField) -> list[FiniteField]:
-    """All subfields of GF(p^n), one per divisor of n, ascending by degree."""
-    return [make_field(field.p, m) for m in range(1, field.n + 1) if field.n % m == 0]
 
 
 class FieldEmbedding:
@@ -473,13 +365,6 @@ class FieldEmbedding:
     def apply_codes(self, codes) -> np.ndarray:
         return self._table[np.asarray(codes, dtype=np.int64)]
 
-    def __call__(self, value):
-        if isinstance(value, FieldElement):
-            if value.field is not self.source:
-                raise InputError("element not in the embedding's source field")
-            return FieldElement(self.target, int(self._table[value.code]))
-        return self.apply_codes(value)
-
     def __repr__(self):
         return "<embedding %r -> %r>" % (self.source, self.target)
 
@@ -506,28 +391,8 @@ class FieldAutomorphism:
     def apply_codes(self, codes) -> np.ndarray:
         return self.field.frobenius(codes, self.exponent)
 
-    def __call__(self, value):
-        if isinstance(value, FieldElement):
-            if value.field is not self.field:
-                raise InputError("element not in the automorphism's field")
-            return FieldElement(self.field, int(self.field.frobenius(value.code, self.exponent)))
-        return self.apply_codes(value)
-
-    def compose(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        if other.field is not self.field:
-            raise InputError("automorphisms of different fields")
-        return FieldAutomorphism(self.field, self.exponent + other.exponent)
-
-    def inverse(self) -> "FieldAutomorphism":
-        return FieldAutomorphism(self.field, -self.exponent)
-
     def is_identity(self) -> bool:
         return self.exponent == 0
-
-    def fixed_field(self) -> FiniteField:
-        import math
-
-        return make_field(self.field.p, math.gcd(self.exponent, self.field.n))
 
     def __eq__(self, other):
         return (

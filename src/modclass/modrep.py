@@ -9,6 +9,8 @@ induction), Frobenius twists and homomorphism spaces all live here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConsistencyError, InputError, NotSubfieldError, _require
@@ -116,12 +118,14 @@ def extend_scalars(V: Rep, L: FiniteField) -> Rep:
     return Rep(V.group, L, [emb.apply_codes(M) for M in V.matrices], check=False)
 
 
+@functools.cache
 def _subfield_coordinates(K: FiniteField, L: FiniteField):
     """Return (xpowers, to_coords) writing L as a K-vector space.
 
     Basis: powers 1, x, ..., x^(r-1) of L's generator, r = [L:K].
     to_coords maps an array of L-codes to an array with a trailing axis of
-    r K-codes.
+    r K-codes.  Built once per field pair; :func:`make_field` interns
+    fields, so the pair is a sound cache key.
     """
     emb = embed(K, L)
     r = L.n // K.n
@@ -146,7 +150,7 @@ def _subfield_coordinates(K: FiniteField, L: FiniteField):
         shaped = blocks.reshape(codes.shape + (r, K.n))
         return shaped @ (K.p ** np.arange(K.n, dtype=np.int64))
 
-    return xpow, to_coords
+    return tuple(xpow), to_coords
 
 
 def restrict_scalars(V: Rep, K: FiniteField) -> Rep:

@@ -28,10 +28,6 @@ def degree(c: np.ndarray) -> int:
     return len(c) - 1
 
 
-def constant(field: FiniteField, code: int) -> np.ndarray:
-    return trim(np.array([code], dtype=np.int64))
-
-
 def x_poly() -> np.ndarray:
     return np.array([0, 1], dtype=np.int64)
 

@@ -5,8 +5,9 @@ group (by catalog name or generator images), the coefficient field (prime,
 degree and the canonical minimal polynomial, constant term first), and one
 matrix per group generator.  Matrix entries are integer codes for prime
 fields and coefficient lists for extension fields; the loader accepts both
-forms either way.  Every load re-validates the representation law, so a
-hand-edited file cannot smuggle in a non-module.
+forms either way.  Every number must be a JSON integer: floats, strings
+and booleans are refused, never truncated.  Every load re-validates the
+representation law, so a hand-edited file cannot smuggle in a non-module.
 """
 
 from __future__ import annotations
@@ -36,17 +37,25 @@ def field_to_doc(field: FiniteField) -> dict:
     }
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer as an int; bools, floats and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 def field_from_doc(doc) -> FiniteField:
     if not isinstance(doc, dict):
         raise InputError("field document must be an object")
-    try:
-        p = int(doc["p"])
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("field document needs integer fields 'p' and 'n'") from None
+    if "p" not in doc or "n" not in doc:
+        raise InputError("field document needs integer fields 'p' and 'n'")
+    p = _int(doc["p"], "field 'p'")
+    n = _int(doc["n"], "field 'n'")
     field = make_field(p, n)
     if "min_poly" in doc:
-        given = [int(c) for c in doc["min_poly"]]
+        if not isinstance(doc["min_poly"], list):
+            raise InputError("min_poly must be a list of coefficients")
+        given = [_int(c, "min_poly coefficient") for c in doc["min_poly"]]
         if given != [int(c) for c in field.min_poly]:
             raise InputError(
                 "min_poly %r is not the canonical polynomial %r for GF(%d^%d)"
@@ -70,34 +79,22 @@ def group_from_doc(doc) -> PermGroup:
     if "name" in doc:
         name = doc["name"]
         groups = catalog()
-        if name not in groups:
+        if not isinstance(name, str) or name not in groups:
             raise InputError(
                 "unknown group name %r; catalog has %s" % (name, ", ".join(sorted(groups)))
             )
         return groups[name]
-    try:
-        degree = int(doc["degree"])
-        gens = doc["generators"]
-    except (KeyError, TypeError, ValueError):
-        raise InputError(
-            "group document needs 'name' or 'degree' plus 'generators'"
-        ) from None
+    if "degree" not in doc or "generators" not in doc:
+        raise InputError("group document needs 'name' or 'degree' plus 'generators'")
+    degree = _int(doc["degree"], "group degree")
+    gens = doc["generators"]
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise InputError("group generators must be a list of image lists")
     # generator images are 0-based, matching the Python API
-    perms = [tuple(int(x) for x in g) for g in gens]
+    perms = [tuple(_int(x, "generator image") for x in g) for g in gens]
     if not perms:
         perms = [tuple(range(degree))]  # trivial group still needs one generator
     return PermGroup(degree, perms)
-
-
-def _entry_to_doc(field: FiniteField, code: int):
-    if field.n == 1:
-        return int(code)
-    digits = []
-    c = int(code)
-    for _ in range(field.n):
-        digits.append(c % field.p)
-        c //= field.p
-    return digits
 
 
 def _entry_from_doc(field: FiniteField, entry) -> int:
@@ -106,12 +103,12 @@ def _entry_from_doc(field: FiniteField, entry) -> int:
             raise InputError("coefficient list longer than the field degree")
         code = 0
         for i, c in enumerate(entry):
-            c = int(c)
+            c = _int(c, "matrix coefficient")
             if not 0 <= c < field.p:
                 raise InputError("coefficient %d out of range for p=%d" % (c, field.p))
             code += c * field.p**i
         return code
-    code = int(entry)
+    code = _int(entry, "matrix entry")
     if not 0 <= code < field.q:
         raise InputError("entry code %d out of range for field of size %d" % (code, field.q))
     return code
@@ -124,9 +121,7 @@ def module_to_doc(V: Rep, group_name: str | None = None) -> dict:
         "group": group_to_doc(V.group, group_name),
         "field": field_to_doc(V.field),
         "dim": V.dim,
-        "matrices": [
-            [[_entry_to_doc(V.field, e) for e in row] for row in M] for M in V.matrices
-        ],
+        "matrices": [(V.field.decode(M) if V.field.n > 1 else M).tolist() for M in V.matrices],
     }
 
 
@@ -136,22 +131,23 @@ def module_from_doc(doc) -> Rep:
     if doc.get("kind") != "module":
         raise InputError("document kind is %r, expected 'module'" % (doc.get("kind"),))
     version = doc.get("schema_version")
-    if not isinstance(version, int) or version < 1 or version > SCHEMA_VERSION:
+    if isinstance(version, bool) or not isinstance(version, int) or not 1 <= version <= SCHEMA_VERSION:
         raise InputError("unsupported schema_version %r" % (version,))
     group = group_from_doc(doc.get("group"))
     field = field_from_doc(doc.get("field"))
-    try:
-        dim = int(doc["dim"])
-        raw = doc["matrices"]
-    except (KeyError, TypeError, ValueError):
-        raise InputError("module document needs 'dim' and 'matrices'") from None
+    if "dim" not in doc or "matrices" not in doc:
+        raise InputError("module document needs 'dim' and 'matrices'")
+    dim = _int(doc["dim"], "module dim")
+    raw = doc["matrices"]
     if not isinstance(raw, list) or len(raw) != len(group.generators):
         raise InputError(
             "need %d matrices (one per group generator)" % len(group.generators)
         )
     mats = []
     for M in raw:
-        if not isinstance(M, list) or len(M) != dim or any(len(row) != dim for row in M):
+        if not isinstance(M, list) or len(M) != dim or any(
+            not isinstance(row, list) or len(row) != dim for row in M
+        ):
             raise InputError("matrix is not %d x %d" % (dim, dim))
         mats.append(
             np.array(

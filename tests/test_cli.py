@@ -231,6 +231,20 @@ def test_exit_code_fiber_of_decomposable(tmp_path, capsys):
     assert "decompose first" in err
 
 
+def test_exit_code_malformed_module_entry(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    _run(capsys, ["make", "regular", "-g", "C3", "-p", "2", "-o", path])
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["matrices"][0][0][1] = "a"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(capsys, ["decompose", "--module", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "-g", "S3"])  # missing -p

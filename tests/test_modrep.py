@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from modclass import modrep
 from modclass.errors import InputError, NotSubfieldError
 from modclass.finite_field import make_field
 from modclass.perm_group import catalog, pmul
@@ -113,6 +114,16 @@ def test_restrict_scalars_dimension_scales():
     assert down.dim == 3
     with pytest.raises(NotSubfieldError):
         restrict_scalars(trivial_module(G, F4), F3)  # wrong characteristic
+
+
+def test_restrict_scalars_builds_subfield_coordinates_once():
+    V = extend_scalars(regular_module(catalog()["S3"], F2), make_field(2, 4))
+    modrep._subfield_coordinates.cache_clear()
+    downs = [restrict_scalars(V, F4) for _ in range(3)]
+    info = modrep._subfield_coordinates.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for down in downs[1:]:
+        assert [M.tobytes() for M in down.matrices] == [M.tobytes() for M in downs[0].matrices]
 
 
 def test_restrict_subgroup_picks_generator_images():

@@ -173,3 +173,41 @@ def test_dumps_canonical_is_deterministic():
     b = dumps_canonical({"a": [2, 3], "b": 1})
     assert a == b
     assert a == '{"a":[2,3],"b":1}\n'
+
+
+# (path into the good C3 document, replacement value): each is malformed
+MALFORMED = {
+    "generators-not-lists": (("group",), {"degree": 3, "generators": [5, 5]}),
+    "generators-int": (("group",), {"degree": 3, "generators": 5}),
+    "degree-float": (("group",), {"degree": 3.0, "generators": [[1, 2, 0]]}),
+    "image-string": (("group",), {"degree": 3, "generators": [[1, 2, "0"]]}),
+    "name-list": (("group",), {"name": ["C3"]}),
+    "min-poly-int": (("field", "min_poly"), 5),
+    "min-poly-string": (("field", "min_poly"), ["x"]),
+    "p-float": (("field", "p"), 2.5),
+    "p-string": (("field", "p"), "2"),
+    "n-bool": (("field", "n"), True),
+    "dim-float": (("dim",), 3.0),
+    "entry-string": (("matrices", 0, 0, 0), "a"),
+    "entry-null": (("matrices", 0, 0, 0), None),
+    "entry-object": (("matrices", 0, 0, 0), {}),
+    "entry-float": (("matrices", 0, 0, 1), 1.7),  # entry (0, 1) is 1: truncation would hide it
+    "entry-bool": (("matrices", 0, 0, 0), False),
+    "coefficient-float": (("matrices", 0, 0, 1), [1.7]),
+    "coefficient-null": (("matrices", 0, 0, 0), [None]),
+    "coefficient-string": (("matrices", 0, 0, 1), ["1"]),
+    "row-int": (("matrices", 0, 0), 5),
+    "schema-version-bool": (("schema_version",), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_module_doc_raises_input_error(case):
+    path, value = MALFORMED[case]
+    doc = _good_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InputError):
+        module_from_doc(doc)
