@@ -88,11 +88,13 @@ def _load_module_arg(path: str):
 def _parse_perm_list(text: str, degree: int):
     try:
         data = json.loads(text)
-        perms = [tuple(int(x) for x in g) for g in data]
-    except (json.JSONDecodeError, TypeError, ValueError):
+    except json.JSONDecodeError:
+        data = None
+    if not isinstance(data, list) or not all(isinstance(g, list) for g in data):
         raise InputError(
             "expected a JSON list of permutations (0-based image lists), got %r" % text
-        ) from None
+        )
+    perms = [tuple(serialize._int(x, "permutation image") for x in g) for g in data]
     for g in perms:
         if sorted(g) != list(range(degree)):
             raise InputError("not a permutation of 0..%d: %r" % (degree - 1, list(g)))

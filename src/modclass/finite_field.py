@@ -8,6 +8,16 @@ scalar or bulk, works on numpy int64 arrays of codes, so the hot paths
 stay vectorized.  Embeddings and automorphisms act on code arrays through
 their ``apply_codes`` methods.
 
+Prime fields compute with integers mod p.  An extension field with at most
+``_TABLE_CAP`` = 2^16 elements builds log/exp (Zech) tables of a primitive
+element on first use and certifies them; its ``mul``, ``inv``, ``pow`` and
+``frobenius`` are table lookups, and small matrix products gather
+``exp[log A + log B]`` and reduce over the inner index.  Larger extension
+fields multiply by digit convolution and invert by Euclid.  Every extension
+field takes large matrix products as one float64 BLAS product of digit
+planes, exact while k*n*(p-1)^2 < 2^53.  In characteristic 2 addition and
+subtraction are XOR of codes.
+
 The defining polynomial f is canonical: the monic irreducible of degree n
 whose non-leading coefficient vector, read as a base-p integer, is least.
 Two calls to :func:`make_field` with the same (p, n) return the same
@@ -20,6 +30,22 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, LimitError, NotSubfieldError, _require
 from . import limits
+
+# Extension fields with at most this many elements keep log/exp tables of a
+# primitive element (5 int64 words per element); larger ones multiply by
+# digit convolution and invert by Euclid.
+_TABLE_CAP = 2**16
+
+# A table-field mat_mul gathers its r*k*c products and reduces them over k
+# when they number at most _GATHER_CELLS (odd p: summed digit by digit) or
+# _GATHER_CELLS_XOR * n^2 (p = 2: XOR of whole codes, against n^2 flops per
+# product on the other path); larger shapes take the float64 digit-plane
+# product.  Both are crossover points of timings of the two paths.
+_GATHER_CELLS = 512
+_GATHER_CELLS_XOR = 4096
+
+# float64 holds every integer below this exactly.
+_FLOAT_EXACT = 2**53
 
 
 def is_prime(p: int) -> bool:
@@ -88,6 +114,18 @@ def _least_irreducible(p: int, n: int) -> np.ndarray:
     raise ConsistencyError("no irreducible polynomial found")  # unreachable
 
 
+def _square_multiply(mul, a: np.ndarray, e: int) -> np.ndarray:
+    """Elementwise a**e (e >= 0) by repeated squaring with the product ``mul``."""
+    result = np.ones_like(a)
+    base = a
+    while e > 0:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
 class FiniteField:
     """The field GF(p^n); constructed through :func:`make_field` only."""
 
@@ -99,9 +137,18 @@ class FiniteField:
         self.min_poly.setflags(write=False)
         self._powers = p ** np.arange(n, dtype=np.int64)
         self._reduction = self._build_reduction()
-        self._frobenius_tables: dict[int, np.ndarray] = {}
+        # digit t of x^s * y is digits(y) @ _shifts[:, s*n + t] (mod p)
+        self._shifts = np.stack(
+            [self._reduction[s : s + n] for s in range(n)], axis=1
+        ).reshape(n, n * n).astype(np.float64)
         self._inv_table: np.ndarray | None = None  # prime fields, built on first use
-        self._spot_check()
+        # extension fields up to the cap use log/exp tables, built on first use
+        self._zech = n > 1 and self.q <= _TABLE_CAP
+        self._log: np.ndarray | None = None
+        self._exp: np.ndarray | None = None
+        self._gather_cells = _GATHER_CELLS_XOR * n**2 if p == 2 else _GATHER_CELLS
+        if not self._zech:
+            self._spot_check()  # table fields are certified when their tables are built
 
     def _build_reduction(self) -> np.ndarray:
         # row m holds the digits of x^m mod f, for m = 0 .. 2n-2
@@ -126,6 +173,47 @@ class FiniteField:
             ok = int(self.pow(np.array(a), self.q - 1)) == 1
             _require(ok, "field spot check a^(q-1) = 1 failed")
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) of a primitive element, built and certified on first use.
+
+        log[0] is 2(q-1) and exp is zero from that index on, so
+        exp[log[a] + log[b]] is the product a*b for every pair, zero included.
+        """
+        if self._exp is None:
+            q = self.q
+            g = self._primitive_code()
+            exp = np.empty(q - 1, dtype=np.int64)
+            exp[0] = 1
+            m = 1  # exp[:m] is filled; g^(m+i) = g^i * g^m, in blocks of 1024
+            while m < q - 1:
+                t = min(m, 1024, q - 1 - m)
+                exp[m : m + t] = self._conv_mul(exp[:t], self._conv_mul(exp[m - 1], g))
+                m += t
+            _require(
+                np.array_equal(np.sort(exp), np.arange(1, q)),
+                "powers of the primitive element %d do not cover GF(%d)^*" % (g, q),
+            )
+            log = np.full(q, 2 * (q - 1), dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            full = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+            full[: q - 1] = exp
+            full[q - 1 : 2 * (q - 1)] = exp
+            self._log, self._exp = log, full
+        return self._log, self._exp
+
+    def _primitive_code(self) -> int:
+        """Least code g with g^((q-1)/r) != 1 for every prime r dividing q-1."""
+        q = self.q
+        exponents = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        for start in range(2, q, 64):
+            cands = np.arange(start, min(start + 64, q), dtype=np.int64)
+            ok = np.ones(cands.shape, dtype=bool)
+            for e in exponents:
+                ok &= _square_multiply(self._conv_mul, cands, e) != 1
+            if ok.any():
+                return int(cands[np.argmax(ok)])
+        raise ConsistencyError("GF(%d) has no primitive element" % q)
+
     # ----- element codec -----
 
     def decode(self, codes) -> np.ndarray:
@@ -143,12 +231,16 @@ class FiniteField:
         b = np.asarray(b, dtype=np.int64)
         if self.n == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         return self.encode((self.decode(a) + self.decode(b)) % self.p)
 
     def neg(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.n == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a.copy()
         return self.encode((-self.decode(a)) % self.p)
 
     def sub(self, a, b) -> np.ndarray:
@@ -156,6 +248,8 @@ class FiniteField:
         b = np.asarray(b, dtype=np.int64)
         if self.n == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
         return self.encode((self.decode(a) - self.decode(b)) % self.p)
 
     def mul(self, a, b) -> np.ndarray:
@@ -163,6 +257,13 @@ class FiniteField:
         b = np.asarray(b, dtype=np.int64)
         if self.n == 1:
             return (a * b) % self.p
+        if self._zech:
+            log, exp = self._tables()
+            return exp[log[a] + log[b]]
+        return self._conv_mul(a, b)
+
+    def _conv_mul(self, a, b) -> np.ndarray:
+        """Product by digit convolution and reduction modulo min_poly."""
         da, db = self.decode(a), self.decode(b)
         da, db = np.broadcast_arrays(da, db)
         n = self.n
@@ -174,14 +275,10 @@ class FiniteField:
     def pow(self, a, e: int) -> np.ndarray:
         """Elementwise a**e for a scalar integer exponent e >= 0."""
         a = np.asarray(a, dtype=np.int64)
-        result = np.ones_like(a)
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if self._zech and e > 0:
+            log, exp = self._tables()
+            return np.where(a == 0, 0, exp[log[a] * (e % (self.q - 1)) % (self.q - 1)])
+        return _square_multiply(self.mul, a, e)
 
     def inv(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -191,6 +288,9 @@ class FiniteField:
             if self._inv_table is None:
                 self._inv_table = self.pow(np.arange(self.p, dtype=np.int64), self.p - 2)
             return self._inv_table[a]
+        if self._zech:
+            log, exp = self._tables()
+            return exp[(self.q - 1) - log[a]]
         flat = [self._inv_code(int(c)) for c in a.ravel()]
         return np.array(flat, dtype=np.int64).reshape(a.shape)
 
@@ -242,16 +342,33 @@ class FiniteField:
             return (A @ B) % self.p
         r, k = A.shape
         c = B.shape[1]
-        n = self.n
         if k == 0:
             return np.zeros((r, c), dtype=np.int64)
-        Ad = self.decode(A)
-        Bd = self.decode(B)
-        conv = np.zeros((r, c, 2 * n - 1), dtype=np.int64)
-        for s in range(n):
-            conv[:, :, s : s + n] += np.einsum("ik,kjt->ijt", Ad[:, :, s], Bd)
-        dig = (conv.reshape(r * c, 2 * n - 1) @ self._reduction) % self.p
-        return self.encode(dig).reshape(r, c)
+        if self._zech and r * k * c <= self._gather_cells:
+            log, exp = self._tables()
+            terms = exp[log[A][:, :, None] + log[B][None, :, :]]  # (r, k, c)
+            if self.p == 2:
+                return np.bitwise_xor.reduce(terms, axis=1)
+            return self.encode(self.decode(terms).sum(axis=1) % self.p)
+        if c > r:  # _plane_product expands its right operand: make it the smaller one
+            return np.ascontiguousarray(self._plane_product(B.T, A.T).T)
+        return self._plane_product(A, B)
+
+    def _plane_product(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B as one float64 product of digit planes, exact below 2^53.
+
+        Row kk*n + s of the right factor holds the digits of x^s * B[kk], so
+        its product with the digit matrix of A (entries < p) sums k*n terms
+        below (p-1)^2 per output digit.
+        """
+        (r, k), c, n, p = A.shape, B.shape[1], self.n, self.p
+        if k * n * (p - 1) ** 2 >= _FLOAT_EXACT:
+            raise LimitError("mat_mul inner dimension %d too large for GF(%d)" % (k, self.q))
+        planes = self.decode(B).astype(np.float64) @ self._shifts  # (k, c, s*n + t)
+        planes -= p * np.floor(planes / p)
+        planes = planes.reshape(k, c, n, n).transpose(0, 2, 1, 3).reshape(k * n, c * n)
+        digits = self.decode(A).reshape(r, k * n).astype(np.float64) @ planes
+        return self.encode(digits.astype(np.int64).reshape(r, c, n) % p)
 
     def mat_vec(self, A, v) -> np.ndarray:
         return self.mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
@@ -270,15 +387,6 @@ class FiniteField:
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
             return a.copy()
-        if self.q <= 65536:
-            table = self._frobenius_tables.get(e)
-            if table is None:
-                table = np.arange(self.q, dtype=np.int64)
-                base = self.pow(table, self.p)
-                for _ in range(e):
-                    table = base[table]
-                self._frobenius_tables[e] = table
-            return table[a]
         return self.pow(a, self.p**e)
 
     # ----- misc -----

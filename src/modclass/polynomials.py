@@ -72,15 +72,20 @@ def divmod_poly(field: FiniteField, a: np.ndarray, b: np.ndarray):
         raise ZeroDivisionError("polynomial division by zero")
     r = trim(a).copy()
     db = degree(b)
-    inv_lead = field.inv(b[-1])
-    quo = np.zeros(max(len(r) - db, 0), dtype=np.int64)
-    while degree(r) >= db:
-        shift = degree(r) - db
-        factor = field.mul(r[-1], inv_lead)
-        quo[shift] = factor
-        r[shift : shift + db + 1] = field.sub(r[shift : shift + db + 1], field.mul(factor, b))
-        r = trim(r)
-    return trim(quo), r
+    if len(r) <= db:
+        return ZERO, r
+    if b[-1] != 1:  # divide by the monic b / lead(b), then scale the quotient once
+        inv_lead = field.inv(b[-1])
+        quo, rem = divmod_poly(field, r, field.mul(inv_lead, b))
+        return trim(field.mul(quo, inv_lead)), rem
+    # each quotient coefficient is the leading coefficient of what is left
+    quo = np.zeros(len(r) - db, dtype=np.int64)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = r[shift + db]
+        quo[shift] = c
+        if c:
+            r[shift : shift + db] = field.sub(r[shift : shift + db], field.mul(c, b[:db]))
+    return quo, trim(r[:db])
 
 
 def mod_poly(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -158,6 +158,18 @@ def test_green_correspondent_via_cli(tmp_path, capsys):
     assert W.group.degree == 3
 
 
+@pytest.mark.parametrize("gens", ['[[1.7, 0, 2.2]]', '[["1", false, 2]]'])
+def test_green_refuses_non_integer_permutations(tmp_path, capsys, gens):
+    path = str(tmp_path / "triv.json")
+    _run(capsys, ["make", "trivial", "-g", "S3", "-p", "2", "-o", path])
+    argv = ["green", "--module", path, "--vertex-gens", gens, "--subgroup-gens", "[[1, 0, 2]]"]
+    code, out, err = _run(capsys, argv + ["-o", str(tmp_path / "green.json")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert not os.path.exists(tmp_path / "green.json")
+
+
 def test_fiber_from_group_and_from_file(tmp_path, capsys):
     code, out, _ = _run(
         capsys,

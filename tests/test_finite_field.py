@@ -1,7 +1,9 @@
 """Field construction, arithmetic, embeddings and automorphisms.
 
 The canonical minimal polynomials are cross-checked against an independent
-brute-force search written directly in this file.
+brute-force search written directly in this file, and the table and
+digit-plane arithmetic against the digit-convolution product and the
+``einsum`` matrix product that preceded them.
 """
 
 import os
@@ -10,7 +12,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modclass import finite_field
 from modclass.errors import ConsistencyError, InputError, LimitError, NotSubfieldError
 from modclass.finite_field import (
     FieldAutomorphism,
@@ -75,6 +79,219 @@ def test_frozen_min_polys():
     assert [int(c) for c in make_field(2, 3).min_poly] == [1, 1, 0, 1]
     assert [int(c) for c in make_field(3, 2).min_poly] == [1, 0, 1]
     assert [int(c) for c in make_field(2, 4).min_poly] == [1, 1, 0, 0, 1]
+
+
+# ---------------------------------------------------------------- digit reference
+
+def _ref_add(K, a, b):
+    return K.encode((K.decode(a) + K.decode(b)) % K.p)
+
+
+def _ref_neg(K, a):
+    return K.encode((-K.decode(a)) % K.p)
+
+
+def _ref_mul(K, a, b):
+    """Schoolbook digit convolution, then reduction of x^m mod min_poly."""
+    da, db = np.broadcast_arrays(K.decode(a), K.decode(b))
+    n = K.n
+    conv = np.zeros(da.shape[:-1] + (2 * n - 1,), dtype=np.int64)
+    for s in range(n):
+        conv[..., s : s + n] += da[..., s : s + 1] * db
+    return K.encode((conv @ K._reduction) % K.p)
+
+
+def _ref_pow(K, a, e):
+    result = np.ones_like(np.asarray(a, dtype=np.int64))
+    base = np.asarray(a, dtype=np.int64)
+    while e > 0:
+        if e & 1:
+            result = _ref_mul(K, result, base)
+        base = _ref_mul(K, base, base)
+        e >>= 1
+    return result
+
+
+def _ref_mat_mul(K, A, B):
+    """Digit-plane convolution by einsum, one plane of A at a time."""
+    (r, k), c, n = A.shape, B.shape[1], K.n
+    if k == 0:
+        return np.zeros((r, c), dtype=np.int64)
+    Ad, Bd = K.decode(A), K.decode(B)
+    conv = np.zeros((r, c, 2 * n - 1), dtype=np.int64)
+    for s in range(n):
+        conv[:, :, s : s + n] += np.einsum("ik,kjt->ijt", Ad[:, :, s], Bd)
+    return K.encode((conv.reshape(r * c, 2 * n - 1) @ K._reduction) % K.p).reshape(r, c)
+
+
+def _same(got, want):
+    got = np.asarray(got)
+    return got.dtype == np.int64 and got.shape == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)])
+def test_table_arithmetic_matches_digit_reference_on_every_pair(p, n):
+    K = make_field(p, n)
+    codes = np.arange(K.q, dtype=np.int64)
+    a, b = np.repeat(codes, K.q), np.tile(codes, K.q)
+    assert _same(K.mul(a, b), _ref_mul(K, a, b))
+    assert _same(K.add(a, b), _ref_add(K, a, b))
+    assert _same(K.sub(a, b), _ref_add(K, a, _ref_neg(K, b)))
+    assert _same(K.neg(codes), _ref_neg(K, codes))
+    units = codes[1:]
+    assert _same(K.inv(units), _ref_pow(K, units, K.q - 2))
+    for e in (0, 1, K.q - 1, K.q, 3 * K.q + 5, 10**30 + 7):
+        assert _same(K.pow(codes, e), _ref_pow(K, codes, e))
+    for e in range(2 * n + 1):
+        assert _same(K.frobenius(codes, e), _ref_pow(K, codes, p ** (e % n)))
+    assert K._exp is not None  # the table path was the one tested
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (2, 16), (3, 10), (251, 2)])
+def test_table_arithmetic_matches_digit_reference_on_seeded_pairs(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(p * 100 + n)
+    a, b = K.rand_codes(rng, 10**4), K.rand_codes(rng, 10**4)
+    a[:10], b[5:15] = 0, 0
+    assert _same(K.mul(a, b), _ref_mul(K, a, b))
+    assert _same(K.add(a, b), _ref_add(K, a, b))
+    assert _same(K.sub(a, b), _ref_add(K, a, _ref_neg(K, b)))
+    assert _same(K.neg(a), _ref_neg(K, a))
+    units = a[a != 0][:200]
+    assert _same(K.inv(units), _ref_pow(K, units, K.q - 2))
+    e = 10**12 + 39
+    assert _same(K.pow(a[:200], e), _ref_pow(K, a[:200], e))
+    assert _same(K.frobenius(a[:200], n - 1), _ref_pow(K, a[:200], p ** (n - 1)))
+
+
+def _shapes_around_switch(K):
+    """Shapes (r, k, c) at, just above and well above the gather limit."""
+    if K.q > finite_field._TABLE_CAP:
+        limit = 512  # no gather path: every shape takes the digit-plane product
+    elif K.p == 2:
+        limit = finite_field._GATHER_CELLS_XOR * K.n**2
+    else:
+        limit = finite_field._GATHER_CELLS
+    side = int(round(limit ** (1 / 3)))
+    return [(1, 1, 1), (3, 0, 2), (4, 2, 2), (side, side, limit // side**2),
+            (side, side, limit // side**2 + 1), (2 * side, side, side), (side, side, 1)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2), (2, 8), (2, 17), (3, 12)])
+def test_mat_mul_matches_einsum_reference(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(7 * p + n)
+    for r, k, c in _shapes_around_switch(K):
+        A, B = K.rand_codes(rng, (r, k)), K.rand_codes(rng, (k, c))
+        A[0, : k // 2] = 0
+        assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B)), (r, k, c)
+        assert _same(K.mat_mul(B.T, A.T), _ref_mat_mul(K, A, B).T), (r, k, c)
+
+
+def test_mat_mul_wide_relative_trace_shape():
+    K = make_field(2, 2)
+    rng = np.random.default_rng(24)
+    A, B = K.rand_codes(rng, (24, 24)), K.rand_codes(rng, (24, 13824))
+    assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B))
+
+
+def test_plane_product_refuses_inexact_inner_dimension(monkeypatch):
+    K = make_field(3, 2)
+    A, B = np.ones((20, 40), dtype=np.int64), np.ones((40, 20), dtype=np.int64)
+    monkeypatch.setattr(finite_field, "_FLOAT_EXACT", 40 * 2 * 4)  # k*n*(p-1)^2 = 320
+    with pytest.raises(LimitError):
+        K.mat_mul(A, B)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 20), (3, 12)])
+def test_zero_handling(p, n):
+    K = make_field(p, n)
+    zero = np.int64(0)
+    assert K.mul(zero, zero) == 0 and K.mul(zero, K.q - 1) == 0
+    assert K.pow(zero, 0) == 1 and K.pow(zero, 1) == 0 and K.pow(zero, K.q - 1) == 0
+    assert K.frobenius(zero, 1) == 0
+    with pytest.raises(ZeroDivisionError):
+        K.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        K.inv(np.array([1, 0], dtype=np.int64))
+
+
+def test_fields_above_table_cap_build_no_table():
+    K = make_field(2, 20)
+    rng = np.random.default_rng(3)
+    a, b = K.rand_codes(rng, 50), K.rand_codes(rng, 50)
+    K.mul(a, b), K.pow(a, 5), K.frobenius(a, 3), K.inv(a[a != 0]), K.add(a, b)
+    K.mat_mul(a.reshape(5, 10), b.reshape(10, 5))
+    assert K.q > finite_field._TABLE_CAP
+    assert K._log is None and K._exp is None
+
+
+def test_failed_table_build_raises_consistency_error(monkeypatch):
+    # exp of a non-primitive element is not a bijection onto the units
+    monkeypatch.setattr(FiniteField, "_primitive_code", lambda self: self.q - 1)
+    with pytest.raises(ConsistencyError):
+        FiniteField(2, 4).mul(2, 3)
+    monkeypatch.undo()
+    # no element passes the primitivity test when every power comes out 1
+    monkeypatch.setattr(finite_field, "_square_multiply", lambda mul, a, e: np.ones_like(a))
+    with pytest.raises(ConsistencyError):
+        FiniteField(3, 2).inv(np.int64(1))
+
+
+# ---------------------------------------------------------------- properties
+
+_SMALL_FIELDS = [
+    (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 31, 251)
+    for n in range(1, 17)
+    if p**n <= finite_field._TABLE_CAP
+]
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@st.composite
+def _field_and_codes(draw, count):
+    K = make_field(*draw(st.sampled_from(_SMALL_FIELDS)))
+    element = st.integers(0, K.q - 1)
+    arrays = [np.array(draw(st.lists(element, min_size=8, max_size=8)), dtype=np.int64)
+              for _ in range(count)]
+    return K, arrays
+
+
+@_PROPERTY
+@given(_field_and_codes(3))
+def test_field_axioms_hold_on_random_elements(case):
+    K, (a, b, c) = case
+    assert _same(K.mul(a, b), _ref_mul(K, a, b))
+    assert _same(K.add(a, b), _ref_add(K, a, b))
+    assert np.array_equal(K.mul(a, b), K.mul(b, a))
+    assert np.array_equal(K.mul(K.mul(a, b), c), K.mul(a, K.mul(b, c)))
+    assert np.array_equal(K.add(K.add(a, b), c), K.add(a, K.add(b, c)))
+    assert np.array_equal(K.mul(a, K.add(b, c)), K.add(K.mul(a, b), K.mul(a, c)))
+    assert np.array_equal(K.sub(a, b), K.add(a, K.neg(b)))
+    assert not K.add(a, K.neg(a)).any()
+    assert np.array_equal(K.mul(a, 1), a) and not K.mul(a, 0).any()
+    units = a[a != 0]
+    assert np.all(K.mul(units, K.inv(units)) == 1)
+
+
+@st.composite
+def _field_and_matrices(draw):
+    K = make_field(*draw(st.sampled_from(_SMALL_FIELDS)))
+    r, k, c, m = (draw(st.integers(1, 10)) for _ in range(4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return K, K.rand_codes(rng, (r, k)), K.rand_codes(rng, (k, c)), K.rand_codes(rng, (k, c)), K.rand_codes(rng, (c, m))
+
+
+@_PROPERTY
+@given(_field_and_matrices())
+def test_mat_mul_is_associative_and_distributive(case):
+    K, A, B, B2, C = case
+    AB = K.mat_mul(A, B)
+    assert _same(AB, _ref_mat_mul(K, A, B))
+    assert np.array_equal(K.mat_mul(AB, C), K.mat_mul(A, K.mat_mul(B, C)))
+    assert np.array_equal(K.mat_mul(A, K.add(B, B2)), K.add(AB, K.mat_mul(A, B2)))
 
 
 # ---------------------------------------------------------------- axioms
@@ -301,6 +518,7 @@ def test_forced_fact_checks_survive_python_O():
     tests = [
         "tests/test_green.py::test_relative_trace_check_raises_consistency_error",
         "tests/test_finite_field.py::test_failed_spot_check_raises_consistency_error",
+        "tests/test_finite_field.py::test_failed_table_build_raises_consistency_error",
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -311,4 +529,4 @@ def test_forced_fact_checks_survive_python_O():
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout

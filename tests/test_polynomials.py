@@ -144,3 +144,38 @@ def test_derivative_char_p():
     # d/dx (x^3 + x + 1) = 3x^2 + 1 = 1 over GF(3)
     f = codes(1, 1, 0, 1)
     assert [int(c) for c in P.derivative(F3, f)] == [1]
+
+
+def _divmod_oracle(field, a, b):
+    """The long division divmod_poly used before: one trim and scalar mul per step."""
+    b = P.trim(b)
+    r = P.trim(a).copy()
+    db = P.degree(b)
+    inv_lead = field.inv(b[-1])
+    quo = np.zeros(max(len(r) - db, 0), dtype=np.int64)
+    while P.degree(r) >= db:
+        shift = P.degree(r) - db
+        factor = field.mul(r[-1], inv_lead)
+        quo[shift] = factor
+        r[shift : shift + db + 1] = field.sub(r[shift : shift + db + 1], field.mul(factor, b))
+        r = P.trim(r)
+    return P.trim(quo), r
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 20)])
+def test_divmod_matches_long_division_oracle(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    cases = [(codes(), codes(3 % K.q or 1, 1)), (codes(1, 2 % K.q, 1), codes(1, 1, 0, 1))]
+    for _ in range(40):
+        da, db = int(rng.integers(0, 9)), int(rng.integers(0, 6))
+        b = K.rand_codes(rng, db + 1)
+        b[-1] = rng.integers(1, K.q)
+        cases.append((K.rand_codes(rng, da + 1), b))
+    cases.append((K.rand_codes(rng, 7), codes(int(rng.integers(1, K.q)))))  # constant divisor
+    for a, b in cases:
+        got, want = P.divmod_poly(K, a, b), _divmod_oracle(K, a, b)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    with pytest.raises(ZeroDivisionError):
+        P.divmod_poly(K, codes(1, 1), codes(0))
