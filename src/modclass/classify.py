@@ -206,6 +206,24 @@ def indecomposable_trace(V: Rep, seed: int = 0) -> Rep:
     return hits[0]
 
 
+def _splitting_level(X: Rep, m: int, kind: str, defect, seed: int) -> FiberLevel:
+    """The degree-m fiber of X, checked to hold m absolutely `kind`
+    constituents of multiplicity one; defect(V) names what a constituent
+    lacks, or is None."""
+    level = fiber(X, m, seed=seed)
+    if len(level.entries) != m:
+        raise ConsistencyError(
+            "expected %d absolutely %s constituents, found %d" % (m, kind, len(level.entries))
+        )
+    for V, mult in level.entries:
+        if mult != 1:
+            raise ConsistencyError("constituents above the splitting degree must be multiplicity-free")
+        problem = defect(V)
+        if problem:
+            raise ConsistencyError(problem)
+    return level
+
+
 def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
     """Absolutely simple constituents of a simple prime-field module W.
 
@@ -217,21 +235,16 @@ def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
         raise InputError("expected a module over the prime field")
     if not _simple(W, seed):
         raise InputError("expected a simple module")
-    m = len(endomorphism_basis(F, list(W.matrices), W.dim))
-    level = fiber(W, m, seed=seed)
-    if len(level.entries) != m:
-        raise ConsistencyError(
-            "expected %d absolutely simple constituents, found %d"
-            % (m, len(level.entries))
-        )
-    for V, mult in level.entries:
-        if mult != 1:
-            raise ConsistencyError("constituents above the splitting degree must be multiplicity-free")
+
+    def defect(V: Rep) -> str | None:
         if not _simple(V, seed):
-            raise ConsistencyError("constituent is not simple")
-        if len(endomorphism_basis(level.field, list(V.matrices), V.dim)) != 1:
-            raise ConsistencyError("constituent is not absolutely simple")
-    return level
+            return "constituent is not simple"
+        if len(endomorphism_basis(V.field, list(V.matrices), V.dim)) != 1:
+            return "constituent is not absolutely simple"
+        return None
+
+    m = len(endomorphism_basis(F, list(W.matrices), W.dim))
+    return _splitting_level(W, m, "simple", defect, seed)
 
 
 def indecomposable_splitting_fiber(Y: Rep, seed: int = 0) -> FiberLevel:
@@ -242,20 +255,12 @@ def indecomposable_splitting_fiber(Y: Rep, seed: int = 0) -> FiberLevel:
     h, rad_dim, local = end_structure(Y, seed=seed)
     if not local:
         raise InputError("expected an indecomposable module")
-    m = h - rad_dim
-    level = fiber(Y, m, seed=seed)
-    if len(level.entries) != m:
-        raise ConsistencyError(
-            "expected %d absolutely indecomposable constituents, found %d"
-            % (m, len(level.entries))
-        )
-    for V, mult in level.entries:
-        if mult != 1:
-            raise ConsistencyError("constituents above the splitting degree must be multiplicity-free")
+
+    def defect(V: Rep) -> str | None:
         hV, radV, localV = end_structure(V, seed=seed)
-        if not (localV and hV - radV == 1):
-            raise ConsistencyError("constituent is not absolutely indecomposable")
-    return level
+        return None if localV and hV - radV == 1 else "constituent is not absolutely indecomposable"
+
+    return _splitting_level(Y, h - rad_dim, "indecomposable", defect, seed)
 
 
 def descend_component(U: Rep, K: FiniteField, seed: int = 0) -> Rep:

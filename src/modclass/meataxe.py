@@ -8,10 +8,11 @@ such a witness; reported answers are always verified, so a bad random
 stream can at worst raise InconclusiveError, never a wrong verdict.
 
 Indecomposability is decided exactly: E = End(V) is local if and only if
-the regular module of E/rad(E) has a single composition factor, where
-rad(E) is computed as the annihilator of all composition factors of the
-regular module of E (the trace-form shortcut is unsound in characteristic
-p, so it is not used).
+every composition factor of the regular module of E has dimension
+dim E/rad(E).  By Wedderburn E/rad(E) = prod M_n(D), whose simple modules
+have dimension n dim D against sum n^2 dim D, so only a division algebra
+passes.  rad(E) is the annihilator of those factors (the trace-form
+shortcut is unsound in characteristic p, so it is not used).
 
 Isomorphism is decided exactly when either module is indecomposable: then
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
@@ -220,53 +221,26 @@ def _algebra_right_mults(field: FiniteField, basis):
     return mults
 
 
-def _radical_coords(field: FiniteField, mults, factors) -> np.ndarray:
+def _radical_coords(field: FiniteField, factors) -> np.ndarray:
     """Coordinates of rad(E): elements acting as zero on every factor."""
-    h = len(mults)
-    blocks = []
-    for fmats, fdim in factors:
-        if fdim == 0:
-            continue
-        blocks.append(np.stack([fm.reshape(-1) for fm in fmats], axis=1))
-    Z = np.vstack(blocks)  # (sum fdim^2, h)
-    return linalg.nullspace(field, Z)
+    Z = np.vstack([np.stack([M.reshape(-1) for M in fmats], axis=1) for fmats, _ in factors])
+    return linalg.nullspace(field, Z)  # Z is (sum fdim^2, h)
 
 
 def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
-    """(dim E, dim rad E, is E local) for an algebra of matrices."""
+    """(dim E, dim rad E, is E local) for an algebra of matrices.
+
+    Local exactly when every factor of the regular module has dimension
+    dim E/rad E (the simple modules of E/rad E = prod M_n(D) have
+    dimension n dim D, the quotient sum n^2 dim D).
+    """
     h = len(basis)
     if h == 1:
         return 1, 0, True
     mults = _algebra_right_mults(field, basis)
     factors = _chop(field, mults, h, rng)
-    rad = _radical_coords(field, mults, factors)
-    rad_dim = rad.shape[0]
-    if rad_dim == 0:
-        # semisimple: local means division algebra, i.e. simple regular module
-        return h, 0, len(factors) == 1
-    # build the quotient algebra E/rad on a complement basis of unit coords
-    comp_space = linalg.RowSpace(field, h, track=True)
-    for row in rad:
-        comp_space.add(row)
-    comp_idx = []
-    for c in range(h):
-        e = np.zeros(h, dtype=np.int64)
-        e[c] = 1
-        if comp_space.add(e):
-            comp_idx.append(c)
-    hq = len(comp_idx)
-    if hq != h - rad_dim:
-        raise ConsistencyError("radical complement has the wrong dimension")
-
-    q_mults = []
-    for k in comp_idx:
-        # row j: coordinates of the product of complement elements j and k
-        residual, coords = comp_space.reduce_rows(mults[k][:, comp_idx].T)
-        if residual.any():
-            raise ConsistencyError("vector outside the span of radical and complement")
-        q_mults.append(np.ascontiguousarray(coords[:, rad_dim : rad_dim + hq].T))
-    q_factors = _chop(field, q_mults, hq, rng)
-    return h, rad_dim, len(q_factors) == 1
+    rad_dim = _radical_coords(field, factors).shape[0]
+    return h, rad_dim, all(fdim == h - rad_dim for _, fdim in factors)
 
 
 def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
@@ -380,55 +354,64 @@ def _module_key(V: Rep) -> tuple:
 def decompose(V: Rep, seed: int = 0) -> Decomposition:
     """Indecomposable direct summands, with an explicit splitting basis.
 
-    The multiset of (dimension, multiplicity) pairs is seed-independent by
-    the Krull-Schmidt theorem; the basis itself may vary with the seed.
+    Pieces split depth first, each carrying its rows in V and its action.
+    A piece that does not split is indecomposable, so the first invertible
+    basis map of Hom(leaf, rep) decides its class.  The multiset of
+    (dimension, multiplicity) pairs is seed-independent by the Krull-Schmidt
+    theorem; the basis itself may vary with the seed.
     """
     field = V.field
     rng = np.random.default_rng(seed)
-    leaves: list[np.ndarray] = []
-
-    def rec(ambient_rows: np.ndarray, mats, dim: int):
-        pieces = _try_split(field, mats, dim, rng)
-        if pieces is None:
-            leaves.append(ambient_rows)
-            return
-        for rows in pieces:
-            amb = field.mat_mul(rows, ambient_rows)
-            sub = linalg.action_on_subspace(field, rows, mats)
-            rec(amb, sub, rows.shape[0])
-
-    if V.dim:
-        rec(field.identity(V.dim), list(V.matrices), V.dim)
-    leaf_reps = [
-        Rep(V.group, field, linalg.action_on_subspace(field, rows, list(V.matrices)), check=False)
-        for rows in leaves
-    ]
-    # group leaves by isomorphism class
-    classes: list[dict] = []
-    for rows, rep in zip(leaves, leaf_reps):
-        placed = False
-        for cls in classes:
-            res = is_isomorphic(rep, cls["rep"], seed=seed)
+    classes: list[tuple[Rep, list]] = []  # (rep, [(leaf rows, leaf -> rep map)])
+    work = [(field.identity(V.dim), list(V.matrices))] if V.dim else []
+    while work:
+        rows, mats = work.pop()
+        pieces = _try_split(field, mats, rows.shape[0], rng)
+        if pieces is not None:
+            for piece in reversed(pieces):
+                sub = linalg.action_on_subspace(field, piece, mats)
+                work.append((field.mat_mul(piece, rows), sub))
+            continue
+        leaf = Rep(V.group, field, mats, check=False)
+        for rep, members in classes:
+            res, _ = _basis_iso(leaf, rep)
             if res:
-                cls["members"].append((rows, res.map))
-                placed = True
+                members.append((rows, res.map))
                 break
-        if not placed:
-            classes.append({"rep": rep, "members": [(rows, field.identity(rep.dim))]})
-    classes.sort(key=lambda cls: _module_key(cls["rep"]))
-    all_rows = []
-    summands = []
-    for cls in classes:
-        rep = cls["rep"]
-        for rows, iso in cls["members"]:
-            adjusted = field.mat_mul(linalg.inverse(field, iso).T, rows)
-            all_rows.append(adjusted)
-        summands.append((rep, len(cls["members"])))
-    basis = np.vstack(all_rows) if all_rows else field.zeros(0, 0)
-    return Decomposition(V, summands, basis)
+        else:
+            classes.append((leaf, [(rows, field.identity(leaf.dim))]))
+    classes.sort(key=lambda cls: _module_key(cls[0]))
+    adjusted = [
+        field.mat_mul(linalg.inverse(field, iso).T, r) for _, ms in classes for r, iso in ms
+    ]
+    basis = np.vstack(adjusted) if adjusted else field.zeros(0, 0)
+    return Decomposition(V, [(rep, len(ms)) for rep, ms in classes], basis)
 
 
 # ----- isomorphism testing -----
+
+
+def _basis_iso(V: Rep, U: Rep) -> tuple[IsoResult | None, list[np.ndarray]]:
+    """Char-poly filter, Hom(V, U) basis and its first invertible map.
+
+    Returns the verdict when these settle it, else (None, basis): then no
+    basis map is invertible and dim Hom >= 2, which means "not isomorphic"
+    as soon as V or U is indecomposable.
+    """
+    if V.dim != U.dim:
+        return IsoResult(False, None, "different dimensions"), []
+    if V.generator_char_polys() != U.generator_char_polys():
+        return IsoResult(False, None, "generator characteristic polynomials differ"), []
+    field = V.field
+    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    if not basis:
+        return IsoResult(False, None, "no nonzero homomorphisms"), basis
+    for M in basis:
+        if linalg.is_invertible(field, M):
+            return IsoResult(True, M, "invertible basis homomorphism"), basis
+    if len(basis) == 1:
+        return IsoResult(False, None, "hom space is one-dimensional and singular"), basis
+    return None, basis
 
 
 def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
@@ -436,29 +419,19 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
         raise InputError("isomorphism test requires modules of the same group")
     if V.field is not U.field:
         raise InputError("isomorphism test requires a common coefficient field")
-    if V.dim != U.dim:
-        return IsoResult(False, None, "different dimensions")
-    if V.dim == 0:
+    if V.dim == U.dim == 0:
         return IsoResult(True, V.field.zeros(0, 0), "zero modules")
     if V is U:
         return IsoResult(True, V.field.identity(V.dim), "identical")
-    if V.generator_char_polys() != U.generator_char_polys():
-        return IsoResult(False, None, "generator characteristic polynomials differ")
-    field = V.field
-    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
-    h = len(basis)
-    if h == 0:
-        return IsoResult(False, None, "no nonzero homomorphisms")
-    for M in basis:
-        if linalg.is_invertible(field, M):
-            return IsoResult(True, M, "invertible basis homomorphism")
-    if h == 1:
-        return IsoResult(False, None, "hom space is one-dimensional and singular")
+    res, basis = _basis_iso(V, U)
+    if res is not None:
+        return res
     # For indecomposable V and an isomorphism phi: V -> U, the singular maps
     # form the proper subspace phi * rad End(V), which holds no basis (same
     # with rad End(U) * phi for indecomposable U).
     if end_structure(V, seed)[2] or end_structure(U, seed)[2]:
         return IsoResult(False, None, "no invertible basis map and one side is indecomposable")
+    field = V.field
     rng = np.random.default_rng(seed)
     M = _span_search(field, basis, rng, lambda M: M if linalg.is_invertible(field, M) else None)
     if M is None:

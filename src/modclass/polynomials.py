@@ -262,6 +262,28 @@ def roots_in_field(f, field: FiniteField) -> list[int]:
     return sorted(roots)
 
 
+def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray, reduce=None):
+    """(rel, chain): the monic relation of the first vector of vec, M vec,
+    M^2 vec, ... that depends on the ones before it, and those before it.
+
+    Each vector enters a tracked RowSpace after passing through `reduce`
+    (none by default); the insert that fails yields the relation.
+    """
+    from .linalg import RowSpace
+
+    space = RowSpace(field, M.shape[0], track=True)
+    chain = []
+    while True:
+        added, coords = space._insert(vec if reduce is None else reduce(vec))
+        if not added:
+            rel = np.zeros(len(chain) + 1, dtype=np.int64)
+            rel[-1] = 1
+            rel[: len(coords)] = field.neg(coords)
+            return rel, chain
+        chain.append(vec)
+        vec = field.mat_vec(M, vec)
+
+
 def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
     """Characteristic polynomial via spinning standard vectors.
 
@@ -280,22 +302,9 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
         seed[s] = 1
         if space.contains(seed):
             continue
-        chain = RowSpace(field, d, track=True)
-        vec = seed
-        chain_vecs = []
-        while True:
-            reduced = space.reduce(vec)
-            if not chain.add(reduced):
-                coords = chain.reduce_with_coords(reduced)[1]
-                k = len(chain_vecs)
-                rel = np.zeros(k + 1, dtype=np.int64)
-                rel[k] = 1
-                rel[: len(coords)] = field.neg(coords)
-                result = mul(field, result, rel)
-                break
-            chain_vecs.append(vec)
-            vec = field.mat_vec(M, vec)
-        for w in chain_vecs:
+        rel, chain = _krylov_relation(field, M, seed, space.reduce)
+        result = mul(field, result, rel)
+        for w in chain:
             space.add(w)
     _require(degree(result) == d, "characteristic polynomial has the wrong degree")
     return result
@@ -317,20 +326,9 @@ def min_poly_mat(field: FiniteField, M: np.ndarray) -> np.ndarray:
         seed[s] = 1
         if seen.contains(seed):
             continue
-        chain = RowSpace(field, d, track=True)
-        vec = seed
-        count = 0
-        while True:
-            if not chain.add(vec):
-                coords = chain.reduce_with_coords(vec)[1]
-                mu = np.zeros(count + 1, dtype=np.int64)
-                mu[count] = 1
-                mu[: len(coords)] = field.neg(coords)
-                break
-            count += 1
-            vec = field.mat_vec(M, vec)
+        mu, chain = _krylov_relation(field, M, seed)
         g = gcd_poly(field, lam, mu)
         lam = divmod_poly(field, mul(field, lam, mu), g)[0]
-        for w in chain.raw_basis_rows():
+        for w in chain:
             seen.add(w)
     return monic(field, lam)

@@ -173,6 +173,34 @@ def test_indecomposable_splitting_fiber_of_nonsplit_pim():
     assert sorted((W.dim, m) for W, m in level.entries) == [(4, 1), (4, 1)]
 
 
+def _a4_big_pim():
+    reg = regular_module(catalog()["A4"], F2)
+    return [W for W, _ in decompose(reg).summands if W.dim == 8][0]
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda es, X: es + es[:1], "expected 2 absolutely {kind} constituents, found 3"),
+    (lambda es, X: [(es[0][0], 2)] + es[1:], "must be multiplicity-free"),
+    # X is simple but not absolutely simple, or not absolutely indecomposable
+    (lambda es, X: [(X, 1)] + es[1:], "constituent is not absolutely {kind}"),
+])
+@pytest.mark.parametrize("kind", ["simple", "indecomposable"])
+def test_splitting_fibers_check_each_level(monkeypatch, kind, doctor, message):
+    # a doctored fiber trips the level checks that the real one passes
+    X = _c3_simple_2dim() if kind == "simple" else _a4_big_pim()
+    run = splitting_fiber if kind == "simple" else indecomposable_splitting_fiber
+    real_fiber = classify.fiber
+
+    def doctored(W, degree, seed=0):
+        level = real_fiber(W, degree, seed=seed)
+        level.entries = doctor(list(level.entries), X)
+        return level
+
+    monkeypatch.setattr(classify, "fiber", doctored)
+    with pytest.raises(ConsistencyError, match=message.format(kind=kind)):
+        run(X)
+
+
 def test_indecomposable_trace_round_trip():
     reg = regular_module(catalog()["A4"], F2)
     big = [W for W, _ in decompose(reg).summands if W.dim == 8][0]

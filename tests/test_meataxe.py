@@ -7,6 +7,7 @@ structure) before being fixed here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modclass.errors import InconclusiveError, InputError
 from modclass.finite_field import make_field
@@ -450,3 +451,130 @@ def test_span_search_exhausted_budget(monkeypatch):
     monkeypatch.setattr(limits, "SCAN_CAP", 1)
     with pytest.raises(InconclusiveError):
         is_isomorphic(V, U)
+
+
+def _oracle_algebra_structure(field, basis, rng):
+    """The quotient-algebra test algebra_structure used before: chop E, cut
+    out rad E, build E/rad E on a complement of unit coordinates and call E
+    local when the regular module of E/rad E is simple."""
+    h = len(basis)
+    if h == 1:
+        return 1, 0, True
+    mults = meataxe._algebra_right_mults(field, basis)
+    factors = meataxe._chop(field, mults, h, rng)
+    Z = np.vstack([np.stack([M.reshape(-1) for M in fmats], axis=1) for fmats, _ in factors])
+    rad = linalg.nullspace(field, Z)
+    rad_dim = rad.shape[0]
+    if rad_dim == 0:
+        return h, 0, len(factors) == 1
+    comp_space = linalg.RowSpace(field, h, track=True)
+    for row in rad:
+        comp_space.add(row)
+    comp_idx = [c for c in range(h) if comp_space.add(np.eye(h, dtype=np.int64)[c])]
+    hq = len(comp_idx)
+    assert hq == h - rad_dim
+    q_mults = []
+    for k in comp_idx:
+        residual, coords = comp_space.reduce_rows(mults[k][:, comp_idx].T)
+        assert not residual.any()
+        q_mults.append(np.ascontiguousarray(coords[:, rad_dim : rad_dim + hq].T))
+    return h, rad_dim, len(meataxe._chop(field, q_mults, hq, rng)) == 1
+
+
+@pytest.mark.parametrize("name, p, n", ISO_GRID)
+def test_end_structure_matches_quotient_algebra_oracle(name, p, n):
+    G = catalog()[name]
+    K = make_field(p, n)
+    modules = [regular_module(G, K), trivial_module(G, K)]
+    modules += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    summands = [W for M in modules for W, _ in decompose(M).summands]
+    sums = [direct_sum(summands[0], W) for W in summands[:2]]
+    for V in modules + summands + sums:
+        basis = endomorphism_basis(K, list(V.matrices), V.dim)
+        want = _oracle_algebra_structure(K, basis, np.random.default_rng(0))
+        assert end_structure(V) == want, (V.dim, want)
+    assert not any(end_structure(V)[2] for V in sums)  # a sum of two is never local
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_groups_leaves_without_end_solves_or_searches(monkeypatch, n):
+    # leaves are indecomposable, so grouping them needs only the first
+    # invertible basis map; span searches may run only to split a piece
+    splitting = []
+    real_split, real_search = meataxe._try_split, meataxe._span_search
+
+    def split(*args):
+        splitting.append(True)
+        try:
+            return real_split(*args)
+        finally:
+            splitting.pop()
+
+    def search(*args):
+        if not splitting:
+            raise AssertionError("span search outside splitting")
+        return real_search(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("end_structure or is_isomorphic called by decompose")
+
+    monkeypatch.setattr(meataxe, "_try_split", split)
+    monkeypatch.setattr(meataxe, "_span_search", search)
+    monkeypatch.setattr(meataxe, "end_structure", forbidden)
+    monkeypatch.setattr(meataxe, "is_isomorphic", forbidden)
+    reg = regular_module(catalog()["S4"], make_field(2, n))
+    assert _summand_multiset(reg) == [(8, 1), (8, 2)]
+
+
+# ---------------------------------------------------------------- properties
+
+_MODULAR_CASES = [
+    (name, p, n) for name, G in sorted(catalog().items()) for p in (2, 3, 5, 7) if G.order % p == 0
+    for n in (1, 2)
+]
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@st.composite
+def _modular_case(draw):
+    name, p, n = draw(st.sampled_from(_MODULAR_CASES))
+    G = catalog()[name]
+    subgroups = p_subgroups_up_to_conjugacy(G, p)
+    Q = subgroups[draw(st.integers(0, len(subgroups) - 1))]
+    return G, make_field(p, n), Q, draw(st.integers(0, 2**32 - 1))
+
+
+def _random_conjugate(V, rng):
+    K = V.field
+    T = K.rand_codes(rng, (V.dim, V.dim))
+    while not linalg.is_invertible(K, T):
+        T = K.rand_codes(rng, (V.dim, V.dim))
+    Ti = linalg.inverse(K, T)
+    return Rep(V.group, K, [K.mat_mul(K.mat_mul(Ti, M), T) for M in V.matrices])
+
+
+@_PROPERTY
+@given(_modular_case())
+def test_decompose_multiset_ignores_basis_and_seed(case):
+    G, K, Q, s = case
+    V = induce(trivial_module(Q.group, K), G)
+    rng = np.random.default_rng(s)
+    want = _summand_multiset(V)
+    moved = _random_conjugate(V, rng)
+    assert sorted((W.dim, m) for W, m in decompose(moved, seed=s % 97).summands) == want
+
+
+@_PROPERTY
+@given(_modular_case())
+def test_frobenius_reciprocity_on_regular_summands(case):
+    # dim Hom_G(Ind_Q U, V) = dim Hom_Q(U, Res_Q V)
+    G, K, Q, s = case
+    summands = [W for W, _ in decompose(regular_module(G, K)).summands]
+    V = summands[s % len(summands)]
+    res = restrict_subgroup(V, Q)
+    parts = [U for U, _ in decompose(res).summands]
+    U = parts[(s // len(summands)) % len(parts)]
+    ind = induce(U, G)
+    up = hom_basis_matrices(K, list(ind.matrices), list(V.matrices), ind.dim, V.dim)
+    down = hom_basis_matrices(K, list(U.matrices), list(res.matrices), U.dim, res.dim)
+    assert len(up) == len(down)

@@ -179,3 +179,92 @@ def test_divmod_matches_long_division_oracle(p, n):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     with pytest.raises(ZeroDivisionError):
         P.divmod_poly(K, codes(1, 1), codes(0))
+
+
+def _char_poly_oracle(field, M):
+    """char_poly as it was before the shared Krylov helper."""
+    from modclass.linalg import RowSpace
+
+    d = M.shape[0]
+    result = codes(1)
+    space = RowSpace(field, d)
+    for s in range(d):
+        if space.dim == d:
+            break
+        seed = np.zeros(d, dtype=np.int64)
+        seed[s] = 1
+        if space.contains(seed):
+            continue
+        chain = RowSpace(field, d, track=True)
+        vec = seed
+        chain_vecs = []
+        while True:
+            reduced = space.reduce(vec)
+            if not chain.add(reduced):
+                coords = chain.reduce_with_coords(reduced)[1]
+                k = len(chain_vecs)
+                rel = np.zeros(k + 1, dtype=np.int64)
+                rel[k] = 1
+                rel[: len(coords)] = field.neg(coords)
+                result = P.mul(field, result, rel)
+                break
+            chain_vecs.append(vec)
+            vec = field.mat_vec(M, vec)
+        for w in chain_vecs:
+            space.add(w)
+    return result
+
+
+def _min_poly_oracle(field, M):
+    """min_poly_mat as it was before the shared Krylov helper."""
+    from modclass.linalg import RowSpace
+
+    d = M.shape[0]
+    if d == 0:
+        return codes(1)
+    lam = codes(1)
+    seen = RowSpace(field, d)
+    for s in range(d):
+        if seen.dim == d or P.degree(lam) == d:
+            break
+        seed = np.zeros(d, dtype=np.int64)
+        seed[s] = 1
+        if seen.contains(seed):
+            continue
+        chain = RowSpace(field, d, track=True)
+        vec = seed
+        count = 0
+        while True:
+            if not chain.add(vec):
+                coords = chain.reduce_with_coords(vec)[1]
+                mu = np.zeros(count + 1, dtype=np.int64)
+                mu[count] = 1
+                mu[: len(coords)] = field.neg(coords)
+                break
+            count += 1
+            vec = field.mat_vec(M, vec)
+        g = P.gcd_poly(field, lam, mu)
+        lam = P.divmod_poly(field, P.mul(field, lam, mu), g)[0]
+        for w in chain.raw_basis_rows():
+            seen.add(w)
+    return P.monic(field, lam)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 20)])
+def test_krylov_polynomials_match_separate_loop_oracles(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(10 * p + n)
+    mats = [np.zeros((0, 0), dtype=np.int64), K.identity(1), K.identity(5)]
+    for d in (1, 2, 4, 7):
+        mats.append(K.rand_codes(rng, (d, d)))
+        mats.append(np.triu(K.rand_codes(rng, (d, d)), 1))  # nilpotent
+    for _ in range(3):  # block diagonal, with a repeated block
+        A = K.rand_codes(rng, (3, 3))
+        M = np.zeros((8, 8), dtype=np.int64)
+        M[:3, :3] = M[3:6, 3:6] = A
+        M[6:, 6:] = K.rand_codes(rng, (2, 2))
+        mats.append(M)
+    for M in mats:
+        for got, want in ((P.char_poly(K, M), _char_poly_oracle(K, M)),
+                          (P.min_poly_mat(K, M), _min_poly_oracle(K, M))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
