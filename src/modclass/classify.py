@@ -361,10 +361,12 @@ def verify_classification(
     group_name: str | None = None,
 ) -> VerificationReport:
     """Check the classification statements on one group and prime, through
-    field extensions of degree up to `bound`."""
+    field extensions of degree up to `bound` (at least 1)."""
     from . import limits
 
     bound = limits.DEGREE_BOUND if bound is None else bound
+    if bound < 1:
+        raise InputError("verification bound must be >= 1, got %d" % bound)
     F = make_field(p, 1)
     S = simple_modules(G, F, seed=seed)
     levels: dict[tuple[int, int], FiberLevel] = {}

@@ -481,6 +481,8 @@ def _cmd_restrict(args) -> int:
     V, _ = _load_module_arg(args.module)
     K = V.field
     m = args.to_degree
+    if m < 1:
+        raise InputError("target degree must be >= 1, got %d" % m)
     if K.n % m != 0:
         raise InputError("target degree %d does not divide the field degree %d" % (m, K.n))
     return _emit_module(args, restrict_scalars(V, make_field(K.p, m)))
@@ -496,9 +498,20 @@ def _add_group_field(sp, need_p=True):
         sp.add_argument("-n", type=int, default=1, help="field degree over the prime field")
 
 
+def _non_negative_int(text: str) -> int:
+    # numpy refuses negative seeds; argparse reports this as a usage error
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="modclass", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    top.add_argument("--seed", type=_non_negative_int, default=0, help="seed for randomized searches (>= 0)")
     top.add_argument(
         "--format", choices=("table", "structured"), default="table", help="report output format"
     )

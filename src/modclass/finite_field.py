@@ -8,7 +8,11 @@ scalar or bulk, works on numpy int64 arrays of codes, so the hot paths
 stay vectorized.  Embeddings and automorphisms act on code arrays through
 their ``apply_codes`` methods.
 
-Prime fields compute with integers mod p.  An extension field with at most
+Prime fields compute with integers mod p.  A prime-field matrix product of
+at least ``_BLAS_CELLS`` = 2^13 products r*k*c, with two or more rows and
+columns, is one float64 BLAS product reduced once mod p, exact while
+k*(p-1)^2 < 2^53; smaller and thinner shapes, and any k beyond that bound,
+stay in int64.  An extension field with at most
 ``_TABLE_CAP`` = 2^16 elements builds log/exp (Zech) tables of a primitive
 element on first use and certifies them; its ``mul``, ``inv``, ``pow`` and
 ``frobenius`` are table lookups, and small matrix products gather
@@ -44,8 +48,24 @@ _TABLE_CAP = 2**16
 _GATHER_CELLS = 512
 _GATHER_CELLS_XOR = 4096
 
+# A prime-field mat_mul with at least this many products r*k*c, and r, c > 1,
+# takes the float64 BLAS product; smaller shapes and mat-vec products are no
+# faster there.  A crossover point of timings of both paths.
+_BLAS_CELLS = 2**13
+
 # float64 holds every integer below this exactly.
 _FLOAT_EXACT = 2**53
+
+
+def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:
+    """C mod p, in place, for a float64 array of non-negative integers below 2^53.
+
+    For an integer C < 2^53 the correctly rounded quotient C / p never
+    reaches C // p + 1, so its floor is exact; C * (1/p) carries the rounding
+    of 1/p and can be one off, and np.remainder is slower.
+    """
+    C -= p * np.floor(C / p)
+    return C
 
 
 def is_prime(p: int) -> bool:
@@ -338,10 +358,11 @@ class FiniteField:
         B = np.asarray(B, dtype=np.int64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise InputError("mat_mul shape mismatch: %s x %s" % (A.shape, B.shape))
+        (r, k), c, p = A.shape, B.shape[1], self.p
         if self.n == 1:
-            return (A @ B) % self.p
-        r, k = A.shape
-        c = B.shape[1]
+            if min(r, c) > 1 and r * k * c >= _BLAS_CELLS and k * (p - 1) ** 2 < _FLOAT_EXACT:
+                return _floor_mod(A.astype(np.float64) @ B.astype(np.float64), p).astype(np.int64)
+            return (A @ B) % p
         if k == 0:
             return np.zeros((r, c), dtype=np.int64)
         if self._zech and r * k * c <= self._gather_cells:
@@ -365,7 +386,7 @@ class FiniteField:
         if k * n * (p - 1) ** 2 >= _FLOAT_EXACT:
             raise LimitError("mat_mul inner dimension %d too large for GF(%d)" % (k, self.q))
         planes = self.decode(B).astype(np.float64) @ self._shifts  # (k, c, s*n + t)
-        planes -= p * np.floor(planes / p)
+        _floor_mod(planes, p)
         planes = planes.reshape(k, c, n, n).transpose(0, 2, 1, 3).reshape(k * n, c * n)
         digits = self.decode(A).reshape(r, k * n).astype(np.float64) @ planes
         return self.encode(digits.astype(np.int64).reshape(r, c, n) % p)

@@ -16,10 +16,11 @@ import json
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, LimitError
 from .finite_field import FiniteField, make_field
 from .modrep import Rep, validate
 from .perm_group import PermGroup, catalog
+from . import limits
 
 SCHEMA_VERSION = 1
 
@@ -92,7 +93,15 @@ def group_from_doc(doc) -> PermGroup:
         raise InputError("group generators must be a list of image lists")
     # generator images are 0-based, matching the Python API
     perms = [tuple(_int(x, "generator image") for x in g) for g in gens]
+    if degree < 0:
+        raise InputError("group degree must be >= 0, got %d" % degree)
     if not perms:
+        # no image list backs the degree, so cap it before building the identity
+        if degree > limits.MAX_GROUP_ORDER:
+            raise LimitError(
+                "degree %d of a group without generators exceeds cap %d"
+                % (degree, limits.MAX_GROUP_ORDER)
+            )
         perms = [tuple(range(degree))]  # trivial group still needs one generator
     return PermGroup(degree, perms)
 

@@ -257,6 +257,12 @@ def test_verify_classification_small():
         assert c.passed, (c.name, c.detail)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verify_classification_refuses_bound_below_one(bound):
+    with pytest.raises(InputError):
+        verify_classification(catalog()["S3"], 2, bound=bound)
+
+
 def _verify_clauses(report):
     return [(c.name, c.passed, c.detail) for c in report.clauses]
 

@@ -272,6 +272,32 @@ def test_exit_code_restrict_bad_degree(tmp_path, capsys):
     assert "does not divide" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_exit_code_restrict_degree_below_one(tmp_path, capsys, degree):
+    path = str(tmp_path / "triv.json")
+    _run(capsys, ["make", "trivial", "-g", "C3", "-p", "2", "-o", path])
+    code, out, err = _run(capsys, ["restrict", "--module", path, "--to-degree", degree])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and ">= 1" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_exit_code_verify_bound_below_one(capsys, bound):
+    code, out, err = _run(capsys, ["verify", "-g", "S3", "-p", "2", "--bound", bound])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and ">= 1" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_negative_seed_is_a_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", seed, "simples", "-g", "S3", "-p", "2"])
+    assert exc.value.code == 1
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_cache_replays_identical_bytes(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     argv = ["--cache-dir", cache, "count", "-g", "S3", "-p", "2"]

@@ -165,8 +165,11 @@ def test_table_arithmetic_matches_digit_reference_on_seeded_pairs(p, n):
 
 
 def _shapes_around_switch(K):
-    """Shapes (r, k, c) at, just above and well above the gather limit."""
-    if K.q > finite_field._TABLE_CAP:
+    """Shapes (r, k, c) at, just above and well above the last r*k*c of the
+    small-product path, plus mat-vec and wide shapes on the large side."""
+    if K.n == 1:
+        limit = finite_field._BLAS_CELLS - 1  # int64 up to here, then float64 BLAS
+    elif K.q > finite_field._TABLE_CAP:
         limit = 512  # no gather path: every shape takes the digit-plane product
     elif K.p == 2:
         limit = finite_field._GATHER_CELLS_XOR * K.n**2
@@ -174,10 +177,12 @@ def _shapes_around_switch(K):
         limit = finite_field._GATHER_CELLS
     side = int(round(limit ** (1 / 3)))
     return [(1, 1, 1), (3, 0, 2), (4, 2, 2), (side, side, limit // side**2),
-            (side, side, limit // side**2 + 1), (2 * side, side, side), (side, side, 1)]
+            (side, side, limit // side**2 + 1), (2 * side, side, side), (side, side, 1),
+            (limit // side, side, 1), (2, side, limit // side)]
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2), (2, 8), (2, 17), (3, 12)])
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2), (2, 8), (2, 17), (3, 12),
+                                  (2, 1), (3, 1), (5, 1), (251, 1), (1048573, 1)])
 def test_mat_mul_matches_einsum_reference(p, n):
     K = make_field(p, n)
     rng = np.random.default_rng(7 * p + n)
@@ -201,6 +206,44 @@ def test_plane_product_refuses_inexact_inner_dimension(monkeypatch):
     monkeypatch.setattr(finite_field, "_FLOAT_EXACT", 40 * 2 * 4)  # k*n*(p-1)^2 = 320
     with pytest.raises(LimitError):
         K.mat_mul(A, B)
+
+
+def test_prime_mat_mul_falls_back_to_int64_when_float64_is_inexact(monkeypatch):
+    K = make_field(5, 1)
+    rng = np.random.default_rng(5)
+    A, B = K.rand_codes(rng, (40, 40)), K.rand_codes(rng, (40, 40))
+    reductions = []
+    floor_mod = finite_field._floor_mod
+
+    def counting_floor_mod(C, p):
+        reductions.append(C.shape)
+        return floor_mod(C, p)
+
+    monkeypatch.setattr(finite_field, "_floor_mod", counting_floor_mod)
+    assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B))
+    assert reductions == [(40, 40)]  # exact in float64: the BLAS path ran
+    monkeypatch.setattr(finite_field, "_FLOAT_EXACT", 40 * 4**2)  # k*(p-1)^2 = 640
+    assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B))  # int64, no LimitError
+    assert reductions == [(40, 40)]
+
+
+def test_floor_mod_is_exact_below_2_53():
+    # a multiply by 1/p instead of the division is off on about 5% of these at p = 5
+    rng = np.random.default_rng(53)
+    for p in (2, 3, 5, 251, 65521, 1048573):
+        C = rng.integers(0, finite_field._FLOAT_EXACT, 10**4)
+        C[:3] = 0, finite_field._FLOAT_EXACT - 1, finite_field._FLOAT_EXACT // p * p - 1
+        assert np.array_equal(finite_field._floor_mod(C.astype(np.float64), p), C % p), p
+
+
+def test_prime_mat_mul_is_exact_at_the_float64_bound():
+    # every entry p-1: the largest sums a product of inner dimension k can make
+    K = make_field(1048573, 1)
+    k = (finite_field._FLOAT_EXACT - 1) // (K.p - 1) ** 2  # the last k on the float64 path
+    for kk in (k, k + 1):
+        A, B = np.full((2, kk), K.p - 1), np.full((kk, 3), K.p - 1)
+        want = np.full((2, 3), kk * (K.p - 1) ** 2 % K.p)
+        assert _same(K.mat_mul(A, B), want), kk
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 20), (3, 12)])

@@ -578,3 +578,28 @@ def test_frobenius_reciprocity_on_regular_summands(case):
     up = hom_basis_matrices(K, list(ind.matrices), list(V.matrices), ind.dim, V.dim)
     down = hom_basis_matrices(K, list(U.matrices), list(res.matrices), U.dim, res.dim)
     assert len(up) == len(down)
+
+
+@st.composite
+def _modular_pair(draw):
+    G, K, Q, s = draw(_modular_case())
+    subgroups = p_subgroups_up_to_conjugacy(G, K.p)
+    return G, K, Q, subgroups[draw(st.integers(0, len(subgroups) - 1))], s
+
+
+def _factor_classes(S, V, seed):
+    """Composition factors of V as sorted indices into the simple set S."""
+    return sorted(S.index_of(W) for W in composition_factors(V, seed=seed))
+
+
+@_PROPERTY
+@given(_modular_pair())
+def test_composition_factors_ignore_basis_and_add_over_direct_sums(case):
+    G, K, Q, R, s = case
+    S = simple_modules(G, K)
+    V, W = (induce(trivial_module(H.group, K), G) for H in (Q, R))
+    rng = np.random.default_rng(s)
+    want = _factor_classes(S, V, 0)
+    assert _factor_classes(S, _random_conjugate(V, rng), s % 97) == want
+    both = direct_sum(V, _random_conjugate(W, rng))
+    assert _factor_classes(S, both, s % 89) == sorted(want + _factor_classes(S, W, 0))

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from modclass.errors import InputError
+from modclass import limits, serialize
+from modclass.errors import InputError, LimitError
 from modclass.finite_field import make_field
 from modclass.meataxe import is_isomorphic
 from modclass.modrep import extend_scalars, regular_module, trivial_module
@@ -57,6 +58,22 @@ def test_group_doc_by_name_and_explicit():
 def test_group_doc_rejects_unknown_name():
     with pytest.raises(InputError):
         group_from_doc({"name": "M11"})
+
+
+def test_group_doc_caps_degree_without_generators(monkeypatch):
+    trivial = group_from_doc({"degree": limits.MAX_GROUP_ORDER, "generators": []})
+    assert trivial.order == 1 and trivial.degree == limits.MAX_GROUP_ORDER
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PermGroup built before the degree was checked")
+
+    # without the checks the refusal fails the test at a degree still cheap to build
+    monkeypatch.setattr(serialize, "PermGroup", refuse)
+    for degree in (limits.MAX_GROUP_ORDER + 1, 10**5):
+        with pytest.raises(LimitError):
+            group_from_doc({"degree": degree, "generators": []})
+    with pytest.raises(InputError):
+        group_from_doc({"degree": -1, "generators": []})
 
 
 def test_module_round_trip_prime_field():
