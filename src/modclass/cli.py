@@ -13,13 +13,14 @@ Report commands (`simples`, `count`, `fiber`, `verify`, `decompose`,
 always write a module document, to `-o FILE` or stdout.
 
 With `--cache-dir DIR` the report commands memoize rendered output keyed
-by a hash of the full request and the package version; a cache hit replays
-byte-identical output.
+by a hash of the full request, the package version and a digest of the
+package's source files; a cache hit replays byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -102,6 +103,18 @@ def _parse_perm_list(text: str, degree: int):
 
 
 # ---------------------------------------------------------------- caching
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's source files, read once per process."""
+    h = hashlib.sha256()
+    root = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                h.update(hashlib.sha256(name.encode() + b"\0" + fh.read()).digest())
+    return h.hexdigest()
 
 
 def _cache_paths(cache_dir: str, key_doc) -> tuple[str, str]:
@@ -187,12 +200,12 @@ def _cache_write(path: str, key_doc, output: str, exit_code: int) -> None:
 def _run_cached(args, key_doc, render):
     """render() -> (output_text, exit_code); replayed from cache when possible.
 
-    The key carries the package version, so output of an older algorithm
-    never replays after an upgrade.
+    The key carries the package version and the digest of its source, so
+    output of another version of the code never replays.
     """
     from . import __version__
 
-    key_doc = dict(key_doc, version=__version__)
+    key_doc = dict(key_doc, version=__version__, source=_source_digest())
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         path, _ = _cache_paths(args.cache_dir, key_doc)

@@ -19,6 +19,13 @@ some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Splitting an endomorphism algebra and comparing two decomposable modules
 search random combinations of a basis, then every combination of a span of
 at most SCAN_CAP elements (`_span_search`).
+
+The simple modules of a group are the composition factors of its natural
+permutation module closed under pairwise tensor products, the smallest
+product first (the regular module when the natural module or a needed
+product would exceed |G| dimensions).  Berman's theorem fixes in advance
+how many classes there are and their End degrees, which stops the search
+and certifies its result.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .finite_field import FiniteField
 from . import limits
 from . import linalg
 from . import polynomials as P
-from .modrep import Rep, hom_basis_matrices, regular_module
+from .modrep import Rep, hom_basis_matrices, permutation_module, regular_module, tensor_product
 from .perm_group import PermGroup
 
 
@@ -506,17 +513,81 @@ class SimpleSet:
         raise ConsistencyError("module is not isomorphic to any listed simple module")
 
 
+def _add_new_factors(V: Rep, classes: list[Rep], rng, seed: int) -> None:
+    """Append each composition factor of V that is not isomorphic to a listed class."""
+    factors = _chop(V.field, list(V.matrices), V.dim, rng)
+    for mats, _ in sorted(factors, key=lambda f: f[1]):
+        W = Rep(V.group, V.field, mats, check=False)
+        if not any(is_isomorphic(W, M, seed=seed) for M in classes):
+            classes.append(W)
+
+
+def _tensor_closure(start: Rep, count: int, seed: int) -> list[Rep] | None:
+    """Simple modules from the factors of a faithful module and their products.
+
+    Chops `start`, then W_i (x) W_j (i <= j) of the classes found so far,
+    the product of least dimension first, until there are `count` classes.
+    Every simple module is a factor of a tensor power of a faithful module
+    (Steinberg, Proc. AMS 13, 1962), so when every product has been chopped
+    every class has been found.  Returns None as soon as the least product
+    not yet chopped has more than |G| dimensions.
+    """
+    rng = np.random.default_rng(seed)
+    classes: list[Rep] = []
+    _add_new_factors(start, classes, rng, seed)
+    chopped: set[tuple[int, int]] = set()
+    while len(classes) < count:
+        pairs = [
+            (classes[i].dim * classes[j].dim, j, i)
+            for j in range(len(classes))
+            for i in range(j + 1)
+            if (i, j) not in chopped
+        ]
+        if not pairs:
+            break
+        dim, j, i = min(pairs)
+        if dim > start.group.order:
+            return None
+        chopped.add((i, j))
+        _add_new_factors(tensor_product(classes[i], classes[j]), classes, rng, seed)
+    return classes
+
+
 def simple_modules(G: PermGroup, K: FiniteField, seed: int = 0) -> SimpleSet:
-    """All simple KG-modules up to isomorphism, from chopping the regular module."""
-    reg = regular_module(G, K)
-    factors = composition_factors(reg, seed=seed)
-    reps: list[Rep] = []
-    for W in factors:
-        if not any(is_isomorphic(W, M, seed=seed) for M in reps):
-            reps.append(W)
-    canon = [try_canonical_form(W) or W for W in reps]
+    """All simple KG-modules up to isomorphism, certified by Berman's count.
+
+    The classes come from `_tensor_closure` of the natural permutation
+    module, or from chopping the regular module when the natural module or
+    a needed tensor product has more than |G| dimensions.  Berman's theorem
+    gives the number of classes and the multiset of their End degrees in
+    advance (`PermGroup.berman_orbit_lengths`); both must match, which
+    certifies that the list is complete and that every End degree is right.
+    """
+    lengths = G.berman_orbit_lengths(K.p, K.q)
+    reps = None
+    if G.degree <= G.order:
+        reps = _tensor_closure(permutation_module(G, K), len(lengths), seed)
+    if reps is None:
+        reps = []
+        _add_new_factors(regular_module(G, K), reps, np.random.default_rng(seed), seed)
+    _require(
+        len(reps) == len(lengths),
+        "found %d simple modules, Berman's count is %d" % (len(reps), len(lengths)),
+    )
+    canon = [try_canonical_form(W) for W in reps]
+    keys = [() if C is None else tuple(M.tobytes() for M in C.matrices) for C in canon]
+    canon = [C or W for C, W in zip(canon, reps)]
     degrees = [len(endomorphism_basis(K, list(W.matrices), W.dim)) for W in canon]
-    order = sorted(range(len(canon)), key=lambda i: (canon[i].dim, degrees[i], _module_key(canon[i])))
+    _require(
+        sorted(degrees) == lengths,
+        "End degrees %s differ from Berman's orbit lengths %s" % (sorted(degrees), lengths),
+    )
+    # the canonical matrices break ties between distinct classes, so the
+    # order does not depend on the seed where try_canonical_form applies
+    order = sorted(
+        range(len(canon)),
+        key=lambda i: (canon[i].dim, degrees[i], _module_key(canon[i]), keys[i]),
+    )
     return SimpleSet(
         G,
         K,

@@ -2,9 +2,10 @@
 
 A :class:`Rep` assigns one invertible matrix over a finite field to each
 group generator; matrices act on column vectors, and the assignment extends
-to all elements along breadth-first words.  The scalar functors (extension
-and restriction along a subfield), the subgroup functors (restriction and
-induction), Frobenius twists and homomorphism spaces all live here.
+to all elements along breadth-first words.  Permutation modules, tensor
+products, the scalar functors (extension and restriction along a subfield),
+the subgroup functors (restriction and induction), Frobenius twists and
+homomorphism spaces all live here.
 """
 
 from __future__ import annotations
@@ -98,6 +99,28 @@ def regular_module(group: PermGroup, field: FiniteField) -> Rep:
             M[i, group.index_of(pmul(x, gen))] = 1
         mats.append(M)
     return Rep(group, field, mats, check=False)
+
+
+def permutation_module(group: PermGroup, field: FiniteField) -> Rep:
+    """The natural module: the group permuting the unit vectors of K^degree."""
+    mats = []
+    for gen in group.generators:
+        M = np.zeros((group.degree, group.degree), dtype=np.int64)
+        M[np.arange(group.degree), gen] = 1
+        mats.append(M)
+    return Rep(group, field, mats, check=False)
+
+
+def tensor_product(V: Rep, U: Rep) -> Rep:
+    """V (x) U, each generator acting by the Kronecker product of its images."""
+    if V.group != U.group or V.field is not U.field:
+        raise InputError("tensor product needs matching group and field")
+    d = V.dim * U.dim
+    mats = [
+        V.field.mul(A[:, None, :, None], B[None, :, None, :]).reshape(d, d)
+        for A, B in zip(V.matrices, U.matrices)
+    ]
+    return Rep(V.group, V.field, mats, check=False)
 
 
 def direct_sum(V: Rep, U: Rep) -> Rep:

@@ -48,6 +48,18 @@ def perm_order(a: Perm) -> int:
     return order
 
 
+def perm_power(a: Perm, k: int) -> Perm:
+    """a^k for an integer k >= 0, by repeated squaring."""
+    out = identity_perm(len(a))
+    k %= perm_order(a)
+    while k:
+        if k & 1:
+            out = pmul(out, a)
+        a = pmul(a, a)
+        k >>= 1
+    return out
+
+
 def _validate_perm(images, degree: int) -> Perm:
     t = tuple(int(x) for x in images)
     if len(t) != degree or sorted(t) != list(range(degree)):
@@ -82,6 +94,7 @@ class PermGroup:
         # p-subgroup class representatives per prime, filled on first request;
         # kept on the instance because subgroups are tied to it by identity
         self._p_subgroups: dict[int, tuple[Subgroup, ...]] = {}
+        self._classes: tuple[tuple[Perm, ...], ...] | None = None
 
     @property
     def order(self) -> int:
@@ -105,19 +118,53 @@ class PermGroup:
 
     def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
         """Classes as sorted tuples; the identity's class comes first."""
-        seen: set[Perm] = set()
-        classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = {pmul(pmul(pinv(h), g), h) for h in self.elements}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
+        if self._classes is None:
+            seen: set[Perm] = set()
+            classes = []
+            for g in self.elements:
+                if g in seen:
+                    continue
+                orbit = {pmul(pmul(pinv(h), g), h) for h in self.elements}
+                seen |= orbit
+                classes.append(tuple(sorted(orbit)))
+            self._classes = tuple(classes)
+        return list(self._classes)
 
     def p_regular_class_count(self, p: int) -> int:
         """Number of conjugacy classes of elements of order prime to p."""
         return sum(1 for cls in self.conjugacy_classes() if perm_order(cls[0]) % p != 0)
+
+    def power_map(self, k: int) -> list[int]:
+        """Entry i is the index, in `conjugacy_classes()`, of the class of g^k
+        for g in class i."""
+        classes = self.conjugacy_classes()
+        where = {g: i for i, cls in enumerate(classes) for g in cls}
+        return [where[perm_power(cls[0], k)] for cls in classes]
+
+    def berman_orbit_lengths(self, p: int, q: int) -> list[int]:
+        """Sorted lengths of the orbits of C -> C^q on the p-regular classes.
+
+        By Berman's theorem (Curtis & Reiner, Methods of Representation
+        Theory I, section 21) there is one simple GF(q)G-module per orbit, and
+        the orbit lengths are, as a multiset, the degrees [End(W) : GF(q)]
+        of those modules.  Raising to the power q permutes the p-regular
+        classes because q is prime to their element orders.
+        """
+        classes = self.conjugacy_classes()
+        image = self.power_map(q)
+        todo = {i for i, cls in enumerate(classes) if perm_order(cls[0]) % p != 0}
+        lengths = []
+        while todo:
+            orbit = [min(todo)]
+            while image[orbit[-1]] != orbit[0]:
+                orbit.append(image[orbit[-1]])
+                _require(
+                    orbit[-1] in todo and len(orbit) <= len(todo),
+                    "the q-power map does not permute the p-regular classes",
+                )
+            todo -= set(orbit)
+            lengths.append(len(orbit))
+        return sorted(lengths)
 
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, elements)

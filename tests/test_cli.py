@@ -394,3 +394,26 @@ def test_cache_key_carries_package_version(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, argv)
     assert code == 0 and out == COUNT_S3_P2_TABLE
     assert len([f for f in os.listdir(cache) if f.endswith(".json")]) == 2
+
+
+def test_cache_key_carries_source_digest(tmp_path):
+    import shutil
+    import subprocess
+    import sys
+
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    copy = tmp_path / "src"
+    shutil.copytree(pkg, copy / "modclass", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = str(tmp_path / "cache")
+    argv = [sys.executable, "-m", "modclass.cli", "--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
+    env = dict(os.environ, PYTHONPATH=str(copy))
+
+    def entries():
+        subprocess.run(argv, env=env, cwd=tmp_path, check=True, capture_output=True)
+        return sorted(f for f in os.listdir(cache) if f.endswith(".json"))
+
+    first = entries()
+    assert entries() == first  # unchanged source: a hit, no new entry
+    with open(copy / "modclass" / "meataxe.py", "a") as fh:
+        fh.write("\n# edited\n")
+    assert len(entries()) == 2

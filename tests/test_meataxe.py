@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modclass.errors import InconclusiveError, InputError
+from modclass.errors import ConsistencyError, InconclusiveError, InputError
 from modclass.finite_field import make_field
 from modclass import limits, linalg, meataxe
 from modclass.modrep import (
@@ -18,6 +18,7 @@ from modclass.modrep import (
     extend_scalars,
     hom_basis_matrices,
     induce,
+    permutation_module,
     regular_module,
     restrict_subgroup,
     trivial_module,
@@ -603,3 +604,156 @@ def test_composition_factors_ignore_basis_and_add_over_direct_sums(case):
     assert _factor_classes(S, _random_conjugate(V, rng), s % 97) == want
     both = direct_sum(V, _random_conjugate(W, rng))
     assert _factor_classes(S, both, s % 89) == sorted(want + _factor_classes(S, W, 0))
+
+
+# ------------------------------------- simple modules: closure and certificate
+
+# groups whose simple modules do not all split over the prime field; kept
+# out of catalog(), which the benchmark and the CLI enumerate
+C5 = PermGroup(5, [(1, 2, 3, 4, 0)])
+A5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+F21 = PermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)])
+L32 = PermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 1, 6, 4, 5, 3)])
+EXTRA_GROUPS = {"S5": S5, "C5": C5, "A5": A5, "F21": F21, "L32": L32}
+
+ORACLE_GRID = (
+    [(name, p, n) for name, p, n in _MODULAR_CASES]
+    + [("S5", 2, 1), ("S5", 3, 1), ("S5", 5, 1)]
+    + [("C5", 2, 1), ("A5", 2, 1), ("A5", 3, 1), ("F21", 3, 1), ("L32", 3, 1)]
+)
+
+
+def _group(name):
+    return EXTRA_GROUPS.get(name) or catalog()[name]
+
+
+def _regular_chop_oracle(G, K):
+    """Simple modules and End degrees by chopping the regular module."""
+    classes = []
+    for W in composition_factors(regular_module(G, K)):
+        if not any(is_isomorphic(W, M) for M in classes):
+            classes.append(W)
+    return [(W, len(endomorphism_basis(K, list(W.matrices), W.dim))) for W in classes]
+
+
+def test_extra_groups_have_the_expected_orders():
+    assert [G.order for G in EXTRA_GROUPS.values()] == [120, 5, 60, 21, 168]
+
+
+@pytest.mark.parametrize("name, p, n", ORACLE_GRID)
+def test_simple_modules_match_regular_module_oracle(name, p, n):
+    G, K = _group(name), make_field(p, n)
+    S = simple_modules(G, K)
+    oracle = _regular_chop_oracle(G, K)
+    assert len(S) == len(oracle)
+    hits = sorted(S.index_of(W) for W, _ in oracle)
+    assert hits == list(range(len(S)))
+    for W, degree in oracle:
+        assert S.end_degrees[S.index_of(W)] == degree
+    assert sorted(S.end_degrees) == G.berman_orbit_lengths(p, K.q)
+
+
+def test_non_split_simples_are_found():
+    # End degrees above 1 come from classes fused by the Frobenius power map
+    assert simple_modules(C5, F2).end_degrees == (1, 4)
+    assert simple_modules(A5, F2).end_degrees == (1, 1, 2)
+    assert simple_modules(A5, F3).end_degrees == (1, 1, 2)
+    assert simple_modules(L32, F3).end_degrees == (1, 1, 2, 1)
+
+
+def _count_regular_modules(monkeypatch):
+    calls = []
+
+    def counting(G, K):
+        calls.append(G)
+        return regular_module(G, K)
+
+    monkeypatch.setattr(meataxe, "regular_module", counting)
+    return calls
+
+
+def test_simple_modules_never_build_the_regular_module(monkeypatch):
+    calls = _count_regular_modules(monkeypatch)
+    for name, p, n in ORACLE_GRID:
+        simple_modules(_group(name), make_field(p, n))
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_more_points_than_elements_falls_back_to_the_regular_module(monkeypatch, p):
+    C2 = PermGroup(6, [(1, 0, 3, 2, 5, 4)])
+    K = _fields()[p]
+    calls = _count_regular_modules(monkeypatch)
+    S = simple_modules(C2, K)
+    assert calls == [C2]
+    # the trivial module, and the sign module (listed first) when p is odd
+    want = [[[1]]] if p == 2 else [[[2]], [[1]]]
+    assert [[M.tolist() for M in W.matrices] for W in S.modules] == [[w] for w in want]
+    assert S.end_degrees == (1,) * len(want)
+
+
+def test_closure_needing_a_large_product_falls_back(monkeypatch):
+    # C7 acting on 14 points: two orbits, so the natural module (dim 14) has
+    # more than |G| dimensions and the closure is never started
+    C7x2 = PermGroup(14, [tuple(list(range(1, 7)) + [0] + list(range(8, 14)) + [7])])
+    calls = _count_regular_modules(monkeypatch)
+    assert simple_modules(C7x2, F2).end_degrees == (1, 3, 3)
+    assert calls == [C7x2]
+    # asked for a fourth class, the closure of C7's 1, 3, 3 over GF(2) would
+    # next chop a 9-dimensional product, more than |G| = 7
+    assert meataxe._tensor_closure(permutation_module(catalog()["C7"], F2), 4, 0) is None
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [([1, 1, 1], "Berman's count is 3"), ([2], "Berman's count is 1"), ([1, 2], "orbit lengths")],
+)
+def test_wrong_berman_multiset_raises(monkeypatch, wrong, message):
+    monkeypatch.setattr(PermGroup, "berman_orbit_lengths", lambda G, p, q: wrong)
+    with pytest.raises(ConsistencyError, match=message):
+        simple_modules(catalog()["S3"], F2)
+
+
+def test_wrong_berman_multiset_raises_under_optimization():
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from modclass.errors import ConsistencyError\n"
+        "from modclass.finite_field import make_field\n"
+        "from modclass.meataxe import simple_modules\n"
+        "from modclass.perm_group import PermGroup, catalog\n"
+        "PermGroup.berman_orbit_lengths = lambda G, p, q: [1, 2]\n"
+        "try:\n"
+        "    simple_modules(catalog()['S3'], make_field(2, 1))\n"
+        "except ConsistencyError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
+def test_simple_set_order_ignores_the_seed():
+    runs = [simple_modules(S5, F2, seed=s).modules for s in range(4)]
+    for mods in runs[1:]:
+        assert [[M.tobytes() for M in W.matrices] for W in mods] == [
+            [M.tobytes() for M in W.matrices] for W in runs[0]
+        ]
+
+
+@_PROPERTY
+@given(st.sampled_from(_MODULAR_CASES), st.integers(0, 2**32 - 1))
+def test_end_degrees_are_the_berman_orbit_lengths(case, s):
+    name, p, n = case
+    G, K = catalog()[name], make_field(p, n)
+    lengths = G.berman_orbit_lengths(p, K.q)
+    assert sorted(simple_modules(G, K, seed=s % 101).end_degrees) == lengths
+    natural = permutation_module(G, K)
+    start = direct_sum(_random_conjugate(natural, np.random.default_rng(s)), natural)
+    found = meataxe._tensor_closure(start, len(lengths), s % 103)
+    degrees = [len(endomorphism_basis(K, list(W.matrices), W.dim)) for W in found]
+    assert sorted(degrees) == lengths

@@ -18,6 +18,7 @@ from modclass.perm_group import (
     normalizer,
     p_subgroups_up_to_conjugacy,
     perm_order,
+    perm_power,
     pinv,
     pmul,
     right_transversal,
@@ -139,6 +140,38 @@ def test_p_regular_class_count_battery(name, p):
     )
     assert oracle == BATTERY_PREG[(name, p)]
     assert G.p_regular_class_count(p) == oracle
+
+
+def test_power_map_matches_brute_force():
+    for G in catalog().values():
+        classes = G.conjugacy_classes()
+        for k in (0, 1, 2, 3, 5, 2**20):
+            image = G.power_map(k)
+            for cls, j in zip(classes, image):
+                g = cls[0]
+                power = tuple(range(G.degree))
+                for _ in range(k % _bf_order(g)):
+                    power = _bf_mul(power, g)
+                assert perm_power(g, k) == power
+                assert power in classes[j]
+
+
+# sorted orbit lengths of C -> C^q on the p-regular classes, worked by hand
+BERMAN = {
+    ("C3", 2, 2): [1, 2], ("C3", 2, 4): [1, 1, 1], ("C7", 2, 2): [1, 3, 3],
+    ("C7", 2, 8): [1, 1, 1, 1, 1, 1, 1], ("S3", 2, 2): [1, 1], ("S3", 3, 3): [1, 1],
+    ("A4", 2, 2): [1, 2], ("A4", 2, 4): [1, 1, 1], ("A4", 3, 3): [1, 1],
+    ("Q8", 2, 2): [1], ("Q8", 3, 3): [1, 1, 1, 1, 1], ("C4", 5, 5): [1, 1, 1, 1],
+    ("C4", 3, 3): [1, 1, 2],
+}
+
+
+@pytest.mark.parametrize("name, p, q", sorted(BERMAN))
+def test_berman_orbit_lengths(name, p, q):
+    G = catalog()[name]
+    lengths = G.berman_orbit_lengths(p, q)
+    assert lengths == BERMAN[(name, p, q)]
+    assert sum(lengths) == G.p_regular_class_count(p)
 
 
 def _bf_p_subgroup_classes(G, p):
