@@ -4,8 +4,8 @@ Vectors are 1-D code arrays; a subspace is held either as rows of a matrix
 or as a :class:`RowSpace`, a growing set of fully reduced rows used by the
 spinning algorithms.  A RowSpace reduces one vector, or a whole stack of
 them (:meth:`RowSpace.reduce_rows`), with one matrix product, so the
-restricted and quotient actions and the invariance test each reduce all
-images at once.  Everything here is deterministic.
+restricted and quotient actions each reduce all images at once.
+Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -287,12 +287,6 @@ def _space_of(field: FiniteField, basis_rows: np.ndarray, track: bool = False) -
     for row in basis_rows:
         space.add(row)
     return space
-
-
-def is_invariant(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]) -> bool:
-    space = _space_of(field, basis_rows)
-    residual, _ = space.reduce_rows(_images(field, basis_rows, mats))
-    return not residual.any()
 
 
 def action_on_subspace(field: FiniteField, basis_rows: np.ndarray, mats: list[np.ndarray]):

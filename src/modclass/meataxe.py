@@ -14,6 +14,13 @@ have dimension n dim D against sum n^2 dim D, so only a division algebra
 passes.  rad(E) is the annihilator of those factors (the trace-form
 shortcut is unsound in characteristic p, so it is not used).
 
+Splitting reads each endomorphism on the unit vectors e_s that generate
+V as a KG-module, the seeds the standard-basis hom solve spins from.  A
+G-map phi commutes with the action, so f(phi) e_s = 0 for every seed gives
+f(phi) = 0 on V = sum_s KG e_s: the minimal polynomial of phi is the lcm of
+the order polynomials of the k seeds, k Krylov chains instead of up to d.
+It is unique, so the splitting is the one a full minimal polynomial gives.
+
 Isomorphism is decided exactly when either module is indecomposable: then
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Splitting an endomorphism algebra and comparing two decomposable modules
@@ -39,7 +46,14 @@ from .finite_field import FiniteField
 from . import limits
 from . import linalg
 from . import polynomials as P
-from .modrep import Rep, hom_basis_matrices, permutation_module, regular_module, tensor_product
+from .modrep import (
+    Rep,
+    hom_basis_and_seeds,
+    hom_basis_matrices,
+    permutation_module,
+    regular_module,
+    tensor_product,
+)
 from .perm_group import PermGroup
 
 
@@ -138,9 +152,11 @@ def _norton(field: FiniteField, mats, dim: int, rng):
     """
     if dim == 1:
         return True, None
+    if not mats:  # a group without generators: every line is a submodule
+        return False, field.identity(dim)[:1]
     mats_t = [np.ascontiguousarray(M.T) for M in mats]
     for k in range(limits.RANDOM_ATTEMPTS):
-        if k == 0 and mats:
+        if k == 0:
             z = mats[0]  # deterministic first try
         else:
             z = _random_algebra_element(field, mats, dim, rng)
@@ -197,7 +213,7 @@ def composition_factors(V: Rep, seed: int = 0) -> list[Rep]:
     """Multiset of composition factors, as fresh representations."""
     rng = np.random.default_rng(seed)
     parts = _chop(V.field, list(V.matrices), V.dim, rng)
-    reps = [Rep(V.group, V.field, mats, check=False) for mats, _ in parts]
+    reps = [Rep(V.group, V.field, mats, check=False, dim=dim) for mats, dim in parts]
     reps.sort(key=lambda W: W.dim)
     return reps
 
@@ -310,9 +326,15 @@ def _span_search(field: FiniteField, basis, rng, test):
     return None
 
 
-def _split_by_min_poly(field: FiniteField, phi: np.ndarray):
-    """Generalized eigenspace splitting from a commuting operator, if any."""
-    mu = P.min_poly_mat(field, phi)
+def _split_by_min_poly(field: FiniteField, phi: np.ndarray, seeds):
+    """Generalized eigenspace splitting from a G-endomorphism, if any.
+
+    `seeds` index unit vectors that generate the module; the minimal
+    polynomial is read on them alone.  A seed list that does not generate
+    yields a divisor of it, whose eigenspaces fall short of the module and
+    raise ConsistencyError, or a single factor and no split.
+    """
+    mu = P.min_poly_mat(field, phi, seeds)
     facs = P.factor(field, mu)
     if len(facs) < 2:
         return None
@@ -335,12 +357,12 @@ def _try_split(field: FiniteField, mats, dim: int, rng):
     """
     if dim <= 1:
         return None
-    basis = endomorphism_basis(field, mats, dim)
+    basis, seeds = hom_basis_and_seeds(field, mats, mats, dim, dim)
     h = len(basis)
     if h == 1:
         return None
     for phi in basis:  # deterministic candidates first
-        pieces = _split_by_min_poly(field, phi)
+        pieces = _split_by_min_poly(field, phi, seeds)
         if pieces:
             return pieces
     _, _, local = algebra_structure(field, basis, rng)
@@ -348,7 +370,7 @@ def _try_split(field: FiniteField, mats, dim: int, rng):
         return None
     # a non-local algebra owns a nontrivial idempotent, whose minimal
     # polynomial x(x - 1) splits, so a complete scan cannot miss
-    pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi))
+    pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi, seeds))
     if pieces is None:
         raise ConsistencyError("non-local algebra without nontrivial idempotent")
     return pieces
@@ -379,7 +401,7 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
                 sub = linalg.action_on_subspace(field, piece, mats)
                 work.append((field.mat_mul(piece, rows), sub))
             continue
-        leaf = Rep(V.group, field, mats, check=False)
+        leaf = Rep(V.group, field, mats, check=False, dim=rows.shape[0])
         for rep, members in classes:
             res, _ = _basis_iso(leaf, rep)
             if res:
@@ -474,7 +496,7 @@ def try_canonical_form(V: Rep) -> Rep | None:
         if best_key is None or key < best_key:
             best_key = key
             best = A
-    return Rep(V.group, field, list(best), check=False)
+    return Rep(V.group, field, list(best), check=False, dim=d)
 
 
 def _spin_action(log: list, n_mats: int, d: int) -> np.ndarray:
@@ -516,8 +538,8 @@ class SimpleSet:
 def _add_new_factors(V: Rep, classes: list[Rep], rng, seed: int) -> None:
     """Append each composition factor of V that is not isomorphic to a listed class."""
     factors = _chop(V.field, list(V.matrices), V.dim, rng)
-    for mats, _ in sorted(factors, key=lambda f: f[1]):
-        W = Rep(V.group, V.field, mats, check=False)
+    for mats, dim in sorted(factors, key=lambda f: f[1]):
+        W = Rep(V.group, V.field, mats, check=False, dim=dim)
         if not any(is_isomorphic(W, M, seed=seed) for M in classes):
             classes.append(W)
 

@@ -21,9 +21,15 @@ from .perm_group import PermGroup, Subgroup, pinv, pmul, right_transversal
 
 
 class Rep:
-    """A KG-module: one matrix per generator of the group."""
+    """A KG-module: one matrix per generator of the group.
 
-    def __init__(self, group: PermGroup, field: FiniteField, matrices, check: bool = True):
+    The dimension is read off the matrices; a group without generators has
+    none, so its modules need an explicit ``dim``.
+    """
+
+    def __init__(
+        self, group: PermGroup, field: FiniteField, matrices, check: bool = True, dim: int | None = None
+    ):
         self.group = group
         self.field = field
         mats = []
@@ -39,10 +45,12 @@ class Rep:
                 "need %d matrices (one per generator), got %d"
                 % (len(group.generators), len(mats))
             )
-        dims = {M.shape[0] for M in mats}
+        dims = {M.shape[0] for M in mats} | ({dim} if dim is not None else set())
         if len(dims) > 1:
-            raise InputError("generator matrices differ in size")
-        self.dim = mats[0].shape[0] if mats else 0
+            raise InputError("generator matrices differ in size or from the given dimension")
+        if not dims:
+            raise InputError("a module of a group without generators needs an explicit dimension")
+        self.dim = dims.pop()
         self.matrices = tuple(mats)
         if check:
             for M in self.matrices:
@@ -52,6 +60,7 @@ class Rep:
                     raise InputError("generator image is singular")
         self._element_cache: dict = {group_identity(group): field.identity(self.dim)}
         self._char_polys = None
+        self._seeds = None
 
     def element_matrix(self, g) -> np.ndarray:
         """Image of an arbitrary group element, assembled along its word."""
@@ -76,6 +85,20 @@ class Rep:
             )
         return self._char_polys
 
+    def generating_seeds(self) -> list[int]:
+        """Indices s of unit vectors e_s with V = sum_s KG e_s, spun once.
+
+        They are the seeds a standard-basis spin of V takes, the same ones
+        the hom solve from V spins from.  A G-map is zero as soon as it
+        kills every e_s, so it is determined by those columns.
+        """
+        if self._seeds is None:
+            log: list = []
+            if self.dim:
+                linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
+            self._seeds = [i for j, i, _ in log if j < 0]
+        return self._seeds
+
     def __repr__(self):
         return "<Rep dim=%d over %r of %r>" % (self.dim, self.field, self.group)
 
@@ -86,7 +109,7 @@ def group_identity(group: PermGroup):
 
 def trivial_module(group: PermGroup, field: FiniteField) -> Rep:
     one = np.ones((1, 1), dtype=np.int64)
-    return Rep(group, field, [one for _ in group.generators], check=False)
+    return Rep(group, field, [one for _ in group.generators], check=False, dim=1)
 
 
 def regular_module(group: PermGroup, field: FiniteField) -> Rep:
@@ -98,7 +121,7 @@ def regular_module(group: PermGroup, field: FiniteField) -> Rep:
         for i, x in enumerate(group.elements):
             M[i, group.index_of(pmul(x, gen))] = 1
         mats.append(M)
-    return Rep(group, field, mats, check=False)
+    return Rep(group, field, mats, check=False, dim=n)
 
 
 def permutation_module(group: PermGroup, field: FiniteField) -> Rep:
@@ -108,7 +131,7 @@ def permutation_module(group: PermGroup, field: FiniteField) -> Rep:
         M = np.zeros((group.degree, group.degree), dtype=np.int64)
         M[np.arange(group.degree), gen] = 1
         mats.append(M)
-    return Rep(group, field, mats, check=False)
+    return Rep(group, field, mats, check=False, dim=group.degree)
 
 
 def tensor_product(V: Rep, U: Rep) -> Rep:
@@ -120,7 +143,7 @@ def tensor_product(V: Rep, U: Rep) -> Rep:
         V.field.mul(A[:, None, :, None], B[None, :, None, :]).reshape(d, d)
         for A, B in zip(V.matrices, U.matrices)
     ]
-    return Rep(V.group, V.field, mats, check=False)
+    return Rep(V.group, V.field, mats, check=False, dim=d)
 
 
 def direct_sum(V: Rep, U: Rep) -> Rep:
@@ -132,13 +155,13 @@ def direct_sum(V: Rep, U: Rep) -> Rep:
         M[: V.dim, : V.dim] = A
         M[V.dim :, V.dim :] = B
         mats.append(M)
-    return Rep(V.group, V.field, mats, check=False)
+    return Rep(V.group, V.field, mats, check=False, dim=V.dim + U.dim)
 
 
 def extend_scalars(V: Rep, L: FiniteField) -> Rep:
     """The same matrices read over an extension field L of the coefficients."""
     emb = embed(V.field, L)  # raises NotSubfieldError if impossible
-    return Rep(V.group, L, [emb.apply_codes(M) for M in V.matrices], check=False)
+    return Rep(V.group, L, [emb.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
 
 
 @functools.cache
@@ -196,7 +219,7 @@ def restrict_scalars(V: Rep, K: FiniteField) -> Rep:
                 big[i::r, j::r] = coords[:, :, i]
         # interleaving above puts entry (u,v) block at rows u*r+i, cols v*r+j
         mats.append(big)
-    return Rep(V.group, K, mats, check=False)
+    return Rep(V.group, K, mats, check=False, dim=d * r)
 
 
 def restrict_subgroup(V: Rep, H: Subgroup) -> Rep:
@@ -204,7 +227,7 @@ def restrict_subgroup(V: Rep, H: Subgroup) -> Rep:
     if H.parent is not V.group:
         raise InputError("subgroup does not belong to the module's group")
     mats = [V.element_matrix(g) for g in H.group.generators]
-    return Rep(H.group, V.field, mats, check=False)
+    return Rep(H.group, V.field, mats, check=False, dim=V.dim)
 
 
 def induce(V: Rep, G: PermGroup) -> Rep:
@@ -231,7 +254,7 @@ def induce(V: Rep, G: PermGroup) -> Rep:
             _require(h in hset, "coset representative product is not in the subgroup")
             M[i * d : (i + 1) * d, j * d : (j + 1) * d] = V.element_matrix(h)
         mats.append(M)
-    return Rep(G, V.field, mats, check=False)
+    return Rep(G, V.field, mats, check=False, dim=k * d)
 
 
 def frobenius_twist(V: Rep, sigma: FieldAutomorphism | int) -> Rep:
@@ -241,7 +264,7 @@ def frobenius_twist(V: Rep, sigma: FieldAutomorphism | int) -> Rep:
         raise InputError("automorphism belongs to a different field")
     if sigma.is_identity():
         return V
-    return Rep(V.group, V.field, [sigma.apply_codes(M) for M in V.matrices], check=False)
+    return Rep(V.group, V.field, [sigma.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
 
 
 class HomSpace:
@@ -261,7 +284,15 @@ class HomSpace:
 
 
 def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """Matrices M with M A_g = B_g M for all generator pairs (A_g, B_g).
+    """Matrices M with M A_g = B_g M for all generator pairs (A_g, B_g),
+    solved by :func:`hom_basis_and_seeds`."""
+    return hom_basis_and_seeds(field, mats_src, mats_tgt, d_src, d_tgt)[0]
+
+
+def hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
+    """(basis, seeds): :func:`hom_basis_matrices` and the indices s of the
+    unit vectors e_s its spin of the source took, which generate the source
+    (empty when either dimension is 0).
 
     Standard-basis method (Lux & Szoke, Exp. Math. 12, 2003): spin the
     source from the unit vectors e_0, e_1, ...  A spun vector
@@ -278,25 +309,28 @@ def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt
     """
     D = d_src * d_tgt
     if D == 0:
-        return []
-    if not len(mats_src):
-        return [m.reshape(d_tgt, d_src) for m in np.eye(D, dtype=np.int64)]
+        return [], []
+    # both actions trivial (no generators, or the identity generator of a
+    # trivial subgroup): every matrix is a homomorphism
+    if all(np.array_equal(M, np.eye(len(M), dtype=np.int64)) for M in (*mats_src, *mats_tgt)):
+        return [m.reshape(d_tgt, d_src) for m in np.eye(D, dtype=np.int64)], list(range(d_src))
     log: list = []
     space = linalg.spin(field, mats_src, list(field.identity(d_src)), log=log)
     W: list[np.ndarray] = []  # M v_j = W[j] t_seed_of[j]
     seed_of: list[int] = []
     relations = []
-    k = 0  # seeds taken
+    seeds: list[int] = []
     for j, g, coords in log:
         if coords is not None:
             relations.append((j, g, coords))
         elif j < 0:
-            seed_of.append(k)
-            k += 1
+            seed_of.append(len(seeds))
+            seeds.append(g)
             W.append(field.identity(d_tgt))
         else:
             seed_of.append(seed_of[j])
             W.append(field.mat_mul(mats_tgt[g], W[j]))
+    k = len(seeds)
     seed_of = np.array(seed_of)
     Wst = np.stack(W)
     by_seed = [np.nonzero(seed_of == s)[0] for s in range(k)]
@@ -324,7 +358,7 @@ def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt
     N = linalg.nullspace(field, E.reshape(-1, k * d_tgt))
     h = N.shape[0]
     if h == 0:
-        return []
+        return [], seeds
 
     # images of the spun vectors, then M = [M v_j] P^-1 with P = [v_j]
     T = N.reshape(h, k, d_tgt)
@@ -343,7 +377,7 @@ def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt
         right_t = field.mat_mul(basis.transpose(0, 2, 1).reshape(h * d_src, d_tgt), B.T)
         if not np.array_equal(left, right_t.reshape(h, d_src, d_tgt).transpose(0, 2, 1)):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
-    return list(basis)
+    return list(basis), seeds
 
 
 def hom_space(V: Rep, U: Rep) -> HomSpace:

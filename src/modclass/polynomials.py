@@ -310,8 +310,15 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
     return result
 
 
-def min_poly_mat(field: FiniteField, M: np.ndarray) -> np.ndarray:
-    """Minimal polynomial: lcm of order polynomials of spanning seeds."""
+def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
+    """Minimal polynomial: lcm of the order polynomials of the unit vectors
+    e_s, s in `seeds` (every s by default).
+
+    Seeds that generate the space under some algebra commuting with M
+    suffice: f(M) e_s = 0 then gives f(M) a e_s = a f(M) e_s = 0 for every
+    algebra element a.  Other seeds give the minimal polynomial of M on the
+    M-invariant subspace they span, a divisor of the true one.
+    """
     from .linalg import RowSpace
 
     d = M.shape[0]
@@ -319,7 +326,7 @@ def min_poly_mat(field: FiniteField, M: np.ndarray) -> np.ndarray:
         return np.array([1], dtype=np.int64)
     lam = np.array([1], dtype=np.int64)
     seen = RowSpace(field, d)
-    for s in range(d):
+    for s in range(d) if seeds is None else seeds:
         if seen.dim == d or degree(lam) == d:
             break
         seed = np.zeros(d, dtype=np.int64)

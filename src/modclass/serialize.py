@@ -102,7 +102,6 @@ def group_from_doc(doc) -> PermGroup:
                 "degree %d of a group without generators exceeds cap %d"
                 % (degree, limits.MAX_GROUP_ORDER)
             )
-        perms = [tuple(range(degree))]  # trivial group still needs one generator
     return PermGroup(degree, perms)
 
 
@@ -163,7 +162,7 @@ def module_from_doc(doc) -> Rep:
                 [[_entry_from_doc(field, e) for e in row] for row in M], dtype=np.int64
             ).reshape(dim, dim)
         )
-    V = Rep(group, field, mats)
+    V = Rep(group, field, mats, dim=dim)
     issues = validate(V)
     if issues:
         raise InputError("matrices do not define a module: " + "; ".join(issues))

@@ -562,6 +562,8 @@ def test_forced_fact_checks_survive_python_O():
         "tests/test_green.py::test_relative_trace_check_raises_consistency_error",
         "tests/test_finite_field.py::test_failed_spot_check_raises_consistency_error",
         "tests/test_finite_field.py::test_failed_table_build_raises_consistency_error",
+        "tests/test_green.py::test_seeds_that_do_not_generate_fail_the_full_trace_check",
+        "tests/test_meataxe.py::test_seeds_that_do_not_generate_raise",
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -572,4 +574,4 @@ def test_forced_fact_checks_survive_python_O():
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "5 passed" in proc.stdout

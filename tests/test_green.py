@@ -14,6 +14,8 @@ from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
 from modclass.meataxe import decompose, is_isomorphic, simple_modules
 from modclass.modrep import (
+    Rep,
+    direct_sum,
     hom_basis_matrices,
     induce,
     regular_module,
@@ -29,6 +31,7 @@ from modclass.green import (
     vertex,
 )
 from modclass.perm_group import (
+    PermGroup,
     catalog,
     normalizer,
     p_subgroups_up_to_conjugacy,
@@ -202,6 +205,74 @@ def test_relative_trace_check_raises_consistency_error(monkeypatch):
         is_relatively_projective(tr, syl)
 
 
+def test_seeds_that_do_not_generate_fail_the_full_trace_check(monkeypatch):
+    # P + T for S3 over GF(2) is not projective; on the seed of P alone the
+    # Higman system is solvable, and the full trace check must catch that
+    G = catalog()["S3"]
+    P = next(W for W, _ in decompose(regular_module(G, F2)).summands if W.dim == 2)
+    V = direct_sum(P, trivial_module(G, F2))
+    assert not is_projective(V)
+    real = Rep.generating_seeds
+    monkeypatch.setattr(Rep, "generating_seeds", lambda self: real(self)[:-1])
+    with pytest.raises(ConsistencyError, match="relative trace of the Higman solution"):
+        is_projective(direct_sum(P, trivial_module(G, F2)))
+
+
+def _full_system_higman(V, Q):
+    # Higman's criterion on all d^2 entries of the relative traces
+    field = V.field
+    d = V.dim
+    q_mats = [V.element_matrix(g) for g in Q.group.generators]
+    stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
+    T = right_transversal(V.group, Q)
+    A = _relative_trace(V, T, stack, range(d)).reshape(len(stack), -1).T
+    coeffs = linalg.solve(field, A, field.identity(d).reshape(-1))
+    if coeffs is None:
+        return None
+    return field.mat_mul(coeffs[None], stack.reshape(len(stack), -1)).reshape(d, d)
+
+
+def _assert_higman_matches_full_system(V):
+    for Q in p_subgroups_up_to_conjugacy(V.group, V.field.p):
+        got = is_relatively_projective(V, Q)
+        want = _full_system_higman(V, Q)
+        assert bool(got) == (want is not None), (V.dim, Q.order)
+        if got:
+            cert = got.relative_endomorphism
+            assert cert.dtype == want.dtype and cert.tobytes() == want.tobytes(), (V.dim, Q.order)
+
+
+@pytest.mark.parametrize("name, p", BATTERY)
+def test_seed_column_higman_matches_full_system(name, p):
+    G = catalog()[name]
+    F = _field(p)
+    reg = regular_module(G, F)
+    mods = [trivial_module(G, F), reg, direct_sum(reg, trivial_module(G, F))]
+    mods += list(simple_modules(G, F).modules)
+    mods += [W for W, _ in decompose(reg).summands]
+    mods += [induce(trivial_module(Q.group, F), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    for V in mods:
+        _assert_higman_matches_full_system(V)
+
+
+S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
+
+@pytest.mark.parametrize("p, order", [(2, 8), (2, 4), (3, 3)])
+def test_seed_column_higman_matches_full_system_on_s5(p, order):
+    # the summands of the S5 permutation modules on the cosets of a p-subgroup
+    F = _field(p)
+    H = next(Q for Q in p_subgroups_up_to_conjugacy(S5, p) if Q.order == order)
+    for W, _ in decompose(induce(trivial_module(H.group, F), S5)).summands:
+        _assert_higman_matches_full_system(W)
+
+
+def test_source_refuses_a_subgroup_the_module_is_not_projective_relative_to():
+    G = catalog()["S3"]
+    with pytest.raises(InputError, match="not projective relative"):
+        source(trivial_module(G, F2), G.trivial_subgroup())
+
+
 def _reference_relative_trace(V, transversal, phi):
     # one map at a time: sum over t of t^-1 phi t
     field = V.field
@@ -231,7 +302,7 @@ def test_batched_relative_trace_matches_per_map_reference(name, p, n):
             q_mats = [V.element_matrix(g) for g in Q.group.generators]
             basis = hom_basis_matrices(K, q_mats, q_mats, V.dim, V.dim)
             T = right_transversal(G, Q)
-            got = _relative_trace(V, T, np.stack(basis))
+            got = _relative_trace(V, T, np.stack(basis), range(V.dim))
             want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (name, p, n, V.dim, Q.order)

@@ -86,6 +86,13 @@ def test_empty_generator_list_and_zero_dimension():
     # no generators (trivial group): every matrix is a homomorphism
     _assert_same_basis(hom_basis_matrices(K, [], [], 2, 3), kronecker_hom_basis(K, [], [], 2, 3))
     assert len(hom_basis_matrices(K, [], [], 2, 3)) == 6
+    # identity generators on both sides (a trivial subgroup) act like none;
+    # on one side only they do not
+    I2, I3 = np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)
+    P3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int64)
+    for src, tgt in (([I2, I2], [I3, I3]), ([I2], [P3])):
+        _assert_same_basis(hom_basis_matrices(K, src, tgt, 2, 3), kronecker_hom_basis(K, src, tgt, 2, 3))
+    assert len(hom_basis_matrices(K, [I2], [P3], 2, 3)) == 2
     A = np.array([[0, 1], [1, 0]], dtype=np.int64)
     empty = np.zeros((0, 0), dtype=np.int64)
     assert hom_basis_matrices(K, [empty], [A], 0, 2) == []

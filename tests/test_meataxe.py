@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from modclass.errors import ConsistencyError, InconclusiveError, InputError
 from modclass.finite_field import make_field
 from modclass import limits, linalg, meataxe
+from modclass import polynomials as P
 from modclass.modrep import (
     Rep,
     direct_sum,
     extend_scalars,
+    hom_basis_and_seeds,
     hom_basis_matrices,
     induce,
     permutation_module,
@@ -48,6 +50,12 @@ def _fields():
     return {2: F2, 3: F3, 5: F5}
 
 
+def _is_invariant(K, B, mats):
+    # the row span of B is invariant when no image M b raises its rank
+    images = [K.mat_mul(B, np.ascontiguousarray(M.T)) for M in mats]
+    return linalg.rank(K, np.vstack([B] + images)) == linalg.rank(K, B)
+
+
 # dims and endomorphism degrees of the simple modules, frozen after
 # independent derivation
 SIMPLES_TABLE = {
@@ -69,7 +77,7 @@ def test_regular_c3_is_not_simple_with_witness():
     assert not res
     W = res.witness
     assert W is not None and 0 < W.shape[0] < 3
-    assert linalg.is_invariant(F2, W, list(reg.matrices))
+    assert _is_invariant(F2, W, list(reg.matrices))
     # the all-ones vector spans the fixed line inside any witness closure
     sp = linalg.RowSpace(F2, 3)
     for row in W:
@@ -604,6 +612,88 @@ def test_composition_factors_ignore_basis_and_add_over_direct_sums(case):
     assert _factor_classes(S, _random_conjugate(V, rng), s % 97) == want
     both = direct_sum(V, _random_conjugate(W, rng))
     assert _factor_classes(S, both, s % 89) == sorted(want + _factor_classes(S, W, 0))
+
+
+# ------------------------------------------- minimal polynomials on the seeds
+
+
+def _end_cases(G, K):
+    """The regular and permutation modules of G and all their summands."""
+    mods = [regular_module(G, K)]
+    mods += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, K.p)]
+    return mods + [W for M in mods for W, _ in decompose(M).summands]
+
+
+def _assert_seed_min_polys(V, rng):
+    # every End basis map and a random combination of them, as _try_split
+    # and its span search meet them
+    K = V.field
+    basis, seeds = hom_basis_and_seeds(K, list(V.matrices), list(V.matrices), V.dim, V.dim)
+    assert seeds == V.generating_seeds()
+    stack = np.stack(basis)
+    combo = meataxe._combo(K, stack, K.rand_codes(rng, len(basis)))
+    for phi in list(stack) + [combo]:
+        got = P.min_poly_mat(K, phi, seeds)
+        assert got.tobytes() == P.min_poly_mat(K, phi).tobytes(), (V.dim, seeds)
+
+
+def _decompose_bytes(V, seed):
+    dec = decompose(V, seed=seed)
+    mats = b"".join(M.tobytes() for W, _ in dec.summands for M in W.matrices)
+    return [m for _, m in dec.summands], mats, dec.basis.tobytes()
+
+
+@pytest.mark.parametrize("name, p, n", _MODULAR_CASES)
+def test_seed_min_poly_matches_full_min_poly(monkeypatch, name, p, n):
+    rng = np.random.default_rng(p * n)
+    mods = _end_cases(catalog()[name], make_field(p, n))
+    for V in mods:
+        _assert_seed_min_polys(V, rng)
+    got = [_decompose_bytes(V, 3) for V in mods]
+    full = P.min_poly_mat
+    monkeypatch.setattr(P, "min_poly_mat", lambda field, M, seeds=None: full(field, M))
+    assert got == [_decompose_bytes(V, 3) for V in mods]
+
+
+@_PROPERTY
+@given(_modular_case())
+def test_seed_min_poly_ignores_basis(case):
+    G, K, Q, s = case
+    rng = np.random.default_rng(s)
+    V = _random_conjugate(direct_sum(induce(trivial_module(Q.group, K), G), trivial_module(G, K)), rng)
+    _assert_seed_min_polys(V, rng)
+
+
+def test_seeds_that_do_not_generate_raise(monkeypatch):
+    # diag(0, 1, 2) commutes with any action on three trivial summands; on
+    # e_0 and e_1 alone its minimal polynomial misses the root 2
+    phi = np.diag([0, 1, 2]).astype(np.int64)
+    with pytest.raises(ConsistencyError, match="generalized eigenspaces do not fill the module"):
+        meataxe._split_by_min_poly(F3, phi, [0, 1])
+    # T + sign for C2 over GF(3) without the seed of sign: no End map splits
+    # there, yet its algebra is not local
+    real = meataxe.hom_basis_and_seeds
+
+    def drop_last_seed(*args):
+        basis, seeds = real(*args)
+        return basis, seeds[:-1]
+
+    monkeypatch.setattr(meataxe, "hom_basis_and_seeds", drop_last_seed)
+    C2 = catalog()["C2"]
+    sign = Rep(C2, F3, [np.array([[2]], dtype=np.int64)])
+    with pytest.raises(ConsistencyError, match="non-local algebra without nontrivial idempotent"):
+        decompose(direct_sum(trivial_module(C2, F3), sign))
+
+
+def test_group_without_generators_has_one_trivial_simple_module():
+    G = PermGroup(1, [])
+    S = simple_modules(G, F2)
+    assert [W.dim for W in S.modules] == [1] and S.end_degrees == (1,)
+    assert _summand_multiset(regular_module(G, F2)) == [(1, 1)]
+    two = direct_sum(trivial_module(G, F3), trivial_module(G, F3))
+    assert _summand_multiset(two) == [(1, 2)]
+    assert [W.dim for W in composition_factors(two)] == [1, 1]
+    assert not is_simple(two)
 
 
 # ------------------------------------- simple modules: closure and certificate

@@ -6,7 +6,7 @@ import pytest
 from modclass import modrep
 from modclass.errors import InputError, NotSubfieldError
 from modclass.finite_field import make_field
-from modclass.perm_group import catalog, pmul
+from modclass.perm_group import PermGroup, catalog, pmul
 from modclass.modrep import (
     Rep,
     direct_sum,
@@ -64,6 +64,19 @@ def test_rep_constructor_validation():
         Rep(G, F2, [])  # wrong count
     with pytest.raises(InputError):
         Rep(G, F2, [np.array([[2]], dtype=np.int64)])  # entry out of range
+
+
+def test_modules_of_a_group_without_generators():
+    # no matrix to read the dimension off, so the constructors pass it
+    G = PermGroup(1, [])
+    assert trivial_module(G, F2).dim == 1
+    assert regular_module(G, F2).dim == 1
+    assert direct_sum(trivial_module(G, F2), trivial_module(G, F2)).dim == 2
+    assert Rep(G, F2, [], dim=3).dim == 3
+    with pytest.raises(InputError):
+        Rep(G, F2, [])
+    with pytest.raises(InputError):
+        Rep(catalog()["C3"], F2, [np.eye(2, dtype=np.int64)], dim=3)
 
 
 def test_validate_catches_wrong_relations():

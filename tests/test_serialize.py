@@ -14,8 +14,8 @@ from modclass import limits, serialize
 from modclass.errors import InputError, LimitError
 from modclass.finite_field import make_field
 from modclass.meataxe import is_isomorphic
-from modclass.modrep import extend_scalars, regular_module, trivial_module
-from modclass.perm_group import catalog
+from modclass.modrep import direct_sum, extend_scalars, regular_module, trivial_module
+from modclass.perm_group import PermGroup, catalog
 from modclass.serialize import (
     SCHEMA_VERSION,
     dumps_canonical,
@@ -85,6 +85,14 @@ def test_module_round_trip_prime_field():
     assert V.group == reg.group
     assert V.field is F2
     assert all(np.array_equal(a, b) for a, b in zip(V.matrices, reg.matrices))
+
+
+def test_module_round_trip_without_generators():
+    G = PermGroup(1, [])
+    doc = module_to_doc(direct_sum(trivial_module(G, F2), trivial_module(G, F2)))
+    assert doc["dim"] == 2 and doc["group"]["generators"] == [] and doc["matrices"] == []
+    V = module_from_doc(json.loads(dumps_canonical(doc)))
+    assert V.group == G and V.dim == 2 and V.matrices == ()
 
 
 def test_module_round_trip_extension_field_uses_coefficient_lists():
