@@ -45,7 +45,6 @@ from .meataxe import (
     composition_factors,
     decompose,
     end_structure,
-    endomorphism_basis,
     is_absolutely_indecomposable,
     is_absolutely_simple,
     is_indecomposable,
@@ -110,7 +109,6 @@ __all__ = [
     "direct_sum",
     "embed",
     "end_structure",
-    "endomorphism_basis",
     "extend_scalars",
     "fiber",
     "frobenius",

@@ -28,7 +28,7 @@ from .meataxe import (
     SimpleSet,
     decompose,
     end_structure,
-    endomorphism_basis,
+    is_indecomposable,
     is_isomorphic,
     is_simple,
     simple_modules,
@@ -156,13 +156,16 @@ def _check_single_galois_orbit(entries, field: FiniteField, seed: int) -> None:
 
 
 def fiber(W: Rep, degree: int, seed: int = 0) -> FiberLevel:
-    """Components of W extended by a degree-`degree` field extension.
+    """Components of an indecomposable W extended by a degree-`degree`
+    field extension.
 
-    The component classes of an indecomposable module form a single orbit
-    under the Galois group of the extension; this is asserted.
+    The component classes form a single orbit under the Galois group of the
+    extension; this is asserted.
     """
     if degree < 1:
         raise InputError("extension degree must be positive")
+    if not is_indecomposable(W, seed=seed):
+        raise InputError("fibers are defined for indecomposable modules; decompose first")
     L = make_field(W.field.p, W.field.n * degree)
     entries = _summand_classes(extend_scalars(W, L), seed)
     if not entries:
@@ -239,11 +242,11 @@ def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
     def defect(V: Rep) -> str | None:
         if not _simple(V, seed):
             return "constituent is not simple"
-        if len(endomorphism_basis(V.field, list(V.matrices), V.dim)) != 1:
+        if len(V.endomorphisms()[0]) != 1:
             return "constituent is not absolutely simple"
         return None
 
-    m = len(endomorphism_basis(F, list(W.matrices), W.dim))
+    m = len(W.endomorphisms()[0])
     return _splitting_level(W, m, "simple", defect, seed)
 
 
@@ -264,7 +267,8 @@ def indecomposable_splitting_fiber(Y: Rep, seed: int = 0) -> FiberLevel:
 
 
 def descend_component(U: Rep, K: FiniteField, seed: int = 0) -> Rep:
-    """A K-module V lying under U, K a subfield of the coefficient field.
+    """A K-module V lying under an indecomposable U, K a subfield of the
+    coefficient field.
 
     One always exists: U is a summand of its own restriction re-extended.
     Returns the first match among the restriction's components in canonical
@@ -273,6 +277,8 @@ def descend_component(U: Rep, K: FiniteField, seed: int = 0) -> Rep:
     L = U.field
     if K.p != L.p or L.n % K.n != 0:
         raise NotSubfieldError("target field is not a subfield of the coefficients")
+    if not is_indecomposable(U, seed=seed):
+        raise InputError("descent is defined for indecomposable modules; decompose first")
     for V, _ in _summand_classes(restrict_scalars(U, K), seed):
         if up_relation(V, U, seed=seed):
             return V

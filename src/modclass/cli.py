@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 
-from .errors import ConsistencyError, InputError, ModclassError
+from .errors import ConsistencyError, InputError, LimitError, ModclassError
 from . import limits
 from .finite_field import make_field
 from . import classify
@@ -63,7 +63,10 @@ def _resolve_group(name_or_path: str):
     """
     groups = catalog()
     if name_or_path in groups:
-        return groups[name_or_path], {"name": name_or_path}
+        G = groups[name_or_path]
+        if G.order > limits.MAX_GROUP_ORDER:
+            raise LimitError("group order exceeds cap %d" % limits.MAX_GROUP_ORDER)
+        return G, {"name": name_or_path}
     if os.path.exists(name_or_path):
         try:
             with open(name_or_path) as fh:
@@ -311,8 +314,6 @@ def _cmd_count(args) -> int:
 def _cmd_fiber(args) -> int:
     if args.module:
         V, key_mod = _load_module_arg(args.module)
-        if not meataxe.is_indecomposable(V, seed=args.seed):
-            raise InputError("fibers are defined for indecomposable modules; decompose first")
     else:
         if args.group is None or args.p is None:
             raise InputError("fiber needs either --module FILE or -g GROUP with -p P")

@@ -435,13 +435,13 @@ def make_field(p: int, n: int, max_size: int | None = None) -> FiniteField:
     if not isinstance(p, (int, np.integer)) or not isinstance(n, (int, np.integer)):
         raise InputError("p and n must be integers")
     p, n = int(p), int(n)
-    if not is_prime(p):
-        raise InputError("p = %d is not prime" % p)
     if n < 1:
         raise InputError("extension degree must be >= 1, got %d" % n)
     cap = limits.MAX_FIELD_SIZE if max_size is None else max_size
-    if p**n > cap:
+    if p**n > cap:  # before the primality test, which trial-divides
         raise LimitError("field size %d^%d exceeds cap %d" % (p, n, cap))
+    if not is_prime(p):
+        raise InputError("p = %d is not prime" % p)
     key = (p, n)
     field = _FIELD_CACHE.get(key)
     if field is None:

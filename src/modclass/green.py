@@ -96,7 +96,7 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
     h = len(stack)
     T = right_transversal(V.group, Q)
-    seeds = V.generating_seeds()
+    seeds = V.endomorphisms()[1]
     A = _relative_trace(V, T, stack, seeds).reshape(h, -1).T  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:

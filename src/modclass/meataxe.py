@@ -12,7 +12,8 @@ every composition factor of the regular module of E has dimension
 dim E/rad(E).  By Wedderburn E/rad(E) = prod M_n(D), whose simple modules
 have dimension n dim D against sum n^2 dim D, so only a division algebra
 passes.  rad(E) is the annihilator of those factors (the trace-form
-shortcut is unsound in characteristic p, so it is not used).
+shortcut is unsound in characteristic p, so it is not used).  A module
+keeps E and the verdict; the summands `decompose` returns carry both.
 
 Splitting reads each endomorphism on the unit vectors e_s that generate
 V as a KG-module, the seeds the standard-basis hom solve spins from.  A
@@ -20,6 +21,7 @@ G-map phi commutes with the action, so f(phi) e_s = 0 for every seed gives
 f(phi) = 0 on V = sum_s KG e_s: the minimal polynomial of phi is the lcm of
 the order polynomials of the k seeds, k Krylov chains instead of up to d.
 It is unique, so the splitting is the one a full minimal polynomial gives.
+The products in E are read on the seed columns too.
 
 Isomorphism is decided exactly when either module is indecomposable: then
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
@@ -46,14 +48,7 @@ from .finite_field import FiniteField
 from . import limits
 from . import linalg
 from . import polynomials as P
-from .modrep import (
-    Rep,
-    hom_basis_and_seeds,
-    hom_basis_matrices,
-    permutation_module,
-    regular_module,
-    tensor_product,
-)
+from .modrep import Rep, hom_basis_matrices, permutation_module, regular_module, tensor_product
 from .perm_group import PermGroup
 
 
@@ -221,23 +216,20 @@ def composition_factors(V: Rep, seed: int = 0) -> list[Rep]:
 # ----- endomorphism algebra structure -----
 
 
-def endomorphism_basis(field: FiniteField, mats, dim: int) -> list[np.ndarray]:
-    return hom_basis_matrices(field, mats, mats, dim, dim)
-
-
-def _algebra_right_mults(field: FiniteField, basis):
-    """Right multiplication matrices of an algebra given by a matrix basis."""
+def _algebra_right_mults(field: FiniteField, basis, seeds):
+    """Right multiplication matrices of an algebra given by a matrix basis,
+    read on the columns `seeds`, on which every element is determined."""
     h = len(basis)
     d = basis[0].shape[0]
-    space = linalg.RowSpace(field, d * d, track=True)
+    space = linalg.RowSpace(field, d * len(seeds), track=True)
     for b in basis:
-        if not space.add(b.reshape(-1)):
+        if not space.add(b[:, seeds].reshape(-1)):
             raise ConsistencyError("algebra basis is linearly dependent")
     stack = np.concatenate(basis)  # (h * d, d)
     mults = []
     for b in basis:
-        # row j of the products is basis[j] @ b, flattened
-        residual, coords = space.reduce_rows(field.mat_mul(stack, b).reshape(h, d * d))
+        # row j of the products is (basis[j] @ b)[:, seeds], flattened
+        residual, coords = space.reduce_rows(field.mat_mul(stack, b[:, seeds]).reshape(h, -1))
         if residual.any():
             raise ConsistencyError("algebra basis is not closed under products")
         mults.append(np.ascontiguousarray(coords.T))
@@ -250,8 +242,9 @@ def _radical_coords(field: FiniteField, factors) -> np.ndarray:
     return linalg.nullspace(field, Z)  # Z is (sum fdim^2, h)
 
 
-def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
-    """(dim E, dim rad E, is E local) for an algebra of matrices.
+def algebra_structure(field: FiniteField, basis, seeds, rng) -> tuple[int, int, bool]:
+    """(dim E, dim rad E, is E local) for an algebra of matrices, each
+    determined by its columns `seeds`.
 
     Local exactly when every factor of the regular module has dimension
     dim E/rad E (the simple modules of E/rad E = prod M_n(D) have
@@ -260,17 +253,18 @@ def algebra_structure(field: FiniteField, basis, rng) -> tuple[int, int, bool]:
     h = len(basis)
     if h == 1:
         return 1, 0, True
-    mults = _algebra_right_mults(field, basis)
+    mults = _algebra_right_mults(field, basis, seeds)
     factors = _chop(field, mults, h, rng)
     rad_dim = _radical_coords(field, factors).shape[0]
     return h, rad_dim, all(fdim == h - rad_dim for _, fdim in factors)
 
 
 def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
-    """(dim End, dim rad End, local?) of a module's endomorphism algebra."""
-    basis = endomorphism_basis(V.field, list(V.matrices), V.dim)
-    rng = np.random.default_rng(seed)
-    return algebra_structure(V.field, basis, rng)
+    """(dim End, dim rad End, local?) of a module's endomorphism algebra, kept
+    on the module: the verdict is certified, so it does not depend on the seed."""
+    if V._structure is None:
+        V._structure = algebra_structure(V.field, *V.endomorphisms(), np.random.default_rng(seed))
+    return V._structure
 
 
 def is_indecomposable(V: Rep, seed: int = 0) -> bool:
@@ -287,7 +281,7 @@ def is_absolutely_indecomposable(V: Rep, seed: int = 0) -> bool:
 def is_absolutely_simple(V: Rep, seed: int = 0) -> bool:
     if not is_simple(V, seed):
         return False
-    return len(endomorphism_basis(V.field, list(V.matrices), V.dim)) == 1
+    return len(V.endomorphisms()[0]) == 1
 
 
 # ----- Krull-Schmidt decomposition -----
@@ -349,24 +343,24 @@ def _split_by_min_poly(field: FiniteField, phi: np.ndarray, seeds):
     return pieces
 
 
-def _try_split(field: FiniteField, mats, dim: int, rng):
-    """One splitting V = A + B as local row bases, or None if indecomposable.
+def _try_split(V: Rep, rng):
+    """One splitting V = A + B as local row bases, or None if indecomposable,
+    which leaves End(V) and its structure solved on V.
 
     Raises InconclusiveError only when the endomorphism algebra is too big
     to scan and randomized search failed; never returns a wrong None.
     """
-    if dim <= 1:
+    if V.dim == 1 or len(V.endomorphisms()[0]) == 1:  # End(V) is the field
+        V._structure = (1, 0, True)
         return None
-    basis, seeds = hom_basis_and_seeds(field, mats, mats, dim, dim)
-    h = len(basis)
-    if h == 1:
-        return None
+    field = V.field
+    basis, seeds = V.endomorphisms()
     for phi in basis:  # deterministic candidates first
         pieces = _split_by_min_poly(field, phi, seeds)
         if pieces:
             return pieces
-    _, _, local = algebra_structure(field, basis, rng)
-    if local:
+    V._structure = algebra_structure(field, basis, seeds, rng)
+    if V._structure[2]:
         return None
     # a non-local algebra owns a nontrivial idempotent, whose minimal
     # polynomial x(x - 1) splits, so a complete scan cannot miss
@@ -383,25 +377,27 @@ def _module_key(V: Rep) -> tuple:
 def decompose(V: Rep, seed: int = 0) -> Decomposition:
     """Indecomposable direct summands, with an explicit splitting basis.
 
-    Pieces split depth first, each carrying its rows in V and its action.
-    A piece that does not split is indecomposable, so the first invertible
-    basis map of Hom(leaf, rep) decides its class.  The multiset of
-    (dimension, multiplicity) pairs is seed-independent by the Krull-Schmidt
-    theorem; the basis itself may vary with the seed.
+    Pieces split depth first, each a fresh Rep carrying its rows in V.  A
+    piece that does not split is indecomposable and keeps End and that
+    proof; the first invertible basis map of Hom(leaf, rep) decides its
+    class.  The multiset of (dimension, multiplicity) pairs is
+    seed-independent by the Krull-Schmidt theorem; the basis itself may
+    vary with the seed.
     """
     field = V.field
     rng = np.random.default_rng(seed)
     classes: list[tuple[Rep, list]] = []  # (rep, [(leaf rows, leaf -> rep map)])
-    work = [(field.identity(V.dim), list(V.matrices))] if V.dim else []
+    root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)  # V itself caches nothing
+    work = [(field.identity(V.dim), root)] if V.dim else []
     while work:
-        rows, mats = work.pop()
-        pieces = _try_split(field, mats, rows.shape[0], rng)
+        rows, leaf = work.pop()
+        pieces = _try_split(leaf, rng)
         if pieces is not None:
             for piece in reversed(pieces):
-                sub = linalg.action_on_subspace(field, piece, mats)
+                mats = linalg.action_on_subspace(field, piece, list(leaf.matrices))
+                sub = Rep(V.group, field, mats, check=False, dim=len(piece))
                 work.append((field.mat_mul(piece, rows), sub))
             continue
-        leaf = Rep(V.group, field, mats, check=False, dim=rows.shape[0])
         for rep, members in classes:
             res, _ = _basis_iso(leaf, rep)
             if res:
@@ -599,7 +595,9 @@ def simple_modules(G: PermGroup, K: FiniteField, seed: int = 0) -> SimpleSet:
     canon = [try_canonical_form(W) for W in reps]
     keys = [() if C is None else tuple(M.tobytes() for M in C.matrices) for C in canon]
     canon = [C or W for C, W in zip(canon, reps)]
-    degrees = [len(endomorphism_basis(K, list(W.matrices), W.dim)) for W in canon]
+    degrees = [len(W.endomorphisms()[0]) for W in canon]
+    for W, e in zip(canon, degrees):  # by Schur's lemma End(W) is a field
+        W._structure = (e, 0, True)
     _require(
         sorted(degrees) == lengths,
         "End degrees %s differ from Berman's orbit lengths %s" % (sorted(degrees), lengths),

@@ -5,7 +5,7 @@ group generator; matrices act on column vectors, and the assignment extends
 to all elements along breadth-first words.  Permutation modules, tensor
 products, the scalar functors (extension and restriction along a subfield),
 the subgroup functors (restriction and induction), Frobenius twists and
-homomorphism spaces all live here.
+homomorphism spaces all live here.  A module solves End(V) only once.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class Rep:
                     raise InputError("generator image is singular")
         self._element_cache: dict = {group_identity(group): field.identity(self.dim)}
         self._char_polys = None
-        self._seeds = None
+        self._end = None
+        self._structure = None  # (dim End, dim rad End, local?), kept by meataxe
 
     def element_matrix(self, g) -> np.ndarray:
         """Image of an arbitrary group element, assembled along its word."""
@@ -85,19 +86,20 @@ class Rep:
             )
         return self._char_polys
 
-    def generating_seeds(self) -> list[int]:
-        """Indices s of unit vectors e_s with V = sum_s KG e_s, spun once.
+    def endomorphisms(self):
+        """(basis, seeds) of End(V) from :func:`hom_basis_and_seeds`, solved once.
 
-        They are the seeds a standard-basis spin of V takes, the same ones
-        the hom solve from V spins from.  A G-map is zero as soon as it
-        kills every e_s, so it is determined by those columns.
+        The seeds index unit vectors e_s with V = sum_s KG e_s; a G-map is
+        zero as soon as it kills every e_s, so it is determined by those
+        columns.
         """
-        if self._seeds is None:
-            log: list = []
-            if self.dim:
-                linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
-            self._seeds = [i for j, i, _ in log if j < 0]
-        return self._seeds
+        if self._end is None:
+            mats = list(self.matrices)
+            basis, seeds = hom_basis_and_seeds(self.field, mats, mats, self.dim, self.dim)
+            for b in basis:
+                b.setflags(write=False)
+            self._end = tuple(basis), tuple(seeds)
+        return self._end
 
     def __repr__(self):
         return "<Rep dim=%d over %r of %r>" % (self.dim, self.field, self.group)

@@ -8,6 +8,8 @@ identity first.  All enumeration here is deterministic.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputError, LimitError, _require
 from . import limits
 
@@ -381,7 +383,11 @@ _CATALOG: dict[str, PermGroup] = {}
 
 
 def catalog() -> dict[str, PermGroup]:
-    """Built-in groups addressable by name in the CLI and tests."""
+    """Built-in groups addressable by name in the CLI and tests.
+
+    Built once, whatever the group order cap is at the time; the CLI checks
+    a named group against the cap.
+    """
     if not _CATALOG:
         defs = {
             "C2": (2, [(1, 0)]),
@@ -395,5 +401,7 @@ def catalog() -> dict[str, PermGroup]:
             "A4": (4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
             "S4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
         }
-        _CATALOG.update({name: PermGroup(deg, gens) for name, (deg, gens) in defs.items()})
+        # a group of degree n has order at most n!, so no cap applies here
+        built = {name: PermGroup(n, gens, math.factorial(n)) for name, (n, gens) in defs.items()}
+        _CATALOG.update(built)
     return dict(_CATALOG)

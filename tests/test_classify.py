@@ -19,6 +19,7 @@ from modclass.meataxe import (
     simple_modules,
 )
 from modclass.modrep import (
+    direct_sum,
     extend_scalars,
     frobenius_twist,
     regular_module,
@@ -226,6 +227,17 @@ def test_descend_component_rejects_non_subfield():
     M2 = _c3_simple_2dim()
     with pytest.raises(NotSubfieldError):
         descend_component(M2, F3)
+
+
+def test_fiber_and_descent_refuse_decomposable_input():
+    # T + W, the sum of the two simple S3-modules over GF(2), has no single
+    # Galois orbit of components and no one component under its extension
+    T, W = simple_modules(catalog()["S3"], F2).modules
+    both = direct_sum(T, W)
+    with pytest.raises(InputError, match="decompose first"):
+        fiber(both, 2)
+    with pytest.raises(InputError, match="decompose first"):
+        descend_component(extend_scalars(both, F4), F2)
 
 
 def test_classify_module_flags():

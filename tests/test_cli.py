@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from modclass import cli, limits
+from modclass import cli, limits, perm_group
 from modclass.errors import LimitError
 from modclass.finite_field import make_field
 from modclass.serialize import load_module
@@ -221,6 +221,15 @@ def test_cap_overrides_hold_for_one_invocation(capsys, monkeypatch, command, wan
     assert (limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE) == defaults
     with pytest.raises(LimitError):
         make_field(2, 22)
+
+
+@pytest.mark.parametrize("name, want_code", [("C2", 0), ("S4", 1)])
+def test_group_order_cap_applies_to_the_named_group(capsys, monkeypatch, name, want_code):
+    # a fresh catalog is built under the lowered cap, as in a new process
+    monkeypatch.setattr(perm_group, "_CATALOG", {})
+    code, _, err = _run(capsys, ["--max-group-order", "4", "simples", "-g", name, "-p", "2"])
+    assert code == want_code
+    assert ("exceeds cap 4" in err) == (want_code == 1)
 
 
 def test_exit_code_unknown_group(capsys):

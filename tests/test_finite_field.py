@@ -530,6 +530,16 @@ def test_construction_validation():
         make_field(2, 25)
 
 
+def test_size_cap_comes_before_the_primality_test(monkeypatch):
+    # trial division of a prime near 10^18 would run for hours
+    def forbidden(p):
+        raise AssertionError("primality tested before the size cap")
+
+    monkeypatch.setattr(finite_field, "is_prime", forbidden)
+    with pytest.raises(LimitError):
+        make_field(10**18 + 3, 1)
+
+
 def test_field_cache_identity():
     assert make_field(2, 3) is make_field(2, 3)
 

@@ -6,10 +6,12 @@ induction of its restriction to Q.  Vertex results are checked against
 that oracle and against the frozen Sylow orders.
 """
 
+import operator as op
+
 import numpy as np
 import pytest
 
-from modclass import linalg
+from modclass import linalg, meataxe, modrep
 from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
 from modclass.meataxe import decompose, is_isomorphic, simple_modules
@@ -212,10 +214,44 @@ def test_seeds_that_do_not_generate_fail_the_full_trace_check(monkeypatch):
     P = next(W for W, _ in decompose(regular_module(G, F2)).summands if W.dim == 2)
     V = direct_sum(P, trivial_module(G, F2))
     assert not is_projective(V)
-    real = Rep.generating_seeds
-    monkeypatch.setattr(Rep, "generating_seeds", lambda self: real(self)[:-1])
+    real = Rep.endomorphisms
+    monkeypatch.setattr(Rep, "endomorphisms", lambda self: (real(self)[0], real(self)[1][:-1]))
     with pytest.raises(ConsistencyError, match="relative trace of the Higman solution"):
         is_projective(direct_sum(P, trivial_module(G, F2)))
+
+
+def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatch):
+    # decompose proved every summand indecomposable; vertex and source read
+    # that proof instead of solving End_G and its structure again
+    G = catalog()["A4"]
+    Q2 = [Q for Q in p_subgroups_up_to_conjugacy(G, 2) if Q.order == 2][0]
+    V = direct_sum(regular_module(G, F2), induce(trivial_module(Q2.group, F2), G))
+    summands = [W for W, _ in decompose(V).summands]
+    ends = [hom_basis_matrices(F2, W.matrices, W.matrices, W.dim, W.dim) for W in summands]
+    repeats = []
+
+    def same(mats, ref, equal):
+        return len(mats) == len(ref) and all(equal(a, b) for a, b in zip(mats, ref))
+
+    real_hom, real_structure = modrep.hom_basis_and_seeds, meataxe.algebra_structure
+
+    def hom(field, src, tgt, *dims):
+        for W in summands:  # a summand's own matrix objects on both sides: its End_G
+            if same(src, W.matrices, op.is_) and same(tgt, W.matrices, op.is_):
+                repeats.append(("End", W.dim))
+        return real_hom(field, src, tgt, *dims)
+
+    def structure(field, basis, *args):
+        repeats.extend(("structure", len(E)) for E in ends if same(basis, E, np.array_equal))
+        return real_structure(field, basis, *args)
+
+    monkeypatch.setattr(modrep, "hom_basis_and_seeds", hom)
+    monkeypatch.setattr(meataxe, "algebra_structure", structure)
+    for W in summands:
+        Q = vertex(W)
+        assert source(W).vertex is Q
+        source(W, Q)
+    assert repeats == []
 
 
 def _full_system_higman(V, Q):

@@ -10,7 +10,7 @@ because the randomized searches downstream take their branches from it.
 import numpy as np
 import pytest
 
-from modclass import linalg
+from modclass import linalg, modrep
 from modclass.finite_field import make_field
 from modclass.meataxe import composition_factors, decompose, simple_modules
 from modclass.modrep import Rep, direct_sum, hom_basis_matrices, regular_module, trivial_module
@@ -98,6 +98,23 @@ def test_empty_generator_list_and_zero_dimension():
     assert hom_basis_matrices(K, [empty], [A], 0, 2) == []
     assert hom_basis_matrices(K, [A], [empty], 2, 0) == []
     assert hom_basis_matrices(K, [empty], [empty], 0, 0) == []
+
+
+def test_rep_endomorphisms_are_the_hom_basis_solved_once(monkeypatch):
+    K = make_field(2, 2)
+    reg = regular_module(catalog()["S3"], K)
+    mods = [reg, _random_basis(reg, np.random.default_rng(5)), direct_sum(reg, trivial_module(reg.group, K))]
+    mods.append(Rep(PermGroup(1, []), K, [], dim=2))
+    solved = [V.endomorphisms() for V in mods]
+    for V, (basis, seeds) in zip(mods, solved):
+        _assert_same_basis(basis, hom_basis_matrices(K, V.matrices, V.matrices, V.dim, V.dim))
+        assert seeds and tuple(sorted(seeds)) == seeds
+
+    def forbidden(*args):
+        raise AssertionError("End solved a second time")
+
+    monkeypatch.setattr(modrep, "hom_basis_and_seeds", forbidden)
+    assert all(V.endomorphisms() is got for V, got in zip(mods, solved))
 
 
 def test_regular_s5_mod_5_decomposes():

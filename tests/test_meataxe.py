@@ -17,7 +17,6 @@ from modclass.modrep import (
     Rep,
     direct_sum,
     extend_scalars,
-    hom_basis_and_seeds,
     hom_basis_matrices,
     induce,
     permutation_module,
@@ -29,7 +28,6 @@ from modclass.meataxe import (
     composition_factors,
     decompose,
     end_structure,
-    endomorphism_basis,
     is_absolutely_indecomposable,
     is_absolutely_simple,
     is_indecomposable,
@@ -118,9 +116,7 @@ def test_simple_modules_battery(name, p):
     assert list(S.end_degrees) == ends
     for W in S.modules:
         assert is_simple(W)
-        assert len(endomorphism_basis(W.field, list(W.matrices), W.dim)) == ends[
-            S.modules.index(W)
-        ]
+        assert len(W.endomorphisms()[0]) == ends[S.modules.index(W)]
 
 
 def test_decompose_regular_s3_block_structure():
@@ -469,7 +465,7 @@ def _oracle_algebra_structure(field, basis, rng):
     h = len(basis)
     if h == 1:
         return 1, 0, True
-    mults = meataxe._algebra_right_mults(field, basis)
+    mults = meataxe._algebra_right_mults(field, basis, list(range(len(basis[0]))))
     factors = meataxe._chop(field, mults, h, rng)
     Z = np.vstack([np.stack([M.reshape(-1) for M in fmats], axis=1) for fmats, _ in factors])
     rad = linalg.nullspace(field, Z)
@@ -498,8 +494,9 @@ def test_end_structure_matches_quotient_algebra_oracle(name, p, n):
     modules += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
     summands = [W for M in modules for W, _ in decompose(M).summands]
     sums = [direct_sum(summands[0], W) for W in summands[:2]]
-    for V in modules + summands + sums:
-        basis = endomorphism_basis(K, list(V.matrices), V.dim)
+    simples = list(simple_modules(G, K).modules)  # their structure comes from Schur's lemma
+    for V in modules + summands + sums + simples:
+        basis = hom_basis_matrices(K, list(V.matrices), list(V.matrices), V.dim, V.dim)
         want = _oracle_algebra_structure(K, basis, np.random.default_rng(0))
         assert end_structure(V) == want, (V.dim, want)
     assert not any(end_structure(V)[2] for V in sums)  # a sum of two is never local
@@ -624,12 +621,20 @@ def _end_cases(G, K):
     return mods + [W for M in mods for W, _ in decompose(M).summands]
 
 
+def _spin_seeds(V):
+    # the seeds of a plain standard-basis spin of V, from e_0, e_1, ...
+    log = []
+    if V.dim:
+        linalg.spin(V.field, list(V.matrices), list(V.field.identity(V.dim)), log=log)
+    return tuple(i for j, i, _ in log if j < 0)
+
+
 def _assert_seed_min_polys(V, rng):
     # every End basis map and a random combination of them, as _try_split
     # and its span search meet them
     K = V.field
-    basis, seeds = hom_basis_and_seeds(K, list(V.matrices), list(V.matrices), V.dim, V.dim)
-    assert seeds == V.generating_seeds()
+    basis, seeds = V.endomorphisms()
+    assert seeds == _spin_seeds(V)
     stack = np.stack(basis)
     combo = meataxe._combo(K, stack, K.rand_codes(rng, len(basis)))
     for phi in list(stack) + [combo]:
@@ -670,17 +675,19 @@ def test_seeds_that_do_not_generate_raise(monkeypatch):
     phi = np.diag([0, 1, 2]).astype(np.int64)
     with pytest.raises(ConsistencyError, match="generalized eigenspaces do not fill the module"):
         meataxe._split_by_min_poly(F3, phi, [0, 1])
-    # T + sign for C2 over GF(3) without the seed of sign: no End map splits
-    # there, yet its algebra is not local
-    real = meataxe.hom_basis_and_seeds
-
-    def drop_last_seed(*args):
-        basis, seeds = real(*args)
-        return basis, seeds[:-1]
-
-    monkeypatch.setattr(meataxe, "hom_basis_and_seeds", drop_last_seed)
+    # T + sign for C2 over GF(3) without the seed of sign: on the seed of T
+    # alone the End basis maps E_00 and E_11 read as e_0 and 0
     C2 = catalog()["C2"]
     sign = Rep(C2, F3, [np.array([[2]], dtype=np.int64)])
+    real = Rep.endomorphisms
+    with monkeypatch.context() as m:
+        m.setattr(Rep, "endomorphisms", lambda self: (real(self)[0], real(self)[1][:-1]))
+        with pytest.raises(ConsistencyError, match="algebra basis is linearly dependent"):
+            decompose(direct_sum(trivial_module(C2, F3), sign))
+    # the same seeds for the splitting alone: no End map splits there, yet
+    # the algebra is not local
+    split = meataxe._split_by_min_poly
+    monkeypatch.setattr(meataxe, "_split_by_min_poly", lambda K, phi, seeds: split(K, phi, seeds[:-1]))
     with pytest.raises(ConsistencyError, match="non-local algebra without nontrivial idempotent"):
         decompose(direct_sum(trivial_module(C2, F3), sign))
 
@@ -723,7 +730,7 @@ def _regular_chop_oracle(G, K):
     for W in composition_factors(regular_module(G, K)):
         if not any(is_isomorphic(W, M) for M in classes):
             classes.append(W)
-    return [(W, len(endomorphism_basis(K, list(W.matrices), W.dim))) for W in classes]
+    return [(W, len(W.endomorphisms()[0])) for W in classes]
 
 
 def test_extra_groups_have_the_expected_orders():
@@ -845,5 +852,5 @@ def test_end_degrees_are_the_berman_orbit_lengths(case, s):
     natural = permutation_module(G, K)
     start = direct_sum(_random_conjugate(natural, np.random.default_rng(s)), natural)
     found = meataxe._tensor_closure(start, len(lengths), s % 103)
-    degrees = [len(endomorphism_basis(K, list(W.matrices), W.dim)) for W in found]
+    degrees = [len(W.endomorphisms()[0]) for W in found]
     assert sorted(degrees) == lengths
