@@ -230,6 +230,14 @@ def _field_label(p: int, n: int) -> str:
     return "GF(%d)" % p if n == 1 else "GF(%d^%d)" % (p, n)
 
 
+def _simple_module(G, K, args):
+    """Simple module number args.index of G over K."""
+    S = meataxe.simple_modules(G, K, seed=args.seed)
+    if not 0 <= args.index < len(S.modules):
+        raise InputError("index %d out of range: %d simple modules" % (args.index, len(S.modules)))
+    return S.modules[args.index]
+
+
 def _cmd_simples(args) -> int:
     G, gdoc = _resolve_group(args.group)
     key = {
@@ -319,12 +327,6 @@ def _cmd_fiber(args) -> int:
             raise InputError("fiber needs either --module FILE or -g GROUP with -p P")
         G, gdoc = _resolve_group(args.group)
         K = make_field(args.p, args.n)
-        S = meataxe.simple_modules(G, K, seed=args.seed)
-        if not 0 <= args.index < len(S.modules):
-            raise InputError(
-                "index %d out of range: %d simple modules" % (args.index, len(S.modules))
-            )
-        V = S.modules[args.index]
         key_mod = {"group": gdoc, "p": args.p, "n": args.n, "index": args.index}
     key = {
         "command": "fiber",
@@ -335,7 +337,9 @@ def _cmd_fiber(args) -> int:
     }
 
     def render():
-        level = classify.fiber(V, args.degree, seed=args.seed)
+        # a replay from the cache computes no simple modules
+        W = V if args.module else _simple_module(G, K, args)
+        level = classify.fiber(W, args.degree, seed=args.seed)
         L = level.field
         if args.format == "structured":
             doc = {
@@ -408,12 +412,7 @@ def _cmd_make(args) -> int:
     elif args.what == "trivial":
         V = trivial_module(G, K)
     else:
-        S = meataxe.simple_modules(G, K, seed=args.seed)
-        if not 0 <= args.index < len(S.modules):
-            raise InputError(
-                "index %d out of range: %d simple modules" % (args.index, len(S.modules))
-            )
-        V = S.modules[args.index]
+        V = _simple_module(G, K, args)
     return _emit_module(args, V, name)
 
 
@@ -536,11 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simples", help="list the simple modules over GF(p^n)")
     _add_group_field(sp)
-    sp.set_defaults(fn=_cmd_simples)
 
     sp = sub.add_parser("count", help="count absolutely simple classes and compare with the class count")
     _add_group_field(sp)
-    sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("fiber", help="components of a module after a field extension")
     sp.add_argument("-g", "--group", default=None, help="catalog name or group JSON file")
@@ -549,60 +546,58 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--index", type=int, default=0, help="which simple module (with -g)")
     sp.add_argument("--module", default=None, help="module JSON file (alternative to -g)")
     sp.add_argument("--degree", type=int, required=True, help="extension degree")
-    sp.set_defaults(fn=_cmd_fiber)
 
     sp = sub.add_parser("verify", help="run the classification verification clauses")
     _add_group_field(sp)
     sp.add_argument("--bound", type=int, default=None, help="largest extension degree to check")
-    sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("make", help="write a standard module as JSON")
     sp.add_argument("what", choices=("regular", "trivial", "simple"))
     _add_group_field(sp)
     sp.add_argument("--index", type=int, default=0, help="which simple module (for 'simple')")
     sp.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    sp.set_defaults(fn=_cmd_make)
 
     sp = sub.add_parser("decompose", help="indecomposable summands of a module file")
     sp.add_argument("--module", required=True, help="module JSON file")
-    sp.set_defaults(fn=_cmd_decompose)
 
     sp = sub.add_parser("vertex", help="vertex and source of an indecomposable module")
     sp.add_argument("--module", required=True, help="module JSON file")
-    sp.set_defaults(fn=_cmd_vertex)
 
     sp = sub.add_parser("green", help="Green correspondent across a subgroup containing the normalizer")
     sp.add_argument("--module", required=True, help="module JSON file")
     sp.add_argument("--vertex-gens", required=True, help="JSON list of permutations generating Q")
     sp.add_argument("--subgroup-gens", required=True, help="JSON list of permutations generating H")
     sp.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    sp.set_defaults(fn=_cmd_green)
 
     sp = sub.add_parser("extend", help="extend scalars by a field extension of given degree")
     sp.add_argument("--module", required=True, help="module JSON file")
     sp.add_argument("--degree", type=int, required=True, help="extension degree")
     sp.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    sp.set_defaults(fn=_cmd_extend)
 
     sp = sub.add_parser("restrict", help="restrict scalars to a subfield (default: the prime field)")
     sp.add_argument("--module", required=True, help="module JSON file")
     sp.add_argument("--to-degree", type=int, default=1, help="degree of the target subfield")
     sp.add_argument("-o", "--out", default=None, help="output file (default stdout)")
-    sp.set_defaults(fn=_cmd_restrict)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; building it costs more than a cache replay."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     saved_caps = limits.MAX_GROUP_ORDER, limits.MAX_FIELD_SIZE
     if args.max_group_order is not None:
         limits.MAX_GROUP_ORDER = args.max_group_order
     if args.max_field_size is not None:
         limits.MAX_FIELD_SIZE = args.max_field_size
     try:
-        return args.fn(args)
+        # looked up per call, so a wrapped or replaced command takes effect
+        return globals()["_cmd_" + args.command](args)
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 2

@@ -270,6 +270,117 @@ def spin(
     return space
 
 
+# spin_each spins at most this many seeds at once, so the memory of a scan
+# grows with this block and the dimension, not with the number of points.
+_SPIN_BLOCK = 1024
+
+
+def spin_each(field: FiniteField, mats: list[np.ndarray], seeds: np.ndarray, actions: bool = False):
+    """Spin every seed on its own, all of them in lockstep.
+
+    Returns (dims, acts): dims[i] is the dimension of spin(field, mats,
+    [seeds[i]]).  With ``actions``, acts[i] stacks the matrices of the action
+    in the raw basis of that spin (column j of matrix g holds the coordinates
+    of mats[g] @ raw[j]) for every seed whose spin is the whole space, and is
+    zero for the others; otherwise acts is None.
+
+    The seeds are spun breadth-first like `spin`, but in lockstep: every
+    seed meets the same events (raw vector j, matrix g).  One product gives
+    the images of all raw vectors j under every matrix, one batched product
+    reduces them against each seed's fully reduced rows, and the independent
+    ones join their spins together.  So each raw basis is the one `spin`
+    finds, and coordinates in a basis are unique.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)
+    d = seeds.shape[1]
+    stack_t = _stacked(mats, d).T  # (d, len(mats) * d): one product applies every matrix
+    blocks = [
+        _spin_block(field, stack_t, seeds[lo : lo + _SPIN_BLOCK], actions)
+        for lo in range(0, len(seeds), _SPIN_BLOCK) or [0]
+    ]
+    dims = np.concatenate([b[0] for b in blocks])
+    return dims, np.concatenate([b[1] for b in blocks]) if actions else None
+
+
+def _spin_block(field: FiniteField, stack_t: np.ndarray, seeds: np.ndarray, track: bool):
+    """spin_each on one block of seeds; the matrices come stacked as stack_t.
+
+    Seed s holds its raw basis in raw[s, :k[s]] and its fully reduced rows
+    in rows[s, :k[s]], each followed by its expression in the raw basis
+    when tracked.  Rows past k[s] are zero, so they take part in every
+    batched product without effect, and so do seeds whose spin is closed
+    (their next raw vector is zero) or full (no image is independent).
+    With tracking the events go on once a spin is full, to read the
+    coordinates of every image.
+    """
+    m, d = seeds.shape
+    n = stack_t.shape[1] // d
+    width = 2 * d if track else d
+    raw = np.zeros((m, d, d), dtype=np.int64)
+    rows = np.zeros((m, d, width), dtype=np.int64)
+    pivots = np.zeros((m, d), dtype=np.intp)
+    k = np.zeros(m, dtype=np.intp)
+    acts = np.zeros((m, n, d, d), dtype=np.int64) if track else None
+
+    def insert(W, combo):
+        """Reduce the candidate W[s] of every seed s; the independent ones
+        join, and their indices are returned."""
+        residual = field.sub(W, combo[:, :d])
+        new = np.flatnonzero(residual.any(axis=1))
+        if not new.size:
+            return new
+        res, kn = residual[new], k[new]
+        r = kn.max()  # rows in use by these seeds
+        piv = np.argmax(res != 0, axis=1)
+        # residual = w - coords . raw, so row = s * (residual | -coords | 1 at raw k)
+        row = np.zeros((len(new), width), dtype=np.int64)
+        row[:, :d] = res
+        if track:
+            row[:, d:] = field.neg(combo[new, d:])
+            row[np.arange(len(new)), d + kn] = 1
+        row = field.mul(field.inv(res[np.arange(len(new)), piv])[:, None], row)
+        # clear the new pivot column from the rows that have it
+        old = rows[new, :r]
+        hit = np.take_along_axis(old, piv[:, None, None], axis=2)  # (new, r, 1)
+        rows[new, :r] = field.sub(old, field.mul(hit, row[:, None, :]))
+        rows[new, kn] = row
+        pivots[new, kn] = piv
+        raw[new, kn] = W[new]
+        k[new] = kn + 1
+        return new
+
+    insert(seeds, np.zeros((m, width), dtype=np.int64))
+    for j in range(d):
+        if not ((k > j) & ((k < d) | track)).any():
+            break
+        images = field.mat_mul(raw[:, j], stack_t)  # (m, n * d)
+        for g in range(n):
+            r = k.max()
+            W = images[:, g * d : (g + 1) * d]
+            coeffs = np.take_along_axis(W, pivots[:, :r], axis=1)
+            combo = _combine(field, coeffs, rows[:, :r])
+            new = insert(W, combo)
+            if track:
+                # column j of matrix g: the coordinates of a dependent image,
+                # a unit vector for one that joined the raw basis
+                acts[:, g, :, j] = combo[:, d:]
+                acts[new, g, :, j] = 0
+                acts[new, g, k[new] - 1, j] = 1
+    if track:
+        acts[k < d] = 0
+    return k, acts
+
+
+def _combine(field: FiniteField, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[s, i] * rows[s, i] for every s: one combination per stack."""
+    if field.n == 1:
+        return np.matmul(coeffs[:, None, :], rows)[:, 0] % field.p
+    terms = field.mul(coeffs[:, :, None], rows)
+    if field.p == 2:
+        return np.bitwise_xor.reduce(terms, axis=1)
+    return field.encode(field.decode(terms).sum(axis=1) % field.p)
+
+
 def _stacked(mats: list[np.ndarray], d: int) -> np.ndarray:
     """The matrices stacked vertically, so one product applies all of them."""
     return np.concatenate(mats) if len(mats) else np.zeros((0, d), dtype=np.int64)

@@ -5,7 +5,10 @@ enveloping algebra and an irreducible factor f of its minimal polynomial
 with nullity(f(z)) = deg f, one spin of a null vector plus one spin of a
 transpose null vector is conclusive.  Randomness only drives the search for
 such a witness; reported answers are always verified, so a bad random
-stream can at worst raise InconclusiveError, never a wrong verdict.
+stream can at worst raise InconclusiveError, never a wrong verdict.  When
+the search fails on a small module, an exhaustive scan spins one vector per
+projective point; the canonical form of a small simple module spins the same
+points.  Both spin every point in lockstep (`linalg.spin_each`).
 
 Indecomposability is decided exactly: E = End(V) is local if and only if
 every composition factor of the regular module of E has dimension
@@ -128,13 +131,16 @@ def _exhaustive_simple(field: FiniteField, mats, dim: int):
     """Complete scan: simple iff every nonzero vector generates everything.
 
     Only called when field.q ** dim <= SCAN_CAP.  One representative per
-    projective line suffices since spin(c*v) = spin(v).
+    projective line suffices since spin(c*v) = spin(v); every one of them is
+    spun in lockstep (`linalg.spin_each`), and the witness is the spin of
+    the first whose span falls short.
     """
-    for v in _projective_points(field, dim):
-        span = linalg.spin(field, mats, [v])
-        if span.dim < dim:
-            return False, span.echelon_matrix()
-    return True, None
+    points = _projective_points(field, dim)
+    dims, _ = linalg.spin_each(field, mats, points)
+    short = np.flatnonzero(dims < dim)
+    if not short.size:
+        return True, None
+    return False, linalg.spin(field, mats, [points[short[0]]]).echelon_matrix()
 
 
 def _norton(field: FiniteField, mats, dim: int, rng):
@@ -471,7 +477,8 @@ def try_canonical_form(V: Rep) -> Rep | None:
     """Least spin-basis presentation of a simple module, if small enough.
 
     Spins one seed per projective point to a full basis (simple modules are
-    cyclic from every nonzero vector) and keeps the matrix tuple that is
+    cyclic from every nonzero vector), all of them in lockstep
+    (`linalg.spin_each`), and keeps the matrix tuple that is
     lexicographically least.  Spinning c*v gives the basis c*B, in which the
     action has the same matrices as in B, so the other nonzero seeds add
     nothing.  Independent of the input basis.
@@ -480,37 +487,13 @@ def try_canonical_form(V: Rep) -> Rep | None:
     d = V.dim
     if d == 0 or d > limits.CANONICAL_DIM_CAP or field.q**d > limits.CANONICAL_ORBIT_CAP:
         return None
-    mats = list(V.matrices)
-    best_key = None
-    best = None
-    for v in _projective_points(field, d):
-        log: list = []
-        span = linalg.spin(field, mats, [v], log=log)
-        _require(span.dim == d, "canonical form requires a simple module")
-        A = _spin_action(log, len(mats), d)
-        key = A.reshape(-1).tolist()
-        if best_key is None or key < best_key:
-            best_key = key
-            best = A
+    if d == 1:  # the spin basis of the point (1) is the basis itself
+        return Rep(V.group, field, V.matrices, check=False, dim=1)
+    dims, acts = linalg.spin_each(field, list(V.matrices), _projective_points(field, d), actions=True)
+    _require((dims == d).all(), "canonical form requires a simple module")
+    keys = acts.reshape(len(acts), -1)
+    best = acts[np.lexsort(keys.T[::-1])[0]]
     return Rep(V.group, field, list(best), check=False, dim=d)
-
-
-def _spin_action(log: list, n_mats: int, d: int) -> np.ndarray:
-    """Action matrices, stacked, in the raw basis of a full-dimensional logged spin.
-
-    Column j of matrix g holds the raw-basis coordinates of mats[g] @ raw[j]:
-    a unit vector when that image joined the basis, else the logged coords.
-    """
-    A = np.zeros((n_mats, d, d), dtype=np.int64)
-    n_raw = 0
-    for j, g, coords in log:
-        if coords is None:
-            if j >= 0:
-                A[g, n_raw, j] = 1
-            n_raw += 1
-        else:
-            A[g, : len(coords), j] = coords
-    return A
 
 
 @dataclass

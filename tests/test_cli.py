@@ -426,3 +426,58 @@ def test_cache_key_carries_source_digest(tmp_path):
     with open(copy / "modclass" / "meataxe.py", "a") as fh:
         fh.write("\n# edited\n")
     assert len(entries()) == 2
+
+
+def test_fiber_replay_computes_no_simple_modules(tmp_path, capsys, monkeypatch):
+    from modclass import meataxe
+
+    calls = []
+    real = meataxe.simple_modules
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(meataxe, "simple_modules", counting)
+    cache = str(tmp_path / "cache")
+    argv = ["--cache-dir", cache, "fiber", "-g", "S4", "-p", "3", "--index", "1", "--degree", "6"]
+    code1, out1, _ = _run(capsys, argv)
+    assert code1 == 0 and len(calls) == 1
+    code2, out2, _ = _run(capsys, argv)
+    assert (code2, out2) == (code1, out1) and len(calls) == 1
+    # an index out of range is still an input error, and leaves no entry
+    other = str(tmp_path / "other")
+    argv = ["--cache-dir", other, "fiber", "-g", "S3", "-p", "2", "--index", "9", "--degree", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "index 9 out of range" in err
+    assert [f for f in os.listdir(other) if f.endswith(".json")] == []
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    monkeypatch.setattr(limits, "MAX_GROUP_ORDER", limits.MAX_GROUP_ORDER)
+    cli._parser.cache_clear()
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    counted = []
+    real_count = cli._cmd_count
+    monkeypatch.setattr(cli, "_cmd_count", lambda args: counted.append(args.group) or real_count(args))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "-g", "S3"])  # missing -p
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert _run(capsys, ["count", "-g", "S3", "-p", "2"]) == (0, COUNT_S3_P2_TABLE, "")
+    code, out, err = _run(capsys, ["--max-group-order", "4", "simples", "-g", "S4", "-p", "2"])
+    assert code == 1 and out == "" and "exceeds cap 4" in err
+    code, out, _ = _run(capsys, ["simples", "-g", "S4", "-p", "2"])
+    assert code == 0 and out.startswith("simple GF(2)-modules for group of order 24")
+    assert built == [1]  # one parser for every call
+    assert counted == ["S3"]  # commands are looked up when called
+    for argv in (
+        ["count", "-g", "S3", "-p", "2"],
+        ["--max-group-order", "4", "simples", "-g", "S4", "-p", "2"],
+        ["simples", "-g", "S4", "-p", "2"],
+        ["--seed", "3", "--format", "structured", "fiber", "-g", "C3", "-p", "2", "--degree", "2"],
+    ):
+        assert vars(cli._parser().parse_args(argv)) == vars(real_build().parse_args(argv))

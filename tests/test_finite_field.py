@@ -574,6 +574,7 @@ def test_forced_fact_checks_survive_python_O():
         "tests/test_finite_field.py::test_failed_table_build_raises_consistency_error",
         "tests/test_green.py::test_seeds_that_do_not_generate_fail_the_full_trace_check",
         "tests/test_meataxe.py::test_seeds_that_do_not_generate_raise",
+        "tests/test_meataxe.py::test_canonical_form_of_reducible_module_raises",
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -584,4 +585,4 @@ def test_forced_fact_checks_survive_python_O():
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "5 passed" in proc.stdout
+    assert "6 passed" in proc.stdout

@@ -6,6 +6,8 @@ import pytest
 from modclass.errors import InputError
 from modclass.finite_field import make_field
 from modclass import linalg as L
+from modclass.modrep import permutation_module, regular_module
+from modclass.perm_group import catalog
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -427,3 +429,101 @@ def test_block_actions_match_sequential_oracle(p, n):
             assert free == want_free
             assert all(_same(a, b) for a, b in zip(got_q, want_q))
     assert not _is_invariant(K, np.eye(d, dtype=np.int64)[4:5], mats)
+
+
+# ----- oracle: one logged sequential spin per seed -----
+
+
+def _spin_action(log, n_mats, d):
+    """Action matrices, stacked, in the raw basis of a full-dimensional logged spin.
+
+    Column j of matrix g holds the raw-basis coordinates of mats[g] @ raw[j]:
+    a unit vector when that image joined the basis, else the logged coords.
+    """
+    A = np.zeros((n_mats, d, d), dtype=np.int64)
+    n_raw = 0
+    for j, g, coords in log:
+        if coords is None:
+            if j >= 0:
+                A[g, n_raw, j] = 1
+            n_raw += 1
+        else:
+            A[g, : len(coords), j] = coords
+    return A
+
+
+def _assert_spin_each_matches_spin(K, mats, seeds):
+    d = seeds.shape[1]
+    dims, acts = L.spin_each(K, mats, seeds, actions=True)
+    plain_dims, no_acts = L.spin_each(K, mats, seeds)
+    assert no_acts is None
+    assert _same(dims, plain_dims)
+    assert acts.shape == (len(seeds), len(mats), d, d) and acts.dtype == np.int64
+    for v, dim, A in zip(seeds, dims, acts):
+        log = []
+        span = L.spin(K, mats, [v], log=log)
+        assert dim == span.dim
+        want = _spin_action(log, len(mats), d) if dim == d else np.zeros_like(A)
+        assert _same(A, want)
+    return dims
+
+
+def _seed_sample(K, d, rng):
+    """Every vector when there are few, else unit vectors, their sum,
+    scaled copies and random vectors, and the zero vector."""
+    if K.q**d <= 512:
+        codes = np.arange(K.q**d, dtype=np.int64)
+        return (codes[:, None] // K.q ** np.arange(d, dtype=np.int64)) % K.q
+    eye = K.identity(d)
+    rand = K.rand_codes(rng, (40, d))
+    ones = np.ones((1, d), dtype=np.int64)
+    return np.vstack([eye, ones, K.mul(K.gen_code, rand[:5]), rand, K.zeros(1, d)])
+
+
+SPIN_EACH_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p,n", SPIN_EACH_FIELDS)
+def test_spin_each_matches_logged_spins(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(13 * p + n)
+    cat = catalog()
+    modules = [
+        list(regular_module(cat["C4"], K).matrices),  # uniserial when p = 2: spins of every dim
+        list(regular_module(cat["S3"], K).matrices),
+        list(permutation_module(cat["S4"], K).matrices),  # all-ones line, sum-zero hyperplane
+        _random_module(K, 7, rng, (2, 3)),
+        _random_module(K, 5, rng, ()),
+    ]
+    short = set()
+    for mats in modules:
+        d = mats[0].shape[0]
+        dims = _assert_spin_each_matches_spin(K, mats, _seed_sample(K, d, rng))
+        short |= {int(x) for x in dims if 0 < x < d}
+    assert len(short) >= 2  # short spins of different dimensions took part
+
+
+@pytest.mark.parametrize("p,n", SPIN_EACH_FIELDS)
+def test_spin_each_edge_cases(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(17 * p + n)
+    # d = 1, and a group without generators: every spin is the seed's line
+    one = [K.rand_codes(rng, (1, 1)) % (K.q - 1) + 1]
+    _assert_spin_each_matches_spin(K, one, np.array([[0], [1], [K.q - 1]], dtype=np.int64))
+    seeds = np.vstack([K.zeros(1, 3), K.identity(3), K.rand_codes(rng, (4, 3))])
+    dims = _assert_spin_each_matches_spin(K, [], seeds)
+    assert dims.tolist() == [0, 1, 1, 1] + [int(v.any()) for v in seeds[4:]]
+    assert _assert_spin_each_matches_spin(K, [], np.ones((2, 1), dtype=np.int64)).tolist() == [1, 1]
+    dims, acts = L.spin_each(K, one, np.zeros((0, 1), dtype=np.int64), actions=True)
+    assert dims.shape == (0,) and acts.shape == (0, 1, 1, 1)
+
+
+def test_spin_each_blocks_agree(monkeypatch):
+    K = make_field(3, 1)
+    rng = np.random.default_rng(5)
+    mats = _random_module(K, 6, rng, (2, 4))
+    seeds = _seed_sample(K, 6, rng)
+    whole = L.spin_each(K, mats, seeds, actions=True)
+    monkeypatch.setattr(L, "_SPIN_BLOCK", 7)
+    parts = L.spin_each(K, mats, seeds, actions=True)
+    assert _same(whole[0], parts[0]) and _same(whole[1], parts[1])

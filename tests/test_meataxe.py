@@ -22,6 +22,7 @@ from modclass.modrep import (
     permutation_module,
     regular_module,
     restrict_subgroup,
+    tensor_product,
     trivial_module,
 )
 from modclass.meataxe import (
@@ -311,6 +312,52 @@ def test_canonical_form_matches_full_scan(name, p, n):
         assert len(got.matrices) == len(want)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.matrices, want))
     assert checked
+
+
+def test_canonical_form_of_reducible_module_raises():
+    # some point of a reducible module spins to a proper submodule; the form
+    # needs every spin to be full and checks it by a raise python -O keeps
+    S3 = catalog()["S3"]
+    for V in (permutation_module(S3, F2), direct_sum(trivial_module(S3, F3), trivial_module(S3, F3))):
+        with pytest.raises(ConsistencyError, match="canonical form requires a simple module"):
+            try_canonical_form(V)
+
+
+def _exhaustive_simple_oracle(field, mats, dim):
+    # reference: spin one projective point after another
+    for v in meataxe._projective_points(field, dim):
+        span = linalg.spin(field, mats, [v])
+        if span.dim < dim:
+            return False, span.echelon_matrix()
+    return True, None
+
+
+@pytest.mark.parametrize("name, p, n", CANONICAL_GRID)
+def test_exhaustive_simple_matches_per_point_scan(name, p, n):
+    G = S5 if name == "S5" else catalog()[name]
+    K = make_field(p, n)
+    simples = list(simple_modules(G, K).modules)
+    small = [W for W in simples if W.dim <= 2]
+    # modules built from these, most of them reducible
+    built = [permutation_module(G, K), regular_module(G, K)]
+    built += [direct_sum(W, U) for W in small for U in small]
+    built += [tensor_product(W, U) for W in simples for U in simples]
+    seen = set()
+    verdicts = set()
+    for W in composition_factors(regular_module(G, K)) + simples + built:
+        key = b"".join(M.tobytes() for M in W.matrices)
+        if key in seen or K.q**W.dim > limits.SCAN_CAP:
+            continue
+        seen.add(key)
+        mats = list(W.matrices)
+        got = meataxe._exhaustive_simple(K, mats, W.dim)
+        want = _exhaustive_simple_oracle(K, mats, W.dim)
+        assert got[0] == want[0] == bool(is_simple(W))
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def _summand_multiset(V):
