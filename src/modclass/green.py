@@ -77,6 +77,22 @@ def _relative_trace(V: Rep, transversal, phis: np.ndarray, cols) -> np.ndarray:
     return acc.reshape(d, h, k).transpose(1, 0, 2)
 
 
+def _unit_map_traces(V: Rep, transversal, cols) -> np.ndarray:
+    """Columns `cols` of the relative traces of the d^2 unit maps E_ij, as
+    the (d k, d^2) system matrix of Higman's criterion.
+
+    Tr(E_ij)[a, c] = sum_t t^-1[a, i] t[j, c], so the whole system is one
+    product of the (d^2 x |T|) block of the t^-1 entries by the (|T| x d k)
+    block of the t columns, and the d^2 maps are never built.
+    """
+    field = V.field
+    d, k = V.dim, len(cols)
+    left = np.stack([V.element_matrix(pinv(t)) for t in transversal], axis=2)  # (a, i, t)
+    right = np.stack([V.element_matrix(t)[:, cols] for t in transversal])  # (t, j, c)
+    prod = field.mat_mul(left.reshape(d * d, -1), right.reshape(len(transversal), d * k))
+    return prod.reshape(d, d, d, k).transpose(0, 3, 1, 2).reshape(d * k, d * d)
+
+
 def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     """Higman's criterion as a linear feasibility problem on the seed columns.
 
@@ -85,6 +101,10 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     sum_i c_i Tr(phi_i)[:, seeds] = I[:, seeds] has the column dependencies
     of the full d^2-row system, and the same pivots and solution.  The
     solution's full trace is then checked against the identity.
+
+    When Q acts trivially (Q = 1, say), End_Q(V) is every d x d matrix with
+    the unit maps as its canonical basis; their traces come from the group
+    elements (`_unit_map_traces`) and the solution is read as a matrix.
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
@@ -93,15 +113,20 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     if d == 0:
         return ProjectivityResult(True, field.zeros(0, 0))
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
-    stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
-    h = len(stack)
     T = right_transversal(V.group, Q)
     seeds = V.endomorphisms()[1]
-    A = _relative_trace(V, T, stack, seeds).reshape(h, -1).T  # (d k, h)
+    if all(np.array_equal(M, field.identity(d)) for M in q_mats):
+        A, stack = _unit_map_traces(V, T, seeds), None
+    else:
+        stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
+        A = _relative_trace(V, T, stack, seeds).reshape(len(stack), -1).T  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
         return ProjectivityResult(False, None)
-    phi = field.mat_mul(coeffs[None], stack.reshape(h, -1)).reshape(d, d)
+    if stack is None:  # coefficient i d + j is that of E_ij
+        phi = coeffs.reshape(d, d)
+    else:
+        phi = field.mat_mul(coeffs[None], stack.reshape(len(stack), -1)).reshape(d, d)
     if not np.array_equal(_relative_trace(V, T, phi[None], range(d))[0], field.identity(d)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)

@@ -30,7 +30,10 @@ Isomorphism is decided exactly when either module is indecomposable: then
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Splitting an endomorphism algebra and comparing two decomposable modules
 search random combinations of a basis, then every combination of a span of
-at most SCAN_CAP elements (`_span_search`).
+at most SCAN_CAP elements (`_span_search`).  Isomorphic modules have
+generator images with equal characteristic polynomials; they are compared
+only where they can spare such a search, and otherwise serve as sort keys
+of class representatives.
 
 The simple modules of a group are the composition factors of its natural
 permutation module closed under pairwise tensor products, the smallest
@@ -423,16 +426,15 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
 
 
 def _basis_iso(V: Rep, U: Rep) -> tuple[IsoResult | None, list[np.ndarray]]:
-    """Char-poly filter, Hom(V, U) basis and its first invertible map.
+    """Hom(V, U) basis and its first invertible map.
 
     Returns the verdict when these settle it, else (None, basis): then no
     basis map is invertible and dim Hom >= 2, which means "not isomorphic"
-    as soon as V or U is indecomposable.
+    as soon as V or U is indecomposable.  No characteristic polynomial is
+    needed for that: an invertible G-map would force equal ones.
     """
     if V.dim != U.dim:
         return IsoResult(False, None, "different dimensions"), []
-    if V.generator_char_polys() != U.generator_char_polys():
-        return IsoResult(False, None, "generator characteristic polynomials differ"), []
     field = V.field
     basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
     if not basis:
@@ -462,6 +464,9 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
     # with rad End(U) * phi for indecomposable U).
     if end_structure(V, seed)[2] or end_structure(U, seed)[2]:
         return IsoResult(False, None, "no invertible basis map and one side is indecomposable")
+    # only a span search is left; conjugate generators share characteristic polynomials
+    if V.generator_char_polys() != U.generator_char_polys():
+        return IsoResult(False, None, "generator characteristic polynomials differ")
     field = V.field
     rng = np.random.default_rng(seed)
     M = _span_search(field, basis, rng, lambda M: M if linalg.is_invertible(field, M) else None)

@@ -58,22 +58,39 @@ class Rep:
                     raise InputError("matrix entry out of range for %r" % field)
                 if self.dim and not linalg.is_invertible(field, M):
                     raise InputError("generator image is singular")
-        self._element_cache: dict = {group_identity(group): field.identity(self.dim)}
+        identity = field.identity(self.dim)
+        identity.setflags(write=False)
+        self._element_cache: dict = {group_identity(group): identity}
         self._char_polys = None
         self._end = None
         self._structure = None  # (dim End, dim rad End, local?), kept by meataxe
 
     def element_matrix(self, g) -> np.ndarray:
-        """Image of an arbitrary group element, assembled along its word."""
+        """Image of an arbitrary group element, the product of the images of
+        the generators along its breadth-first word.
+
+        Words are prefix-closed (the word of h = g * gen_k is the word of g
+        followed by k), so every prefix of a word names an element, and
+        each element costs one product on top of its cached prefix.  The
+        products come in the order of the word, so the bytes equal a
+        letter-by-letter fold.
+        """
         g = tuple(g)
-        M = self._element_cache.get(g)
+        cache = self._element_cache
+        M = cache.get(g)
         if M is None:
             word = self.group.word(g)
-            M = self.field.identity(self.dim)
+            prefixes = [group_identity(self.group)]
             for k in word:
+                prefixes.append(pmul(prefixes[-1], self.group.generators[k]))
+            i = len(word) - 1
+            while prefixes[i] not in cache:
+                i -= 1
+            M = cache[prefixes[i]]
+            for k, h in zip(word[i:], prefixes[i + 1 :]):
                 M = self.field.mat_mul(M, self.matrices[k])
-            M.setflags(write=False)
-            self._element_cache[g] = M
+                M.setflags(write=False)
+                cache[h] = M
         return M
 
     def generator_char_polys(self):

@@ -1,14 +1,34 @@
 """Univariate polynomial arithmetic and factorization over GF(p^n).
 
-A polynomial is a trimmed 1-D int64 array of element codes, constant term
-first; the zero polynomial is the empty array.  Every function takes the
-coefficient field explicitly.  Factorization runs squarefree decomposition,
-then distinct-degree splitting, then randomized equal-degree splitting; the
-returned factor set is canonical (sorted), so the output is independent of
-the random path taken.
+At the API a polynomial is a trimmed 1-D int64 array of element codes,
+constant term first; the zero polynomial is the empty array.  Every function
+takes the coefficient field explicitly.  Factorization runs squarefree
+decomposition, then distinct-degree splitting, then randomized equal-degree
+splitting (Cantor-Zassenhaus); the returned factor set is canonical
+(sorted), so the output is independent of the random path taken.
+
+Inside, the algorithms run on Python lists of the same integer codes, since
+most polynomials here have degree at most 16 and a numpy call per
+coefficient costs more than the arithmetic.  One set of algorithms works
+through a small coefficient kernel (`_kernel`), picked by a property of the
+field:
+
+* GF(p): integers mod p;
+* GF(p^n) with at most ``_TABLE_CAP`` elements: products from the field's
+  certified log/exp tables; sums by XOR in characteristic 2 and by Zech
+  logarithms for odd p;
+* GF(2^n) above the cap: carry-less shift/XOR products reduced by the
+  defining polynomial, inverses by the binary extended Euclid;
+* GF(p^n), p odd, above the cap: whole-row updates through the field's own
+  numpy arithmetic, since one scalar product costs a digit convolution.
+
+Characteristic and minimal polynomials come from Krylov chains of unit
+vectors in a tracked :class:`~modclass.linalg.RowSpace`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,97 +44,420 @@ def trim(c: np.ndarray) -> np.ndarray:
     return c[: nz[-1] + 1] if nz.size else ZERO
 
 
-def degree(c: np.ndarray) -> int:
+def degree(c) -> int:
     return len(c) - 1
 
 
-def x_poly() -> np.ndarray:
-    return np.array([0, 1], dtype=np.int64)
+# ----- coefficient kernels on Python int codes -----
 
 
-def add(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    la, lb = len(a), len(b)
-    m = max(la, lb)
-    out = np.zeros(m, dtype=np.int64)
-    out[:la] = a
-    out[:lb] = field.add(out[:lb], b)
-    return trim(out)
+class _Kernel:
+    """Scalar and row operations on lists of codes.
+
+    A kernel has ``mul``, ``inv`` and ``neg1`` on single codes, ``add`` of
+    two rows of equal length, and ``axpy``, which adds c * b into r from
+    index s on, in place.  Row negation and scaling default to a
+    loop over the scalar operations.
+    """
+
+    def __init__(self, field: FiniteField):
+        self.field = field
+        self.p, self.q = field.p, field.q
+
+    def neg(self, a: list) -> list:
+        neg1 = self.neg1
+        return [neg1(x) for x in a]
+
+    def scale(self, c: int, a: list) -> list:
+        mul = self.mul
+        return [mul(c, y) for y in a]
 
 
-def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return add(field, a, np.asarray(field.neg(b)))
+
+class _PrimeKernel(_Kernel):
+    """GF(p): integers mod p."""
+
+    def neg1(self, x):
+        return -x % self.p
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def add(self, a, b):
+        p = self.p
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def axpy(self, r, s, c, b):
+        p, e = self.p, s + len(b)
+        r[s:e] = [(x + c * y) % p for x, y in zip(r[s:e], b)]
 
 
-def mul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return ZERO
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for s in range(len(a)):
-        if a[s]:
-            out[s : s + len(b)] = field.add(out[s : s + len(b)], field.mul(a[s], b))
-    return trim(out)
+class _TableKernel(_Kernel):
+    """GF(p^n) up to the table cap: exp[log a + log b] is a * b, zero
+    included (log 0 points past the cycle, where exp is zero).  Odd p adds
+    by Zech logarithms, zech[t] = log(1 + g^t), which is log 0 where
+    1 + g^t = 0 and then again lands on a zero of exp."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        log, exp = field._tables()
+        self.log, self.exp = memoryview(log), memoryview(exp)
+        self.m = field.q - 1
+        if field.p != 2:
+            self.zech = memoryview(np.ascontiguousarray(log[field.add(1, exp[: self.m])]))
+
+    def _add1(self, x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        log = self.log
+        lx = log[x]
+        return self.exp[lx + self.zech[(log[y] - lx) % self.m]]
+
+    def neg1(self, x):
+        return x if self.p == 2 else self.exp[self.log[x] + self.m // 2]
+
+    def mul(self, x, y):
+        return self.exp[self.log[x] + self.log[y]]
+
+    def inv(self, x):
+        return self.exp[self.m - self.log[x]]
+
+    def add(self, a, b):
+        if self.p == 2:
+            return [x ^ y for x, y in zip(a, b)]
+        add1 = self._add1
+        return [add1(x, y) for x, y in zip(a, b)]
+
+    def axpy(self, r, s, c, b):
+        log, exp, e = self.log, self.exp, s + len(b)
+        lc = log[c]
+        if self.p == 2:
+            r[s:e] = [x ^ exp[lc + log[y]] for x, y in zip(r[s:e], b)]
+            return
+        zech, m = self.zech, self.m
+        for i, y in enumerate(b, s):
+            if y:
+                lt = (lc + log[y]) % m  # log of c * y
+                x = r[i]
+                if x:
+                    lx = log[x]
+                    r[i] = exp[lx + zech[(lt - lx) % m]]
+                else:
+                    r[i] = exp[lt]
 
 
-def scale(field: FiniteField, c, a: np.ndarray) -> np.ndarray:
-    return trim(field.mul(np.int64(c), a))
+class _CarrylessKernel(_Kernel):
+    """GF(2^n) above the table cap: a code is the bit vector of its
+    polynomial, so sums are XOR and products carry-less shifts and XORs,
+    reduced by the defining polynomial as they go."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.n = field.n
+        self.poly = sum(int(c) << i for i, c in enumerate(field.min_poly))
+
+    def neg1(self, x):
+        return x
+
+    def mul(self, x, y):
+        n, poly = self.n, self.poly
+        r = 0
+        while y:
+            if y & 1:
+                r ^= x
+            y >>= 1
+            x <<= 1
+            if x >> n:
+                x ^= poly
+        return r
+
+    def inv(self, x):
+        # binary extended Euclid, keeping g1 * x = u and g2 * x = v mod poly
+        u, v, g1, g2 = x, self.poly, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    def add(self, a, b):
+        return [x ^ y for x, y in zip(a, b)]
+
+    def axpy(self, r, s, c, b):
+        e, mul = s + len(b), self.mul
+        r[s:e] = [x ^ mul(c, y) for x, y in zip(r[s:e], b)]
 
 
-def monic(field: FiniteField, a: np.ndarray) -> np.ndarray:
-    a = trim(a)
-    if len(a) == 0 or a[-1] == 1:
+class _ArrayKernel(_Kernel):
+    """GF(p^n), p odd, above the table cap: row operations in numpy.
+
+    Multiplying by a fixed c is F_p-linear on digit vectors: digits(c * y)
+    = digits(y) @ M_c mod p, where M_c[u, t] = sum_s c_s (digit t of
+    x^(s+u)) comes from the field's shift table.  A row times c is then one
+    small integer product instead of a digit convolution per element.
+    """
+
+    def __init__(self, field):
+        super().__init__(field)
+        n = field.n
+        # _planes[s, u*n + t] is digit t of x^(s+u)
+        shifts = field._shifts.astype(np.int64).reshape(n, n, n)
+        self._planes = shifts.transpose(1, 0, 2).reshape(n, n * n)
+
+    def _times(self, c: int, a: list) -> np.ndarray:
+        """Digit vectors of c * a, not yet reduced mod p."""
+        F = self.field
+        M = (F.decode(c) @ self._planes).reshape(F.n, F.n) % F.p
+        return F.decode(_array(a)) @ M
+
+    def neg1(self, x):
+        return int(self.field.neg(x))
+
+    def mul(self, x, y):
+        return int(self.field.mul(x, y))
+
+    def inv(self, x):
+        return int(self.field.inv(x))
+
+    def add(self, a, b):
+        return self.field.add(_array(a), _array(b)).tolist()
+
+    def neg(self, a):
+        return self.field.neg(_array(a)).tolist()
+
+    def scale(self, c, a):
+        F = self.field
+        return F.encode(self._times(c, a) % F.p).tolist()
+
+    def axpy(self, r, s, c, b):
+        F, e = self.field, s + len(b)
+        r[s:e] = F.encode((F.decode(_array(r[s:e])) + self._times(c, b)) % F.p).tolist()
+
+
+@functools.cache
+def _kernel(field: FiniteField) -> _Kernel:
+    """The coefficient kernel of a field (fields are interned, so one each)."""
+    if field.n == 1:
+        return _PrimeKernel(field)
+    if field._zech:
+        return _TableKernel(field)
+    if field.p == 2:
+        return _CarrylessKernel(field)
+    return _ArrayKernel(field)
+
+
+# ----- algorithms on lists of codes -----
+
+
+def _codes(a) -> list:
+    return _trim(np.asarray(a, dtype=np.int64).tolist())
+
+
+def _array(a: list) -> np.ndarray:
+    return np.array(a, dtype=np.int64)
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(k: _Kernel, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(k.add(a[: len(b)], b) + a[len(b) :])
+
+
+def _sub(k: _Kernel, a: list, b: list) -> list:
+    return _add(k, a, k.neg(b))
+
+
+def _mul(k: _Kernel, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for s, c in enumerate(a):
+        if c:
+            k.axpy(out, s, c, b)
+    return out  # the leading term is a product of nonzero leads
+
+
+def _monic(k: _Kernel, a: list) -> list:
+    if not a or a[-1] == 1:
         return a
-    return scale(field, field.inv(a[-1]), a)
+    return k.scale(k.inv(a[-1]), a)
 
 
-def divmod_poly(field: FiniteField, a: np.ndarray, b: np.ndarray):
-    b = trim(b)
-    if len(b) == 0:
+def _divmod(k: _Kernel, a: list, b: list):
+    """(quotient, remainder) of trimmed lists, b nonzero."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = trim(a).copy()
-    db = degree(b)
-    if len(r) <= db:
-        return ZERO, r
-    if b[-1] != 1:  # divide by the monic b / lead(b), then scale the quotient once
-        inv_lead = field.inv(b[-1])
-        quo, rem = divmod_poly(field, r, field.mul(inv_lead, b))
-        return trim(field.mul(quo, inv_lead)), rem
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    inv_lead = None if b[-1] == 1 else k.inv(b[-1])
+    # divide by the monic b / lead(b), then scale the quotient once
+    minus_b = k.neg(b[:db] if inv_lead is None else k.scale(inv_lead, b[:db]))
+    r = list(a)
+    quo = [0] * (len(r) - db)
     # each quotient coefficient is the leading coefficient of what is left
-    quo = np.zeros(len(r) - db, dtype=np.int64)
     for shift in range(len(quo) - 1, -1, -1):
         c = r[shift + db]
         quo[shift] = c
         if c:
-            r[shift : shift + db] = field.sub(r[shift : shift + db], field.mul(c, b[:db]))
-    return quo, trim(r[:db])
+            k.axpy(r, shift, c, minus_b)
+    if inv_lead is not None:
+        quo = k.scale(inv_lead, quo)
+    return quo, _trim(r[:db])
 
 
-def mod_poly(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return divmod_poly(field, a, b)[1]
+def _rem(k: _Kernel, a: list, b: list) -> list:
+    return _divmod(k, a, b)[1]
 
 
-def gcd_poly(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = trim(a), trim(b)
-    while len(b):
-        a, b = b, mod_poly(field, a, b)
-    return monic(field, a)
+def _gcd(k: _Kernel, a: list, b: list) -> list:
+    while b:
+        a, b = b, _rem(k, a, b)
+    return _monic(k, a)
 
 
-def pow_mod(field: FiniteField, base: np.ndarray, e: int, modulus: np.ndarray) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    base = mod_poly(field, base, modulus)
-    while e > 0:
+def _pow_mod(k: _Kernel, base: list, e: int, modulus: list) -> list:
+    result = [1]
+    base = _rem(k, base, modulus)
+    while e:
         if e & 1:
-            result = mod_poly(field, mul(field, result, base), modulus)
-        base = mod_poly(field, mul(field, base, base), modulus)
+            result = _rem(k, _mul(k, result, base), modulus)
         e >>= 1
+        if e:
+            base = _rem(k, _mul(k, base, base), modulus)
     return result
 
 
-def derivative(field: FiniteField, a: np.ndarray) -> np.ndarray:
-    if len(a) <= 1:
-        return ZERO
-    ks = np.arange(1, len(a), dtype=np.int64) % field.p
-    return trim(field.mul(a[1:], ks))  # integer multiples stay in the prime subfield
+def _derivative(k: _Kernel, a: list) -> list:
+    # integer multiples stay in the prime subfield, whose codes are 0 .. p-1
+    return _trim([k.mul(c, i % k.p) for i, c in enumerate(a[1:], 1)])
+
+
+def _pth_root(k: _Kernel, a: list) -> list:
+    # a = g(x^p); recover g, taking p-th roots of the surviving coefficients
+    F = k.field
+    return _trim(F.pow(_array(a[:: F.p]), F.p ** (F.n - 1)).tolist())
+
+
+def _squarefree(k: _Kernel, f: list) -> list[tuple[list, int]]:
+    out: list[tuple[list, int]] = []
+
+    def rec(g: list, outer: int):
+        g = _monic(k, g)
+        if len(g) < 2:
+            return
+        gp = _derivative(k, g)
+        if not gp:
+            rec(_pth_root(k, g), outer * k.p)
+            return
+        c = _gcd(k, g, gp)
+        w = _divmod(k, g, c)[0]
+        i = 1
+        while len(w) > 1:
+            y = _gcd(k, w, c)
+            z = _divmod(k, w, y)[0]
+            if len(z) > 1:
+                out.append((z, i * outer))
+            w = y
+            c = _divmod(k, c, y)[0]
+            i += 1
+        if len(c) > 1:
+            rec(_pth_root(k, c), outer * k.p)
+
+    rec(f, 1)
+    return out
+
+
+def _distinct_degree(k: _Kernel, f: list) -> list[tuple[list, int]]:
+    """Split a squarefree f into monic products of same-degree irreducibles."""
+    out = []
+    rest = _monic(k, f)
+    x = [0, 1]
+    h = _rem(k, x, rest)
+    d = 0
+    while len(rest) > 1:
+        d += 1
+        if 2 * d > len(rest) - 1:
+            out.append((rest, len(rest) - 1))
+            break
+        h = _pow_mod(k, h, k.q, rest)
+        g = _gcd(k, _sub(k, h, x), rest)
+        if len(g) > 1:
+            out.append((g, d))
+            rest = _divmod(k, rest, g)[0]
+            h = _rem(k, h, rest)
+    return out
+
+
+def _equal_degree(k: _Kernel, f: list, d: int, rng: np.random.Generator) -> list[list]:
+    """Cantor-Zassenhaus split of f (product of degree-d irreducibles)."""
+    f = _monic(k, f)
+    deg = len(f) - 1
+    if deg == d:
+        return [f]
+    while True:
+        r = _trim(k.field.rand_codes(rng, deg).tolist())
+        if len(r) < 2:
+            continue
+        g = _gcd(k, r, f)
+        if 1 < len(g) < len(f):
+            break
+        if k.p == 2:
+            # additive trace map from GF(q^d) down to GF(2)
+            t = _rem(k, r, f)
+            acc = t
+            for _ in range(k.field.n * d - 1):
+                t = _rem(k, _mul(k, t, t), f)
+                acc = _add(k, acc, t)
+            g = _gcd(k, acc, f)
+        else:
+            half = (k.q**d - 1) // 2
+            g = _gcd(k, _sub(k, _pow_mod(k, r, half, f), [1]), f)
+        if 1 < len(g) < len(f):
+            break
+    other = _divmod(k, f, g)[0]
+    return _equal_degree(k, g, d, rng) + _equal_degree(k, other, d, rng)
+
+
+# ----- the array API -----
+
+
+def add(field: FiniteField, a, b) -> np.ndarray:
+    return _array(_add(_kernel(field), _codes(a), _codes(b)))
+
+
+def mul(field: FiniteField, a, b) -> np.ndarray:
+    return _array(_mul(_kernel(field), _codes(a), _codes(b)))
+
+
+def monic(field: FiniteField, a) -> np.ndarray:
+    return _array(_monic(_kernel(field), _codes(a)))
+
+
+def divmod_poly(field: FiniteField, a, b):
+    quo, rem = _divmod(_kernel(field), _codes(a), _codes(b))
+    return _array(quo), _array(rem)
+
+
+def gcd_poly(field: FiniteField, a, b) -> np.ndarray:
+    return _array(_gcd(_kernel(field), _codes(a), _codes(b)))
+
+
+def derivative(field: FiniteField, a) -> np.ndarray:
+    return _array(_derivative(_kernel(field), _codes(a)))
 
 
 def eval_codes(field: FiniteField, a: np.ndarray, points) -> np.ndarray:
@@ -137,149 +480,70 @@ def eval_matrix(field: FiniteField, a: np.ndarray, M: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pth_root(field: FiniteField, a: np.ndarray) -> np.ndarray:
-    # a = g(x^p); recover g, taking p-th roots of the surviving coefficients
-    coeffs = a[:: field.p]
-    return trim(field.pow(coeffs, field.p ** (field.n - 1)))
-
-
-def squarefree_decomposition(field: FiniteField, f: np.ndarray) -> list[tuple[np.ndarray, int]]:
+def squarefree_decomposition(field: FiniteField, f) -> list[tuple[np.ndarray, int]]:
     """Monic squarefree factors with multiplicities, characteristic-p safe."""
-    out: list[tuple[np.ndarray, int]] = []
-
-    def rec(g: np.ndarray, outer: int):
-        g = monic(field, g)
-        if degree(g) < 1:
-            return
-        gp = derivative(field, g)
-        if len(gp) == 0:
-            rec(_pth_root(field, g), outer * field.p)
-            return
-        c = gcd_poly(field, g, gp)
-        w = divmod_poly(field, g, c)[0]
-        i = 1
-        while degree(w) > 0:
-            y = gcd_poly(field, w, c)
-            z = divmod_poly(field, w, y)[0]
-            if degree(z) > 0:
-                out.append((z, i * outer))
-            w = y
-            c = divmod_poly(field, c, y)[0]
-            i += 1
-        if degree(c) > 0:
-            rec(_pth_root(field, c), outer * field.p)
-
-    rec(f, 1)
-    return out
+    return [(_array(g), m) for g, m in _squarefree(_kernel(field), _codes(f))]
 
 
-def distinct_degree(field: FiniteField, f: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """Split a monic squarefree f into products of same-degree irreducibles."""
-    out = []
-    rest = monic(field, f)
-    h = mod_poly(field, x_poly(), rest)
-    d = 0
-    while degree(rest) > 0:
-        d += 1
-        if 2 * d > degree(rest):
-            out.append((rest, degree(rest)))
-            break
-        h = pow_mod(field, h, field.q, rest)
-        g = gcd_poly(field, sub(field, h, x_poly()), rest)
-        if degree(g) > 0:
-            out.append((g, d))
-            rest = divmod_poly(field, rest, g)[0]
-            h = mod_poly(field, h, rest)
-    return out
-
-
-def equal_degree(field: FiniteField, f: np.ndarray, d: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Cantor-Zassenhaus split of f (product of degree-d irreducibles)."""
-    f = monic(field, f)
-    if degree(f) == d:
-        return [f]
-    one = np.array([1], dtype=np.int64)
-    while True:
-        r = trim(field.rand_codes(rng, degree(f)))
-        if degree(r) < 1:
-            continue
-        g = gcd_poly(field, r, f)
-        if 0 < degree(g) < degree(f):
-            break
-        if field.p == 2:
-            # additive trace map from GF(q^d) down to GF(2)
-            t = mod_poly(field, r, f)
-            acc = t
-            for _ in range(field.n * d - 1):
-                t = pow_mod(field, t, 2, f)
-                acc = add(field, acc, t)
-            g = gcd_poly(field, acc, f)
-        else:
-            half = (field.q**d - 1) // 2
-            g = gcd_poly(field, sub(field, pow_mod(field, r, half, f), one), f)
-        if 0 < degree(g) < degree(f):
-            break
-    other = divmod_poly(field, f, g)[0]
-    return equal_degree(field, g, d, rng) + equal_degree(field, other, d, rng)
-
-
-def factor(field: FiniteField, f: np.ndarray, seed: int = 0) -> list[tuple[np.ndarray, int]]:
+def factor(field: FiniteField, f, seed: int = 0) -> list[tuple[np.ndarray, int]]:
     """Monic irreducible factors with multiplicities, canonically sorted.
 
     The factor set is unique, so the output does not depend on the seed.
     """
-    f = trim(f)
-    if degree(f) < 1:
+    k = _kernel(field)
+    f = _codes(f)
+    if len(f) < 2:
         raise InputError("factor requires a polynomial of degree >= 1")
     rng = np.random.default_rng(seed)
-    found: list[tuple[np.ndarray, int]] = []
-    for g, mult in squarefree_decomposition(field, f):
-        for h, d in distinct_degree(field, g):
-            for irr in equal_degree(field, h, d, rng):
+    found: list[tuple[list, int]] = []
+    for g, mult in _squarefree(k, f):
+        for h, d in _distinct_degree(k, g):
+            for irr in _equal_degree(k, h, d, rng):
                 found.append((irr, mult))
-    found.sort(key=lambda fm: (degree(fm[0]), fm[0].tolist()))
-    return found
+    found.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return [(_array(g), m) for g, m in found]
 
 
 def roots_in_field(f, field: FiniteField) -> list[int]:
     """Roots (as element codes, ascending) of f with coefficients read in `field`."""
-    f = monic(field, trim(np.asarray(f, dtype=np.int64)))
-    if degree(f) < 1:
+    k = _kernel(field)
+    f = _monic(k, _codes(f))
+    if len(f) < 2:
         return []
     if field.q <= 4096:
         points = np.arange(field.q, dtype=np.int64)
-        values = eval_codes(field, f, points)
+        values = eval_codes(field, _array(f), points)
         return [int(r) for r in points[values == 0]]
-    xq = pow_mod(field, x_poly(), field.q, f)
-    lin = gcd_poly(field, sub(field, xq, x_poly()), f)
-    if degree(lin) < 1:
+    x = [0, 1]
+    lin = _gcd(k, _sub(k, _pow_mod(k, x, field.q, f), x), f)
+    if len(lin) < 2:
         return []
     rng = np.random.default_rng(0)
-    roots = []
-    for g in equal_degree(field, lin, 1, rng):
-        # g = x + c, root is -c
-        roots.append(int(field.neg(g[0])))
-    return sorted(roots)
+    # each factor is x + c, with root -c
+    return sorted(k.neg1(g[0]) for g in _equal_degree(k, lin, 1, rng))
 
 
-def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray, reduce=None):
-    """(rel, chain): the monic relation of the first vector of vec, M vec,
-    M^2 vec, ... that depends on the ones before it, and those before it.
+# ----- characteristic and minimal polynomials -----
 
-    Each vector enters a tracked RowSpace after passing through `reduce`
-    (none by default); the insert that fails yields the relation.
-    """
+
+def _unit(d: int, s: int) -> np.ndarray:
+    e = np.zeros(d, dtype=np.int64)
+    e[s] = 1
+    return e
+
+
+def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray):
+    """(rel, chain): the monic relation, as a list, of the first vector of
+    vec, M vec, M^2 vec, ... that depends on the ones before it, and those
+    before it."""
     from .linalg import RowSpace
 
     space = RowSpace(field, M.shape[0], track=True)
     chain = []
     while True:
-        added, coords = space._insert(vec if reduce is None else reduce(vec))
+        added, coords = space._insert(vec)
         if not added:
-            rel = np.zeros(len(chain) + 1, dtype=np.int64)
-            rel[-1] = 1
-            rel[: len(coords)] = field.neg(coords)
-            return rel, chain
+            return _kernel(field).neg(coords.tolist()) + [1], chain
         chain.append(vec)
         vec = field.mat_vec(M, vec)
 
@@ -287,27 +551,31 @@ def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray, reduce=
 def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
     """Characteristic polynomial via spinning standard vectors.
 
-    The product of the relative order polynomials of the standard basis
-    seeds against the growing Krylov subspace equals det(xI - M).
+    The product of the relative order polynomials of the unit vectors
+    against the growing Krylov subspace equals det(xI - M).  All chains
+    share one tracked RowSpace: once M^j e_s depends on what is there, its
+    coordinates on the current chain give e_s's relative order polynomial.
     """
     from .linalg import RowSpace
 
+    k = _kernel(field)
     d = M.shape[0]
-    result = np.array([1], dtype=np.int64)
-    space = RowSpace(field, d)
+    result = [1]
+    space = RowSpace(field, d, track=True)
     for s in range(d):
         if space.dim == d:
             break
-        seed = np.zeros(d, dtype=np.int64)
-        seed[s] = 1
-        if space.contains(seed):
-            continue
-        rel, chain = _krylov_relation(field, M, seed, space.reduce)
-        result = mul(field, result, rel)
-        for w in chain:
-            space.add(w)
-    _require(degree(result) == d, "characteristic polynomial has the wrong degree")
-    return result
+        start = space.dim
+        vec = _unit(d, s)
+        while True:
+            added, coords = space._insert(vec)
+            if not added:
+                break
+            vec = field.mat_vec(M, vec)
+        if space.dim > start:
+            result = _mul(k, result, k.neg(coords[start:].tolist()) + [1])
+    _require(len(result) - 1 == d, "characteristic polynomial has the wrong degree")
+    return _array(result)
 
 
 def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
@@ -321,21 +589,18 @@ def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
     """
     from .linalg import RowSpace
 
+    k = _kernel(field)
     d = M.shape[0]
-    if d == 0:
-        return np.array([1], dtype=np.int64)
-    lam = np.array([1], dtype=np.int64)
+    lam = [1]
     seen = RowSpace(field, d)
     for s in range(d) if seeds is None else seeds:
-        if seen.dim == d or degree(lam) == d:
+        if seen.dim == d or len(lam) - 1 == d:
             break
-        seed = np.zeros(d, dtype=np.int64)
-        seed[s] = 1
+        seed = _unit(d, s)
         if seen.contains(seed):
             continue
         mu, chain = _krylov_relation(field, M, seed)
-        g = gcd_poly(field, lam, mu)
-        lam = divmod_poly(field, mul(field, lam, mu), g)[0]
+        lam = _divmod(k, _mul(k, lam, mu), _gcd(k, lam, mu))[0]
         for w in chain:
             seen.add(w)
-    return monic(field, lam)
+    return _array(_monic(k, lam))

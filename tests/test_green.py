@@ -7,6 +7,9 @@ that oracle and against the frozen Sylow orders.
 """
 
 import operator as op
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -376,3 +379,83 @@ def test_source_with_given_subgroup_rejects_decomposable():
     syl = [Q for Q in p_subgroups_up_to_conjugacy(G, 2) if Q.order == 2][0]
     with pytest.raises(InputError):
         source(reg, syl)
+
+
+def _unit_map_system_higman(V, Q):
+    # Higman's criterion on the seed columns of the traces of the stacked
+    # End_Q(V) basis, which at a trivially acting Q holds all d^2 unit maps
+    field = V.field
+    d = V.dim
+    q_mats = [V.element_matrix(g) for g in Q.group.generators]
+    stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
+    h = len(stack)
+    seeds = V.endomorphisms()[1]
+    A = _relative_trace(V, right_transversal(V.group, Q), stack, seeds).reshape(h, -1).T
+    coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
+    if coeffs is None:
+        return None
+    return field.mat_mul(coeffs[None], stack.reshape(h, -1)).reshape(d, d)
+
+
+def _assert_trivial_action_higman_matches_unit_maps(V, subgroups):
+    for Q in subgroups:
+        got = is_relatively_projective(V, Q)
+        want = _unit_map_system_higman(V, Q)
+        assert bool(got) == (want is not None), (V.dim, Q.order)
+        if got:
+            cert = got.relative_endomorphism
+            assert cert.dtype == want.dtype and cert.tobytes() == want.tobytes(), (V.dim, Q.order)
+
+
+@pytest.mark.parametrize("name, p, n", TRACE_GRID)
+def test_trivial_action_higman_matches_unit_map_system(name, p, n):
+    # at Q = 1 every module, and at every p-subgroup the trivial module
+    G = catalog()[name]
+    K = make_field(p, n)
+    reg = regular_module(G, K)
+    mods = [reg, direct_sum(reg, trivial_module(G, K))]
+    mods += [W for W, _ in decompose(reg).summands] + list(simple_modules(G, K).modules)
+    mods += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    for V in mods:
+        _assert_trivial_action_higman_matches_unit_maps(V, [G.trivial_subgroup()])
+    _assert_trivial_action_higman_matches_unit_maps(
+        trivial_module(G, K), p_subgroups_up_to_conjugacy(G, p)
+    )
+
+
+@pytest.mark.parametrize("p, order", [(2, 8), (3, 3), (5, 5)])
+def test_trivial_action_higman_matches_unit_map_system_on_s5(p, order):
+    F = _field(p)
+    H = next(Q for Q in p_subgroups_up_to_conjugacy(S5, p) if Q.order == order)
+    for W, _ in decompose(induce(trivial_module(H.group, F), S5)).summands:
+        _assert_trivial_action_higman_matches_unit_maps(W, [S5.trivial_subgroup()])
+
+
+def test_trivial_subgroup_trace_check_raises_consistency_error(monkeypatch):
+    # at Q = 1 as well a wrong Higman solution must be caught, also under python -O
+    V = regular_module(catalog()["S3"], F2)
+    assert is_projective(V)
+    monkeypatch.setattr(linalg, "solve", lambda field, A, b: np.zeros(A.shape[1], dtype=np.int64))
+    with pytest.raises(ConsistencyError, match="relative trace of the Higman solution"):
+        is_projective(regular_module(catalog()["S3"], F2))
+
+
+def test_projectivity_of_regular_s5_fits_in_one_gib():
+    # the d^2 unit maps of the 120-dimensional module alone would take 1.5 GiB
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import modclass as mc\n"
+        "S5 = mc.PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])\n"
+        "print(bool(mc.is_projective(mc.regular_module(S5, mc.make_field(2, 1)))))\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

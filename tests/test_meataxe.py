@@ -901,3 +901,61 @@ def test_end_degrees_are_the_berman_orbit_lengths(case, s):
     found = meataxe._tensor_closure(start, len(lengths), s % 103)
     degrees = [len(W.endomorphisms()[0]) for W in found]
     assert sorted(degrees) == lengths
+
+
+# ------------------------------- characteristic polynomials only where they decide
+
+
+def _record_char_polys(monkeypatch):
+    """Count char_poly calls and collect the modules that asked for them."""
+    calls, asked = [], []
+    real_cp, real_gcp = P.char_poly, Rep.generator_char_polys
+
+    def char_poly(field, M):
+        calls.append(M.shape[0])
+        return real_cp(field, M)
+
+    def generator_char_polys(self):
+        asked.append(self)
+        return real_gcp(self)
+
+    monkeypatch.setattr(P, "char_poly", char_poly)
+    monkeypatch.setattr(Rep, "generator_char_polys", generator_char_polys)
+    return calls, asked
+
+
+def test_char_polys_are_computed_for_class_representatives_only(monkeypatch):
+    calls, asked = _record_char_polys(monkeypatch)
+    S4 = catalog()["S4"]
+    reps = [W for W, _ in decompose(regular_module(S4, F2)).summands]
+    assert {id(W) for W in asked} <= {id(W) for W in reps}
+    assert len(calls) == len(reps) * len(S4.generators)
+
+    calls.clear()
+    asked.clear()
+    S = simple_modules(S5, F3)
+    assert {id(W) for W in asked} <= {id(W) for W in S.modules}
+    assert len(calls) == len(S) * len(S5.generators)
+
+
+def test_char_polys_settle_decomposable_modules_without_a_span_search(monkeypatch):
+    # T + T + W and T^4 for S3 over GF(2), W the 2-dimensional simple: both
+    # decomposable, dim Hom = 4 without an invertible basis map, and the
+    # characteristic polynomials of the 3-cycle differ
+    S3 = catalog()["S3"]
+    T = trivial_module(S3, F2)
+    W = next(M for M in simple_modules(S3, F2).modules if M.dim == 2)
+    V = direct_sum(direct_sum(T, T), W)
+    U = direct_sum(direct_sum(T, T), direct_sum(T, T))
+    basis = hom_basis_matrices(F2, list(V.matrices), list(U.matrices), 4, 4)
+    assert len(basis) >= 2 and not any(linalg.is_invertible(F2, M) for M in basis)
+    assert V.generator_char_polys() != U.generator_char_polys()
+
+    def no_search(*args):
+        raise AssertionError("span search although the characteristic polynomials differ")
+
+    monkeypatch.setattr(meataxe, "_span_search", no_search)
+    for A, B in ((V, U), (U, V)):
+        res = is_isomorphic(A, B)
+        assert not res
+        assert res.reason == "generator characteristic polynomials differ"

@@ -219,3 +219,33 @@ def test_hom_space_requires_matching_group_and_field():
     U = regular_module(catalog()["S3"], F2)
     with pytest.raises(InputError):
         hom_space(V, U)
+
+
+def _word_fold(V, g):
+    # the image of g as the product of generator images along its word, letter by letter
+    M = V.field.identity(V.dim)
+    for k in V.group.word(g):
+        M = V.field.mat_mul(M, V.matrices[k])
+    return M
+
+
+C199 = PermGroup(199, [tuple(range(1, 199)) + (0,)])
+
+
+@pytest.mark.parametrize("case", ["S4", "Q8", "A4", "C199"])
+def test_element_matrix_matches_word_fold(case):
+    # words up to length 198 in C199; asked in a random order, so elements
+    # come both after and before their prefixes
+    if case == "C199":
+        K = make_field(199, 1)
+        V = Rep(C199, K, [np.array([[1, 1], [0, 1]])])
+    else:
+        K = F3 if case == "A4" else F4
+        G = catalog()[case]
+        V = direct_sum(regular_module(G, K), trivial_module(G, K))
+    elements = list(V.group.elements)
+    np.random.default_rng(5).shuffle(elements)
+    for g in elements:
+        got, want = V.element_matrix(g), _word_fold(V, g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), g
+        assert not got.flags.writeable

@@ -146,6 +146,247 @@ def test_derivative_char_p():
     assert [int(c) for c in P.derivative(F3, f)] == [1]
 
 
+# ----- numpy oracles: the array implementations the list kernels replaced
+
+FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 20), (5, 8), (3, 12)]
+
+
+def _np_add(field, a, b):
+    la, lb = len(a), len(b)
+    out = np.zeros(max(la, lb), dtype=np.int64)
+    out[:la] = a
+    out[:lb] = field.add(out[:lb], b)
+    return P.trim(out)
+
+
+def _np_sub(field, a, b):
+    return _np_add(field, a, np.asarray(field.neg(b)))
+
+
+def _np_mul(field, a, b):
+    if len(a) == 0 or len(b) == 0:
+        return P.ZERO
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    for s in range(len(a)):
+        if a[s]:
+            out[s : s + len(b)] = field.add(out[s : s + len(b)], field.mul(a[s], b))
+    return P.trim(out)
+
+
+def _np_monic(field, a):
+    a = P.trim(a)
+    if len(a) == 0 or a[-1] == 1:
+        return a
+    return P.trim(field.mul(field.inv(a[-1]), a))
+
+
+def _np_divmod(field, a, b):
+    b = P.trim(b)
+    if len(b) == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = P.trim(a).copy()
+    db = P.degree(b)
+    if len(r) <= db:
+        return P.ZERO, r
+    if b[-1] != 1:
+        inv_lead = field.inv(b[-1])
+        quo, rem = _np_divmod(field, r, field.mul(inv_lead, b))
+        return P.trim(field.mul(quo, inv_lead)), rem
+    quo = np.zeros(len(r) - db, dtype=np.int64)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = r[shift + db]
+        quo[shift] = c
+        if c:
+            r[shift : shift + db] = field.sub(r[shift : shift + db], field.mul(c, b[:db]))
+    return quo, P.trim(r[:db])
+
+
+def _np_mod(field, a, b):
+    return _np_divmod(field, a, b)[1]
+
+
+def _np_gcd(field, a, b):
+    a, b = P.trim(a), P.trim(b)
+    while len(b):
+        a, b = b, _np_mod(field, a, b)
+    return _np_monic(field, a)
+
+
+def _np_pow_mod(field, base, e, modulus):
+    result = codes(1)
+    base = _np_mod(field, base, modulus)
+    while e > 0:
+        if e & 1:
+            result = _np_mod(field, _np_mul(field, result, base), modulus)
+        base = _np_mod(field, _np_mul(field, base, base), modulus)
+        e >>= 1
+    return result
+
+
+def _np_derivative(field, a):
+    if len(a) <= 1:
+        return P.ZERO
+    ks = np.arange(1, len(a), dtype=np.int64) % field.p
+    return P.trim(field.mul(a[1:], ks))
+
+
+def _np_pth_root(field, a):
+    return P.trim(field.pow(a[:: field.p], field.p ** (field.n - 1)))
+
+
+def _np_squarefree(field, f):
+    out = []
+
+    def rec(g, outer):
+        g = _np_monic(field, g)
+        if P.degree(g) < 1:
+            return
+        gp = _np_derivative(field, g)
+        if len(gp) == 0:
+            rec(_np_pth_root(field, g), outer * field.p)
+            return
+        c = _np_gcd(field, g, gp)
+        w = _np_divmod(field, g, c)[0]
+        i = 1
+        while P.degree(w) > 0:
+            y = _np_gcd(field, w, c)
+            z = _np_divmod(field, w, y)[0]
+            if P.degree(z) > 0:
+                out.append((z, i * outer))
+            w = y
+            c = _np_divmod(field, c, y)[0]
+            i += 1
+        if P.degree(c) > 0:
+            rec(_np_pth_root(field, c), outer * field.p)
+
+    rec(f, 1)
+    return out
+
+
+def _np_distinct_degree(field, f):
+    x = codes(0, 1)
+    out = []
+    rest = _np_monic(field, f)
+    h = _np_mod(field, x, rest)
+    d = 0
+    while P.degree(rest) > 0:
+        d += 1
+        if 2 * d > P.degree(rest):
+            out.append((rest, P.degree(rest)))
+            break
+        h = _np_pow_mod(field, h, field.q, rest)
+        g = _np_gcd(field, _np_sub(field, h, x), rest)
+        if P.degree(g) > 0:
+            out.append((g, d))
+            rest = _np_divmod(field, rest, g)[0]
+            h = _np_mod(field, h, rest)
+    return out
+
+
+def _np_equal_degree(field, f, d, rng):
+    f = _np_monic(field, f)
+    if P.degree(f) == d:
+        return [f]
+    while True:
+        r = P.trim(field.rand_codes(rng, P.degree(f)))
+        if P.degree(r) < 1:
+            continue
+        g = _np_gcd(field, r, f)
+        if 0 < P.degree(g) < P.degree(f):
+            break
+        if field.p == 2:
+            t = _np_mod(field, r, f)
+            acc = t
+            for _ in range(field.n * d - 1):
+                t = _np_pow_mod(field, t, 2, f)
+                acc = _np_add(field, acc, t)
+            g = _np_gcd(field, acc, f)
+        else:
+            half = (field.q**d - 1) // 2
+            g = _np_gcd(field, _np_sub(field, _np_pow_mod(field, r, half, f), codes(1)), f)
+        if 0 < P.degree(g) < P.degree(f):
+            break
+    other = _np_divmod(field, f, g)[0]
+    return _np_equal_degree(field, g, d, rng) + _np_equal_degree(field, other, d, rng)
+
+
+def _np_factor(field, f, seed=0):
+    f = P.trim(f)
+    rng = np.random.default_rng(seed)
+    found = []
+    for g, mult in _np_squarefree(field, f):
+        for h, d in _np_distinct_degree(field, g):
+            for irr in _np_equal_degree(field, h, d, rng):
+                found.append((irr, mult))
+    found.sort(key=lambda fm: (P.degree(fm[0]), fm[0].tolist()))
+    return found
+
+
+def _np_roots(f, field):
+    """Roots of f in a field of more than 4096 elements."""
+    x = codes(0, 1)
+    f = _np_monic(field, P.trim(np.asarray(f, dtype=np.int64)))
+    lin = _np_gcd(field, _np_sub(field, _np_pow_mod(field, x, field.q, f), x), f)
+    if P.degree(lin) < 1:
+        return []
+    rng = np.random.default_rng(0)
+    return sorted(int(field.neg(g[0])) for g in _np_equal_degree(field, lin, 1, rng))
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
+
+
+def _same_factors(got, want):
+    assert [m for _, m in got] == [m for _, m in want]
+    for (g, _), (w, _) in zip(got, want, strict=True):
+        _same(g, w)
+
+
+def _random_poly(K, rng, deg, monic=False):
+    f = K.rand_codes(rng, deg + 1)
+    f[-1] = 1 if monic else rng.integers(1, K.q)
+    return f
+
+
+@pytest.mark.parametrize("p, n", FIELDS)
+def test_polynomial_arithmetic_matches_numpy_oracles(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(1000 * p + n)
+    polys = [codes(), codes(0, 0), codes(1), codes(0, 1)]
+    polys += [_random_poly(K, rng, int(rng.integers(0, 12))) for _ in range(12)]
+    for a in polys:
+        _same(P.derivative(K, a), _np_derivative(K, P.trim(a)))
+        _same(P.monic(K, a), _np_monic(K, a))
+        for b in polys[:8]:
+            _same(P.add(K, a, b), _np_add(K, P.trim(a), P.trim(b)))
+            _same(P.mul(K, a, b), _np_mul(K, P.trim(a), P.trim(b)))
+            _same(P.gcd_poly(K, a, b), _np_gcd(K, a, b))
+            if len(P.trim(b)):
+                for g, w in zip(P.divmod_poly(K, a, b), _np_divmod(K, a, b)):
+                    _same(g, w)
+    # factors shared between the two sides, and repeated factors
+    for _ in range(6):
+        g = _random_poly(K, rng, int(rng.integers(1, 4)))
+        a = _np_mul(K, g, _random_poly(K, rng, int(rng.integers(0, 5))))
+        b = _np_mul(K, _np_mul(K, g, g), _random_poly(K, rng, int(rng.integers(0, 5))))
+        _same(P.gcd_poly(K, a, b), _np_gcd(K, a, b))
+        for fs in (a, b, _np_mul(K, b, b)):
+            if P.degree(fs) >= 1:
+                got = P.squarefree_decomposition(K, fs)
+                _same_factors(got, _np_squarefree(K, P.trim(fs)))
+                _same_factors(P.factor(K, fs), _np_factor(K, fs))
+    for _ in range(6):
+        f = _random_poly(K, rng, int(rng.integers(1, 9)), monic=True)
+        _same_factors(P.factor(K, f, seed=3), _np_factor(K, f))
+    if K.q > 4096:  # the root search by gcd with x^q - x
+        for _ in range(3):
+            lin = [_random_poly(K, rng, 1, monic=True) for _ in range(3)]
+            f = _np_mul(K, _np_mul(K, lin[0], lin[1]), _np_mul(K, lin[2], _random_poly(K, rng, 3)))
+            assert P.roots_in_field(f, K) == _np_roots(f, K)
+            assert len(P.roots_in_field(f, K)) >= len({int(g[0]) for g in lin})
+
+
 def _divmod_oracle(field, a, b):
     """The long division divmod_poly used before: one trim and scalar mul per step."""
     b = P.trim(b)
@@ -162,7 +403,7 @@ def _divmod_oracle(field, a, b):
     return P.trim(quo), r
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 20)])
+@pytest.mark.parametrize("p, n", FIELDS)
 def test_divmod_matches_long_division_oracle(p, n):
     K = make_field(p, n)
     rng = np.random.default_rng(100 * p + n)
@@ -182,7 +423,8 @@ def test_divmod_matches_long_division_oracle(p, n):
 
 
 def _char_poly_oracle(field, M):
-    """char_poly as it was before the shared Krylov helper."""
+    """char_poly on numpy polynomial arithmetic, with a separate chain
+    RowSpace per seed."""
     from modclass.linalg import RowSpace
 
     d = M.shape[0]
@@ -206,7 +448,7 @@ def _char_poly_oracle(field, M):
                 rel = np.zeros(k + 1, dtype=np.int64)
                 rel[k] = 1
                 rel[: len(coords)] = field.neg(coords)
-                result = P.mul(field, result, rel)
+                result = _np_mul(field, result, rel)
                 break
             chain_vecs.append(vec)
             vec = field.mat_vec(M, vec)
@@ -216,7 +458,7 @@ def _char_poly_oracle(field, M):
 
 
 def _min_poly_oracle(field, M):
-    """min_poly_mat as it was before the shared Krylov helper."""
+    """min_poly_mat on numpy polynomial arithmetic."""
     from modclass.linalg import RowSpace
 
     d = M.shape[0]
@@ -243,14 +485,14 @@ def _min_poly_oracle(field, M):
                 break
             count += 1
             vec = field.mat_vec(M, vec)
-        g = P.gcd_poly(field, lam, mu)
-        lam = P.divmod_poly(field, P.mul(field, lam, mu), g)[0]
+        g = _np_gcd(field, lam, mu)
+        lam = _np_divmod(field, _np_mul(field, lam, mu), g)[0]
         for w in chain.raw_basis_rows():
             seen.add(w)
-    return P.monic(field, lam)
+    return _np_monic(field, lam)
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 20)])
+@pytest.mark.parametrize("p, n", FIELDS)
 def test_krylov_polynomials_match_separate_loop_oracles(p, n):
     K = make_field(p, n)
     rng = np.random.default_rng(10 * p + n)
@@ -268,3 +510,21 @@ def test_krylov_polynomials_match_separate_loop_oracles(p, n):
         for got, want in ((P.char_poly(K, M), _char_poly_oracle(K, M)),
                           (P.min_poly_mat(K, M), _min_poly_oracle(K, M))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_corrupted_krylov_relation_fails_the_degree_check(monkeypatch):
+    # a unit vector reported dependent although it is not leaves the chains
+    # short of the space; the degree check must catch it, also under python -O
+    from modclass.errors import ConsistencyError
+    from modclass.linalg import RowSpace
+
+    real = RowSpace._insert
+
+    def insert(self, v):
+        if v[-1] and not v[:-1].any():
+            return False, np.zeros(self.dim, dtype=np.int64)
+        return real(self, v)
+
+    monkeypatch.setattr(RowSpace, "_insert", insert)
+    with pytest.raises(ConsistencyError, match="wrong degree"):
+        P.char_poly(F2, F2.identity(3))
