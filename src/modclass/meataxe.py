@@ -18,6 +18,12 @@ passes.  rad(E) is the annihilator of those factors (the trace-form
 shortcut is unsound in characteristic p, so it is not used).  A module
 keeps E and the verdict; the summands `decompose` returns carry both.
 
+A permutation module, one whose generators all act by permutation
+matrices, splits along the orbits on its unit vectors before any End is
+solved: KG e_x = K[orbit of x], so each orbit spans a summand.  A
+trivially acting module falls apart into lines, and a sum of two regular
+modules into the two.  Each transitive piece then splits along End.
+
 Splitting reads each endomorphism on the unit vectors e_s that generate
 V as a KG-module, the seeds the standard-basis hom solve spins from.  A
 G-map phi commutes with the action, so f(phi) e_s = 0 for every seed gives
@@ -54,7 +60,14 @@ from .finite_field import FiniteField
 from . import limits
 from . import linalg
 from . import polynomials as P
-from .modrep import Rep, hom_basis_matrices, permutation_module, regular_module, tensor_product
+from .modrep import (
+    Rep,
+    hom_basis_matrices,
+    permutation_module,
+    point_orbits,
+    regular_module,
+    tensor_product,
+)
 from .perm_group import PermGroup
 
 
@@ -359,10 +372,16 @@ def _try_split(V: Rep, rng):
     Raises InconclusiveError only when the endomorphism algebra is too big
     to scan and randomized search failed; never returns a wrong None.
     """
-    if V.dim == 1 or len(V.endomorphisms()[0]) == 1:  # End(V) is the field
+    if V.dim == 1:
         V._structure = (1, 0, True)
         return None
     field = V.field
+    orbits = point_orbits(V.matrices, V.dim)
+    if orbits is not None and len(orbits) > 1:  # KG e_x = K[orbit of x]
+        return [field.identity(V.dim)[orbit] for orbit in orbits]
+    if len(V.endomorphisms()[0]) == 1:  # End(V) is the field
+        V._structure = (1, 0, True)
+        return None
     basis, seeds = V.endomorphisms()
     for phi in basis:  # deterministic candidates first
         pieces = _split_by_min_poly(field, phi, seeds)

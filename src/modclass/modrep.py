@@ -309,30 +309,135 @@ def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt
 
 
 def hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """(basis, seeds): :func:`hom_basis_matrices` and the indices s of the
-    unit vectors e_s its spin of the source took, which generate the source
-    (empty when either dimension is 0).
+    """(basis, seeds): the canonical basis of the matrices M with
+    M A_g = B_g M for all generator pairs (A_g, B_g), and the indices s of
+    unit vectors e_s that generate the source (both empty when either
+    dimension is 0).
 
-    Standard-basis method (Lux & Szoke, Exp. Math. 12, 2003): spin the
-    source from the unit vectors e_0, e_1, ...  A spun vector
-    v_j = A_g v_parent carries W_j = B_g W_parent, so that M v_j = W_j t_s
-    where t_s = M s is the image of the seed s it was spun from.  Each
-    dependent image A_g v_j = sum_l c_l v_l gives d_tgt linear equations
-    B_g W_j t_s(j) = sum_l c_l W_l t_s(l), so the system has only
-    (number of seeds) * d_tgt unknowns.
+    The basis is the one that is the identity on the free columns of the
+    Kronecker system for the row-major vec(M), that is, the reduced echelon
+    form of the solution space with its columns reversed, listed by
+    ascending position of the last nonzero entry of vec(M).  Randomized
+    callers rely on this order.  The seeds are the unit vectors a spin of
+    the source from e_0, e_1, ... takes, in ascending order.
 
-    The basis is canonical: it is the one that is the identity on the free
-    columns of the Kronecker system for the row-major vec(M), that is, the
-    reduced echelon form of the solution space with its columns reversed,
-    listed by ascending pivot.  Randomized callers rely on this order.
+    When every A_g and B_g is a permutation matrix, the basis comes without
+    a linear solve (`_orbital_hom_basis_and_seeds`): one 0/1 matrix per
+    orbit of the generators on the cells of M (Schur's centralizer ring).
+    Every other input is solved by spinning (`_spin_hom_basis_and_seeds`).
     """
     D = d_src * d_tgt
     if D == 0:
         return [], []
     # both actions trivial (no generators, or the identity generator of a
-    # trivial subgroup): every matrix is a homomorphism
+    # trivial subgroup): every cell of M is an orbit of its own
     if all(np.array_equal(M, np.eye(len(M), dtype=np.int64)) for M in (*mats_src, *mats_tgt)):
         return [m.reshape(d_tgt, d_src) for m in np.eye(D, dtype=np.int64)], list(range(d_src))
+    perms_src = _permutations(mats_src)
+    perms_tgt = _permutations(mats_tgt) if perms_src is not None else None
+    if perms_tgt is not None:
+        return _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src, d_tgt)
+    return _spin_hom_basis_and_seeds(field, mats_src, mats_tgt, d_src, d_tgt)
+
+
+def _permutation(M: np.ndarray):
+    """sigma with M[i, sigma[i]] = 1 if M is a permutation matrix, else None."""
+    n = len(M)
+    if np.count_nonzero(M) != n:
+        return None
+    sigma = M.argmax(axis=1)
+    if not (M[np.arange(n), sigma] == 1).all():
+        return None
+    hit = np.zeros(n, dtype=bool)
+    hit[sigma] = True
+    return sigma if hit.all() else None
+
+
+def _permutations(mats):
+    """The permutations of a list of permutation matrices, or None as soon
+    as one matrix is not a permutation matrix."""
+    perms = []
+    for M in mats:
+        sigma = _permutation(M)
+        if sigma is None:
+            return None
+        perms.append(sigma)
+    return perms
+
+
+def _orbit_labels(perms, n: int) -> np.ndarray:
+    """lab[x] = the least point of the orbit of x under the permutations
+    `perms` of range(n).
+
+    Min-label propagation along both directions of every permutation, with
+    pointer jumping; a label is always a point of the same orbit and never
+    above its own point, and at the fixed point it is constant on orbits.
+    """
+    lab = np.arange(n)
+    while True:
+        new = lab.copy()
+        for f in perms:
+            np.minimum(new, lab[f], out=new)
+            new[f] = np.minimum(new[f], lab)
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def point_orbits(mats, dim: int):
+    """The orbits of a module whose generators all act by permutation
+    matrices on its unit vectors, as index arrays by ascending least point;
+    None if some generator matrix is not a permutation matrix."""
+    perms = _permutations(mats)
+    if perms is None:
+        return None
+    lab = _orbit_labels(perms, dim)
+    return [np.flatnonzero(lab == r) for r in np.flatnonzero(lab == np.arange(dim))]
+
+
+def _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_tgt: int):
+    """Hom between permutation modules: one indicator matrix per orbit.
+
+    With A_g[i, sigma_g[i]] = 1 and B_g[j, tau_g[j]] = 1, M A_g = B_g M
+    reads M[j, x] = M[tau_g[j], sigma_g[x]], so the solutions are the
+    matrices constant on the orbits of the pairs (tau_g, sigma_g) on the
+    cells (j, x).  The indicators have disjoint supports, so listed by
+    ascending last cell of vec(M) they are the canonical basis.  KG e_x is
+    K[orbit of x], so the least point of each orbit on the source is a seed.
+    """
+    D = d_src * d_tgt
+    cells = np.arange(D)
+    lab = _orbit_labels([(t[:, None] * d_src + s).ravel() for s, t in zip(perms_src, perms_tgt)], D)
+    last = np.zeros(D, dtype=np.int64)
+    np.maximum.at(last, lab, cells)
+    roots = np.flatnonzero(lab == cells)
+    roots = roots[np.argsort(last[roots])]
+    rank = np.empty(D, dtype=np.int64)
+    rank[roots] = np.arange(len(roots))
+    basis = np.zeros((len(roots), D), dtype=np.int64)
+    basis[rank[lab], cells] = 1
+    basis = basis.reshape(-1, d_tgt, d_src)
+    # M A = M[:, i(x)] with A[i(x), x] = 1, and B M = M[j'(j), :] with B[j, j'(j)] = 1
+    for A, B in zip(mats_src, mats_tgt):
+        if not np.array_equal(basis[:, :, A.argmax(axis=0)], basis[:, B.argmax(axis=1), :]):
+            raise ConsistencyError("computed homomorphism does not intertwine the actions")
+    seeds = np.flatnonzero(_orbit_labels(perms_src, d_src) == np.arange(d_src))
+    return list(basis), seeds.tolist()
+
+
+def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
+    """:func:`hom_basis_and_seeds` by the standard-basis method (Lux &
+    Szoke, Exp. Math. 12, 2003), for any nonzero dimensions.
+
+    Spin the source from the unit vectors e_0, e_1, ...  A spun vector
+    v_j = A_g v_parent carries W_j = B_g W_parent, so that M v_j = W_j t_s
+    where t_s = M s is the image of the seed s it was spun from.  Each
+    dependent image A_g v_j = sum_l c_l v_l gives d_tgt linear equations
+    B_g W_j t_s(j) = sum_l c_l W_l t_s(l), so the system has only
+    (number of seeds) * d_tgt unknowns.
+    """
+    D = d_src * d_tgt
     log: list = []
     space = linalg.spin(field, mats_src, list(field.identity(d_src)), log=log)
     W: list[np.ndarray] = []  # M v_j = W[j] t_seed_of[j]

@@ -577,6 +577,7 @@ def test_forced_fact_checks_survive_python_O():
         "tests/test_meataxe.py::test_canonical_form_of_reducible_module_raises",
         "tests/test_polynomials.py::test_corrupted_krylov_relation_fails_the_degree_check",
         "tests/test_green.py::test_trivial_subgroup_trace_check_raises_consistency_error",
+        "tests/test_hom.py::test_corrupted_permutation_decode_fails_the_intertwining_check",
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -587,4 +588,4 @@ def test_forced_fact_checks_survive_python_O():
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "8 passed" in proc.stdout
+    assert "9 passed" in proc.stdout

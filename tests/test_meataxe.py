@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from modclass.errors import ConsistencyError, InconclusiveError, InputError
 from modclass.finite_field import make_field
-from modclass import limits, linalg, meataxe
+from modclass import limits, linalg, meataxe, modrep
 from modclass import polynomials as P
 from modclass.modrep import (
     Rep,
@@ -577,6 +577,69 @@ def test_decompose_groups_leaves_without_end_solves_or_searches(monkeypatch, n):
     monkeypatch.setattr(meataxe, "is_isomorphic", forbidden)
     reg = regular_module(catalog()["S4"], make_field(2, n))
     assert _summand_multiset(reg) == [(8, 1), (8, 2)]
+
+
+def _decompose_without_orbit_split(V, seed, monkeypatch):
+    # decompose as it was before permutation modules split by orbits first
+    with monkeypatch.context() as m:
+        m.setattr(meataxe, "point_orbits", lambda mats, dim: None)
+        return decompose(V, seed=seed)
+
+
+def _assert_splitting_basis(dec):
+    # the basis conjugates the module into the summands, block for block
+    conj = dec.conjugated_matrices()
+    off = 0
+    for W, mult in dec.summands:
+        for _ in range(mult):
+            for Mc, Mw in zip(conj, W.matrices):
+                assert np.array_equal(Mc[off : off + W.dim, off : off + W.dim], Mw)
+                assert not Mc[off : off + W.dim, :off].any()
+                assert not Mc[off : off + W.dim, off + W.dim :].any()
+            off += W.dim
+    assert off == dec.module.dim
+
+
+def _intransitive_permutation_modules():
+    S4, A4 = catalog()["S4"], catalog()["A4"]
+    reg = regular_module(S4, F2)
+    pim4 = next(W for W, _ in decompose(regular_module(A4, F4)).summands if W.dim == 4)
+    one = A4.trivial_subgroup()
+    # S2 x C3 on {0, 1} and {2, 3, 4}
+    G = PermGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
+    return [
+        direct_sum(reg, reg),
+        induce(restrict_subgroup(pim4, one), A4),
+        restrict_subgroup(reg, S4.trivial_subgroup()),
+        permutation_module(G, F2),
+        permutation_module(G, F3),
+        direct_sum(regular_module(catalog()["S3"], F3), trivial_module(catalog()["S3"], F3)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_orbit_split_matches_decompose_without_it(monkeypatch, index):
+    V = _intransitive_permutation_modules()[index]
+    assert len(modrep.point_orbits(V.matrices, V.dim)) > 1
+    for seed in (0, 5):
+        got = decompose(V, seed=seed)
+        want = _decompose_without_orbit_split(V, seed, monkeypatch)
+        assert sorted((W.dim, m) for W, m in got.summands) == sorted((W.dim, m) for W, m in want.summands)
+        _assert_splitting_basis(got)
+        _assert_splitting_basis(want)
+
+
+def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
+    # a trivially acting module splits into lines without any hom solve
+    # beyond the 1 x 1 ones that group them
+    V = restrict_subgroup(regular_module(catalog()["S4"], F2), catalog()["S4"].trivial_subgroup())
+    sizes = []
+    real = modrep.hom_basis_and_seeds
+    monkeypatch.setattr(modrep, "hom_basis_and_seeds", lambda K, a, b, d, e: sizes.append((d, e)) or real(K, a, b, d, e))
+    dec = decompose(V)
+    assert [(W.dim, m) for W, m in dec.summands] == [(1, 24)]
+    assert set(sizes) == {(1, 1)}
+    _assert_splitting_basis(dec)
 
 
 # ---------------------------------------------------------------- properties
