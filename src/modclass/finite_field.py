@@ -22,6 +22,15 @@ field takes large matrix products as one float64 BLAS product of digit
 planes, exact while k*n*(p-1)^2 < 2^53.  In characteristic 2 addition and
 subtraction are XOR of codes.
 
+Row reduction in :mod:`modclass.linalg` does its row arithmetic through
+``sub_outer`` (R -= c ⊗ row on a stack of rows, in place), ``mul`` (a row
+scaled by one code) and ``inv1`` (one inverse as a Python int), plus
+``combine`` for the lockstep spins.  Each picks its expression here by
+the kind of field (``kind``): over a prime field it is one numpy
+expression mod p with no conversion of its operands; extension fields go
+through the table or digit arithmetic above; in characteristic 2 the
+subtraction is XOR.
+
 The defining polynomial f is canonical: the monic irreducible of degree n
 whose non-leading coefficient vector, read as a base-p integer, is least.
 Two calls to :func:`make_field` with the same (p, n) return the same
@@ -167,6 +176,8 @@ class FiniteField:
         self._log: np.ndarray | None = None
         self._exp: np.ndarray | None = None
         self._gather_cells = _GATHER_CELLS_XOR * n**2 if p == 2 else _GATHER_CELLS
+        # how elements multiply: mod p, by tables, carry-less (p = 2) or by digits
+        self.kind = "prime" if n == 1 else "table" if self._zech else "carryless" if p == 2 else "digits"
         if not self._zech:
             self._spot_check()  # table fields are certified when their tables are built
 
@@ -247,36 +258,36 @@ class FiniteField:
     # ----- elementwise arithmetic on code arrays -----
 
     def add(self, a, b) -> np.ndarray:
+        if self.n == 1:
+            return np.add(a, b, dtype=np.int64) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.n == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return a ^ b
         return self.encode((self.decode(a) + self.decode(b)) % self.p)
 
     def neg(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
         if self.n == 1:
-            return (-a) % self.p
+            return np.negative(a, dtype=np.int64) % self.p
+        a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
             return a.copy()
         return self.encode((-self.decode(a)) % self.p)
 
     def sub(self, a, b) -> np.ndarray:
+        if self.n == 1:
+            return np.subtract(a, b, dtype=np.int64) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.n == 1:
-            return (a - b) % self.p
         if self.p == 2:
             return a ^ b
         return self.encode((self.decode(a) - self.decode(b)) % self.p)
 
     def mul(self, a, b) -> np.ndarray:
+        if self.n == 1:
+            return np.multiply(a, b, dtype=np.int64) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.n == 1:
-            return (a * b) % self.p
         if self._zech:
             log, exp = self._tables()
             return exp[log[a] + log[b]]
@@ -350,6 +361,47 @@ class FiniteField:
         scale = pow(r1[0], p - 2, p)
         return sum(c * scale % p * p**i for i, c in enumerate(s1))
 
+    # ----- row operations of the echelon core -----
+
+    def inv1(self, c) -> int:
+        """Inverse of one nonzero code, as a Python int."""
+        c = int(c)
+        if c == 0:
+            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.q)
+        if self.n == 1:
+            return pow(c, -1, self.p)
+        if self._zech:
+            log, exp = self._tables()
+            return int(exp[(self.q - 1) - log[c]])
+        return self._inv_code(c)
+
+    def sub_outer(self, R, c, row) -> np.ndarray:
+        """R -= c ⊗ row in place: c[i] * row subtracted from row i of the
+        stack R, which is returned.
+
+        c may be a view into R.  Leading axes broadcast, so R (..., m, w),
+        c (..., m) and row (..., w) update a stack of stacks.
+        """
+        c, row = c[..., :, None], row[..., None, :]
+        prod = c * row if self.n == 1 else self.mul(c, row)
+        if self.p == 2:
+            R ^= prod
+        elif self.n == 1:
+            R -= prod
+            R %= self.p
+        else:
+            R[...] = self.sub(R, prod)
+        return R
+
+    def combine(self, c, R) -> np.ndarray:
+        """sum_i c[..., i] * R[..., i, :]: one combination of rows per stack."""
+        if self.n == 1:
+            return np.matmul(c[..., None, :], R)[..., 0, :] % self.p
+        terms = self.mul(c[..., :, None], R)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(terms, axis=-2)
+        return self.encode(self.decode(terms).sum(axis=-3) % self.p)
+
     # ----- matrix arithmetic on code arrays -----
 
     def mat_mul(self, A, B) -> np.ndarray:
@@ -392,7 +444,13 @@ class FiniteField:
         return self.encode(digits.astype(np.int64).reshape(r, c, n) % p)
 
     def mat_vec(self, A, v) -> np.ndarray:
-        return self.mat_mul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
+        v = np.asarray(v, dtype=np.int64)
+        if self.n == 1:  # a matrix-vector product never takes the BLAS path
+            A = np.asarray(A, dtype=np.int64)
+            if A.ndim != 2 or v.shape != (A.shape[1],):
+                raise InputError("mat_vec shape mismatch: %s x %s" % (A.shape, v.shape))
+            return A @ v % self.p
+        return self.mat_mul(A, v.reshape(-1, 1))[:, 0]
 
     def identity(self, d: int) -> np.ndarray:
         return np.eye(d, dtype=np.int64)

@@ -4,8 +4,13 @@ Vectors are 1-D code arrays; a subspace is held either as rows of a matrix
 or as a :class:`RowSpace`, a growing set of fully reduced rows used by the
 spinning algorithms.  A RowSpace reduces one vector, or a whole stack of
 them (:meth:`RowSpace.reduce_rows`), with one matrix product, so the
-restricted and quotient actions each reduce all images at once.
+restricted and quotient actions each reduce all images at once, and
+`spin` inserts all images of one vector from one product.
 Everything here is deterministic.
+
+The row arithmetic of `rref` and RowSpace is the field's: ``sub_outer``,
+``mul``, ``inv1`` and ``combine`` (see :mod:`modclass.finite_field`) pick
+one expression per kind of field, so nothing here branches on the field.
 """
 
 from __future__ import annotations
@@ -18,24 +23,25 @@ from .finite_field import FiniteField
 
 def rref(field: FiniteField, A: np.ndarray):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    A = np.asarray(A, dtype=np.int64).copy()
+    A = np.array(A, dtype=np.int64)
     m, d = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(d):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        nz = A[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        A[r] = field.mul(field.inv(A[r, c]), A[r])
-        others = np.nonzero(A[:, c])[0]
+        if A[r, c] != 1:
+            A[r] = field.mul(field.inv1(A[r, c]), A[r])
+        others = A[:, c].nonzero()[0]
         others = others[others != r]
         if others.size:
-            A[others] = field.sub(A[others], field.mul(A[others, c][:, None], A[r][None, :]))
+            A[others] = field.sub_outer(A[others], A[others, c], A[r])
         pivots.append(c)
         r += 1
     return A, pivots
@@ -102,6 +108,13 @@ class RowSpace:
     expression in them to its right, so the same product also yields the
     coordinates of v - residual in the raw basis.  The rows live in one
     array that doubles when full.
+
+    Insertion reduces a whole stack of candidates with one product and then
+    takes them in order; each new row is cleared, by one rank-one update,
+    from the rows that have its pivot and from the candidates still
+    waiting.  The row arithmetic is the field's own
+    (:meth:`~modclass.finite_field.FiniteField.sub_outer`, ``mul`` and
+    ``inv1``), which picks its expression by the kind of field.
     """
 
     def __init__(self, field: FiniteField, ambient: int, track: bool = False):
@@ -165,42 +178,54 @@ class RowSpace:
 
     def add(self, v: np.ndarray) -> bool:
         """Insert v if independent of the current rows; returns True if added."""
-        return self._insert(v)[0]
+        return self._insert_rows(np.asarray(v, dtype=np.int64)[None])[0][0]
 
-    def _insert(self, v: np.ndarray):
-        """(True, None) after inserting an independent v; otherwise (False,
-        coords) with v's coordinates in the raw basis (None when untracked)."""
+    def _insert_rows(self, V: np.ndarray):
+        """Insert the rows of V in order, each exactly as :meth:`add` would.
+
+        Returns (added, E): added[i] tells whether V[i] joined.  E[i] is
+        (residual | -coords) of V[i] against the rows present at its turn,
+        coords being its coordinates in the raw basis as it stood then
+        (residual only when untracked); for a dependent V[i] the residual is
+        zero.  All of V is reduced by one product; a candidate is reduced
+        further only by the rows that joined from V before it.
+        """
         field = self.field
-        residual, coords = self._reduce(v, self.track)
-        nz = residual.nonzero()[0]
-        if not nz.size:
-            return False, coords
-        pivot = int(nz[0])
-        k, a = self._k, self.ambient
-        if k == len(self._pivots):
-            self._alloc(min(2 * k, a))
-        width = self._width(k + 1)
-        if self.track:
-            # residual = v - coords . raw, so row = s * (residual | -coords | 1)
-            new = np.empty(width, dtype=np.int64)
-            new[:a] = residual
-            new[a:-1] = field.neg(coords)
-            new[-1] = 1
-        else:
-            new = residual
-        row = field.mul(field.inv(residual[pivot]), new)
-        # clear the new pivot column from the rows that have it
-        hit = self._rows[:k, pivot].nonzero()[0]
-        if hit.size:
-            rows = self._rows[hit, :width]
-            self._rows[hit, :width] = field.sub(rows, field.mul(rows[:, pivot, None], row))
-        self._pivots[k] = pivot
-        self._rows[k, :width] = row
-        self._inserted.append(row[:a].copy() if self.track else row)
-        if self.track:
-            self._raw.append(np.asarray(v, dtype=np.int64).copy())
-        self._k = k + 1
-        return True, None
+        a, k = self.ambient, self._k
+        m = len(V)
+        need = min(k + m, a)
+        while len(self._pivots) < need:
+            self._alloc(min(2 * len(self._pivots), a))
+        width = self._width(need)
+        E = np.zeros((m, width), dtype=np.int64)
+        E[:, :a] = V
+        if k:
+            E = field.sub(E, field.mat_mul(V[:, self._pivots[:k]], self._rows[:k, :width]))
+        added = [False] * m
+        for i in range(m):
+            nz = E[i, :a].nonzero()[0]
+            if not nz.size:
+                continue
+            pivot, k = int(nz[0]), self._k
+            row = E[i]
+            if self.track:  # V[i] = raw[k], so its row is s * (residual | -coords | 1)
+                row[a + k] = 1
+            if row[pivot] != 1:
+                row = field.mul(field.inv1(row[pivot]), row)
+            # clear the new pivot column from the rows and candidates that have it
+            if k:
+                rows = self._rows[:k, :width]
+                field.sub_outer(rows, rows[:, pivot], row)
+            if i + 1 < m:
+                field.sub_outer(E[i + 1 :], E[i + 1 :, pivot], row)
+            self._pivots[k] = pivot
+            self._rows[k, :width] = row
+            self._inserted.append(row[:a].copy())  # keeps neither E nor the expression alive
+            if self.track:
+                self._raw.append(V[i].copy())
+            self._k = k + 1
+            added[i] = True
+        return added, E
 
     def raw_basis_rows(self) -> list[np.ndarray]:
         if not self.track:
@@ -234,7 +259,8 @@ def spin(
     ``(j, g, coords)`` when that image is dependent, coords being its
     coordinates in the raw basis as it stood then.
 
-    One stacked product gives a vector's images under all the matrices.
+    One stacked product gives a vector's images under all the matrices,
+    and one insertion (:meth:`RowSpace._insert_rows`) takes them in order.
     Once the span is the whole space every image left is dependent: the
     log gets them from one block reduction, and without a log the spin
     stops there.
@@ -260,12 +286,13 @@ def spin(
                     n = len(mats)
                     log.extend((j + r // n, r % n, c) for r, c in enumerate(coords))
                 break
-            images = field.mat_vec(stack, raw[j]).reshape(-1, ambient)
-            for g, w in enumerate(images):
-                if log is None:
-                    space.add(w)
-                else:
-                    log.append((j, g, space._insert(w)[1]))
+            k = space.dim
+            added, E = space._insert_rows(field.mat_vec(stack, raw[j]).reshape(-1, ambient))
+            if log is not None:
+                coords = field.neg(E[:, ambient:])
+                for g, new in enumerate(added):
+                    log.append((j, g, None if new else coords[g, :k]))
+                    k += new
             j += 1
     return space
 
@@ -341,8 +368,8 @@ def _spin_block(field: FiniteField, stack_t: np.ndarray, seeds: np.ndarray, trac
         row = field.mul(field.inv(res[np.arange(len(new)), piv])[:, None], row)
         # clear the new pivot column from the rows that have it
         old = rows[new, :r]
-        hit = np.take_along_axis(old, piv[:, None, None], axis=2)  # (new, r, 1)
-        rows[new, :r] = field.sub(old, field.mul(hit, row[:, None, :]))
+        hit = np.take_along_axis(old, piv[:, None, None], axis=2)[:, :, 0]  # (new, r)
+        rows[new, :r] = field.sub_outer(old, hit, row)
         rows[new, kn] = row
         pivots[new, kn] = piv
         raw[new, kn] = W[new]
@@ -358,7 +385,7 @@ def _spin_block(field: FiniteField, stack_t: np.ndarray, seeds: np.ndarray, trac
             r = k.max()
             W = images[:, g * d : (g + 1) * d]
             coeffs = np.take_along_axis(W, pivots[:, :r], axis=1)
-            combo = _combine(field, coeffs, rows[:, :r])
+            combo = field.combine(coeffs, rows[:, :r])
             new = insert(W, combo)
             if track:
                 # column j of matrix g: the coordinates of a dependent image,
@@ -369,16 +396,6 @@ def _spin_block(field: FiniteField, stack_t: np.ndarray, seeds: np.ndarray, trac
     if track:
         acts[k < d] = 0
     return k, acts
-
-
-def _combine(field: FiniteField, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[s, i] * rows[s, i] for every s: one combination per stack."""
-    if field.n == 1:
-        return np.matmul(coeffs[:, None, :], rows)[:, 0] % field.p
-    terms = field.mul(coeffs[:, :, None], rows)
-    if field.p == 2:
-        return np.bitwise_xor.reduce(terms, axis=1)
-    return field.encode(field.decode(terms).sum(axis=1) % field.p)
 
 
 def _stacked(mats: list[np.ndarray], d: int) -> np.ndarray:

@@ -290,14 +290,23 @@ def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
 
 
 def is_indecomposable(V: Rep, seed: int = 0) -> bool:
+    """Whether End(V) is local; a permutation module with more than one
+    orbit is decomposable (as in :func:`_try_split`), so it needs no End."""
     if V.dim == 0:
         raise InputError("indecomposability is undefined for the zero module")
+    if V.dim == 1:
+        return True
+    orbits = point_orbits(V.matrices, V.dim)
+    if orbits is not None and len(orbits) > 1:
+        return False
     return end_structure(V, seed)[2]
 
 
 def is_absolutely_indecomposable(V: Rep, seed: int = 0) -> bool:
-    h, rad_dim, local = end_structure(V, seed)
-    return local and h - rad_dim == 1
+    if not is_indecomposable(V, seed):
+        return False
+    h, rad_dim, _ = end_structure(V, seed)
+    return h - rad_dim == 1
 
 
 def is_absolutely_simple(V: Rep, seed: int = 0) -> bool:

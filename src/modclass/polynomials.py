@@ -10,8 +10,8 @@ splitting (Cantor-Zassenhaus); the returned factor set is canonical
 Inside, the algorithms run on Python lists of the same integer codes, since
 most polynomials here have degree at most 16 and a numpy call per
 coefficient costs more than the arithmetic.  One set of algorithms works
-through a small coefficient kernel (`_kernel`), picked by a property of the
-field:
+through a small coefficient kernel (`_kernel`), picked by the field's
+``kind``:
 
 * GF(p): integers mod p;
 * GF(p^n) with at most ``_TABLE_CAP`` elements: products from the field's
@@ -241,16 +241,18 @@ class _ArrayKernel(_Kernel):
         r[s:e] = F.encode((F.decode(_array(r[s:e])) + self._times(c, b)) % F.p).tolist()
 
 
+_KERNELS = {
+    "prime": _PrimeKernel,
+    "table": _TableKernel,
+    "carryless": _CarrylessKernel,
+    "digits": _ArrayKernel,
+}
+
+
 @functools.cache
 def _kernel(field: FiniteField) -> _Kernel:
     """The coefficient kernel of a field (fields are interned, so one each)."""
-    if field.n == 1:
-        return _PrimeKernel(field)
-    if field._zech:
-        return _TableKernel(field)
-    if field.p == 2:
-        return _CarrylessKernel(field)
-    return _ArrayKernel(field)
+    return _KERNELS[field.kind](field)
 
 
 # ----- algorithms on lists of codes -----
@@ -538,12 +540,13 @@ def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray):
     before it."""
     from .linalg import RowSpace
 
-    space = RowSpace(field, M.shape[0], track=True)
+    d = M.shape[0]
+    space = RowSpace(field, d, track=True)
     chain = []
     while True:
-        added, coords = space._insert(vec)
-        if not added:
-            return _kernel(field).neg(coords.tolist()) + [1], chain
+        added, E = space._insert_rows(vec[None])
+        if not added[0]:  # E[0] is (0 | -coords) of the dependent vector
+            return E[0, d : d + space.dim].tolist() + [1], chain
         chain.append(vec)
         vec = field.mat_vec(M, vec)
 
@@ -568,12 +571,12 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
         start = space.dim
         vec = _unit(d, s)
         while True:
-            added, coords = space._insert(vec)
-            if not added:
+            added, E = space._insert_rows(vec[None])
+            if not added[0]:
                 break
             vec = field.mat_vec(M, vec)
-        if space.dim > start:
-            result = _mul(k, result, k.neg(coords[start:].tolist()) + [1])
+        if space.dim > start:  # E[0] is (0 | -coords) of the dependent M^j e_s
+            result = _mul(k, result, E[0, d + start : d + space.dim].tolist() + [1])
     _require(len(result) - 1 == d, "characteristic polynomial has the wrong degree")
     return _array(result)
 
@@ -601,6 +604,5 @@ def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
             continue
         mu, chain = _krylov_relation(field, M, seed)
         lam = _divmod(k, _mul(k, lam, mu), _gcd(k, lam, mu))[0]
-        for w in chain:
-            seen.add(w)
+        seen._insert_rows(np.stack(chain))
     return _array(_monic(k, lam))

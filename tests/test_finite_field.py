@@ -259,6 +259,39 @@ def test_zero_handling(p, n):
         K.inv(np.array([1, 0], dtype=np.int64))
 
 
+# one field of each kind: prime (p = 2 and odd), log/exp tables (p = 2 and
+# odd), carry-less above the table cap, digit vectors above the table cap
+@pytest.mark.parametrize("p, n", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 20), (3, 12)])
+def test_row_operations_match_elementwise_arithmetic(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(p + n)
+    for m, w in ((1, 1), (5, 9), (12, 30)):
+        R, row, c = K.rand_codes(rng, (m, w)), K.rand_codes(rng, w), K.rand_codes(rng, m)
+        c[0] = 0
+        want = K.sub(R, K.mul(c[:, None], row))
+        got = K.sub_outer(R.copy(), c, row)
+        assert _same(got, want)
+        # in place, with c a column of R, and batched over a leading axis
+        S = R.copy()
+        assert K.sub_outer(S, S[:, 0], row) is S
+        assert _same(S, K.sub(R, K.mul(R[:, :1], row)))
+        stack = np.stack([R, want])
+        got = K.sub_outer(stack.copy(), np.stack([c, c]), np.stack([row, row]))
+        assert _same(got, np.stack([want, K.sub(want, K.mul(c[:, None], row))]))
+        acc = K.zeros(w)
+        for x, r in zip(c, R):
+            acc = K.add(acc, K.mul(x, r))
+        assert _same(K.combine(c, R), acc)
+        assert _same(K.combine(np.stack([c, c]), stack), np.stack([acc, K.combine(c, want)]))
+    units = np.unique(np.concatenate([[1, K.q - 1], K.rand_codes(rng, 20)]))
+    units = units[units != 0]
+    for a in units:
+        inv = K.inv1(a)
+        assert type(inv) is int and inv == int(K.inv(a))
+    with pytest.raises(ZeroDivisionError):
+        K.inv1(0)
+
+
 def test_fields_above_table_cap_build_no_table():
     K = make_field(2, 20)
     rng = np.random.default_rng(3)

@@ -56,17 +56,23 @@ def _loop_nullspace(K, A):
 
 
 def test_nullspace_matches_loop_reference():
-    rng = np.random.default_rng(7)
-    for K in (F2, F4, F3, make_field(3, 2)):
-        for shape in ((3, 7), (7, 3), (6, 6), (1, 5), (5, 1)):
-            for rank_cap in (0, 1, 2, None):
-                A = K.rand_codes(rng, shape)
-                if rank_cap is not None:  # force a rank-deficient input
-                    left = K.rand_codes(rng, (shape[0], rank_cap))
-                    A = K.mat_mul(left, K.rand_codes(rng, (rank_cap, shape[1])))
-                N = L.nullspace(K, A)
-                ref = _loop_nullspace(K, A)
-                assert N.dtype == ref.dtype and np.array_equal(N, ref)
+    # rref against the one-call-per-step reference, nullspace against the
+    # one-entry-at-a-time back-substitution
+    for seed in (7, 8, 9):
+        rng = np.random.default_rng(seed)
+        for K in (F2, F4, F3, make_field(3, 2), make_field(7, 1), make_field(2, 20)):
+            for shape in ((3, 7), (7, 3), (6, 6), (1, 5), (5, 1)):
+                for rank_cap in (0, 1, 2, None):
+                    A = K.rand_codes(rng, shape)
+                    if rank_cap is not None:  # force a rank-deficient input
+                        left = K.rand_codes(rng, (shape[0], rank_cap))
+                        A = K.mat_mul(left, K.rand_codes(rng, (rank_cap, shape[1])))
+                    R, pivots = L.rref(K, A)
+                    R_ref, pivots_ref = _loop_rref(K, A)
+                    assert _same(R, R_ref) and pivots == pivots_ref
+                    N = L.nullspace(K, A)
+                    ref = _loop_nullspace(K, A)
+                    assert N.dtype == ref.dtype and np.array_equal(N, ref)
 
 
 def test_solve_and_inverse():
@@ -275,7 +281,106 @@ def _sequential_spin(field, mats, seeds, log=None):
     return space
 
 
-ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)]
+# ----- reference: the fully reduced RowSpace one vector at a time -----
+
+
+class _PerVectorRowSpace(L.RowSpace):
+    """Reference insertion: each vector is reduced on its own, and its row
+    is built and cleared from the others by elementwise field calls."""
+
+    def add(self, v):
+        return self._insert(v)[0]
+
+    def _insert(self, v):
+        field = self.field
+        residual, coords = self._reduce(v, self.track)
+        nz = residual.nonzero()[0]
+        if not nz.size:
+            return False, coords
+        pivot = int(nz[0])
+        k, a = self._k, self.ambient
+        if k == len(self._pivots):
+            self._alloc(min(2 * k, a))
+        width = self._width(k + 1)
+        if self.track:
+            new = np.empty(width, dtype=np.int64)
+            new[:a] = residual
+            new[a:-1] = field.neg(coords)
+            new[-1] = 1
+        else:
+            new = residual
+        row = field.mul(field.inv(residual[pivot]), new)
+        hit = self._rows[:k, pivot].nonzero()[0]
+        if hit.size:
+            rows = self._rows[hit, :width]
+            self._rows[hit, :width] = field.sub(rows, field.mul(rows[:, pivot, None], row))
+        self._pivots[k] = pivot
+        self._rows[k, :width] = row
+        self._inserted.append(row[:a].copy() if self.track else row)
+        if self.track:
+            self._raw.append(np.asarray(v, dtype=np.int64).copy())
+        self._k = k + 1
+        return True, None
+
+
+def _per_vector_spin(field, mats, seeds, log=None):
+    ambient = mats[0].shape[0] if mats else len(seeds[0])
+    stack = L._stacked(mats, ambient)
+    space = _PerVectorRowSpace(field, ambient, track=True)
+    raw = space._raw
+    j = 0
+    for i, seed in enumerate(seeds):
+        if space.dim == ambient:
+            break
+        if not space.add(seed):
+            continue
+        if log is not None:
+            log.append((-1, i, None))
+        while j < len(raw):
+            if space.dim == ambient:
+                if log is not None:
+                    rest = field.mat_mul(np.stack(raw[j:]), stack.T).reshape(-1, ambient)
+                    _, coords = space.reduce_rows(rest)
+                    n = len(mats)
+                    log.extend((j + r // n, r % n, c) for r, c in enumerate(coords))
+                break
+            images = field.mat_vec(stack, raw[j]).reshape(-1, ambient)
+            for g, w in enumerate(images):
+                if log is None:
+                    space.add(w)
+                else:
+                    log.append((j, g, space._insert(w)[1]))
+            j += 1
+    return space
+
+
+def _loop_rref(field, A):
+    """Reference rref: one elementwise field call per step."""
+    A = np.asarray(A, dtype=np.int64).copy()
+    m, d = A.shape
+    pivots = []
+    r = 0
+    for c in range(d):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = field.mul(field.inv(A[r, c]), A[r])
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            A[others] = field.sub(A[others], field.mul(A[others, c][:, None], A[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+# GF(2^20) has no log/exp tables: its rows go through digit convolutions
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (7, 1), (2, 20)]
 
 
 def _same(a, b):
@@ -328,30 +433,59 @@ def _assert_spaces_agree(new, old, probes):
         assert all(_same(a, b) for a, b in zip(raw_new, raw_old))
 
 
+def _assert_stacked_insert(space, ref, V, probes):
+    """Insert the stack V at once into space and one by one into ref."""
+    added, E = space._insert_rows(V)
+    d = space.ambient
+    assert E.dtype == np.int64 and len(added) == len(V)
+    for v, new, e in zip(V, added, E):
+        ok, coords = ref._insert(v)
+        assert new == ok
+        if not ok:  # e is (0 | -coords) against the rows present at its turn
+            assert not e[:d].any()
+            if ref.track:
+                assert _same(e[d : d + len(coords)], ref.field.neg(coords))
+                assert not e[d + len(coords) :].any()
+    _assert_spaces_agree(space, ref, probes)
+
+
 @pytest.mark.parametrize("p,n", ORACLE_FIELDS)
 @pytest.mark.parametrize("track", [False, True])
 def test_rowspace_matches_sequential_oracle(p, n, track):
     K = make_field(p, n)
-    rng = np.random.default_rng(100 * p + 10 * n + track)
-    for d in (1, 5, 11):
-        new = L.RowSpace(K, d, track=track)
-        old = _SequentialRowSpace(K, d, track=track)
-        probes = [K.rand_codes(rng, d) for _ in range(3)] + [K.zeros(d)]
-        for v in _vector_stream(K, d, rng, 3 * d):
-            probes[0] = v
-            assert new.add(v) == old.add(v)
-            _assert_spaces_agree(new, old, probes)
-        assert new.dim == d  # the stream filled the ambient space
-        if not track:
-            with pytest.raises(InputError):
-                new.reduce_with_coords(probes[1])
+    for seed in range(3):
+        rng = np.random.default_rng(100 * p + 10 * n + track + 1000 * seed)
+        for d in (1, 5, 11):
+            new = L.RowSpace(K, d, track=track)
+            old = _SequentialRowSpace(K, d, track=track)
+            ref = _PerVectorRowSpace(K, d, track=track)
+            probes = [K.rand_codes(rng, d) for _ in range(3)] + [K.zeros(d)]
+            stream = list(_vector_stream(K, d, rng, 3 * d))
+            for v in stream:
+                probes[0] = v
+                assert new.add(v) == old.add(v) == ref.add(v)
+                _assert_spaces_agree(new, old, probes)
+                _assert_spaces_agree(new, ref, probes)
+            assert new.dim == d  # the stream filled the ambient space
+            if not track:
+                with pytest.raises(InputError):
+                    new.reduce_with_coords(probes[1])
+            # the same stream in stacks of 1 to 4 candidates at once
+            stacked = L.RowSpace(K, d, track=track)
+            ref = _PerVectorRowSpace(K, d, track=track)
+            lo = 0
+            while lo < len(stream):
+                hi = lo + int(rng.integers(1, 5))
+                _assert_stacked_insert(stacked, ref, np.stack(stream[lo:hi]), probes)
+                lo = hi
+            assert stacked.dim == d
 
 
-def _random_module(K, d, rng, blocks):
-    """Two generators, block upper triangular along `blocks` when given, so
-    that spins can stop at proper invariant subspaces."""
+def _random_module(K, d, rng, blocks, gens=2):
+    """`gens` generators, block upper triangular along `blocks` when given,
+    so that spins can stop at proper invariant subspaces."""
     mats = []
-    for _ in range(2):
+    for _ in range(gens):
         M = K.rand_codes(rng, (d, d))
         start = 0
         for b in blocks:
@@ -361,27 +495,39 @@ def _random_module(K, d, rng, blocks):
     return mats
 
 
+def _assert_logs_agree(log_new, log_old):
+    assert len(log_new) == len(log_old)
+    for (j1, g1, c1), (j2, g2, c2) in zip(log_new, log_old):
+        assert (j1, g1) == (j2, g2) and _same(c1, c2)
+
+
 @pytest.mark.parametrize("p,n", ORACLE_FIELDS)
 def test_spin_logs_match_sequential_oracle(p, n):
     K = make_field(p, n)
-    rng = np.random.default_rng(7 * p + n)
-    for d, blocks in ((6, ()), (9, (3, 2)), (8, (8,)), (7, (1, 1, 1, 1, 1, 1, 1))):
-        mats = _random_module(K, d, rng, blocks)
-        for seeds in (
-            [K.rand_codes(rng, d)],
-            [np.eye(d, dtype=np.int64)[d - 1]],
-            [K.zeros(d), np.eye(d, dtype=np.int64)[d - 1], K.rand_codes(rng, d)],
-            list(K.identity(d)),
-        ):
-            log_new, log_old = [], []
-            new = L.spin(K, mats, seeds, log=log_new)
-            old = _sequential_spin(K, mats, seeds, log=log_old)
-            assert len(log_new) == len(log_old)
-            for (j1, g1, c1), (j2, g2, c2) in zip(log_new, log_old):
-                assert (j1, g1) == (j2, g2) and _same(c1, c2)
-            _assert_spaces_agree(new, old, [K.rand_codes(rng, d)])
-            plain = L.spin(K, mats, seeds)
-            _assert_spaces_agree(plain, old, [K.rand_codes(rng, d)])
+    for seed in range(3):
+        rng = np.random.default_rng(7 * p + n + 1000 * seed)
+        # (8, (8,)) with four generators fills the span partway through the
+        # images of one vector; (7, ones) stops at every proper subspace
+        for d, blocks, gens in ((6, (), 2), (9, (3, 2), 2), (8, (8,), 4), (7, (1,) * 7, 2)):
+            mats = _random_module(K, d, rng, blocks, gens)
+            for seeds in (
+                [K.rand_codes(rng, d)],
+                [np.eye(d, dtype=np.int64)[d - 1]],
+                [K.zeros(d), np.eye(d, dtype=np.int64)[d - 1], K.rand_codes(rng, d)],
+                list(K.identity(d)),
+            ):
+                log_new, log_old, log_ref = [], [], []
+                new = L.spin(K, mats, seeds, log=log_new)
+                old = _sequential_spin(K, mats, seeds, log=log_old)
+                ref = _per_vector_spin(K, mats, seeds, log=log_ref)
+                _assert_logs_agree(log_new, log_old)
+                _assert_logs_agree(log_new, log_ref)
+                probes = [K.rand_codes(rng, d)]
+                _assert_spaces_agree(new, old, probes)
+                _assert_spaces_agree(new, ref, probes)
+                plain = L.spin(K, mats, seeds)
+                _assert_spaces_agree(plain, old, probes)
+                _assert_spaces_agree(plain, _per_vector_spin(K, mats, seeds), probes)
 
 
 def _sequential_action_on_subspace(K, B, mats):

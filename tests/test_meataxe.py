@@ -642,6 +642,29 @@ def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
     _assert_splitting_basis(dec)
 
 
+def test_indecomposability_of_permutation_modules_needs_no_end(monkeypatch):
+    # End of the trivially acting regular S5 module holds 120^2 unit maps;
+    # the orbits alone decide, and the lines are indecomposable outright
+    from modclass.classify import fiber
+    from modclass.green import vertex
+
+    V = restrict_subgroup(regular_module(S5, F2), S5.trivial_subgroup())
+    line = trivial_module(S5, F2)
+
+    def no_end(self):
+        raise AssertionError("End solved")
+
+    monkeypatch.setattr(Rep, "endomorphisms", no_end)
+    assert not is_indecomposable(V)
+    assert not is_absolutely_indecomposable(V)
+    assert is_indecomposable(line)
+    assert not is_indecomposable(Rep(S5, F2, [np.eye(2, dtype=np.int64)] * 2))
+    with pytest.raises(InputError, match="decompose first"):
+        vertex(V)
+    with pytest.raises(InputError, match="decompose first"):
+        fiber(V, 2)
+
+
 # ---------------------------------------------------------------- properties
 
 _MODULAR_CASES = [

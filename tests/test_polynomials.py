@@ -518,13 +518,13 @@ def test_corrupted_krylov_relation_fails_the_degree_check(monkeypatch):
     from modclass.errors import ConsistencyError
     from modclass.linalg import RowSpace
 
-    real = RowSpace._insert
+    real = RowSpace._insert_rows
 
-    def insert(self, v):
-        if v[-1] and not v[:-1].any():
-            return False, np.zeros(self.dim, dtype=np.int64)
-        return real(self, v)
+    def insert(self, V):
+        if V[0, -1] and not V[0, :-1].any():
+            return [False], np.zeros((1, self.ambient + self.dim), dtype=np.int64)
+        return real(self, V)
 
-    monkeypatch.setattr(RowSpace, "_insert", insert)
+    monkeypatch.setattr(RowSpace, "_insert_rows", insert)
     with pytest.raises(ConsistencyError, match="wrong degree"):
         P.char_poly(F2, F2.identity(3))
