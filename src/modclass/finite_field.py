@@ -17,10 +17,10 @@ stay in int64.  An extension field with at most
 element on first use and certifies them; its ``mul``, ``inv``, ``pow`` and
 ``frobenius`` are table lookups, and small matrix products gather
 ``exp[log A + log B]`` and reduce over the inner index.  Larger extension
-fields multiply by digit convolution and invert by Euclid.  Every extension
-field takes large matrix products as one float64 BLAS product of digit
-planes, exact while k*n*(p-1)^2 < 2^53.  In characteristic 2 addition and
-subtraction are XOR of codes.
+fields multiply by digit convolution.  Every extension field takes large
+matrix products as one float64 BLAS product of digit planes, exact while
+k*n*(p-1)^2 < 2^53.  In characteristic 2 addition and subtraction are XOR
+of codes.
 
 Row reduction in :mod:`modclass.linalg` does its row arithmetic through
 ``sub_outer`` (R -= c ⊗ row on a stack of rows, in place), ``mul`` (a row
@@ -33,8 +33,10 @@ subtraction is XOR.
 
 The defining polynomial f is canonical: the monic irreducible of degree n
 whose non-leading coefficient vector, read as a base-p integer, is least.
-Two calls to :func:`make_field` with the same (p, n) return the same
-object, so field identity is object identity.
+Its irreducibility test and the scalar inverses of ``inv1`` (and of ``inv``
+above the table cap) live in the polynomial kernels of
+:mod:`modclass.polynomials`.  Two calls to :func:`make_field` with the same
+(p, n) return the same object, so field identity is object identity.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, LimitError, NotSubfieldError, _require
 from . import limits
+from . import polynomials as P
 
 # Extension fields with at most this many elements keep log/exp tables of a
 # primitive element (5 int64 words per element); larger ones multiply by
-# digit convolution and invert by Euclid.
+# digit convolution and invert through their polynomial kernel.
 _TABLE_CAP = 2**16
 
 # A table-field mat_mul gathers its r*k*c products and reduces them over k
@@ -88,58 +91,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _poly_mod_prime(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f by monic g, coefficients in F_p, constant first."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - dg
-            for i in range(dg):
-                r[shift + i] = (r[shift + i] - lead * g[i]) % p
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _is_irreducible_trial(coeffs: list[int], p: int) -> bool:
-    """Trial division of a monic polynomial by all monic divisors of degree <= deg/2."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    # degree-1 divisors amount to a root scan
-    for a in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, n // 2 + 1):
-        for code in range(p**d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if not _poly_mod_prime(coeffs, g, p):
-                return False
-    return True
-
-
 def _least_irreducible(p: int, n: int) -> np.ndarray:
-    """Monic irreducible of degree n over F_p minimizing the base-p code of its tail."""
+    """Monic irreducible of degree n over F_p minimizing the base-p code of its
+    tail, by Ben-Or's test on the prime-field kernel: gcd(x^(p^d) - x, f) = 1
+    for every d <= n/2."""
+    # at n = 1 there is nothing to test, and GF(p) is the field being built
+    k = P._kernel(make_field(p, 1)) if n > 1 else None
+    x = [0, 1]
     for code in range(p**n):
-        tail = []
-        c = code
-        for _ in range(n):
-            tail.append(c % p)
-            c //= p
-        coeffs = tail + [1]
-        if _is_irreducible_trial(coeffs, p):
-            return np.array(coeffs, dtype=np.int64)
+        f = [code // p**i % p for i in range(n)] + [1]
+        h = x
+        for _ in range(n // 2):
+            h = P._pow_mod(k, h, p, f)
+            if len(P._gcd(k, P._sub(k, h, x), f)) > 1:
+                break
+        else:
+            return np.array(f, dtype=np.int64)
     raise ConsistencyError("no irreducible polynomial found")  # unreachable
 
 
@@ -322,58 +289,17 @@ class FiniteField:
         if self._zech:
             log, exp = self._tables()
             return exp[(self.q - 1) - log[a]]
-        flat = [self._inv_code(int(c)) for c in a.ravel()]
-        return np.array(flat, dtype=np.int64).reshape(a.shape)
-
-    def _inv_code(self, code: int) -> int:
-        """Inverse of one nonzero code by extended Euclid in F_p[x] mod min_poly.
-
-        Polynomials are constant-first lists of Python ints without trailing
-        zeros; the invariant is s * a = r (mod min_poly) for both pairs.
-        """
-        p = self.p
-        r0 = [int(c) for c in self.min_poly]
-        r1 = [(code // p**i) % p for i in range(self.n)]
-        while r1[-1] == 0:
-            r1.pop()
-        s0: list[int] = []
-        s1 = [1]
-        while len(r1) > 1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            rem = list(r0)
-            quot = [0] * (len(r0) - len(r1) + 1)
-            for shift in range(len(quot) - 1, -1, -1):
-                c = rem[shift + len(r1) - 1] * inv_lead % p
-                quot[shift] = c
-                if c:
-                    for i, b in enumerate(r1):
-                        rem[shift + i] = (rem[shift + i] - c * b) % p
-            while rem[-1] == 0:
-                rem.pop()
-            s_new = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
-            for i, x in enumerate(quot):
-                for m, y in enumerate(s1):
-                    s_new[i + m] = (s_new[i + m] - x * y) % p
-            while s_new[-1] == 0:
-                s_new.pop()
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
-        scale = pow(r1[0], p - 2, p)
-        return sum(c * scale % p * p**i for i, c in enumerate(s1))
+        inv = P._kernel(self).inv
+        return np.array([inv(c) for c in a.ravel().tolist()], dtype=np.int64).reshape(a.shape)
 
     # ----- row operations of the echelon core -----
 
     def inv1(self, c) -> int:
-        """Inverse of one nonzero code, as a Python int."""
+        """Inverse of one nonzero code, as a Python int, from the field's kernel."""
         c = int(c)
         if c == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d)" % self.q)
-        if self.n == 1:
-            return pow(c, -1, self.p)
-        if self._zech:
-            log, exp = self._tables()
-            return int(exp[(self.q - 1) - log[c]])
-        return self._inv_code(c)
+        return P._kernel(self).inv(c)
 
     def sub_outer(self, R, c, row) -> np.ndarray:
         """R -= c ⊗ row in place: c[i] * row subtracted from row i of the
@@ -488,16 +414,15 @@ class FiniteField:
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
-def make_field(p: int, n: int, max_size: int | None = None) -> FiniteField:
+def make_field(p: int, n: int) -> FiniteField:
     """Return GF(p^n), cached so repeated calls yield the identical object."""
     if not isinstance(p, (int, np.integer)) or not isinstance(n, (int, np.integer)):
         raise InputError("p and n must be integers")
     p, n = int(p), int(n)
     if n < 1:
         raise InputError("extension degree must be >= 1, got %d" % n)
-    cap = limits.MAX_FIELD_SIZE if max_size is None else max_size
-    if p**n > cap:  # before the primality test, which trial-divides
-        raise LimitError("field size %d^%d exceeds cap %d" % (p, n, cap))
+    if p**n > limits.MAX_FIELD_SIZE:  # before the primality test, which trial-divides
+        raise LimitError("field size %d^%d exceeds cap %d" % (p, n, limits.MAX_FIELD_SIZE))
     if not is_prime(p):
         raise InputError("p = %d is not prime" % p)
     key = (p, n)
@@ -531,8 +456,6 @@ class FieldEmbedding:
     def _find_generator_image(self) -> int:
         if self.source.n == 1:
             return 0  # x == 0 in the degenerate GF(p) presentation
-        from . import polynomials as P
-
         f = self.source.min_poly.copy()  # prime-subfield codes are valid in any GF(p^k)
         roots = P.roots_in_field(f, self.target)
         _require(len(roots) == self.source.n, "defining polynomial must split in the target")

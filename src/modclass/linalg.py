@@ -2,15 +2,16 @@
 
 Vectors are 1-D code arrays; a subspace is held either as rows of a matrix
 or as a :class:`RowSpace`, a growing set of fully reduced rows used by the
-spinning algorithms.  A RowSpace reduces one vector, or a whole stack of
-them (:meth:`RowSpace.reduce_rows`), with one matrix product, so the
-restricted and quotient actions each reduce all images at once, and
-`spin` inserts all images of one vector from one product.
+spinning algorithms.  A RowSpace reduces only whole stacks of vectors
+(:meth:`RowSpace.reduce_rows`, one matrix product; one vector is a stack of
+one), so the restricted and quotient actions each reduce all images at
+once, and `spin` inserts all images of one vector from one product.
 Everything here is deterministic.
 
 The row arithmetic of `rref` and RowSpace is the field's: ``sub_outer``,
 ``mul``, ``inv1`` and ``combine`` (see :mod:`modclass.finite_field`) pick
-one expression per kind of field, so nothing here branches on the field.
+one expression per kind of field (``inv1`` through the polynomial kernels
+of :mod:`modclass.polynomials`), so nothing here branches on the field.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ class RowSpace:
     """Growing subspace with optional raw-basis coordinate tracking.
 
     The subspace is held as fully reduced rows: row i has a 1 at its pivot
-    column and a 0 at every other row's pivot.  Reducing a vector is then
-    one product of its entries at the pivots with the rows, and the residual
-    is the unique member of v + span with zeros at every pivot;
-    :meth:`reduce_rows` does the same for a whole stack of vectors.
+    column and a 0 at every other row's pivot.  Reducing a stack of
+    vectors (:meth:`reduce_rows`, the only reduction) is then one product
+    of their entries at the pivots with the rows, and the residual of v is
+    the unique member of v + span with zeros at every pivot.
 
     With tracking, the vectors added through :meth:`add` are also kept
     verbatim (the raw basis, in insertion order), and each row carries its
@@ -152,29 +153,6 @@ class RowSpace:
         combo = field.mat_mul(V[:, self._pivots[:k]], self._rows[:k, : self._width(k)])
         residual = field.sub(V, combo[:, :a])
         return residual, combo[:, a:] if self.track else None
-
-    def _reduce(self, v: np.ndarray, want_coords: bool):
-        field = self.field
-        k, a = self._k, self.ambient
-        v = np.asarray(v, dtype=np.int64)
-        f = v[self._pivots[:k]]
-        nz = f.nonzero()[0]
-        if not nz.size:
-            return v.copy(), np.zeros(k, dtype=np.int64) if want_coords else None
-        width = a + k if want_coords else a
-        combo = field.mat_mul(f[None, nz], self._rows[nz, :width])[0]
-        return field.sub(v, combo[:a]), combo[a:] if want_coords else None
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        return self._reduce(v, False)[0]
-
-    def reduce_with_coords(self, v: np.ndarray):
-        if not self.track:
-            raise InputError("RowSpace built without tracking")
-        return self._reduce(v, True)
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
 
     def add(self, v: np.ndarray) -> bool:
         """Insert v if independent of the current rows; returns True if added."""

@@ -283,9 +283,16 @@ def algebra_structure(field: FiniteField, basis, seeds, rng) -> tuple[int, int, 
 
 def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
     """(dim End, dim rad End, local?) of a module's endomorphism algebra, kept
-    on the module: the verdict is certified, so it does not depend on the seed."""
+    on the module: the verdict is certified, so it does not depend on the seed.
+
+    When every generator acts as the identity, End is the full matrix
+    algebra M_d(K), read off without solving for its d^2 unit maps."""
     if V._structure is None:
-        V._structure = algebra_structure(V.field, *V.endomorphisms(), np.random.default_rng(seed))
+        d = V.dim
+        if all(np.array_equal(M, V.field.identity(d)) for M in V.matrices):
+            V._structure = (d * d, 0, d == 1)
+        else:
+            V._structure = algebra_structure(V.field, *V.endomorphisms(), np.random.default_rng(seed))
     return V._structure
 
 

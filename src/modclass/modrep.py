@@ -321,18 +321,14 @@ def hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tg
     callers rely on this order.  The seeds are the unit vectors a spin of
     the source from e_0, e_1, ... takes, in ascending order.
 
-    When every A_g and B_g is a permutation matrix, the basis comes without
-    a linear solve (`_orbital_hom_basis_and_seeds`): one 0/1 matrix per
-    orbit of the generators on the cells of M (Schur's centralizer ring).
+    When every A_g and B_g is a permutation matrix (identity matrices and an
+    empty list included), the basis comes without a linear solve
+    (`_orbital_hom_basis_and_seeds`): one 0/1 matrix per orbit of the
+    generators on the cells of M (Schur's centralizer ring).
     Every other input is solved by spinning (`_spin_hom_basis_and_seeds`).
     """
-    D = d_src * d_tgt
-    if D == 0:
+    if d_src * d_tgt == 0:
         return [], []
-    # both actions trivial (no generators, or the identity generator of a
-    # trivial subgroup): every cell of M is an orbit of its own
-    if all(np.array_equal(M, np.eye(len(M), dtype=np.int64)) for M in (*mats_src, *mats_tgt)):
-        return [m.reshape(d_tgt, d_src) for m in np.eye(D, dtype=np.int64)], list(range(d_src))
     perms_src = _permutations(mats_src)
     perms_tgt = _permutations(mats_tgt) if perms_src is not None else None
     if perms_tgt is not None:
@@ -418,9 +414,11 @@ def _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src
     basis = np.zeros((len(roots), D), dtype=np.int64)
     basis[rank[lab], cells] = 1
     basis = basis.reshape(-1, d_tgt, d_src)
-    # M A = M[:, i(x)] with A[i(x), x] = 1, and B M = M[j'(j), :] with B[j, j'(j)] = 1
+    # M A = M[:, i(x)] with A[i(x), x] = 1, and B M = M[j'(j), :] with B[j, j'(j)] = 1;
+    # basis[c] is 1 exactly where cls is c, so checking cls checks every basis matrix
+    cls = rank[lab].reshape(d_tgt, d_src)
     for A, B in zip(mats_src, mats_tgt):
-        if not np.array_equal(basis[:, :, A.argmax(axis=0)], basis[:, B.argmax(axis=1), :]):
+        if not np.array_equal(cls[:, A.argmax(axis=0)], cls[B.argmax(axis=1), :]):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
     seeds = np.flatnonzero(_orbit_labels(perms_src, d_src) == np.arange(d_src))
     return list(basis), seeds.tolist()

@@ -22,6 +22,10 @@ through a small coefficient kernel (`_kernel`), picked by the field's
 * GF(p^n), p odd, above the cap: whole-row updates through the field's own
   numpy arithmetic, since one scalar product costs a digit convolution.
 
+The kernels own the scalar inverse of every field (``FiniteField.inv1``, and
+``inv`` above the table cap, call them after refusing zero), and the
+prime-field kernel runs the irreducibility test of each defining polynomial.
+
 Characteristic and minimal polynomials come from Krylov chains of unit
 vectors in a tracked :class:`~modclass.linalg.RowSpace`.
 """
@@ -29,11 +33,14 @@ vectors in a tracked :class:`~modclass.linalg.RowSpace`.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, _require
-from .finite_field import FiniteField
+
+if TYPE_CHECKING:  # finite_field imports this module for its kernels
+    from .finite_field import FiniteField
 
 ZERO = np.zeros(0, dtype=np.int64)
 
@@ -224,7 +231,38 @@ class _ArrayKernel(_Kernel):
         return int(self.field.mul(x, y))
 
     def inv(self, x):
-        return int(self.field.inv(x))
+        """Inverse of a nonzero code by extended Euclid in F_p[x] mod min_poly,
+        on constant-first lists of Python ints without trailing zeros; the
+        invariant is s * x = r (mod min_poly) for both pairs."""
+        p = self.p
+        r0 = [int(c) for c in self.field.min_poly]
+        r1 = [(x // p**i) % p for i in range(self.field.n)]
+        while r1[-1] == 0:
+            r1.pop()
+        s0: list[int] = []
+        s1 = [1]
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], p - 2, p)
+            rem = list(r0)
+            quot = [0] * (len(r0) - len(r1) + 1)
+            for shift in range(len(quot) - 1, -1, -1):
+                c = rem[shift + len(r1) - 1] * inv_lead % p
+                quot[shift] = c
+                if c:
+                    for i, b in enumerate(r1):
+                        rem[shift + i] = (rem[shift + i] - c * b) % p
+            while rem[-1] == 0:
+                rem.pop()
+            s_new = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+            for i, y in enumerate(quot):
+                for m, z in enumerate(s1):
+                    s_new[i + m] = (s_new[i + m] - y * z) % p
+            while s_new[-1] == 0:
+                s_new.pop()
+            r0, r1 = r1, rem
+            s0, s1 = s1, s_new
+        scale = pow(r1[0], p - 2, p)
+        return sum(c * scale % p * p**i for i, c in enumerate(s1))
 
     def add(self, a, b):
         return self.field.add(_array(a), _array(b)).tolist()
@@ -600,7 +638,9 @@ def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
         if seen.dim == d or len(lam) - 1 == d:
             break
         seed = _unit(d, s)
-        if seen.contains(seed):
+        # a nonzero member of the span leads at a pivot column, so e_s can
+        # lie in it only if s is one; the product decides those
+        if s in seen.pivot_columns() and not seen.reduce_rows(seed[None])[0].any():
             continue
         mu, chain = _krylov_relation(field, M, seed)
         lam = _divmod(k, _mul(k, lam, mu), _gcd(k, lam, mu))[0]

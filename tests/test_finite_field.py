@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modclass import finite_field
+from modclass import finite_field, limits
 from modclass.errors import ConsistencyError, InputError, LimitError, NotSubfieldError
 from modclass.finite_field import (
     FieldAutomorphism,
@@ -22,6 +22,7 @@ from modclass.finite_field import (
     automorphisms,
     embed,
     frobenius,
+    is_prime,
     make_field,
 )
 
@@ -71,6 +72,56 @@ def _oracle_min_poly(p, n):
 def test_canonical_min_poly_matches_oracle(p, n):
     field = make_field(p, n)
     assert [int(c) for c in field.min_poly] == _oracle_min_poly(p, n)
+
+
+def _poly_mod_prime(f, g, p):
+    """Remainder of f by monic g, coefficients in F_p, constant first."""
+    r = list(f)
+    dg = len(g) - 1
+    while len(r) - 1 >= dg:
+        lead = r[-1]
+        if lead:
+            shift = len(r) - 1 - dg
+            for i in range(dg):
+                r[shift + i] = (r[shift + i] - lead * g[i]) % p
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _is_irreducible_trial(coeffs, p):
+    """Trial division of a monic polynomial by all monic divisors of degree <= deg/2."""
+    n = len(coeffs) - 1
+    # degree-1 divisors amount to a root scan
+    for a in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return False
+    for d in range(2, n // 2 + 1):
+        for g in _all_monic(p, d):
+            if not _poly_mod_prime(coeffs, g, p):
+                return False
+    return True
+
+
+def test_min_poly_matches_trial_division_on_every_extension_field_within_the_cap():
+    # the least monic irreducible by trial division, the search the field
+    # made before it took Ben-Or's test from the polynomial kernels
+    pairs = [
+        (p, n)
+        for p in range(2, 1025)
+        if is_prime(p)
+        for n in range(2, 21)
+        if p**n <= limits.MAX_FIELD_SIZE
+    ]
+    assert len(pairs) == 242
+    for p, n in pairs:
+        tails = ([code // p**i % p for i in range(n)] for code in range(p**n))
+        want = next(f + [1] for f in tails if _is_irreducible_trial(f + [1], p))
+        assert make_field(p, n).min_poly.tolist() == want, (p, n)
 
 
 def test_frozen_min_polys():
@@ -285,11 +336,15 @@ def test_row_operations_match_elementwise_arithmetic(p, n):
         assert _same(K.combine(np.stack([c, c]), stack), np.stack([acc, K.combine(c, want)]))
     units = np.unique(np.concatenate([[1, K.q - 1], K.rand_codes(rng, 20)]))
     units = units[units != 0]
-    for a in units:
+    want = _ref_pow(K, units, K.q - 2)  # a^(q-2) = 1/a
+    assert _same(K.inv(units), want)
+    for a, w in zip(units, want):
         inv = K.inv1(a)
-        assert type(inv) is int and inv == int(K.inv(a))
+        assert type(inv) is int and inv == int(w)
     with pytest.raises(ZeroDivisionError):
         K.inv1(0)
+    with pytest.raises(ZeroDivisionError):
+        K.inv(np.zeros(3, dtype=np.int64))
 
 
 def test_fields_above_table_cap_build_no_table():

@@ -29,6 +29,7 @@ from modclass.modrep import (
     induce,
     permutation_module,
     regular_module,
+    restrict_subgroup,
     trivial_module,
 )
 from modclass.perm_group import PermGroup, catalog, p_subgroups_up_to_conjugacy
@@ -111,12 +112,18 @@ def test_spinning_matches_kronecker_oracle(name, p, n):
     mods = [triv, reg, mixed, *simples, pair]
     mods.append(direct_sum(reg, triv) if reg.dim < 24 else direct_sum(triv, simples[-1]))
     mods += _permutation_modules(G, K)
-    for V in mods:
-        for U in mods:
-            got = hom_basis_matrices(K, V.matrices, U.matrices, V.dim, U.dim)
-            want = kronecker_hom_basis(K, V.matrices, U.matrices, V.dim, U.dim)
-            _assert_same_basis(got, want)
-            _assert_same_hom(V, U)
+    # the same dimensions under the identity generator of the trivial
+    # subgroup, and under no generators at all
+    dims = (triv, simples[-1], pair, reg)
+    trivial = [restrict_subgroup(V, G.trivial_subgroup()) for V in dims]
+    bare = [Rep(PermGroup(1, []), K, [], dim=V.dim) for V in dims]
+    for group in (mods, trivial, bare):
+        for V in group:
+            for U in group:
+                got = hom_basis_matrices(K, V.matrices, U.matrices, V.dim, U.dim)
+                want = kronecker_hom_basis(K, V.matrices, U.matrices, V.dim, U.dim)
+                _assert_same_basis(got, want)
+                _assert_same_hom(V, U)
 
 
 def test_orbital_basis_matches_spin_solver_over_gf_2_20():

@@ -111,15 +111,15 @@ def test_rowspace_tracking_expresses_members():
     added = [sp.add(r) for r in rows]
     assert added == [True, True, False]
     assert sp.dim == 2
-    residual, coords = sp.reduce_with_coords(rows[2])
+    residual, coords = sp.reduce_rows(rows[2][None])
     assert not residual.any()
     # coords express the vector over the raw basis rows
     raw = sp.raw_basis_rows()
     acc = F4.zeros(4)
-    for c, r in zip(coords, raw):
+    for c, r in zip(coords[0], raw):
         acc = F4.add(acc, F4.mul(c, r))
     assert np.array_equal(acc, rows[2])
-    outside, _ = sp.reduce_with_coords(np.array([0, 0, 0, 1], dtype=np.int64))
+    outside, _ = sp.reduce_rows(np.array([[0, 0, 0, 1]], dtype=np.int64))
     assert outside.any()
 
 
@@ -159,7 +159,7 @@ def test_action_on_quotient_respects_projection():
         sp.add(row)
 
     def proj(v):
-        return sp.reduce(v)[free]
+        return sp.reduce_rows(v[None])[0][0, free]
 
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -285,8 +285,29 @@ def _sequential_spin(field, mats, seeds, log=None):
 
 
 class _PerVectorRowSpace(L.RowSpace):
-    """Reference insertion: each vector is reduced on its own, and its row
+    """Reference insertion and reduction: each vector is reduced on its own,
+    by the rows with a nonzero entry at its pivots (`_reduce`), and its row
     is built and cleared from the others by elementwise field calls."""
+
+    def _reduce(self, v, want_coords):
+        field = self.field
+        k, a = self._k, self.ambient
+        v = np.asarray(v, dtype=np.int64)
+        f = v[self._pivots[:k]]
+        nz = f.nonzero()[0]
+        if not nz.size:
+            return v.copy(), np.zeros(k, dtype=np.int64) if want_coords else None
+        width = a + k if want_coords else a
+        combo = field.mat_mul(f[None, nz], self._rows[nz, :width])[0]
+        return field.sub(v, combo[:a]), combo[a:] if want_coords else None
+
+    def reduce(self, v):
+        return self._reduce(v, False)[0]
+
+    def reduce_with_coords(self, v):
+        if not self.track:
+            raise InputError("RowSpace built without tracking")
+        return self._reduce(v, True)
 
     def add(self, v):
         return self._insert(v)[0]
@@ -418,12 +439,14 @@ def _assert_spaces_agree(new, old, probes):
     assert new.dim == old.dim
     assert _same(new.echelon_matrix(), old.echelon_matrix())
     assert new.pivot_columns() == old.pivot_columns()
-    for v in probes:
-        assert _same(new.reduce(v), old.reduce(v))
+    for v in probes:  # one vector at a time against the reference's own reduction
+        r_new, c_new = new.reduce_rows(v[None])
+        assert _same(r_new[0], old.reduce(v))
         if old.track:
-            r_new, c_new = new.reduce_with_coords(v)
             r_old, c_old = old.reduce_with_coords(v)
-            assert _same(r_new, r_old) and _same(c_new, c_old)
+            assert _same(r_new[0], r_old) and _same(c_new[0], c_old)
+        else:
+            assert c_new is None
     r_new, c_new = new.reduce_rows(np.stack(probes))
     r_old, c_old = old.reduce_rows(np.stack(probes))
     assert _same(r_new, r_old) and _same(c_new, c_old)
@@ -468,8 +491,9 @@ def test_rowspace_matches_sequential_oracle(p, n, track):
                 _assert_spaces_agree(new, ref, probes)
             assert new.dim == d  # the stream filled the ambient space
             if not track:
+                assert new.reduce_rows(probes[1][None])[1] is None
                 with pytest.raises(InputError):
-                    new.reduce_with_coords(probes[1])
+                    new.raw_basis_rows()
             # the same stream in stacks of 1 to 4 candidates at once
             stacked = L.RowSpace(K, d, track=track)
             ref = _PerVectorRowSpace(K, d, track=track)

@@ -82,7 +82,7 @@ def test_regular_c3_is_not_simple_with_witness():
     for row in W:
         sp.add(row)
     if sp.dim == 1:
-        assert sp.contains(np.array([1, 1, 1], dtype=np.int64))
+        assert not sp.reduce_rows(np.array([[1, 1, 1]], dtype=np.int64))[0].any()
 
 
 def test_one_dimensional_modules_are_simple():
@@ -663,6 +663,26 @@ def test_indecomposability_of_permutation_modules_needs_no_end(monkeypatch):
         vertex(V)
     with pytest.raises(InputError, match="decompose first"):
         fiber(V, 2)
+
+
+def test_end_structure_of_a_trivially_acting_module_needs_no_end(monkeypatch):
+    # End = M_d(K): d^2-dimensional and semisimple, local only at d = 1
+    from modclass.classify import ModuleFlags, classify_module
+
+    V = restrict_subgroup(regular_module(S5, F2), S5.trivial_subgroup())
+    line = restrict_subgroup(trivial_module(S5, F2), S5.trivial_subgroup())
+    bare = Rep(PermGroup(1, []), make_field(3, 2), [], dim=3)
+
+    def no_end(self):
+        raise AssertionError("End solved")
+
+    monkeypatch.setattr(Rep, "endomorphisms", no_end)
+    assert end_structure(V) == (14400, 0, False)
+    assert end_structure(line) == (1, 0, True)
+    assert end_structure(bare) == (9, 0, False)
+    assert classify_module(V) == ModuleFlags(False, False, False, False)
+    assert classify_module(line) == ModuleFlags(True, True, True, True)
+    assert classify_module(bare) == ModuleFlags(False, False, False, False)
 
 
 # ---------------------------------------------------------------- properties

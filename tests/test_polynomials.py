@@ -435,15 +435,15 @@ def _char_poly_oracle(field, M):
             break
         seed = np.zeros(d, dtype=np.int64)
         seed[s] = 1
-        if space.contains(seed):
+        if not space.reduce_rows(seed[None])[0].any():
             continue
         chain = RowSpace(field, d, track=True)
         vec = seed
         chain_vecs = []
         while True:
-            reduced = space.reduce(vec)
+            reduced = space.reduce_rows(vec[None])[0][0]
             if not chain.add(reduced):
-                coords = chain.reduce_with_coords(reduced)[1]
+                coords = chain.reduce_rows(reduced[None])[1][0]
                 k = len(chain_vecs)
                 rel = np.zeros(k + 1, dtype=np.int64)
                 rel[k] = 1
@@ -471,14 +471,14 @@ def _min_poly_oracle(field, M):
             break
         seed = np.zeros(d, dtype=np.int64)
         seed[s] = 1
-        if seen.contains(seed):
+        if not seen.reduce_rows(seed[None])[0].any():
             continue
         chain = RowSpace(field, d, track=True)
         vec = seed
         count = 0
         while True:
             if not chain.add(vec):
-                coords = chain.reduce_with_coords(vec)[1]
+                coords = chain.reduce_rows(vec[None])[1][0]
                 mu = np.zeros(count + 1, dtype=np.int64)
                 mu[count] = 1
                 mu[: len(coords)] = field.neg(coords)
