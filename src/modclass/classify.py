@@ -90,10 +90,6 @@ def _summand_classes(V: Rep, seed: int = 0) -> list[tuple[Rep, int]]:
 
 
 def _iso(V: Rep, U: Rep, seed: int) -> bool:
-    # is_isomorphic answers V is U at once; kept out of the memo, that
-    # answer never stands in for a distinct copy of V
-    if V is U:
-        return bool(is_isomorphic(V, U, seed=seed))
     return _recall(
         lambda: ("iso", seed, _content(V), _content(U)),
         lambda: bool(is_isomorphic(V, U, seed=seed)),

@@ -9,13 +9,13 @@ MAX_GROUP_ORDER = 200
 MAX_FIELD_SIZE = 2**20
 
 # Exhaustive-scan ceiling: the Las Vegas searches scan every element of a
-# space (module vectors for Norton, a span of endomorphisms or homomorphisms)
-# after their random attempts only when it has at most this many elements.
+# space (module vectors for Norton, a span of endomorphisms) after their
+# random attempts only when it has at most this many elements.
 SCAN_CAP = 8192
 
-# Random attempts of Norton's test, of splitting an endomorphism algebra and
-# of comparing two decomposable modules, before the scan or InconclusiveError.
-# An isomorphism test with an indecomposable side needs neither budget.
+# Random attempts of Norton's test and of splitting an endomorphism algebra,
+# before the scan or InconclusiveError.  An isomorphism test spends them only
+# inside `decompose`, when both sides are decomposable.
 RANDOM_ATTEMPTS = 200
 
 # Default extension-degree bound for fiber and preimage searches.

@@ -85,7 +85,7 @@ def inverse(field: FiniteField, M: np.ndarray) -> np.ndarray:
     if M.shape != (d, d):
         raise InputError("inverse requires a square matrix")
     R, pivots = rref(field, np.hstack([M, field.identity(d)]))
-    if len(pivots) < d or pivots[d - 1] != d - 1:
+    if pivots != list(range(d)):
         raise InputError("matrix is singular")
     return R[:, d:]
 

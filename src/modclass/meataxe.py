@@ -32,14 +32,14 @@ the order polynomials of the k seeds, k Krylov chains instead of up to d.
 It is unique, so the splitting is the one a full minimal polynomial gives.
 The products in E are read on the seed columns too.
 
-Isomorphism is decided exactly when either module is indecomposable: then
+Isomorphism is decided exactly.  When either module is indecomposable,
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
-Splitting an endomorphism algebra and comparing two decomposable modules
-search random combinations of a basis, then every combination of a span of
-at most SCAN_CAP elements (`_span_search`).  Isomorphic modules have
-generator images with equal characteristic polynomials; they are compared
-only where they can spare such a search, and otherwise serve as sort keys
-of class representatives.
+Otherwise U is decomposed against the classes of V: by Krull-Schmidt they
+are isomorphic exactly when the multiplicities agree, and then the two
+splitting bases compose to an isomorphism.  Only splitting an endomorphism
+algebra searches random combinations of a basis, then every combination of
+a span of at most SCAN_CAP elements (`_span_search`).  Generator
+characteristic polynomials serve as sort keys of class representatives.
 
 The simple modules of a group are the composition factors of its natural
 permutation module closed under pairwise tensor products, the smallest
@@ -428,9 +428,16 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
     seed-independent by the Krull-Schmidt theorem; the basis itself may
     vary with the seed.
     """
+    return _decompose(V, seed, [])
+
+
+def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
+    """`decompose` with the indecomposable `reps` as its first classes, in the
+    order `decompose` returns classes; that order stands when no new class is
+    found, and a class no summand joins keeps multiplicity 0."""
     field = V.field
     rng = np.random.default_rng(seed)
-    classes: list[tuple[Rep, list]] = []  # (rep, [(leaf rows, leaf -> rep map)])
+    classes = [(rep, []) for rep in reps]  # (rep, [(leaf rows, leaf -> rep map)])
     root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)  # V itself caches nothing
     work = [(field.identity(V.dim), root)] if V.dim else []
     while work:
@@ -443,7 +450,7 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
                 work.append((field.mat_mul(piece, rows), sub))
             continue
         for rep, members in classes:
-            res, _ = _basis_iso(leaf, rep)
+            res = _basis_iso(leaf, rep)
             if res:
                 members.append((rows, res.map))
                 break
@@ -460,26 +467,22 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
 # ----- isomorphism testing -----
 
 
-def _basis_iso(V: Rep, U: Rep) -> tuple[IsoResult | None, list[np.ndarray]]:
-    """Hom(V, U) basis and its first invertible map.
-
-    Returns the verdict when these settle it, else (None, basis): then no
-    basis map is invertible and dim Hom >= 2, which means "not isomorphic"
-    as soon as V or U is indecomposable.  No characteristic polynomial is
-    needed for that: an invertible G-map would force equal ones.
-    """
+def _basis_iso(V: Rep, U: Rep) -> IsoResult | None:
+    """The verdict when a Hom(V, U) basis settles it, else None: no basis
+    map is invertible and dim Hom >= 2, which means "not isomorphic" as
+    soon as V or U is indecomposable."""
     if V.dim != U.dim:
-        return IsoResult(False, None, "different dimensions"), []
+        return IsoResult(False, None, "different dimensions")
     field = V.field
     basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
     if not basis:
-        return IsoResult(False, None, "no nonzero homomorphisms"), basis
+        return IsoResult(False, None, "no nonzero homomorphisms")
     for M in basis:
         if linalg.is_invertible(field, M):
-            return IsoResult(True, M, "invertible basis homomorphism"), basis
+            return IsoResult(True, M, "invertible basis homomorphism")
     if len(basis) == 1:
-        return IsoResult(False, None, "hom space is one-dimensional and singular"), basis
-    return None, basis
+        return IsoResult(False, None, "hom space is one-dimensional and singular")
+    return None
 
 
 def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
@@ -491,7 +494,7 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
         return IsoResult(True, V.field.zeros(0, 0), "zero modules")
     if V is U:
         return IsoResult(True, V.field.identity(V.dim), "identical")
-    res, basis = _basis_iso(V, U)
+    res = _basis_iso(V, U)
     if res is not None:
         return res
     # For indecomposable V and an isomorphism phi: V -> U, the singular maps
@@ -499,15 +502,18 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
     # with rad End(U) * phi for indecomposable U).
     if end_structure(V, seed)[2] or end_structure(U, seed)[2]:
         return IsoResult(False, None, "no invertible basis map and one side is indecomposable")
-    # only a span search is left; conjugate generators share characteristic polynomials
-    if V.generator_char_polys() != U.generator_char_polys():
-        return IsoResult(False, None, "generator characteristic polynomials differ")
+    # Krull-Schmidt; a new class in U or an empty class of V makes the lists differ
+    dv = decompose(V, seed)
+    du = _decompose(U, seed, [W for W, _ in dv.summands])
+    if [m for _, m in du.summands] != [m for _, m in dv.summands]:
+        return IsoResult(False, None, "indecomposable summands differ")
+    # both bases conjugate their module into the same block diagonal
     field = V.field
-    rng = np.random.default_rng(seed)
-    M = _span_search(field, basis, rng, lambda M: M if linalg.is_invertible(field, M) else None)
-    if M is None:
-        return IsoResult(False, None, "no invertible homomorphism exists")
-    return IsoResult(True, M, "invertible combination of basis homomorphisms")
+    M = field.mat_mul(du.basis.T, linalg.inverse(field, dv.basis.T))
+    for A, B in zip(V.matrices, U.matrices):
+        if not np.array_equal(field.mat_mul(M, A), field.mat_mul(B, M)):
+            raise ConsistencyError("decomposition bases do not give an isomorphism")
+    return IsoResult(True, M, "equal indecomposable summands")
 
 
 # ----- canonical forms and the set of simple modules -----

@@ -33,8 +33,6 @@ def pinv(a: Perm) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    import math
-
     seen = [False] * len(a)
     order = 1
     for start in range(len(a)):

@@ -86,6 +86,7 @@ def test_solve_and_inverse():
         b = K.rand_codes(rng, 4)
         x = L.solve(K, M, b)
         assert np.array_equal(K.mat_vec(M, x), b)
+        assert L.inverse(K, K.zeros(0, 0)).shape == (0, 0)
 
 
 def test_inverse_rejects_singular():

@@ -267,6 +267,12 @@ def test_zero_module_rejected():
         is_simple(Rep(catalog()["C2"], F2, [np.zeros((0, 0), dtype=np.int64)]))
 
 
+def test_decompose_zero_module():
+    dec = decompose(Rep(catalog()["C2"], F2, [np.zeros((0, 0), dtype=np.int64)]))
+    assert dec.summands == []
+    assert [M.shape for M in dec.conjugated_matrices()] == [(0, 0)]
+
+
 def _full_scan_canonical_form(V):
     # reference: spin every nonzero seed and read the action off its basis
     field, d = V.field, V.dim
@@ -431,20 +437,23 @@ def test_is_isomorphic_matches_exhaustive_oracle(name, p, n):
     for M in inputs:
         for W, _ in decompose(M).summands:
             summands.setdefault(b"".join(A.tobytes() for A in W.matrices), W)
+    reps = list(summands.values())
+    sums = [direct_sum(A, B) for A in reps[:2] for B in reps[:2]]
     compared = 0
-    for V in summands.values():
-        for U in summands.values():
-            if V.dim != U.dim:
-                continue
-            want = _oracle_is_isomorphic(V, U)
-            if want is None:
-                continue
-            got = is_isomorphic(V, U)
-            assert bool(got) == want[0], (V.dim, got.reason)
-            if got:
-                _assert_isomorphism(V, U, got.map)
-                _assert_isomorphism(V, U, want[1])
-            compared += 1
+    for modules in (reps, sums):
+        for V in modules:
+            for U in modules:
+                if V.dim != U.dim:
+                    continue
+                want = _oracle_is_isomorphic(V, U)
+                if want is None:
+                    continue
+                got = is_isomorphic(V, U)
+                assert bool(got) == want[0], (V.dim, got.reason)
+                if got:
+                    _assert_isomorphism(V, U, got.map)
+                    _assert_isomorphism(V, U, want[1])
+                compared += 1
     assert compared
 
 
@@ -460,6 +469,67 @@ def test_is_isomorphic_of_indecomposables_makes_no_search(monkeypatch):
     assert not is_isomorphic(P2, P1)
 
 
+def _s3_trivial_and_projective_cover():
+    # T and P_T = Ind_{C3}^{S3} 1 for S3 over GF(2): P_T is indecomposable of
+    # dimension 2, with T as top and socle
+    S3 = catalog()["S3"]
+    C3 = next(Q for Q in p_subgroups_up_to_conjugacy(S3, 3) if Q.order == 3)
+    return trivial_module(S3, F2), induce(trivial_module(C3.group, F2), S3)
+
+
+def _power(M, n):
+    out = M
+    for _ in range(n - 1):
+        out = direct_sum(out, M)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_krull_schmidt_separates_decomposable_modules_without_a_span_search(monkeypatch, n):
+    # T^2n and P_T^n: both decomposable, dim Hom = 2n^2 each way without an
+    # invertible basis map; at n = 3 no span search could prove them apart
+    T, PT = _s3_trivial_and_projective_cover()
+    V, U = _power(T, 2 * n), _power(PT, n)
+
+    def no_search(*args):
+        raise AssertionError("span search in an isomorphism test")
+
+    monkeypatch.setattr(meataxe, "_span_search", no_search)
+    for A, B in ((V, U), (U, V)):
+        res = is_isomorphic(A, B)
+        assert not res
+        assert res.reason == "indecomposable summands differ"
+
+
+def test_krull_schmidt_matches_decomposable_modules_in_a_random_basis():
+    # P_T^3 + T against a conjugate: dim Hom = 25, far beyond a full scan
+    T, PT = _s3_trivial_and_projective_cover()
+    V = direct_sum(_power(PT, 3), T)
+    U = _random_conjugate(V, np.random.default_rng(1))
+    assert F2.q ** len(hom_basis_matrices(F2, list(V.matrices), list(U.matrices), 7, 7)) > limits.SCAN_CAP
+    for A, B in ((V, U), (U, V)):
+        res = is_isomorphic(A, B)
+        assert res.reason == "equal indecomposable summands"
+        _assert_isomorphism(A, B, res.map)
+
+
+def test_krull_schmidt_isomorphism_is_checked(monkeypatch):
+    T, PT = _s3_trivial_and_projective_cover()
+    V = direct_sum(_power(PT, 3), T)
+    U = _random_conjugate(V, np.random.default_rng(1))
+    real = meataxe._decompose
+
+    def reordered(W, seed, reps):
+        dec = real(W, seed, reps)
+        if reps:  # the second module: its summands no longer line up
+            dec.basis = dec.basis[::-1].copy()
+        return dec
+
+    monkeypatch.setattr(meataxe, "_decompose", reordered)
+    with pytest.raises(ConsistencyError):
+        is_isomorphic(V, U)
+
+
 def _two_copies_of_trivial_sum():
     # separately built copies of T + T for S3 over GF(2): End is M_2(GF(2)),
     # whose canonical basis holds no invertible map
@@ -467,20 +537,25 @@ def _two_copies_of_trivial_sum():
     return [direct_sum(trivial_module(S3, F2), trivial_module(S3, F2)) for _ in range(2)]
 
 
+def _invertible_in_span(V, U):
+    """`_span_search` for an invertible map in Hom(V, U); `_try_split` runs
+    the same search for a splitting endomorphism."""
+    K = V.field
+    basis = hom_basis_matrices(K, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    invertible = lambda M: M if linalg.is_invertible(K, M) else None
+    return meataxe._span_search(K, basis, np.random.default_rng(0), invertible)
+
+
 def test_span_search_random_hit(monkeypatch):
     V, U = _two_copies_of_trivial_sum()
     monkeypatch.setattr(limits, "SCAN_CAP", 1)  # q^h = 16: only a random draw can hit
-    res = is_isomorphic(V, U)
-    assert res
-    _assert_isomorphism(V, U, res.map)
+    _assert_isomorphism(V, U, _invertible_in_span(V, U))
 
 
 def test_span_search_scan_hit(monkeypatch):
     V, U = _two_copies_of_trivial_sum()
     monkeypatch.setattr(limits, "RANDOM_ATTEMPTS", 0)
-    res = is_isomorphic(V, U)
-    assert res
-    _assert_isomorphism(V, U, res.map)
+    _assert_isomorphism(V, U, _invertible_in_span(V, U))
 
 
 def _regular_sums_c2():
@@ -493,16 +568,15 @@ def _regular_sums_c2():
 
 def test_span_search_complete_scan_miss():
     V, U = _regular_sums_c2()
-    res = is_isomorphic(V, U)
-    assert not res
-    assert res.reason == "no invertible homomorphism exists"
+    assert _invertible_in_span(V, U) is None
+    assert not is_isomorphic(V, U)
 
 
 def test_span_search_exhausted_budget(monkeypatch):
     V, U = _regular_sums_c2()
     monkeypatch.setattr(limits, "SCAN_CAP", 1)
     with pytest.raises(InconclusiveError):
-        is_isomorphic(V, U)
+        _invertible_in_span(V, U)
 
 
 def _oracle_algebra_structure(field, basis, rng):
@@ -1044,7 +1118,7 @@ def test_char_polys_are_computed_for_class_representatives_only(monkeypatch):
     assert len(calls) == len(S) * len(S5.generators)
 
 
-def test_char_polys_settle_decomposable_modules_without_a_span_search(monkeypatch):
+def test_krull_schmidt_settles_decomposable_modules_with_unequal_char_polys(monkeypatch):
     # T + T + W and T^4 for S3 over GF(2), W the 2-dimensional simple: both
     # decomposable, dim Hom = 4 without an invertible basis map, and the
     # characteristic polynomials of the 3-cycle differ
@@ -1058,10 +1132,10 @@ def test_char_polys_settle_decomposable_modules_without_a_span_search(monkeypatc
     assert V.generator_char_polys() != U.generator_char_polys()
 
     def no_search(*args):
-        raise AssertionError("span search although the characteristic polynomials differ")
+        raise AssertionError("span search in an isomorphism test")
 
     monkeypatch.setattr(meataxe, "_span_search", no_search)
     for A, B in ((V, U), (U, V)):
         res = is_isomorphic(A, B)
         assert not res
-        assert res.reason == "generator characteristic polynomials differ"
+        assert res.reason == "indecomposable summands differ"
