@@ -32,6 +32,15 @@ the order polynomials of the k seeds, k Krylov chains instead of up to d.
 It is unique, so the splitting is the one a full minimal polynomial gives.
 The products in E are read on the seed columns too.
 
+A piece split off along End(V) needs no hom solve of its own: with e the
+projection onto it along the other pieces, End(eV) is the corner algebra
+eEe of E = End(V) (Lux & Szoke, Exp. Math. 16, 2007), the span of the maps
+e phi e read in the piece's coordinates, brought to the hom solver's
+canonical basis.  Pieces with equal matrices are the same module, so within
+one decomposition identical pieces (the lines of a trivially acting module,
+the orbit blocks of a sum of two regular modules) split once and share
+their leaves.
+
 Isomorphism is decided exactly.  When either module is indecomposable,
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Otherwise U is decomposed against the classes of V: by Krull-Schmidt they
@@ -59,6 +68,7 @@ from .errors import ConsistencyError, InconclusiveError, InputError, _require
 from .finite_field import FiniteField
 from . import limits
 from . import linalg
+from . import modrep
 from . import polynomials as P
 from .modrep import (
     Rep,
@@ -381,9 +391,66 @@ def _split_by_min_poly(field: FiniteField, phi: np.ndarray, seeds):
     return pieces
 
 
+def _submodule(V: Rep, rows: np.ndarray) -> Rep:
+    """The submodule of V spanned by the invariant row basis `rows`, in its coordinates."""
+    mats = linalg.action_on_subspace(V.field, rows, list(V.matrices))
+    return Rep(V.group, V.field, mats, check=False, dim=len(rows))
+
+
+def _projections(field: FiniteField, pieces) -> list[np.ndarray]:
+    """The projections pi_i onto the pieces of a direct sum along the others,
+    in piece coordinates: the blocks of rows of C^-1, C = [p_1^T | p_2^T | ...]."""
+    Cinv = linalg.inverse(field, np.concatenate(pieces).T)
+    return np.split(Cinv, np.cumsum([len(p) for p in pieces])[:-1])
+
+
+# The corner products take End(V) in chunks of at most this many cells
+# (and one map at a time above it), so they never stack the whole basis.
+_CORNER_CELLS = 1 << 20
+
+
+def _split_with_corners(V: Rep, pieces):
+    """The submodules P_i spanned by the row bases `pieces` of a splitting of
+    V, as (rows, P_i) pairs, each with End(P_i) read off End(V).
+
+    The projection e_i = p_i^T pi_i onto P_i along the other pieces is an
+    idempotent of E = End(V), and End(P_i) is the corner algebra e_i E e_i
+    (Fitting), in piece coordinates the span of pi_i phi p_i^T over the
+    basis of E.  Its canonical basis is checked to intertwine, and its seeds
+    are those of a spin of P_i from its unit vectors, as the hom solver's are.
+    """
+    field, d = V.field, V.dim
+    basis = V.endomorphisms()[0]
+    projs = _projections(field, pieces)
+    spans: list[list[np.ndarray]] = [[] for _ in pieces]
+    m = max(1, _CORNER_CELLS // (d * d))
+    for start in range(0, len(basis), m):
+        chunk = np.stack(basis[start : start + m])
+        n = len(chunk)
+        for rows, pi, span in zip(pieces, projs, spans):
+            k = len(rows)
+            right = field.mat_mul(chunk.reshape(n * d, d), np.ascontiguousarray(rows.T))
+            left = field.mat_mul(pi, right.reshape(n, d, k).transpose(1, 0, 2).reshape(d, n * k))
+            span.append(left.reshape(k, n, k).transpose(1, 0, 2).reshape(n, k * k))
+    out = []
+    for rows, span in zip(pieces, spans):
+        W = _submodule(V, rows)
+        mats = list(W.matrices)
+        end = modrep._canonical_hom_basis(field, np.concatenate(span), mats, mats, W.dim, W.dim)
+        for b in end:
+            b.setflags(write=False)
+        log: list = []
+        linalg.spin(field, mats, list(field.identity(W.dim)), log=log)
+        W._end = tuple(end), tuple(g for j, g, _ in log if j < 0)
+        out.append((rows, W))
+    return out
+
+
 def _try_split(V: Rep, rng):
-    """One splitting V = A + B as local row bases, or None if indecomposable,
-    which leaves End(V) and its structure solved on V.
+    """One splitting of V into submodules, as (rows in V, submodule) pairs,
+    or None if V is indecomposable, which leaves End(V) and its structure
+    solved on V.  Pieces split off along End(V) carry their End
+    (`_split_with_corners`); orbit pieces of a permutation module do not.
 
     Raises InconclusiveError only when the endomorphism algebra is too big
     to scan and randomized search failed; never returns a wrong None.
@@ -394,24 +461,26 @@ def _try_split(V: Rep, rng):
     field = V.field
     orbits = point_orbits(V.matrices, V.dim)
     if orbits is not None and len(orbits) > 1:  # KG e_x = K[orbit of x]
-        return [field.identity(V.dim)[orbit] for orbit in orbits]
-    if len(V.endomorphisms()[0]) == 1:  # End(V) is the field
+        unit = field.identity(V.dim)
+        return [(unit[orbit], _submodule(V, unit[orbit])) for orbit in orbits]
+    basis, seeds = V.endomorphisms()
+    if len(basis) == 1:  # End(V) is the field
         V._structure = (1, 0, True)
         return None
-    basis, seeds = V.endomorphisms()
     for phi in basis:  # deterministic candidates first
         pieces = _split_by_min_poly(field, phi, seeds)
         if pieces:
-            return pieces
-    V._structure = algebra_structure(field, basis, seeds, rng)
-    if V._structure[2]:
-        return None
-    # a non-local algebra owns a nontrivial idempotent, whose minimal
-    # polynomial x(x - 1) splits, so a complete scan cannot miss
-    pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi, seeds))
-    if pieces is None:
-        raise ConsistencyError("non-local algebra without nontrivial idempotent")
-    return pieces
+            break
+    else:
+        V._structure = algebra_structure(field, basis, seeds, rng)
+        if V._structure[2]:
+            return None
+        # a non-local algebra owns a nontrivial idempotent, whose minimal
+        # polynomial x(x - 1) splits, so a complete scan cannot miss
+        pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi, seeds))
+        if pieces is None:
+            raise ConsistencyError("non-local algebra without nontrivial idempotent")
+    return _split_with_corners(V, pieces)
 
 
 def _module_key(V: Rep) -> tuple:
@@ -421,12 +490,14 @@ def _module_key(V: Rep) -> tuple:
 def decompose(V: Rep, seed: int = 0) -> Decomposition:
     """Indecomposable direct summands, with an explicit splitting basis.
 
-    Pieces split depth first, each a fresh Rep carrying its rows in V.  A
-    piece that does not split is indecomposable and keeps End and that
-    proof; the first invertible basis map of Hom(leaf, rep) decides its
-    class.  The multiset of (dimension, multiplicity) pairs is
-    seed-independent by the Krull-Schmidt theorem; the basis itself may
-    vary with the seed.
+    Pieces split depth first.  A piece split off along End of its parent
+    gets its End as the corner algebra of the parent's End, without a hom
+    solve; a piece with the same matrices as one split before reuses its
+    leaves without splitting again.  A piece that does not split is
+    indecomposable and keeps End and that proof; the first invertible basis
+    map of Hom(leaf, rep) decides its class.  The multiset of (dimension,
+    multiplicity) pairs is seed-independent by the Krull-Schmidt theorem;
+    the basis itself may vary with the seed.
     """
     return _decompose(V, seed, [])
 
@@ -437,25 +508,56 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
     found, and a class no summand joins keeps multiplicity 0."""
     field = V.field
     rng = np.random.default_rng(seed)
-    classes = [(rep, []) for rep in reps]  # (rep, [(leaf rows, leaf -> rep map)])
     root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)  # V itself caches nothing
-    work = [(field.identity(V.dim), root)] if V.dim else []
-    while work:
-        rows, leaf = work.pop()
-        pieces = _try_split(leaf, rng)
-        if pieces is not None:
-            for piece in reversed(pieces):
-                mats = linalg.action_on_subspace(field, piece, list(leaf.matrices))
-                sub = Rep(V.group, field, mats, check=False, dim=len(piece))
-                work.append((field.mat_mul(piece, rows), sub))
+    root._end = V._end  # an End already solved on V is reused, not solved again
+
+    def key(W: Rep) -> tuple:  # equal matrices over one group and field: the same module
+        return (W.dim, *(M.tobytes() for M in W.matrices))
+
+    # key -> (rows of the piece's leaves in the piece, stacked; the leaves).
+    # A piece is split after every piece before it in depth-first order is
+    # done, so an entry is complete when a copy of its piece looks it up.
+    leaves: dict[tuple, tuple[np.ndarray, list[Rep]]] = {}
+    stack: list = [(key(root), root)] if V.dim else []  # (key, piece) to visit, (key, split) to finish
+    while stack:
+        k, item = stack.pop()
+        if isinstance(item, Rep):
+            if k in leaves:
+                continue
+            split = _try_split(item, rng)
+            if split is None:
+                leaves[k] = (field.identity(item.dim), [item])
+                continue
+            split = [(rows, key(W), W) for rows, W in split]
+            stack.append((k, [(rows, sk) for rows, sk, _ in split]))
+            stack.extend((sk, W) for _, sk, W in reversed(split))
+        else:
+            parts = [(field.mat_mul(leaves[sk][0], rows), leaves[sk][1]) for rows, sk in item]
+            leaves[k] = np.vstack([r for r, _ in parts]), [leaf for _, ls in parts for leaf in ls]
+
+    classes = [(rep, []) for rep in reps]  # (rep, [(leaf rows, leaf -> rep map)])
+    placed: dict = {}  # leaf -> (members of its class, its map), for later copies of the leaf
+    rows, found = leaves[key(root)] if V.dim else (field.zeros(0, 0), [])
+    off = 0
+    for leaf in found:
+        r = rows[off : off + leaf.dim]
+        off += leaf.dim
+        if leaf in placed:
+            members, iso = placed[leaf]
+            if iso is None:  # a copy of a class representative maps as a Hom solve would
+                iso = _basis_iso(leaf, leaf).map
+                placed[leaf] = members, iso
+            members.append((r, iso))
             continue
         for rep, members in classes:
             res = _basis_iso(leaf, rep)
             if res:
-                members.append((rows, res.map))
+                members.append((r, res.map))
+                placed[leaf] = members, res.map
                 break
         else:
-            classes.append((leaf, [(rows, field.identity(leaf.dim))]))
+            classes.append((leaf, [(r, field.identity(leaf.dim))]))
+            placed[leaf] = classes[-1][1], None
     classes.sort(key=lambda cls: _module_key(cls[0]))
     adjusted = [
         field.mat_mul(linalg.inverse(field, iso).T, r) for _, ms in classes for r, iso in ms
@@ -474,7 +576,10 @@ def _basis_iso(V: Rep, U: Rep) -> IsoResult | None:
     if V.dim != U.dim:
         return IsoResult(False, None, "different dimensions")
     field = V.field
-    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    if V is U:  # a Hom solve on equal matrices returns the canonical End basis
+        basis = list(V.endomorphisms()[0])
+    else:
+        basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
     if not basis:
         return IsoResult(False, None, "no nonzero homomorphisms")
     for M in basis:

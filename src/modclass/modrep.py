@@ -108,7 +108,9 @@ class Rep:
 
         The seeds index unit vectors e_s with V = sum_s KG e_s; a G-map is
         zero as soon as it kills every e_s, so it is determined by those
-        columns.
+        columns.  A piece that ``meataxe.decompose`` splits off along the End
+        of its parent comes with its End already set, the corner eEe of the
+        parent's End, equal to what the solve would return.
         """
         if self._end is None:
             mats = list(self.matrices)
@@ -489,17 +491,28 @@ def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int
         Y[idx] = field.mat_mul(Wst[idx].reshape(-1, d_tgt), T[:, s, :].T).reshape(-1, d_tgt, h)
     Pinv = linalg.inverse(field, np.stack(space.raw_basis_rows(), axis=1))
     X = field.mat_mul(Y.transpose(2, 1, 0).reshape(h * d_tgt, d_src), Pinv).reshape(h, D)
-    R, pivots = linalg.rref(field, X[:, ::-1])
-    if len(pivots) != h:
+    basis = _canonical_hom_basis(field, X, mats_src, mats_tgt, d_src, d_tgt)
+    if len(basis) != h:
         raise ConsistencyError("spun homomorphisms are linearly dependent")
-    basis = np.ascontiguousarray(R[h - 1 :: -1, ::-1]).reshape(h, d_tgt, d_src)
+    return basis, seeds
 
+
+def _canonical_hom_basis(field: FiniteField, X: np.ndarray, mats_src, mats_tgt, d_src: int, d_tgt: int):
+    """The canonical basis (as in :func:`hom_basis_and_seeds`) of the span of
+    the rows of X, each the row-major vec(M) of a map M from the source to
+    the target: the reduced echelon form of X with its columns reversed,
+    listed by ascending position of the last nonzero entry.  Raises
+    ConsistencyError unless every basis map intertwines every generator pair.
+    """
+    R, pivots = linalg.rref(field, X[:, ::-1])
+    h = len(pivots)
+    basis = np.ascontiguousarray(R[:h][::-1, ::-1]).reshape(h, d_tgt, d_src)
     for A, B in zip(mats_src, mats_tgt):
         left = field.mat_mul(basis.reshape(h * d_tgt, d_src), A).reshape(h, d_tgt, d_src)
         right_t = field.mat_mul(basis.transpose(0, 2, 1).reshape(h * d_src, d_tgt), B.T)
         if not np.array_equal(left, right_t.reshape(h, d_src, d_tgt).transpose(0, 2, 1)):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
-    return list(basis), seeds
+    return list(basis)
 
 
 def hom_space(V: Rep, U: Rep) -> HomSpace:

@@ -716,6 +716,127 @@ def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
     _assert_splitting_basis(dec)
 
 
+# ------------------------------------------- corner End and identical pieces
+
+
+def _corner_end_inputs():
+    """The modules of the krull-schmidt benchmark workload, the regular S4
+    module over GF(3), and an extended regular module, all in their natural
+    basis."""
+    A4, S4 = catalog()["A4"], catalog()["S4"]
+    two, three = p_subgroups_up_to_conjugacy(S5, 2), p_subgroups_up_to_conjugacy(S5, 3)
+
+    def perm(H, K):
+        return induce(trivial_module(H.group, K), S5)
+
+    pim4 = next(W for W, _ in decompose(regular_module(A4, F2)).summands if W.dim == 4)
+    reg = regular_module(S4, F2)
+    return [
+        perm(next(H for H in two if H.order == 8), F2),
+        perm(next(H for H in two if H.order == 4), F2),
+        perm(next(H for H in three if H.order == 3), F3),
+        induce(restrict_subgroup(pim4, A4.trivial_subgroup()), A4),
+        direct_sum(reg, reg),
+        reg,
+        regular_module(S4, F3),
+        extend_scalars(regular_module(catalog()["S3"], F2), F4),
+    ]
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["natural", "random"])
+@pytest.mark.parametrize("index", range(8))
+def test_corner_end_equals_the_hom_solver(monkeypatch, index, moved):
+    # End of every summand is byte-equal to the spin solver's, seeds included,
+    # and below the root no End is solved by spinning
+    V = _corner_end_inputs()[index]
+    if moved:
+        V = _random_conjugate(V, np.random.default_rng(index))
+    end_solves = []
+    real = modrep._spin_hom_basis_and_seeds
+
+    def counting(K, a, b, d, e):
+        if a is b:  # Rep.endomorphisms passes one list twice
+            end_solves.append(d)
+        return real(K, a, b, d, e)
+
+    monkeypatch.setattr(modrep, "_spin_hom_basis_and_seeds", counting)
+    dec = decompose(V)
+    assert end_solves == ([V.dim] if moved else [])
+    monkeypatch.undo()
+    for W, _ in dec.summands:
+        basis, seeds = W.endomorphisms()
+        spun, spun_seeds = real(W.field, W.matrices, W.matrices, W.dim, W.dim)
+        assert [(M.dtype, M.shape, M.tobytes()) for M in basis] == [
+            (M.dtype, M.shape, M.tobytes()) for M in spun
+        ]
+        assert list(seeds) == spun_seeds
+
+
+def test_corner_end_is_checked(monkeypatch):
+    V = _random_conjugate(regular_module(catalog()["S4"], F2), np.random.default_rng(0))
+    real = meataxe._projections
+
+    def wrong(field, pieces):
+        projs = real(field, pieces)
+        projs[0][0, 0] = field.add(projs[0][0, 0], 1)
+        return projs
+
+    monkeypatch.setattr(meataxe, "_projections", wrong)
+    with pytest.raises(ConsistencyError, match="intertwine"):
+        decompose(V)
+
+
+def test_decompose_reuses_the_solved_end_of_its_module(monkeypatch):
+    # not a permutation module, so End(V) is spun; after end_structure
+    # decompose must not spin it again, and V itself stays as it was
+    V = _random_conjugate(regular_module(catalog()["S4"], F2), np.random.default_rng(2))
+    structure = end_structure(V)
+    end = V._end
+    dims = []
+    real = modrep._spin_hom_basis_and_seeds
+    monkeypatch.setattr(modrep, "_spin_hom_basis_and_seeds", lambda K, a, b, d, e: dims.append(d) or real(K, a, b, d, e))
+    assert _summand_multiset(V) == [(8, 1), (8, 2)]
+    assert V.dim not in dims
+    assert V._end is end and V._structure == structure
+
+
+def _splits(monkeypatch, V):
+    """decompose(V) and the dimensions of the pieces `_try_split` was given."""
+    dims = []
+    real = meataxe._try_split
+
+    def counting(W, rng):
+        dims.append(W.dim)
+        return real(W, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(meataxe, "_try_split", counting)
+        return decompose(V), dims
+
+
+@pytest.mark.parametrize("index", [3, 4])
+def test_identical_pieces_split_once(monkeypatch, index):
+    # A4 ind PIM4 has four identical orbit blocks, S4 reg + reg two: only the
+    # first copy splits, so a block costs the root one more split
+    V = _corner_end_inputs()[index]
+    orbits = modrep.point_orbits(V.matrices, V.dim)
+    block = meataxe._submodule(V, V.field.identity(V.dim)[orbits[0]])
+    one, one_dims = _splits(monkeypatch, block)
+    dec, dims = _splits(monkeypatch, V)
+    assert len(dims) == len(one_dims) + 1
+    assert [W.dim for W, _ in dec.summands] == [W.dim for W, _ in one.summands]
+    assert [m for _, m in dec.summands] == [len(orbits) * m for _, m in one.summands]
+    _assert_splitting_basis(dec)
+
+
+def test_a_trivially_acting_module_splits_one_line(monkeypatch):
+    V = restrict_subgroup(regular_module(S5, F2), S5.trivial_subgroup())
+    dec, dims = _splits(monkeypatch, V)
+    assert dims == [120, 1]
+    assert [(W.dim, m) for W, m in dec.summands] == [(1, 120)]
+    _assert_splitting_basis(dec)
+
+
 def test_indecomposability_of_permutation_modules_needs_no_end(monkeypatch):
     # End of the trivially acting regular S5 module holds 120^2 unit maps;
     # the orbits alone decide, and the lines are indecomposable outright
