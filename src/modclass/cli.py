@@ -14,7 +14,9 @@ always write a module document, to `-o FILE` or stdout.
 
 With `--cache-dir DIR` the report commands memoize rendered output keyed
 by a hash of the full request, the package version and a digest of the
-package's source files; a cache hit replays byte-identical output.
+package's source files; a cache hit replays byte-identical output.  An
+entry is written to a temp file and renamed into place, so readers never
+see part of one; a failed write only warns, and the report is printed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 from .errors import ConsistencyError, InputError, LimitError, ModclassError
 from . import limits
@@ -120,9 +121,9 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _cache_paths(cache_dir: str, key_doc) -> tuple[str, str]:
+def _cache_path(cache_dir: str, key_doc) -> str:
     digest = hashlib.sha256(serialize.dumps_canonical(key_doc).encode()).hexdigest()
-    return os.path.join(cache_dir, digest + ".json"), digest
+    return os.path.join(cache_dir, digest + ".json")
 
 
 def _cache_read(path: str):
@@ -148,75 +149,55 @@ def _cache_read(path: str):
 
 
 def _cache_write(path: str, key_doc, output: str, exit_code: int) -> None:
-    lock = path + ".lock"
-    fd = None
-    wait_s = 5.0
-    deadline = time.monotonic() + wait_s
-    reclaimed = False
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            try:
-                stale = time.time() - os.stat(lock).st_mtime > wait_s
-            except FileNotFoundError:
-                stale = False  # released in the meantime
-            if stale and not reclaimed:
-                # no live writer holds a lock this long: a crashed one left it
-                reclaimed = True
-                try:
-                    os.unlink(lock)
-                except FileNotFoundError:
-                    pass
-                continue
-            if time.monotonic() > deadline:
-                print("warning: cache lock %s is stale, skipping write" % lock, file=sys.stderr)
-                return
-            time.sleep(0.05)
+    """Write a temp file beside the entry and rename it into place: a reader
+    sees a whole entry or none, and of concurrent writers of one request,
+    which write the same bytes, the last rename wins.  A failure only warns."""
+    doc = {
+        "cache_schema": CACHE_SCHEMA,
+        "request": key_doc,
+        "output": output,
+        "exit_code": exit_code,
+    }
     try:
-        doc = {
-            "cache_schema": CACHE_SCHEMA,
-            "request": key_doc,
-            "output": output,
-            "exit_code": exit_code,
-        }
-        tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
         try:
-            with os.fdopen(tmp_fd, "w") as fh:
+            with os.fdopen(fd, "w") as fh:
                 fh.write(serialize.dumps_canonical(doc))
-            os.replace(tmp_path, path)
+            os.replace(tmp, path)
         except BaseException:
             try:
-                os.unlink(tmp_path)
+                os.unlink(tmp)
             except OSError:
                 pass
             raise
-    finally:
-        os.close(fd)
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
+    except OSError as exc:
+        print("warning: cache entry %s not written (%s)" % (path, exc), file=sys.stderr)
 
 
-def _run_cached(args, key_doc, render):
-    """render() -> (output_text, exit_code); replayed from cache when possible.
+def _run_cached(args, key_doc, report) -> int:
+    """report() -> (structured doc, table lines, exit code); prints the
+    output in args.format, replayed from cache when possible.
 
-    The key carries the package version and the digest of its source, so
-    output of another version of the code never replays.
+    The key gets the command, seed and format, the package version and the
+    digest of its source, so output of another version of the code never
+    replays.
     """
     from . import __version__
 
-    key_doc = dict(key_doc, version=__version__, source=_source_digest())
+    key_doc = dict(key_doc, command=args.command, seed=args.seed, format=args.format)
+    key_doc.update(version=__version__, source=_source_digest())
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
-        path, _ = _cache_paths(args.cache_dir, key_doc)
+        path = _cache_path(args.cache_dir, key_doc)
         hit = _cache_read(path)
         if hit is not None:
             sys.stdout.write(hit[0])
             return hit[1]
-    output, code = render()
+    doc, lines, code = report()
+    if args.format == "structured":
+        output = serialize.dumps_canonical(doc)
+    else:
+        output = "\n".join(lines) + "\n"
     if args.cache_dir:
         _cache_write(path, key_doc, output, code)
     sys.stdout.write(output)
@@ -238,72 +219,59 @@ def _simple_module(G, K, args):
     return S.modules[args.index]
 
 
+def _summand_report(entries):
+    """Structured rows and table lines of (module, multiplicity) pairs."""
+    rows = [{"dim": W.dim, "multiplicity": m} for W, m in entries]
+    return rows, ["dim  multiplicity"] + ["%3d  %12d" % (W.dim, m) for W, m in entries]
+
+
 def _cmd_simples(args) -> int:
     G, gdoc = _resolve_group(args.group)
-    key = {
-        "command": "simples",
-        "group": gdoc,
-        "p": args.p,
-        "n": args.n,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         K = make_field(args.p, args.n)
         S = meataxe.simple_modules(G, K, seed=args.seed)
-        if args.format == "structured":
-            doc = {
-                "group": gdoc,
-                "field": serialize.field_to_doc(K),
-                "simples": [
-                    {"index": i, "dim": W.dim, "end_degree": S.end_degrees[i]}
-                    for i, W in enumerate(S.modules)
-                ],
-            }
-            return serialize.dumps_canonical(doc), 0
+        doc = {
+            "group": gdoc,
+            "field": serialize.field_to_doc(K),
+            "simples": [
+                {"index": i, "dim": W.dim, "end_degree": S.end_degrees[i]}
+                for i, W in enumerate(S.modules)
+            ],
+        }
         lines = [
             "simple %s-modules for group of order %d" % (_field_label(args.p, args.n), G.order)
         ]
         lines.append("index  dim  end_degree")
         for i, W in enumerate(S.modules):
             lines.append("%5d  %3d  %10d" % (i, W.dim, S.end_degrees[i]))
-        return "\n".join(lines) + "\n", 0
+        return doc, lines, 0
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"group": gdoc, "p": args.p, "n": args.n}, report)
 
 
 def _cmd_count(args) -> int:
     G, gdoc = _resolve_group(args.group)
-    key = {
-        "command": "count",
-        "group": gdoc,
-        "p": args.p,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         rep = classify.count_absolutely_simple(G, args.p, seed=args.seed)
-        if args.format == "structured":
-            doc = {
-                "group": gdoc,
-                "p": args.p,
-                "rows": [
-                    {
-                        "index": r.index,
-                        "dim": r.dim,
-                        "end_degree": r.end_degree,
-                        "splitting_degree": r.splitting_degree,
-                        "fiber_size": r.fiber_size,
-                    }
-                    for r in rep.rows
-                ],
-                "total": rep.total,
-                "p_regular_classes": rep.p_regular_classes,
-                "agree": rep.agree,
-            }
-            return serialize.dumps_canonical(doc), 0 if rep.agree else 2
+        doc = {
+            "group": gdoc,
+            "p": args.p,
+            "rows": [
+                {
+                    "index": r.index,
+                    "dim": r.dim,
+                    "end_degree": r.end_degree,
+                    "splitting_degree": r.splitting_degree,
+                    "fiber_size": r.fiber_size,
+                }
+                for r in rep.rows
+            ],
+            "total": rep.total,
+            "p_regular_classes": rep.p_regular_classes,
+            "agree": rep.agree,
+        }
         lines = ["absolutely simple classes over the closure of GF(%d)" % args.p]
         lines.append("index  dim  end_degree  splitting_field  fiber_size")
         for r in rep.rows:
@@ -314,9 +282,9 @@ def _cmd_count(args) -> int:
         lines.append("total: %d" % rep.total)
         lines.append("p-regular classes: %d" % rep.p_regular_classes)
         lines.append("agree: %s" % ("yes" if rep.agree else "NO"))
-        return "\n".join(lines) + "\n", 0 if rep.agree else 2
+        return doc, lines, 0 if rep.agree else 2
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"group": gdoc, "p": args.p}, report)
 
 
 def _cmd_fiber(args) -> int:
@@ -328,69 +296,48 @@ def _cmd_fiber(args) -> int:
         G, gdoc = _resolve_group(args.group)
         K = make_field(args.p, args.n)
         key_mod = {"group": gdoc, "p": args.p, "n": args.n, "index": args.index}
-    key = {
-        "command": "fiber",
-        "module": key_mod,
-        "degree": args.degree,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         # a replay from the cache computes no simple modules
         W = V if args.module else _simple_module(G, K, args)
         level = classify.fiber(W, args.degree, seed=args.seed)
         L = level.field
-        if args.format == "structured":
-            doc = {
-                "degree": args.degree,
-                "field": serialize.field_to_doc(L),
-                "entries": [{"dim": W.dim, "multiplicity": m} for W, m in level.entries],
-            }
-            return serialize.dumps_canonical(doc), 0
-        lines = ["fiber over %s (degree %d extension)" % (_field_label(L.p, L.n), args.degree)]
-        lines.append("dim  multiplicity")
-        for W, m in level.entries:
-            lines.append("%3d  %12d" % (W.dim, m))
-        return "\n".join(lines) + "\n", 0
+        rows, lines = _summand_report(level.entries)
+        doc = {
+            "degree": args.degree,
+            "field": serialize.field_to_doc(L),
+            "entries": rows,
+        }
+        title = "fiber over %s (degree %d extension)" % (_field_label(L.p, L.n), args.degree)
+        return doc, [title] + lines, 0
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"module": key_mod, "degree": args.degree}, report)
 
 
 def _cmd_verify(args) -> int:
     G, gdoc = _resolve_group(args.group)
-    key = {
-        "command": "verify",
-        "group": gdoc,
-        "p": args.p,
-        "bound": args.bound,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         rep = classify.verify_classification(G, args.p, bound=args.bound, seed=args.seed)
-        if args.format == "structured":
-            doc = {
-                "group": gdoc,
-                "p": args.p,
-                "bound": rep.bound,
-                "clauses": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in rep.clauses
-                ],
-                "passed": rep.passed,
-            }
-            return serialize.dumps_canonical(doc), 0 if rep.passed else 2
+        doc = {
+            "group": gdoc,
+            "p": args.p,
+            "bound": rep.bound,
+            "clauses": [
+                {"name": c.name, "passed": c.passed, "detail": c.detail}
+                for c in rep.clauses
+            ],
+            "passed": rep.passed,
+        }
         lines = ["verification for p=%d through extension degree %d" % (args.p, rep.bound)]
         for c in rep.clauses:
             lines.append(
                 "%-26s %s%s" % (c.name, "PASS" if c.passed else "FAIL", "" if c.passed else "  " + c.detail)
             )
         lines.append("result: %s" % ("PASS" if rep.passed else "FAIL"))
-        return "\n".join(lines) + "\n", 0 if rep.passed else 2
+        return doc, lines, 0 if rep.passed else 2
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"group": gdoc, "p": args.p, "bound": args.bound}, report)
 
 
 def _emit_module(args, V, group_name=None) -> int:
@@ -418,60 +365,42 @@ def _cmd_make(args) -> int:
 
 def _cmd_decompose(args) -> int:
     V, mdoc = _load_module_arg(args.module)
-    key = {
-        "command": "decompose",
-        "module": mdoc,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         dec = meataxe.decompose(V, seed=args.seed)
-        if args.format == "structured":
-            doc = {
-                "dim": V.dim,
-                "summands": [{"dim": W.dim, "multiplicity": m} for W, m in dec.summands],
-            }
-            return serialize.dumps_canonical(doc), 0
-        lines = ["indecomposable summands of a dim %d module" % V.dim]
-        lines.append("dim  multiplicity")
-        for W, m in dec.summands:
-            lines.append("%3d  %12d" % (W.dim, m))
-        return "\n".join(lines) + "\n", 0
+        rows, lines = _summand_report(dec.summands)
+        title = "indecomposable summands of a dim %d module" % V.dim
+        doc = {
+            "dim": V.dim,
+            "summands": rows,
+        }
+        return doc, [title] + lines, 0
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"module": mdoc}, report)
 
 
 def _cmd_vertex(args) -> int:
     V, mdoc = _load_module_arg(args.module)
-    key = {
-        "command": "vertex",
-        "module": mdoc,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
-    def render():
+    def report():
         vs = green_mod.source(V, seed=args.seed)
         Q, U = vs.vertex, vs.source
         gens = [list(g) for g in Q.group.generators]
-        if args.format == "structured":
-            doc = {
-                "vertex_order": Q.order,
-                "vertex_generators": gens,
-                "source_dim": U.dim,
-                "projective": Q.order == 1,
-            }
-            return serialize.dumps_canonical(doc), 0
+        doc = {
+            "vertex_order": Q.order,
+            "vertex_generators": gens,
+            "source_dim": U.dim,
+            "projective": Q.order == 1,
+        }
         lines = [
             "vertex order: %d" % Q.order,
             "vertex generators: %s" % json.dumps(gens),
             "source dim: %d" % U.dim,
             "projective: %s" % ("yes" if Q.order == 1 else "no"),
         ]
-        return "\n".join(lines) + "\n", 0
+        return doc, lines, 0
 
-    return _run_cached(args, key, render)
+    return _run_cached(args, {"module": mdoc}, report)
 
 
 def _cmd_green(args) -> int:
@@ -504,11 +433,10 @@ def _cmd_restrict(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_group_field(sp, need_p=True):
-    sp.add_argument("-g", "--group", required=True, help="catalog name or group JSON file")
-    if need_p:
-        sp.add_argument("-p", type=int, required=True, help="field characteristic (prime)")
-        sp.add_argument("-n", type=int, default=1, help="field degree over the prime field")
+def _add_group_field(sp, required=True):
+    sp.add_argument("-g", "--group", required=required, help="catalog name or group JSON file")
+    sp.add_argument("-p", type=int, required=required, help="field characteristic (prime)")
+    sp.add_argument("-n", type=int, default=1, help="field degree over the prime field")
 
 
 def _non_negative_int(text: str) -> int:
@@ -540,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_field(sp)
 
     sp = sub.add_parser("fiber", help="components of a module after a field extension")
-    sp.add_argument("-g", "--group", default=None, help="catalog name or group JSON file")
-    sp.add_argument("-p", type=int, default=None, help="field characteristic (prime)")
-    sp.add_argument("-n", type=int, default=1, help="field degree over the prime field")
+    _add_group_field(sp, required=False)
     sp.add_argument("--index", type=int, default=0, help="which simple module (with -g)")
     sp.add_argument("--module", default=None, help="module JSON file (alternative to -g)")
     sp.add_argument("--degree", type=int, required=True, help="extension degree")

@@ -604,8 +604,9 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
         return res
     # For indecomposable V and an isomorphism phi: V -> U, the singular maps
     # form the proper subspace phi * rad End(V), which holds no basis (same
-    # with rad End(U) * phi for indecomposable U).
-    if end_structure(V, seed)[2] or end_structure(U, seed)[2]:
+    # with rad End(U) * phi for indecomposable U).  Only a verdict already
+    # on a module is used: solving End for it costs more than decompose.
+    if any(W._structure is not None and W._structure[2] for W in (V, U)):
         return IsoResult(False, None, "no invertible basis map and one side is indecomposable")
     # Krull-Schmidt; a new class in U or an empty class of V makes the lists differ
     dv = decompose(V, seed)

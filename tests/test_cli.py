@@ -342,13 +342,13 @@ def test_cache_recovers_from_corruption(tmp_path, capsys):
     assert out3 == out1 and err3 == ""
 
 
-def test_cache_reclaims_lock_of_crashed_writer(tmp_path, capsys):
+def test_cache_ignores_a_leftover_lock_file(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     argv = ["--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
     _, out1, _ = _run(capsys, argv)
     entry = os.path.join(cache, [f for f in os.listdir(cache) if f.endswith(".json")][0])
     os.unlink(entry)
-    # a lock left behind by a writer that died a minute ago
+    # a lock file as an older writer left it: no writer waits for it
     lock = entry + ".lock"
     open(lock, "w").close()
     old = time.time() - 60
@@ -359,7 +359,38 @@ def test_cache_reclaims_lock_of_crashed_writer(tmp_path, capsys):
     assert code == 0 and out2 == out1
     assert "stale" not in err
     assert elapsed < 2.5
-    assert os.path.exists(entry) and not os.path.exists(lock)
+    assert os.path.exists(entry)
+
+
+def test_failed_cache_write_still_prints_the_report(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache), "count", "-g", "S3", "-p", "2"]
+    _run(capsys, argv)
+    (entry,) = os.listdir(cache)
+    os.unlink(cache / entry)
+    os.mkdir(cache / entry)  # neither read nor replaced by a file
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and out == COUNT_S3_P2_TABLE
+    assert "warning: cache entry" in err and "not written" in err
+    assert os.listdir(cache) == [entry]  # no temp file left behind
+
+
+def test_concurrent_writers_of_one_request(tmp_path):
+    import subprocess
+    import sys
+
+    cache = str(tmp_path / "cache")
+    argv = [sys.executable, "-m", "modclass.cli", "--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [
+        subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(3)
+    ]
+    results = [p.communicate(timeout=120) + (p.returncode,) for p in procs]
+    assert [(out, code) for out, _, code in results] == [(COUNT_S3_P2_TABLE.encode(), 0)] * 3
+    (entry,) = os.listdir(cache)
+    assert entry.endswith(".json")
 
 
 def test_no_cache_dir_means_no_cache_files(tmp_path, capsys):

@@ -530,6 +530,22 @@ def test_krull_schmidt_isomorphism_is_checked(monkeypatch):
         is_isomorphic(V, U)
 
 
+def test_krull_schmidt_runs_without_end_structure(monkeypatch):
+    # neither side carries a locality verdict, so none is solved for: on
+    # S4 reg + reg over GF(2) that End costs more than the decompositions
+    reg = regular_module(catalog()["S4"], F2)
+    V = direct_sum(reg, reg)
+    U = _random_conjugate(V, np.random.default_rng(0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("end_structure solved before Krull-Schmidt")
+
+    monkeypatch.setattr(meataxe, "end_structure", forbidden)
+    res = is_isomorphic(V, U)
+    assert res.reason == "equal indecomposable summands"
+    _assert_isomorphism(V, U, res.map)
+
+
 def _two_copies_of_trivial_sum():
     # separately built copies of T + T for S3 over GF(2): End is M_2(GF(2)),
     # whose canonical basis holds no invertible map
