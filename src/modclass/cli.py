@@ -127,7 +127,7 @@ def _cache_path(cache_dir: str, key_doc) -> str:
 
 
 def _cache_read(path: str):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):  # a directory there is a miss, and the write warns
         return None
     try:
         with open(path) as fh:

@@ -542,22 +542,17 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
     for leaf in found:
         r = rows[off : off + leaf.dim]
         off += leaf.dim
-        if leaf in placed:
-            members, iso = placed[leaf]
-            if iso is None:  # a copy of a class representative maps as a Hom solve would
-                iso = _basis_iso(leaf, leaf).map
-                placed[leaf] = members, iso
-            members.append((r, iso))
-            continue
-        for rep, members in classes:
-            res = _basis_iso(leaf, rep)
-            if res:
-                members.append((r, res.map))
-                placed[leaf] = members, res.map
-                break
-        else:
-            classes.append((leaf, [(r, field.identity(leaf.dim))]))
-            placed[leaf] = classes[-1][1], None
+        if leaf not in placed:
+            for rep, members in classes:
+                res = _basis_iso(leaf, rep)
+                if res:
+                    placed[leaf] = members, res.map
+                    break
+            else:  # a new class, whose representative is this very leaf
+                classes.append((leaf, []))
+                placed[leaf] = classes[-1][1], field.identity(leaf.dim)
+        members, iso = placed[leaf]
+        members.append((r, iso))
     classes.sort(key=lambda cls: _module_key(cls[0]))
     adjusted = [
         field.mat_mul(linalg.inverse(field, iso).T, r) for _, ms in classes for r, iso in ms
@@ -576,10 +571,7 @@ def _basis_iso(V: Rep, U: Rep) -> IsoResult | None:
     if V.dim != U.dim:
         return IsoResult(False, None, "different dimensions")
     field = V.field
-    if V is U:  # a Hom solve on equal matrices returns the canonical End basis
-        basis = list(V.endomorphisms()[0])
-    else:
-        basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
     if not basis:
         return IsoResult(False, None, "no nonzero homomorphisms")
     for M in basis:

@@ -272,14 +272,13 @@ def _close(elems: set[Perm]) -> set[Perm]:
     return out
 
 
+def _normalizing(G: PermGroup, S: frozenset) -> list[Perm]:
+    """The elements g of G, in order, with g^-1 S g = S."""
+    return [g for g in G.elements if all(pmul(pmul(pinv(g), h), g) in S for h in S)]
+
+
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    hset = set(H.elements)
-    norm = [
-        g
-        for g in G.elements
-        if all(pmul(pmul(pinv(g), h), g) in hset for h in H.elements)
-    ]
-    return Subgroup(G, norm)
+    return Subgroup(G, _normalizing(G, frozenset(H.elements)))
 
 
 def are_conjugate(G: PermGroup, A: Subgroup, B: Subgroup) -> bool:
@@ -343,12 +342,7 @@ def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
     while current:
         found: dict[tuple, frozenset] = {}
         for S in current:
-            norm = [
-                g
-                for g in G.elements
-                if all(pmul(pmul(pinv(g), h), g) in S for h in S)
-            ]
-            for x in norm:
+            for x in _normalizing(G, S):
                 if x in S:
                     continue
                 k = perm_order(x)
@@ -367,14 +361,6 @@ def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
     subs = [Subgroup(G, list(S)) for S in all_reps]
     subs.sort(key=lambda H: (H.order, H.elements))
     return subs
-
-
-def sylow_p_order(order: int, p: int) -> int:
-    s = 1
-    while order % p == 0:
-        s *= p
-        order //= p
-    return s
 
 
 _CATALOG: dict[str, PermGroup] = {}

@@ -41,15 +41,7 @@ from .errors import InputError, _require
 
 if TYPE_CHECKING:  # finite_field imports this module for its kernels
     from .finite_field import FiniteField
-
-ZERO = np.zeros(0, dtype=np.int64)
-
-
-def trim(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=np.int64)
-    nz = np.nonzero(c)[0]
-    return c[: nz[-1] + 1] if nz.size else ZERO
-
+    from .linalg import RowSpace
 
 def degree(c) -> int:
     return len(c) - 1
@@ -475,29 +467,8 @@ def _equal_degree(k: _Kernel, f: list, d: int, rng: np.random.Generator) -> list
 # ----- the array API -----
 
 
-def add(field: FiniteField, a, b) -> np.ndarray:
-    return _array(_add(_kernel(field), _codes(a), _codes(b)))
-
-
 def mul(field: FiniteField, a, b) -> np.ndarray:
     return _array(_mul(_kernel(field), _codes(a), _codes(b)))
-
-
-def monic(field: FiniteField, a) -> np.ndarray:
-    return _array(_monic(_kernel(field), _codes(a)))
-
-
-def divmod_poly(field: FiniteField, a, b):
-    quo, rem = _divmod(_kernel(field), _codes(a), _codes(b))
-    return _array(quo), _array(rem)
-
-
-def gcd_poly(field: FiniteField, a, b) -> np.ndarray:
-    return _array(_gcd(_kernel(field), _codes(a), _codes(b)))
-
-
-def derivative(field: FiniteField, a) -> np.ndarray:
-    return _array(_derivative(_kernel(field), _codes(a)))
 
 
 def eval_codes(field: FiniteField, a: np.ndarray, points) -> np.ndarray:
@@ -518,11 +489,6 @@ def eval_matrix(field: FiniteField, a: np.ndarray, M: np.ndarray) -> np.ndarray:
             idx = np.arange(d)
             acc[idx, idx] = field.add(acc[idx, idx], np.full(d, c, dtype=np.int64))
     return acc
-
-
-def squarefree_decomposition(field: FiniteField, f) -> list[tuple[np.ndarray, int]]:
-    """Monic squarefree factors with multiplicities, characteristic-p safe."""
-    return [(_array(g), m) for g, m in _squarefree(_kernel(field), _codes(f))]
 
 
 def factor(field: FiniteField, f, seed: int = 0) -> list[tuple[np.ndarray, int]]:
@@ -572,20 +538,16 @@ def _unit(d: int, s: int) -> np.ndarray:
     return e
 
 
-def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray):
-    """(rel, chain): the monic relation, as a list, of the first vector of
-    vec, M vec, M^2 vec, ... that depends on the ones before it, and those
-    before it."""
-    from .linalg import RowSpace
-
+def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray, space: RowSpace) -> list:
+    """The monic relation, as a list, of the first vector of vec, M vec,
+    M^2 vec, ... that depends on the tracked RowSpace `space` and the ones
+    before it, in the coordinates of the chain; the chain joins `space`."""
     d = M.shape[0]
-    space = RowSpace(field, d, track=True)
-    chain = []
+    start = space.dim
     while True:
         added, E = space._insert_rows(vec[None])
         if not added[0]:  # E[0] is (0 | -coords) of the dependent vector
-            return E[0, d : d + space.dim].tolist() + [1], chain
-        chain.append(vec)
+            return E[0, d + start : d + space.dim].tolist() + [1]
         vec = field.mat_vec(M, vec)
 
 
@@ -606,15 +568,7 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
     for s in range(d):
         if space.dim == d:
             break
-        start = space.dim
-        vec = _unit(d, s)
-        while True:
-            added, E = space._insert_rows(vec[None])
-            if not added[0]:
-                break
-            vec = field.mat_vec(M, vec)
-        if space.dim > start:  # E[0] is (0 | -coords) of the dependent M^j e_s
-            result = _mul(k, result, E[0, d + start : d + space.dim].tolist() + [1])
+        result = _mul(k, result, _krylov_relation(field, M, _unit(d, s), space))
     _require(len(result) - 1 == d, "characteristic polynomial has the wrong degree")
     return _array(result)
 
@@ -642,7 +596,8 @@ def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
         # lie in it only if s is one; the product decides those
         if s in seen.pivot_columns() and not seen.reduce_rows(seed[None])[0].any():
             continue
-        mu, chain = _krylov_relation(field, M, seed)
+        chain = RowSpace(field, d, track=True)
+        mu = _krylov_relation(field, M, seed, chain)
         lam = _divmod(k, _mul(k, lam, mu), _gcd(k, lam, mu))[0]
-        seen._insert_rows(np.stack(chain))
+        seen._insert_rows(np.stack(chain.raw_basis_rows()))
     return _array(_monic(k, lam))

@@ -372,6 +372,7 @@ def test_failed_cache_write_still_prints_the_report(tmp_path, capsys):
     code, out, err = _run(capsys, argv)
     assert code == 0 and out == COUNT_S3_P2_TABLE
     assert "warning: cache entry" in err and "not written" in err
+    assert "evicting" not in err and len(err.splitlines()) == 1
     assert os.listdir(cache) == [entry]  # no temp file left behind
 
 

@@ -720,15 +720,25 @@ def test_orbit_split_matches_decompose_without_it(monkeypatch, index):
 
 
 def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
-    # a trivially acting module splits into lines without any hom solve
-    # beyond the 1 x 1 ones that group them
+    # a trivially acting module splits into 24 copies of one line, and the
+    # copies join the line's class by the identity: no hom solve at all
     V = restrict_subgroup(regular_module(catalog()["S4"], F2), catalog()["S4"].trivial_subgroup())
     sizes = []
     real = modrep.hom_basis_and_seeds
     monkeypatch.setattr(modrep, "hom_basis_and_seeds", lambda K, a, b, d, e: sizes.append((d, e)) or real(K, a, b, d, e))
     dec = decompose(V)
     assert [(W.dim, m) for W, m in dec.summands] == [(1, 24)]
-    assert set(sizes) == {(1, 1)}
+    assert sizes == []
+    _assert_splitting_basis(dec)
+
+
+@pytest.mark.parametrize("K", [F2, F3], ids=["GF(2)", "GF(3)"])
+def test_copies_of_a_class_representative_give_a_splitting_basis(K):
+    # the two regular blocks are identical pieces that share their leaves, so
+    # each class representative recurs and its copy maps to it by the identity
+    reg = regular_module(catalog()["S4"], K)
+    dec = decompose(direct_sum(reg, reg))
+    assert sorted((W.dim, m) for W, m in dec.summands) == sorted((W.dim, 2 * m) for W, m in decompose(reg).summands)
     _assert_splitting_basis(dec)
 
 

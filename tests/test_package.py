@@ -1,6 +1,7 @@
 """Package-wide rules: no assert statements in the library, the README's
-library tour runs against the public surface as written, and ``__all__``
-lists exactly the public names the package imports."""
+library tour runs against the public surface as written, ``__all__`` lists
+exactly the public names the package imports, and every module-level
+function is either used inside the package or exported."""
 
 import ast
 import os
@@ -45,3 +46,57 @@ def test_public_names_match_all():
         if not (alias.asname or alias.name).startswith("_")
     }
     assert sorted(modclass.__all__) == sorted(imported)
+
+
+def _references(mod: str, tree: ast.Module) -> set[tuple[str, str, str]]:
+    """(module, name, where) for each name the module `mod` refers to, where
+    is the top-level statement's function name (or "" outside functions).
+    A reference is a bare name (to mod.name), ``alias.name`` for a module
+    imported as alias, or ``from .module import name``."""
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    found = set()
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add((mod, node.id, where))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    found.add((aliases[node.value.id], node.attr, where))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update((node.module, alias.name, where) for alias in node.names)
+    return found
+
+
+def test_every_function_is_used_or_exported():
+    # a function only the tests call belongs in the tests; cli._cmd_* are
+    # dispatched by name
+    import modclass
+
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                trees[name[:-3]] = ast.parse(fh.read(), filename=name)
+    used = set()
+    for mod, tree in trees.items():
+        used.update(
+            (target, name)
+            for target, name, where in _references(mod, tree)
+            if not (target == mod and name == where)  # not inside its own definition
+        )
+    unused = [
+        "%s.%s" % (mod, fn.name)
+        for mod, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and (mod, fn.name) not in used
+        and fn.name not in modclass.__all__
+        and not (mod == "cli" and fn.name.startswith("_cmd_"))
+    ]
+    assert unused == []

@@ -22,7 +22,6 @@ from modclass.perm_group import (
     pinv,
     pmul,
     right_transversal,
-    sylow_p_order,
 )
 
 
@@ -224,12 +223,6 @@ def test_p_subgroup_classes_match_brute_force(name, p, expected_orders):
     assert [H.order for H in subs] == expected_orders
     oracle = _bf_p_subgroup_classes(G, p)
     assert sorted(len(S) for S in oracle) == expected_orders
-
-
-def test_sylow_p_order():
-    assert sylow_p_order(24, 2) == 8
-    assert sylow_p_order(24, 3) == 3
-    assert sylow_p_order(7, 2) == 1
 
 
 def test_subgroup_requires_closure_and_identity():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modclass.finite_field import make_field
+from modclass import linalg
 from modclass import polynomials as P
 
 F2 = make_field(2, 1)
@@ -19,19 +20,49 @@ def codes(*cs):
     return np.array(cs, dtype=np.int64)
 
 
+def _on_arrays(core):
+    """The array form of a list-level core of `polynomials`: polynomial
+    arguments and results are trimmed int64 arrays, constant term first."""
+
+    def call(field, *polys):
+        out = core(P._kernel(field), *map(P._codes, polys))
+        if core is P._squarefree:  # [(factor, multiplicity)]
+            return [(P._array(g), m) for g, m in out]
+        if isinstance(out, tuple):  # (quotient, remainder)
+            return tuple(map(P._array, out))
+        return P._array(out)
+
+    return call
+
+
+add = _on_arrays(P._add)
+monic = _on_arrays(P._monic)
+divmod_poly = _on_arrays(P._divmod)
+gcd_poly = _on_arrays(P._gcd)
+derivative = _on_arrays(P._derivative)
+squarefree_decomposition = _on_arrays(P._squarefree)
+
+
+def trim(c):
+    return P._array(P._codes(c))
+
+
+ZERO = trim([])
+
+
 def test_divmod_round_trip():
     a = codes(1, 0, 1, 1, 0, 1)
     b = codes(1, 1, 1)
-    q, r = P.divmod_poly(F2, a, b)
+    q, r = divmod_poly(F2, a, b)
     assert P.degree(r) < P.degree(b)
-    assert np.array_equal(P.add(F2, P.mul(F2, q, b), r), P.trim(a))
+    assert np.array_equal(add(F2, P.mul(F2, q, b), r), trim(a))
 
 
 def test_gcd_of_known_pair():
     # gcd((x+1)(x^2+x+1), (x+1)(x^3+x+1)) = x+1 over GF(2)
     a = P.mul(F2, codes(1, 1), codes(1, 1, 1))
     b = P.mul(F2, codes(1, 1), codes(1, 1, 0, 1))
-    g = P.gcd_poly(F2, a, b)
+    g = gcd_poly(F2, a, b)
     assert np.array_equal(g, codes(1, 1))
 
 
@@ -62,13 +93,13 @@ def test_factor_product_reassembles():
                 assert int(g[-1]) == 1  # monic factors
                 for _ in range(m):
                     acc = P.mul(K, acc, g)
-            assert np.array_equal(acc, P.monic(K, P.trim(f)))
+            assert np.array_equal(acc, monic(K, trim(f)))
 
 
 def test_squarefree_decomposition_exponents():
     # (x+1)^2 (x+2) over GF(3)
     f = P.mul(F3, P.mul(F3, codes(1, 1), codes(1, 1)), codes(2, 1))
-    parts = P.squarefree_decomposition(F3, f)
+    parts = squarefree_decomposition(F3, f)
     by_mult = {m: [int(c) for c in g] for g, m in parts if P.degree(g) > 0}
     assert by_mult == {1: [2, 1], 2: [1, 1]}
 
@@ -113,7 +144,7 @@ def test_min_poly_divides_char_poly_and_annihilates():
             M = K.rand_codes(rng, (d, d))
             mu = P.min_poly_mat(K, M)
             chi = P.char_poly(K, M)
-            _, r = P.divmod_poly(K, chi, mu)
+            _, r = divmod_poly(K, chi, mu)
             assert P.degree(r) < 0  # mu | chi
             assert not P.eval_matrix(K, mu, M).any()
 
@@ -143,7 +174,7 @@ def test_eval_codes_horner():
 def test_derivative_char_p():
     # d/dx (x^3 + x + 1) = 3x^2 + 1 = 1 over GF(3)
     f = codes(1, 1, 0, 1)
-    assert [int(c) for c in P.derivative(F3, f)] == [1]
+    assert [int(c) for c in derivative(F3, f)] == [1]
 
 
 # ----- numpy oracles: the array implementations the list kernels replaced
@@ -156,7 +187,7 @@ def _np_add(field, a, b):
     out = np.zeros(max(la, lb), dtype=np.int64)
     out[:la] = a
     out[:lb] = field.add(out[:lb], b)
-    return P.trim(out)
+    return trim(out)
 
 
 def _np_sub(field, a, b):
@@ -165,40 +196,40 @@ def _np_sub(field, a, b):
 
 def _np_mul(field, a, b):
     if len(a) == 0 or len(b) == 0:
-        return P.ZERO
+        return ZERO
     out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
     for s in range(len(a)):
         if a[s]:
             out[s : s + len(b)] = field.add(out[s : s + len(b)], field.mul(a[s], b))
-    return P.trim(out)
+    return trim(out)
 
 
 def _np_monic(field, a):
-    a = P.trim(a)
+    a = trim(a)
     if len(a) == 0 or a[-1] == 1:
         return a
-    return P.trim(field.mul(field.inv(a[-1]), a))
+    return trim(field.mul(field.inv(a[-1]), a))
 
 
 def _np_divmod(field, a, b):
-    b = P.trim(b)
+    b = trim(b)
     if len(b) == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    r = P.trim(a).copy()
+    r = trim(a).copy()
     db = P.degree(b)
     if len(r) <= db:
-        return P.ZERO, r
+        return ZERO, r
     if b[-1] != 1:
         inv_lead = field.inv(b[-1])
         quo, rem = _np_divmod(field, r, field.mul(inv_lead, b))
-        return P.trim(field.mul(quo, inv_lead)), rem
+        return trim(field.mul(quo, inv_lead)), rem
     quo = np.zeros(len(r) - db, dtype=np.int64)
     for shift in range(len(quo) - 1, -1, -1):
         c = r[shift + db]
         quo[shift] = c
         if c:
             r[shift : shift + db] = field.sub(r[shift : shift + db], field.mul(c, b[:db]))
-    return quo, P.trim(r[:db])
+    return quo, trim(r[:db])
 
 
 def _np_mod(field, a, b):
@@ -206,7 +237,7 @@ def _np_mod(field, a, b):
 
 
 def _np_gcd(field, a, b):
-    a, b = P.trim(a), P.trim(b)
+    a, b = trim(a), trim(b)
     while len(b):
         a, b = b, _np_mod(field, a, b)
     return _np_monic(field, a)
@@ -225,13 +256,13 @@ def _np_pow_mod(field, base, e, modulus):
 
 def _np_derivative(field, a):
     if len(a) <= 1:
-        return P.ZERO
+        return ZERO
     ks = np.arange(1, len(a), dtype=np.int64) % field.p
-    return P.trim(field.mul(a[1:], ks))
+    return trim(field.mul(a[1:], ks))
 
 
 def _np_pth_root(field, a):
-    return P.trim(field.pow(a[:: field.p], field.p ** (field.n - 1)))
+    return trim(field.pow(a[:: field.p], field.p ** (field.n - 1)))
 
 
 def _np_squarefree(field, f):
@@ -288,7 +319,7 @@ def _np_equal_degree(field, f, d, rng):
     if P.degree(f) == d:
         return [f]
     while True:
-        r = P.trim(field.rand_codes(rng, P.degree(f)))
+        r = trim(field.rand_codes(rng, P.degree(f)))
         if P.degree(r) < 1:
             continue
         g = _np_gcd(field, r, f)
@@ -311,7 +342,7 @@ def _np_equal_degree(field, f, d, rng):
 
 
 def _np_factor(field, f, seed=0):
-    f = P.trim(f)
+    f = trim(f)
     rng = np.random.default_rng(seed)
     found = []
     for g, mult in _np_squarefree(field, f):
@@ -325,7 +356,7 @@ def _np_factor(field, f, seed=0):
 def _np_roots(f, field):
     """Roots of f in a field of more than 4096 elements."""
     x = codes(0, 1)
-    f = _np_monic(field, P.trim(np.asarray(f, dtype=np.int64)))
+    f = _np_monic(field, trim(np.asarray(f, dtype=np.int64)))
     lin = _np_gcd(field, _np_sub(field, _np_pow_mod(field, x, field.q, f), x), f)
     if P.degree(lin) < 1:
         return []
@@ -356,25 +387,25 @@ def test_polynomial_arithmetic_matches_numpy_oracles(p, n):
     polys = [codes(), codes(0, 0), codes(1), codes(0, 1)]
     polys += [_random_poly(K, rng, int(rng.integers(0, 12))) for _ in range(12)]
     for a in polys:
-        _same(P.derivative(K, a), _np_derivative(K, P.trim(a)))
-        _same(P.monic(K, a), _np_monic(K, a))
+        _same(derivative(K, a), _np_derivative(K, trim(a)))
+        _same(monic(K, a), _np_monic(K, a))
         for b in polys[:8]:
-            _same(P.add(K, a, b), _np_add(K, P.trim(a), P.trim(b)))
-            _same(P.mul(K, a, b), _np_mul(K, P.trim(a), P.trim(b)))
-            _same(P.gcd_poly(K, a, b), _np_gcd(K, a, b))
-            if len(P.trim(b)):
-                for g, w in zip(P.divmod_poly(K, a, b), _np_divmod(K, a, b)):
+            _same(add(K, a, b), _np_add(K, trim(a), trim(b)))
+            _same(P.mul(K, a, b), _np_mul(K, trim(a), trim(b)))
+            _same(gcd_poly(K, a, b), _np_gcd(K, a, b))
+            if len(trim(b)):
+                for g, w in zip(divmod_poly(K, a, b), _np_divmod(K, a, b)):
                     _same(g, w)
     # factors shared between the two sides, and repeated factors
     for _ in range(6):
         g = _random_poly(K, rng, int(rng.integers(1, 4)))
         a = _np_mul(K, g, _random_poly(K, rng, int(rng.integers(0, 5))))
         b = _np_mul(K, _np_mul(K, g, g), _random_poly(K, rng, int(rng.integers(0, 5))))
-        _same(P.gcd_poly(K, a, b), _np_gcd(K, a, b))
+        _same(gcd_poly(K, a, b), _np_gcd(K, a, b))
         for fs in (a, b, _np_mul(K, b, b)):
             if P.degree(fs) >= 1:
-                got = P.squarefree_decomposition(K, fs)
-                _same_factors(got, _np_squarefree(K, P.trim(fs)))
+                got = squarefree_decomposition(K, fs)
+                _same_factors(got, _np_squarefree(K, trim(fs)))
                 _same_factors(P.factor(K, fs), _np_factor(K, fs))
     for _ in range(6):
         f = _random_poly(K, rng, int(rng.integers(1, 9)), monic=True)
@@ -389,8 +420,8 @@ def test_polynomial_arithmetic_matches_numpy_oracles(p, n):
 
 def _divmod_oracle(field, a, b):
     """The long division divmod_poly used before: one trim and scalar mul per step."""
-    b = P.trim(b)
-    r = P.trim(a).copy()
+    b = trim(b)
+    r = trim(a).copy()
     db = P.degree(b)
     inv_lead = field.inv(b[-1])
     quo = np.zeros(max(len(r) - db, 0), dtype=np.int64)
@@ -399,8 +430,8 @@ def _divmod_oracle(field, a, b):
         factor = field.mul(r[-1], inv_lead)
         quo[shift] = factor
         r[shift : shift + db + 1] = field.sub(r[shift : shift + db + 1], field.mul(factor, b))
-        r = P.trim(r)
-    return P.trim(quo), r
+        r = trim(r)
+    return trim(quo), r
 
 
 @pytest.mark.parametrize("p, n", FIELDS)
@@ -415,11 +446,11 @@ def test_divmod_matches_long_division_oracle(p, n):
         cases.append((K.rand_codes(rng, da + 1), b))
     cases.append((K.rand_codes(rng, 7), codes(int(rng.integers(1, K.q)))))  # constant divisor
     for a, b in cases:
-        got, want = P.divmod_poly(K, a, b), _divmod_oracle(K, a, b)
+        got, want = divmod_poly(K, a, b), _divmod_oracle(K, a, b)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     with pytest.raises(ZeroDivisionError):
-        P.divmod_poly(K, codes(1, 1), codes(0))
+        divmod_poly(K, codes(1, 1), codes(0))
 
 
 def _char_poly_oracle(field, M):
@@ -510,6 +541,93 @@ def test_krylov_polynomials_match_separate_loop_oracles(p, n):
         for got, want in ((P.char_poly(K, M), _char_poly_oracle(K, M)),
                           (P.min_poly_mat(K, M), _min_poly_oracle(K, M))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _char_poly_inline(field, M):
+    """char_poly with its own Krylov loop, as it was before it shared one
+    with min_poly_mat."""
+    from modclass.linalg import RowSpace
+
+    k = P._kernel(field)
+    d = M.shape[0]
+    result = [1]
+    space = RowSpace(field, d, track=True)
+    for s in range(d):
+        if space.dim == d:
+            break
+        start = space.dim
+        vec = P._unit(d, s)
+        while True:
+            added, E = space._insert_rows(vec[None])
+            if not added[0]:
+                break
+            vec = field.mat_vec(M, vec)
+        if space.dim > start:
+            result = P._mul(k, result, E[0, d + start : d + space.dim].tolist() + [1])
+    return P._array(result)
+
+
+def _min_poly_inline(field, M, seeds=None):
+    """min_poly_mat with its own Krylov loop, one fresh RowSpace per seed."""
+    from modclass.linalg import RowSpace
+
+    k = P._kernel(field)
+    d = M.shape[0]
+    lam = [1]
+    seen = RowSpace(field, d)
+    for s in range(d) if seeds is None else seeds:
+        if seen.dim == d or len(lam) - 1 == d:
+            break
+        vec = P._unit(d, s)
+        if s in seen.pivot_columns() and not seen.reduce_rows(vec[None])[0].any():
+            continue
+        space = RowSpace(field, d, track=True)
+        chain = []
+        while True:
+            added, E = space._insert_rows(vec[None])
+            if not added[0]:
+                mu = E[0, d : d + space.dim].tolist() + [1]
+                break
+            chain.append(vec)
+            vec = field.mat_vec(M, vec)
+        lam = P._divmod(k, P._mul(k, lam, mu), P._gcd(k, lam, mu))[0]
+        seen._insert_rows(np.stack(chain))
+    return P._array(P._monic(k, lam))
+
+
+def _blocks(K, rng, d):
+    """A d x d matrix with repeated eigenvalues: equal diagonal blocks, or
+    a scalar plus nilpotent Jordan blocks, in a random basis or not."""
+    M = np.zeros((d, d), dtype=np.int64)
+    if rng.integers(2):
+        b = int(rng.integers(1, d // 2 + 1)) if d > 1 else 1
+        A = K.rand_codes(rng, (b, b))
+        for i in range(0, d - b + 1, b):
+            M[i : i + b, i : i + b] = A
+        M[d - d % b :, d - d % b :] = K.rand_codes(rng, (d % b, d % b))
+    else:
+        cuts = sorted({0, d, *rng.integers(1, d, size=2).tolist()}) if d > 1 else [0, d]
+        for i, j in zip(cuts, cuts[1:]):
+            M[np.arange(i, j - 1), np.arange(i + 1, j)] = 1
+        M[np.arange(d), np.arange(d)] = int(rng.integers(K.q))
+    if rng.integers(2):
+        while True:
+            T = K.rand_codes(rng, (d, d))
+            if linalg.is_invertible(K, T):
+                return K.mat_mul(K.mat_mul(T, M), linalg.inverse(K, T))
+    return M
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (7, 1), (3, 2), (2, 17), (3, 11)])
+def test_shared_krylov_loop_matches_inline_loops(p, n):
+    K = make_field(p, n)
+    rng = np.random.default_rng(17 * p + n)
+    for d in range(1, 13):
+        for M in (K.rand_codes(rng, (d, d)), _blocks(K, rng, d), _blocks(K, rng, d)):
+            _same(P.char_poly(K, M), _char_poly_inline(K, M))
+            _same(P.min_poly_mat(K, M), _min_poly_inline(K, M))
+            seeds = rng.permutation(d)[: int(rng.integers(1, d + 1))].tolist()
+            _same(P.min_poly_mat(K, M, seeds), _min_poly_inline(K, M, seeds))
 
 
 def test_corrupted_krylov_relation_fails_the_degree_check(monkeypatch):
