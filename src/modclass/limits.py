@@ -8,14 +8,12 @@ explosions into clean errors instead of hangs.
 MAX_GROUP_ORDER = 200
 MAX_FIELD_SIZE = 2**20
 
-# Exhaustive-scan ceiling: the Las Vegas searches scan every element of a
-# space (module vectors for Norton, a span of endomorphisms) after their
-# random attempts only when it has at most this many elements.
+# Budgets of meataxe._las_vegas, which runs Norton's test and the splitting
+# of an endomorphism algebra: RANDOM_ATTEMPTS random attempts, then a scan of
+# the whole space (module vectors, a span of endomorphisms) if it has at most
+# SCAN_CAP elements, else InconclusiveError.  An isomorphism test spends
+# them only inside `decompose`, when both sides are decomposable.
 SCAN_CAP = 8192
-
-# Random attempts of Norton's test and of splitting an endomorphism algebra,
-# before the scan or InconclusiveError.  An isomorphism test spends them only
-# inside `decompose`, when both sides are decomposable.
 RANDOM_ATTEMPTS = 200
 
 # Default extension-degree bound for fiber and preimage searches.

@@ -3,12 +3,13 @@
 Simplicity testing uses Norton's criterion: for a random element z of the
 enveloping algebra and an irreducible factor f of its minimal polynomial
 with nullity(f(z)) = deg f, one spin of a null vector plus one spin of a
-transpose null vector is conclusive.  Randomness only drives the search for
-such a witness; reported answers are always verified, so a bad random
-stream can at worst raise InconclusiveError, never a wrong verdict.  When
-the search fails on a small module, an exhaustive scan spins one vector per
-projective point; the canonical form of a small simple module spins the same
-points.  Both spin every point in lockstep (`linalg.spin_each`).
+transpose null vector is conclusive.  It and splitting along End (below,
+`_span_search`) are the only Las Vegas searches, both run by `_las_vegas`:
+random attempts, then a complete scan of a space of at most SCAN_CAP
+elements.  Verdicts are verified, so a bad random stream can at worst raise
+InconclusiveError, never a wrong verdict.  Norton's scan spins one vector
+per projective point, as the canonical form of a small simple module does,
+every point in lockstep (`linalg.spin_each`).
 
 Indecomposability is decided exactly: E = End(V) is local if and only if
 every composition factor of the regular module of E has dimension
@@ -45,10 +46,8 @@ Isomorphism is decided exactly.  When either module is indecomposable,
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Otherwise U is decomposed against the classes of V: by Krull-Schmidt they
 are isomorphic exactly when the multiplicities agree, and then the two
-splitting bases compose to an isomorphism.  Only splitting an endomorphism
-algebra searches random combinations of a basis, then every combination of
-a span of at most SCAN_CAP elements (`_span_search`).  Generator
-characteristic polynomials serve as sort keys of class representatives.
+splitting bases compose to an isomorphism.  Generator characteristic
+polynomials serve as sort keys of class representatives.
 
 The simple modules of a group are the composition factors of its natural
 permutation module closed under pairwise tensor products, the smallest
@@ -153,14 +152,25 @@ def _projective_points(field: FiniteField, dim: int) -> np.ndarray:
     return vecs[lead == 1]
 
 
-def _exhaustive_simple(field: FiniteField, mats, dim: int):
-    """Complete scan: simple iff every nonzero vector generates everything.
+def _las_vegas(field: FiniteField, n: int, attempt, scan, what: str):
+    """attempt(k) for k < RANDOM_ATTEMPTS until one gives a verdict (not None),
+    then the complete scan() of a space of q^n <= SCAN_CAP elements; a larger
+    space raises InconclusiveError, so no verdict is ever guessed."""
+    for k in range(limits.RANDOM_ATTEMPTS):
+        found = attempt(k)
+        if found is not None:
+            return found
+    if field.q**n <= limits.SCAN_CAP:
+        return scan()
+    msg = "%s found no verdict in %d random attempts (dim %d over %r)"
+    raise InconclusiveError(msg % (what, limits.RANDOM_ATTEMPTS, n, field))
 
-    Only called when field.q ** dim <= SCAN_CAP.  One representative per
-    projective line suffices since spin(c*v) = spin(v); every one of them is
-    spun in lockstep (`linalg.spin_each`), and the witness is the spin of
-    the first whose span falls short.
-    """
+
+def _exhaustive_simple(field: FiniteField, mats, dim: int):
+    """Norton's complete scan (q^dim <= SCAN_CAP): simple iff every nonzero
+    vector generates everything.  One point per projective line suffices
+    since spin(c*v) = spin(v); all are spun in lockstep (`linalg.spin_each`),
+    and the witness is the spin of the first whose span falls short."""
     points = _projective_points(field, dim)
     dims, _ = linalg.spin_each(field, mats, points)
     short = np.flatnonzero(dims < dim)
@@ -172,21 +182,20 @@ def _exhaustive_simple(field: FiniteField, mats, dim: int):
 def _norton(field: FiniteField, mats, dim: int, rng):
     """(True, None) if the module is simple, else (False, witness_rows).
 
-    A proper spin of any kernel vector proves reducibility.  The simple
-    verdict needs Norton's good case nullity(f(z)) = deg f, which need not
-    exist when composition factors repeat, so bad factors still get their
-    kernels sampled before moving on.
+    An attempt of `_las_vegas` tests z = the first generator, then random
+    algebra elements.  A proper spin of any kernel vector proves
+    reducibility.  The simple verdict needs Norton's good case nullity(f(z))
+    = deg f, which need not exist when composition factors repeat, so bad
+    factors still get their kernels sampled before moving on.
     """
     if dim == 1:
         return True, None
     if not mats:  # a group without generators: every line is a submodule
         return False, field.identity(dim)[:1]
     mats_t = [np.ascontiguousarray(M.T) for M in mats]
-    for k in range(limits.RANDOM_ATTEMPTS):
-        if k == 0:
-            z = mats[0]  # deterministic first try
-        else:
-            z = _random_algebra_element(field, mats, dim, rng)
+
+    def attempt(k):
+        z = mats[0] if k == 0 else _random_algebra_element(field, mats, dim, rng)
         mu = P.min_poly_mat(field, z)
         for f, _ in P.factor(field, mu):
             fz = P.eval_matrix(field, f, z)
@@ -205,11 +214,10 @@ def _norton(field: FiniteField, mats, dim: int, rng):
                     return False, linalg.nullspace(field, span_t.echelon_matrix())
             if good:
                 return True, None
-    if field.q**dim <= limits.SCAN_CAP:
-        return _exhaustive_simple(field, mats, dim)
-    raise InconclusiveError(
-        "no conclusive Norton witness after %d attempts (dim %d)" % (limits.RANDOM_ATTEMPTS, dim)
-    )
+        return None
+
+    scan = lambda: _exhaustive_simple(field, mats, dim)
+    return _las_vegas(field, dim, attempt, scan, "Norton's test")
 
 
 def _chop(field: FiniteField, mats, dim: int, rng):
@@ -344,28 +352,22 @@ def _combo(field: FiniteField, stack: np.ndarray, coeffs) -> np.ndarray:
 def _span_search(field: FiniteField, basis, rng, test):
     """First non-None test(x) over nonzero combinations x of a matrix basis.
 
-    Seeded random combinations come first.  When the span has at most
-    SCAN_CAP elements, every combination follows, so None means that none
-    passes the test; a larger span raises InconclusiveError instead.
+    Seeded random combinations are the attempts of `_las_vegas`, every
+    combination its scan: None means that none passes the test, and a span
+    of more than SCAN_CAP elements raises InconclusiveError instead.
     """
     stack = np.stack(basis)
     h = len(basis)
-    for _ in range(limits.RANDOM_ATTEMPTS):
-        coeffs = field.rand_codes(rng, h)
-        if coeffs.any():
-            found = test(_combo(field, stack, coeffs))
-            if found is not None:
-                return found
-    if field.q**h > limits.SCAN_CAP:
-        raise InconclusiveError(
-            "span search exhausted %d random attempts (span dim %d over %r)"
-            % (limits.RANDOM_ATTEMPTS, h, field)
-        )
-    for coeffs in _nonzero_vectors(field, h):
-        found = test(_combo(field, stack, coeffs))
-        if found is not None:
-            return found
-    return None
+
+    def test_combo(coeffs):
+        return test(_combo(field, stack, coeffs)) if coeffs.any() else None
+
+    def scan():
+        found = map(test_combo, _nonzero_vectors(field, h))
+        return next((x for x in found if x is not None), None)
+
+    attempt = lambda _: test_combo(field.rand_codes(rng, h))
+    return _las_vegas(field, h, attempt, scan, "span search")
 
 
 def _split_by_min_poly(field: FiniteField, phi: np.ndarray, seeds):
@@ -589,7 +591,7 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
         raise InputError("isomorphism test requires a common coefficient field")
     if V.dim == U.dim == 0:
         return IsoResult(True, V.field.zeros(0, 0), "zero modules")
-    if V is U:
+    if V.dim == U.dim and all(map(np.array_equal, V.matrices, U.matrices)):
         return IsoResult(True, V.field.identity(V.dim), "identical")
     res = _basis_iso(V, U)
     if res is not None:

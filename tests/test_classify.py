@@ -9,7 +9,7 @@ after derivation from endomorphism algebra degrees.
 
 import pytest
 
-from modclass import classify, meataxe
+from modclass import classify
 from modclass.errors import ConsistencyError, InputError, NotSubfieldError
 from modclass.finite_field import make_field
 from modclass.meataxe import (
@@ -281,30 +281,30 @@ def _verify_clauses(report):
 
 def test_verify_decomposes_each_module_once(monkeypatch):
     G = catalog()["S3"]
-    decomposed, hom_calls = [], [0]
-    real_decompose, real_hom = classify.decompose, meataxe.hom_basis_matrices
+    decomposed, iso_calls = [], [0]
+    real_decompose, real_iso = classify.decompose, classify.is_isomorphic
 
     def counting_decompose(V, seed=0):
         decomposed.append((b"".join(M.tobytes() for M in V.matrices), V.dim, V.field, seed))
         return real_decompose(V, seed=seed)
 
-    def counting_hom(*args):
-        hom_calls[0] += 1
-        return real_hom(*args)
+    def counting_iso(V, U, seed=0):
+        iso_calls[0] += 1
+        return real_iso(V, U, seed=seed)
 
     monkeypatch.setattr(classify, "decompose", counting_decompose)
-    monkeypatch.setattr(meataxe, "hom_basis_matrices", counting_hom)
+    monkeypatch.setattr(classify, "is_isomorphic", counting_iso)
     memoized = _verify_clauses(verify_classification(G, 2, bound=4))
-    memo_decompose, memo_hom = len(decomposed), hom_calls[0]
+    memo_decompose, memo_iso = len(decomposed), iso_calls[0]
     assert len(set(decomposed)) == memo_decompose  # no input decomposed twice
 
     # every call straight through: the same report from more work
     decomposed.clear()
-    hom_calls[0] = 0
+    iso_calls[0] = 0
     monkeypatch.setattr(classify, "_recall", lambda key, compute: compute())
     assert _verify_clauses(verify_classification(G, 2, bound=4)) == memoized
     assert len(decomposed) > memo_decompose
-    assert hom_calls[0] > memo_hom
+    assert iso_calls[0] > memo_iso
 
 
 def test_verify_memo_lives_only_inside_the_call(monkeypatch):

@@ -217,6 +217,28 @@ def test_is_isomorphic_rejects_different_dims_and_groups():
         is_isomorphic(tr, trivial_module(catalog()["S3"], F2))
 
 
+def test_equal_modules_are_isomorphic_without_a_hom_solve(monkeypatch):
+    # separately built modules with equal matrices map by the identity
+    S4 = catalog()["S4"]
+    simple = simple_modules(S4, F3).modules[-1]
+    reg = regular_module(S4, F3)
+    pairs = [
+        (trivial_module(S4, F3), trivial_module(S4, F3)),
+        (simple, Rep(S4, F3, [M.copy() for M in simple.matrices])),
+        (reg, Rep(S4, F3, [M.copy() for M in reg.matrices])),
+    ]
+
+    def no_hom_solve(*args):
+        raise AssertionError("Hom solve between equal modules")
+
+    monkeypatch.setattr(meataxe, "_basis_iso", no_hom_solve)
+    for V, U in pairs:
+        assert V is not U and V.dim > 0
+        res = is_isomorphic(V, U)
+        assert res and res.reason == "identical"
+        assert np.array_equal(res.map, F3.identity(V.dim))
+
+
 def test_extension_of_scalars_splits_nonabsolute_simple():
     C3 = catalog()["C3"]
     M2 = [W for W in composition_factors(regular_module(C3, F2)) if W.dim == 2][0]
@@ -339,7 +361,7 @@ def _exhaustive_simple_oracle(field, mats, dim):
 
 
 @pytest.mark.parametrize("name, p, n", CANONICAL_GRID)
-def test_exhaustive_simple_matches_per_point_scan(name, p, n):
+def test_exhaustive_simple_matches_per_point_scan(monkeypatch, name, p, n):
     G = S5 if name == "S5" else catalog()[name]
     K = make_field(p, n)
     simples = list(simple_modules(G, K).modules)
@@ -362,6 +384,12 @@ def test_exhaustive_simple_matches_per_point_scan(name, p, n):
         assert (got[1] is None) == (want[1] is None)
         if want[1] is not None:
             assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        with monkeypatch.context() as m:  # no attempts: Norton's test is its scan
+            m.setattr(limits, "RANDOM_ATTEMPTS", 0)
+            scanned = is_simple(W)
+        assert scanned.simple == got[0]
+        if got[1] is not None:
+            assert np.array_equal(scanned.witness, got[1])
         verdicts.add(got[0])
     assert verdicts == {True, False}
 
@@ -591,8 +619,43 @@ def test_span_search_complete_scan_miss():
 def test_span_search_exhausted_budget(monkeypatch):
     V, U = _regular_sums_c2()
     monkeypatch.setattr(limits, "SCAN_CAP", 1)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as span:
         _invertible_in_span(V, U)
+    # Norton's test with no attempts and no room to scan
+    monkeypatch.setattr(limits, "RANDOM_ATTEMPTS", 0)
+    with pytest.raises(InconclusiveError) as norton:
+        is_simple(regular_module(catalog()["S3"], F5))
+    # each message names the search, its attempts, the dimension and the field
+    assert str(span.value) == "span search found no verdict in 200 random attempts (dim 8 over GF(2))"
+    assert str(norton.value) == "Norton's test found no verdict in 0 random attempts (dim 6 over GF(5))"
+
+
+def test_las_vegas_runs_the_attempts_then_the_scan(monkeypatch):
+    monkeypatch.setattr(limits, "RANDOM_ATTEMPTS", 5)
+    calls = []
+
+    def attempt(k):
+        calls.append(k)
+        return "hit" if k == 3 else None
+
+    def scan():
+        calls.append("scan")
+        return "scanned"
+
+    # a hit stops the attempts and skips the scan
+    assert meataxe._las_vegas(F2, 4, attempt, scan, "search") == "hit"
+    assert calls == [0, 1, 2, 3]
+    # a miss spends every attempt, then scans a space of q^n <= SCAN_CAP elements
+    calls.clear()
+    monkeypatch.setattr(limits, "SCAN_CAP", 16)
+    assert meataxe._las_vegas(F2, 4, lambda k: calls.append(k), scan, "search") == "scanned"
+    assert calls == [0, 1, 2, 3, 4, "scan"]
+    # and never scans a larger space
+    calls.clear()
+    monkeypatch.setattr(limits, "SCAN_CAP", 15)
+    with pytest.raises(InconclusiveError, match="search found no verdict in 5 random attempts"):
+        meataxe._las_vegas(F2, 4, lambda k: calls.append(k), scan, "search")
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def _oracle_algebra_structure(field, basis, rng):
