@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 
-from .errors import ConsistencyError, InputError, LimitError, ModclassError
+from .errors import ConsistencyError, InputError, ModclassError
 from . import limits
 from .finite_field import make_field
 from . import classify
@@ -64,10 +64,8 @@ def _resolve_group(name_or_path: str):
     """
     groups = catalog()
     if name_or_path in groups:
-        G = groups[name_or_path]
-        if G.order > limits.MAX_GROUP_ORDER:
-            raise LimitError("group order exceeds cap %d" % limits.MAX_GROUP_ORDER)
-        return G, {"name": name_or_path}
+        doc = {"name": name_or_path}
+        return serialize.group_from_doc(doc), doc
     if os.path.exists(name_or_path):
         try:
             with open(name_or_path) as fh:

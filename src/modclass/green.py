@@ -7,11 +7,13 @@ coefficient field.  Relative traces and the identity are G-maps, and a
 G-map psi is zero once psi e_s = 0 for the unit vectors e_s that generate V
 as a KG-module (psi g e_s = g psi e_s), so the system needs only the
 columns of the traces at those k seeds: d k equations instead of d^2.  The
-vertex is found by scanning conjugacy class
-representatives of p-subgroups in ascending order; at the first order with
-a projectivity witness exactly one class can succeed, and a second success
-raises ConsistencyError.  A source is the first summand U of the restriction
-to the vertex with V a summand of Ind U, decided exactly from hom spaces.
+trace is linear, so one (d k, d^2) trace matrix, built from the group
+elements, gives the system for every Q.  The vertex is found by scanning
+conjugacy class representatives of p-subgroups in ascending order; at the
+first order with a projectivity witness exactly one class can succeed, and
+a second success raises ConsistencyError.  A source is the first summand U
+of the restriction to the vertex with V a summand of Ind U, decided exactly
+from hom spaces.
 """
 
 from __future__ import annotations
@@ -50,40 +52,14 @@ class VertexSource:
     source: Rep
 
 
-def _relative_trace(V: Rep, transversal, phis: np.ndarray, cols) -> np.ndarray:
-    """Columns `cols` of the relative traces sum_t t^-1 phi t of a stack of
-    h maps, shape (h, d, k) for k columns.
+def _trace_matrix(V: Rep, transversal, cols) -> np.ndarray:
+    """The (d k, d^2) matrix of phi -> Tr(phi)[:, cols], the columns `cols`
+    of the relative trace sum_t t^-1 phi t, on vec(phi): entry i d + j of
+    vec(phi) is phi[i, j], the coefficient of the unit map E_ij.
 
-    A chunk of m cosets takes two products for all h maps: the (h d) x d
-    stack of the maps times the d x (m k) block of the columns of the t,
-    then the d x (m d) block of the t^-1 times those images regrouped by
-    coset.  m = min(d // k, h) keeps every intermediate within h d^2 cells.
-    """
-    field = V.field
-    h, d = phis.shape[0], V.dim
-    cols = list(cols)
-    k = len(cols)
-    m = min(d // k, h)
-    stack = phis.reshape(h * d, d)
-    acc = field.zeros(d, h * k)
-    for start in range(0, len(transversal), m):
-        chunk = transversal[start : start + m]
-        n = len(chunk)
-        right = np.concatenate([V.element_matrix(t)[:, cols] for t in chunk], axis=1)
-        images = field.mat_mul(stack, right)  # block (i, t) is phi_i t[:, cols]
-        images = images.reshape(h, d, n, k).transpose(2, 1, 0, 3).reshape(n * d, h * k)
-        left = np.concatenate([V.element_matrix(pinv(t)) for t in chunk], axis=1)
-        acc = field.add(acc, field.mat_mul(left, images))
-    return acc.reshape(d, h, k).transpose(1, 0, 2)
-
-
-def _unit_map_traces(V: Rep, transversal, cols) -> np.ndarray:
-    """Columns `cols` of the relative traces of the d^2 unit maps E_ij, as
-    the (d k, d^2) system matrix of Higman's criterion.
-
-    Tr(E_ij)[a, c] = sum_t t^-1[a, i] t[j, c], so the whole system is one
-    product of the (d^2 x |T|) block of the t^-1 entries by the (|T| x d k)
-    block of the t columns, and the d^2 maps are never built.
+    Tr(E_ij)[a, c] = sum_t t^-1[a, i] t[j, c], so the matrix is one product
+    of the (d^2 x |T|) block of the t^-1 entries by the (|T| x d k) block of
+    the t columns, and the d^2 unit maps are never built.
     """
     field = V.field
     d, k = V.dim, len(cols)
@@ -99,12 +75,11 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     Every relative trace is a G-map, and so is the identity, so both are
     determined by their columns at the generating seeds of V: the system
     sum_i c_i Tr(phi_i)[:, seeds] = I[:, seeds] has the column dependencies
-    of the full d^2-row system, and the same pivots and solution.  The
-    solution's full trace is then checked against the identity.
-
-    When Q acts trivially (Q = 1, say), End_Q(V) is every d x d matrix with
-    the unit maps as its canonical basis; their traces come from the group
-    elements (`_unit_map_traces`) and the solution is read as a matrix.
+    of the full d^2-row system, and the same pivots and solution.  It is the
+    trace matrix times the End_Q(V) basis as vec(phi_i) columns; when Q acts
+    trivially (Q = 1, say) that basis is the d^2 unit maps, and the trace
+    matrix is the system itself.  The solution's full trace, summed coset by
+    coset, is then checked against the identity.
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
@@ -115,19 +90,21 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
     T = right_transversal(V.group, Q)
     seeds = V.endomorphisms()[1]
+    A = _trace_matrix(V, T, seeds)
     if all(np.array_equal(M, field.identity(d)) for M in q_mats):
-        A, stack = _unit_map_traces(V, T, seeds), None
-    else:
-        stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
-        A = _relative_trace(V, T, stack, seeds).reshape(len(stack), -1).T  # (d k, h)
+        basis = None  # coefficient i d + j is that of E_ij
+    else:  # row i is vec(phi_i)
+        basis = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d)).reshape(-1, d * d)
+        A = field.mat_mul(A, basis.T)  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
         return ProjectivityResult(False, None)
-    if stack is None:  # coefficient i d + j is that of E_ij
-        phi = coeffs.reshape(d, d)
-    else:
-        phi = field.mat_mul(coeffs[None], stack.reshape(len(stack), -1)).reshape(d, d)
-    if not np.array_equal(_relative_trace(V, T, phi[None], range(d))[0], field.identity(d)):
+    phi = (coeffs if basis is None else field.mat_mul(coeffs[None], basis)).reshape(d, d)
+    trace = field.zeros(d, d)
+    for t in T:
+        conj = field.mat_mul(field.mat_mul(V.element_matrix(pinv(t)), phi), V.element_matrix(t))
+        trace = field.add(trace, conj)
+    if not np.array_equal(trace, field.identity(d)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)
 

@@ -369,8 +369,8 @@ _CATALOG: dict[str, PermGroup] = {}
 def catalog() -> dict[str, PermGroup]:
     """Built-in groups addressable by name in the CLI and tests.
 
-    Built once, whatever the group order cap is at the time; the CLI checks
-    a named group against the cap.
+    Built once, whatever the group order cap is at the time;
+    `serialize.group_from_doc` checks a named group against the cap.
     """
     if not _CATALOG:
         defs = {

@@ -84,6 +84,8 @@ def group_from_doc(doc) -> PermGroup:
             raise InputError(
                 "unknown group name %r; catalog has %s" % (name, ", ".join(sorted(groups)))
             )
+        if groups[name].order > limits.MAX_GROUP_ORDER:
+            raise LimitError("group order exceeds cap %d" % limits.MAX_GROUP_ORDER)
         return groups[name]
     if "degree" not in doc or "generators" not in doc:
         raise InputError("group document needs 'name' or 'degree' plus 'generators'")

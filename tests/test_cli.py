@@ -232,6 +232,15 @@ def test_group_order_cap_applies_to_the_named_group(capsys, monkeypatch, name, w
     assert ("exceeds cap 4" in err) == (want_code == 1)
 
 
+def test_group_order_cap_applies_to_a_module_file_naming_its_group(tmp_path, capsys):
+    # `make` writes a catalog group by name; reading it back checks the cap too
+    path = str(tmp_path / "reg.json")
+    assert _run(capsys, ["make", "regular", "-g", "S4", "-p", "2", "-o", path])[0] == 0
+    code, out, err = _run(capsys, ["--max-group-order", "10", "decompose", "--module", path])
+    assert code == 1 and out == ""
+    assert "group order exceeds cap 10" in err
+
+
 def test_exit_code_unknown_group(capsys):
     code, _, err = _run(capsys, ["count", "-g", "M11", "-p", "2"])
     assert code == 1

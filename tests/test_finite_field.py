@@ -245,10 +245,13 @@ def test_mat_mul_matches_einsum_reference(p, n):
 
 
 def test_mat_mul_wide_relative_trace_shape():
+    # the second shape is the Higman system of green: the (d k, d^2) trace
+    # matrix times h > d k basis maps, which takes the transposed plane product
     K = make_field(2, 2)
     rng = np.random.default_rng(24)
-    A, B = K.rand_codes(rng, (24, 24)), K.rand_codes(rng, (24, 13824))
-    assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B))
+    for (r, k), c in [((24, 24), 13824), ((24, 576), 300)]:
+        A, B = K.rand_codes(rng, (r, k)), K.rand_codes(rng, (k, c))
+        assert _same(K.mat_mul(A, B), _ref_mat_mul(K, A, B)), (r, k, c)
 
 
 def test_plane_product_refuses_inexact_inner_dimension(monkeypatch):

@@ -28,7 +28,7 @@ from modclass.modrep import (
     trivial_module,
 )
 from modclass.green import (
-    _relative_trace,
+    _trace_matrix,
     green_correspondent,
     is_projective,
     is_relatively_projective,
@@ -264,6 +264,34 @@ def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatc
     assert repeats == []
 
 
+# the chunked trace of a stack of maps, the oracle of the Higman system
+def _relative_trace(V: Rep, transversal, phis: np.ndarray, cols) -> np.ndarray:
+    """Columns `cols` of the relative traces sum_t t^-1 phi t of a stack of
+    h maps, shape (h, d, k) for k columns.
+
+    A chunk of m cosets takes two products for all h maps: the (h d) x d
+    stack of the maps times the d x (m k) block of the columns of the t,
+    then the d x (m d) block of the t^-1 times those images regrouped by
+    coset.  m = min(d // k, h) keeps every intermediate within h d^2 cells.
+    """
+    field = V.field
+    h, d = phis.shape[0], V.dim
+    cols = list(cols)
+    k = len(cols)
+    m = min(d // k, h)
+    stack = phis.reshape(h * d, d)
+    acc = field.zeros(d, h * k)
+    for start in range(0, len(transversal), m):
+        chunk = transversal[start : start + m]
+        n = len(chunk)
+        right = np.concatenate([V.element_matrix(t)[:, cols] for t in chunk], axis=1)
+        images = field.mat_mul(stack, right)  # block (i, t) is phi_i t[:, cols]
+        images = images.reshape(h, d, n, k).transpose(2, 1, 0, 3).reshape(n * d, h * k)
+        left = np.concatenate([V.element_matrix(pinv(t)) for t in chunk], axis=1)
+        acc = field.add(acc, field.mat_mul(left, images))
+    return acc.reshape(d, h, k).transpose(1, 0, 2)
+
+
 def _full_system_higman(V, Q):
     # Higman's criterion on all d^2 entries of the relative traces
     field = V.field
@@ -338,20 +366,23 @@ TRACE_GRID = [(name, p, n) for name, p in GROUP_PRIMES for n in (1, 2)]
 
 @pytest.mark.parametrize("name, p, n", TRACE_GRID)
 def test_batched_relative_trace_matches_per_map_reference(name, p, n):
-    # the Higman system is built from the traces of the End_Q(V) basis
+    # the Higman system is built from the traces of the End_Q(V) basis: the
+    # oracle's chunked stack, and the trace matrix on the vec(phi) columns
     G = catalog()[name]
     K = make_field(p, n)
     reg = regular_module(G, K)
     pim = decompose(reg).summands[0][0]
     for V in (trivial_module(G, K), reg, pim):
+        d = V.dim
         for Q in p_subgroups_up_to_conjugacy(G, p):
             q_mats = [V.element_matrix(g) for g in Q.group.generators]
-            basis = hom_basis_matrices(K, q_mats, q_mats, V.dim, V.dim)
+            basis = np.stack(hom_basis_matrices(K, q_mats, q_mats, d, d))
             T = right_transversal(G, Q)
-            got = _relative_trace(V, T, np.stack(basis), range(V.dim))
             want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (name, p, n, V.dim, Q.order)
+            by_matrix = K.mat_mul(_trace_matrix(V, T, range(d)), basis.reshape(-1, d * d).T)
+            for got in (_relative_trace(V, T, basis, range(d)), by_matrix.T.reshape(-1, d, d)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, p, n, d, Q.order)
 
 
 def _oracle_source(V, Q, seed=0):
@@ -447,16 +478,10 @@ def test_trivial_subgroup_trace_check_raises_consistency_error(monkeypatch):
         is_projective(regular_module(catalog()["S3"], F2))
 
 
-def test_projectivity_of_regular_s5_fits_in_one_gib():
-    # the d^2 unit maps of the 120-dimensional module alone would take 1.5 GiB
+def _run_in_one_gib(code):
+    # a fresh interpreter under a 1 GiB address-space limit; its stripped stdout
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "import modclass as mc\n"
-        "S5 = mc.PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])\n"
-        "print(bool(mc.is_projective(mc.regular_module(S5, mc.make_field(2, 1)))))\n"
-    )
+    code = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n" + code
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -465,4 +490,32 @@ def test_projectivity_of_regular_s5_fits_in_one_gib():
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    return proc.stdout.strip()
+
+
+def test_projectivity_of_regular_s5_fits_in_one_gib():
+    # the d^2 unit maps of the 120-dimensional module alone would take 1.5 GiB
+    out = _run_in_one_gib(
+        "import modclass as mc\n"
+        "S5 = mc.PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])\n"
+        "print(bool(mc.is_projective(mc.regular_module(S5, mc.make_field(2, 1)))))\n"
+    )
+    assert out == "True"
+
+
+def test_cap_corner_relative_projectivity_fits_in_one_gib():
+    # Ind_<(0 1)>^(S4 x C8) 1 over GF(2) has dimension 96, and at these Q
+    # of order 2 its End_Q has 4,608 basis maps: tracing them as a stack of
+    # h d x d maps does not fit, their vec(phi) columns do
+    out = _run_in_one_gib(
+        "import modclass as mc\n"
+        "fix = tuple(range(4, 12))\n"
+        "swap, c8 = (1, 0, 2, 3) + fix, tuple(range(4)) + (5, 6, 7, 8, 9, 10, 11, 4)\n"
+        "G = mc.PermGroup(12, [swap, (1, 2, 3, 0) + fix, c8])\n"
+        "H = G.generated_subgroup([swap])\n"
+        "M = mc.induce(mc.trivial_module(H.group, mc.make_field(2, 1)), G)\n"
+        "shift = tuple(range(4)) + (8, 9, 10, 11, 4, 5, 6, 7)\n"
+        "qs = [G.generated_subgroup([g]) for g in [(1, 0, 3, 2) + fix, shift]]\n"
+        "print(M.dim, [bool(mc.is_relatively_projective(M, Q)) for Q in qs])\n"
+    )
+    assert out == "96 [False, False]"

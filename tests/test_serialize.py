@@ -60,6 +60,13 @@ def test_group_doc_rejects_unknown_name():
         group_from_doc({"name": "M11"})
 
 
+def test_group_doc_caps_the_order_of_a_named_group(monkeypatch):
+    monkeypatch.setattr(limits, "MAX_GROUP_ORDER", 10)
+    assert group_from_doc({"name": "D8"}).order == 8
+    with pytest.raises(LimitError, match="group order exceeds cap 10"):
+        group_from_doc({"name": "S4"})
+
+
 def test_group_doc_caps_degree_without_generators(monkeypatch):
     trivial = group_from_doc({"degree": limits.MAX_GROUP_ORDER, "generators": []})
     assert trivial.order == 1 and trivial.degree == limits.MAX_GROUP_ORDER
