@@ -13,7 +13,9 @@ conjugacy class representatives of p-subgroups in ascending order; at the
 first order with a projectivity witness exactly one class can succeed, and
 a second success raises ConsistencyError.  A source is the first summand U
 of the restriction to the vertex with V a summand of Ind U, decided exactly
-from hom spaces.
+by Frobenius reciprocity: the composites V -> Ind U -> V are the relative
+traces of the composites of Q-maps Res V -> U -> Res V, so the induced
+module is never built.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 from .errors import ConsistencyError, InputError
 from . import linalg
 from .meataxe import decompose, is_indecomposable
-from .modrep import Rep, hom_basis_matrices, induce, restrict_subgroup
+from .modrep import Rep, hom_basis_matrices, restrict_subgroup
 from .perm_group import (
-    PermGroup,
     Subgroup,
     are_conjugate,
     normalizer,
@@ -52,20 +53,25 @@ class VertexSource:
     source: Rep
 
 
-def _trace_matrix(V: Rep, transversal, cols) -> np.ndarray:
+def _coset_stacks(V: Rep, transversal) -> tuple[np.ndarray, np.ndarray]:
+    """The (|T|, d, d) stacks of the matrices of t^-1 and of t, t in T."""
+    inv = np.stack([V.element_matrix(pinv(t)) for t in transversal])
+    return inv, np.stack([V.element_matrix(t) for t in transversal])
+
+
+def _trace_matrix(field, inv: np.ndarray, fwd: np.ndarray, cols) -> np.ndarray:
     """The (d k, d^2) matrix of phi -> Tr(phi)[:, cols], the columns `cols`
     of the relative trace sum_t t^-1 phi t, on vec(phi): entry i d + j of
-    vec(phi) is phi[i, j], the coefficient of the unit map E_ij.
+    vec(phi) is phi[i, j], the coefficient of the unit map E_ij, from the
+    coset stacks `inv` and `fwd` of `_coset_stacks`.
 
     Tr(E_ij)[a, c] = sum_t t^-1[a, i] t[j, c], so the matrix is one product
     of the (d^2 x |T|) block of the t^-1 entries by the (|T| x d k) block of
     the t columns, and the d^2 unit maps are never built.
     """
-    field = V.field
-    d, k = V.dim, len(cols)
-    left = np.stack([V.element_matrix(pinv(t)) for t in transversal], axis=2)  # (a, i, t)
-    right = np.stack([V.element_matrix(t)[:, cols] for t in transversal])  # (t, j, c)
-    prod = field.mat_mul(left.reshape(d * d, -1), right.reshape(len(transversal), d * k))
+    (n, d, _), k = inv.shape, len(cols)
+    left = inv.transpose(1, 2, 0).reshape(d * d, n)  # (a i, t)
+    prod = field.mat_mul(left, fwd[:, :, cols].reshape(n, d * k))  # (a i, j c)
     return prod.reshape(d, d, d, k).transpose(0, 3, 1, 2).reshape(d * k, d * d)
 
 
@@ -78,19 +84,18 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     of the full d^2-row system, and the same pivots and solution.  It is the
     trace matrix times the End_Q(V) basis as vec(phi_i) columns; when Q acts
     trivially (Q = 1, say) that basis is the d^2 unit maps, and the trace
-    matrix is the system itself.  The solution's full trace, summed coset by
-    coset, is then checked against the identity.
+    matrix is the system itself.  The solution's full trace, two products of
+    the coset stacks, is then checked against the identity.
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
-    field = V.field
-    d = V.dim
+    field, d = V.field, V.dim
     if d == 0:
         return ProjectivityResult(True, field.zeros(0, 0))
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
-    T = right_transversal(V.group, Q)
+    inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
     seeds = V.endomorphisms()[1]
-    A = _trace_matrix(V, T, seeds)
+    A = _trace_matrix(field, inv, fwd, seeds)
     if all(np.array_equal(M, field.identity(d)) for M in q_mats):
         basis = None  # coefficient i d + j is that of E_ij
     else:  # row i is vec(phi_i)
@@ -100,10 +105,9 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     if coeffs is None:
         return ProjectivityResult(False, None)
     phi = (coeffs if basis is None else field.mat_mul(coeffs[None], basis)).reshape(d, d)
-    trace = field.zeros(d, d)
-    for t in T:
-        conj = field.mat_mul(field.mat_mul(V.element_matrix(pinv(t)), phi), V.element_matrix(t))
-        trace = field.add(trace, conj)
+    # sum_t t^-1 phi t: the t^-1 phi side by side, times the t stacked
+    left = field.mat_mul(inv.reshape(-1, d), phi).reshape(-1, d, d).transpose(1, 0, 2)
+    trace = field.mat_mul(left.reshape(d, -1), fwd.reshape(-1, d))
     if not np.array_equal(trace, field.identity(d)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
     return ProjectivityResult(True, phi)
@@ -140,45 +144,40 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     raise ConsistencyError("no vertex found; the Sylow level must always succeed")
 
 
-def _is_summand(V: Rep, W: Rep) -> bool:
-    """Whether the indecomposable module V is a direct summand of W.
-
-    End(V) is local, so V | W exactly when beta alpha is invertible for some
-    alpha in a basis of Hom(V, W) and beta in a basis of Hom(W, V): an
-    invertible composite splits alpha, and if every basis composite lies in
-    rad End(V), every composite does, so none is the identity.
-    """
-    field = V.field
-    d, e = V.dim, W.dim
-    alphas = hom_basis_matrices(field, V.matrices, W.matrices, d, e)
-    betas = hom_basis_matrices(field, W.matrices, V.matrices, e, d) if alphas else []
-    if not betas:
-        return False
-    a, b = len(alphas), len(betas)
-    # one product: the (b d) x e stack of betas times the e x (a d) block of alphas
-    stack = np.stack(betas).reshape(b * d, e)
-    block = np.stack(alphas).transpose(1, 0, 2).reshape(e, a * d)
-    prods = field.mat_mul(stack, block)
-    composites = prods.reshape(b, d, a, d).transpose(0, 2, 1, 3).reshape(b * a, d, d)
-    return any(linalg.is_invertible(field, c) for c in composites)
-
-
 def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     """A vertex of V together with a source: an indecomposable Q-module U
     with U a summand of the restriction and V a summand of its induction.
 
     The source is the first summand of the restriction, in decomposition
-    order, whose induction has V as a summand.  A given Q that V is not
-    projective relative to (Higman's criterion) raises InputError.
+    order, whose induction has V as a summand.  End(V) is local, so that
+    holds exactly when some composite of basis maps V -> Ind U -> V is
+    invertible.  By Frobenius reciprocity these maps are [a t]_t and
+    [t^-1 b]_t for a, b in bases of Hom_Q(Res V, U) and Hom_Q(U, Res V),
+    and the composite is the relative trace sum_t t^-1 b a t, so the
+    induced module is never built.  A given Q that V is not projective
+    relative to (Higman's criterion) raises InputError.
     """
-    G = V.group
     if Q is None:
         Q = vertex(V, seed=seed)
     elif not is_indecomposable(V, seed=seed):
         raise InputError("source is defined for indecomposable modules; decompose first")
-    res = restrict_subgroup(V, Q)
+    field, d, res = V.field, V.dim, restrict_subgroup(V, Q)
+    inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
     for U, _ in decompose(res, seed=seed).summands:
-        if _is_summand(V, induce(U, G)):
+        alphas = hom_basis_matrices(field, res.matrices, U.matrices, d, U.dim)
+        betas = hom_basis_matrices(field, U.matrices, res.matrices, U.dim, d) if alphas else []
+        if not betas:
+            continue
+        a, b, e = len(alphas), len(betas), U.dim
+        # the (|T| e x d) alphas [a t]_t side by side, the (d x |T| e) betas
+        # [t^-1 b]_t stacked: block (j, i) of their product is Tr(b_j a_i)
+        alpha = field.mat_mul(np.concatenate(alphas), fwd.transpose(1, 0, 2).reshape(d, -1))
+        alpha = alpha.reshape(a, e, -1, d).transpose(2, 1, 0, 3).reshape(-1, a * d)
+        beta = field.mat_mul(inv.reshape(-1, d), np.concatenate(betas, axis=1))
+        beta = beta.reshape(-1, d, b, e).transpose(2, 1, 0, 3).reshape(b * d, -1)
+        prods = field.mat_mul(beta, alpha)
+        composites = prods.reshape(b, d, a, d).transpose(0, 2, 1, 3).reshape(b * a, d, d)
+        if any(linalg.is_invertible(field, c) for c in composites):
             return VertexSource(Q, U)
     # only a given Q can fail Higman's criterion; testing it here, not
     # first, leaves the call with a vertex Q at its old cost

@@ -203,10 +203,10 @@ class Subgroup:
                 raise InputError("subgroup element is not in the parent group")
         if not elems or elems[0] != identity_perm(parent.degree):
             raise InputError("subgroup must contain the identity")
-        closure = set(elems)
+        self._members = frozenset(elems)
         for a in elems:
             for b in elems:
-                if pmul(a, b) not in closure:
+                if pmul(a, b) not in self._members:
                     raise InputError("element set is not closed under the product")
         self.elements: tuple[Perm, ...] = tuple(elems)
         self._group: PermGroup | None = None
@@ -253,7 +253,7 @@ class Subgroup:
         return hash((id(self.parent), self.elements))
 
     def __contains__(self, perm):
-        return tuple(perm) in set(self.elements)
+        return tuple(perm) in self._members
 
     def __repr__(self):
         return "<Subgroup order=%d of %r>" % (self.order, self.parent)

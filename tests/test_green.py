@@ -3,7 +3,9 @@
 The independent oracle for relative projectivity is the definition itself:
 V is projective relative to Q exactly when V is a direct summand of the
 induction of its restriction to Q.  Vertex results are checked against
-that oracle and against the frozen Sylow orders.
+that oracle and against the frozen Sylow orders.  Sources are checked
+against a summand test run on the induced module itself and against
+decomposing it.
 """
 
 import operator as op
@@ -14,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from modclass import linalg, meataxe, modrep
+from modclass import green, linalg, meataxe, modrep
 from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
 from modclass.meataxe import decompose, is_isomorphic, simple_modules
@@ -28,6 +30,8 @@ from modclass.modrep import (
     trivial_module,
 )
 from modclass.green import (
+    VertexSource,
+    _coset_stacks,
     _trace_matrix,
     green_correspondent,
     is_projective,
@@ -379,7 +383,7 @@ def test_batched_relative_trace_matches_per_map_reference(name, p, n):
             basis = np.stack(hom_basis_matrices(K, q_mats, q_mats, d, d))
             T = right_transversal(G, Q)
             want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
-            by_matrix = K.mat_mul(_trace_matrix(V, T, range(d)), basis.reshape(-1, d * d).T)
+            by_matrix = K.mat_mul(_trace_matrix(K, *_coset_stacks(V, T), range(d)), basis.reshape(-1, d * d).T)
             for got in (_relative_trace(V, T, basis, range(d)), by_matrix.T.reshape(-1, d, d)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (name, p, n, d, Q.order)
@@ -409,6 +413,111 @@ def test_source_matches_decompose_oracle(name, p):
                 got = vs.source
                 assert got.dim == want.dim
                 assert all(A.tobytes() == B.tobytes() for A, B in zip(got.matrices, want.matrices))
+
+
+# V | W decided on the module W itself; with W = Ind U, the oracle of the
+# relative-trace composites in source
+def _is_summand(V: Rep, W: Rep) -> bool:
+    """Whether the indecomposable module V is a direct summand of W.
+
+    End(V) is local, so V | W exactly when beta alpha is invertible for some
+    alpha in a basis of Hom(V, W) and beta in a basis of Hom(W, V): an
+    invertible composite splits alpha, and if every basis composite lies in
+    rad End(V), every composite does, so none is the identity.
+    """
+    field = V.field
+    d, e = V.dim, W.dim
+    alphas = hom_basis_matrices(field, V.matrices, W.matrices, d, e)
+    betas = hom_basis_matrices(field, W.matrices, V.matrices, e, d) if alphas else []
+    if not betas:
+        return False
+    a, b = len(alphas), len(betas)
+    # one product: the (b d) x e stack of betas times the e x (a d) block of alphas
+    stack = np.stack(betas).reshape(b * d, e)
+    block = np.stack(alphas).transpose(1, 0, 2).reshape(e, a * d)
+    prods = field.mat_mul(stack, block)
+    composites = prods.reshape(b, d, a, d).transpose(0, 2, 1, 3).reshape(b * a, d, d)
+    return any(linalg.is_invertible(field, c) for c in composites)
+
+
+def _induced_module_source(V, Q, seed=0):
+    # the first summand U of the restriction with V | Ind U, tested on the
+    # induced module itself, then Higman's criterion for a given Q
+    for U, _ in decompose(restrict_subgroup(V, Q), seed=seed).summands:
+        if _is_summand(V, induce(U, V.group)):
+            return VertexSource(Q, U)
+    if not is_relatively_projective(V, Q):
+        raise InputError("the module is not projective relative to the given subgroup")
+    raise ConsistencyError("no summand of the restriction induces back to the module")
+
+
+def _source_outcome(call):
+    # the kind of result, then the vertex and source bytes or the message
+    try:
+        vs = call()
+    except (InputError, ConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", vs.vertex.elements, vs.source.dim, [M.tobytes() for M in vs.source.matrices]
+
+
+@pytest.mark.parametrize("name, p, n", TRACE_GRID)
+def test_source_by_reciprocity_matches_induced_module_criterion(name, p, n):
+    # the summands of reg and of every Ind_Q^G 1, each against every
+    # p-subgroup class (all of index at most 24 in the catalog groups)
+    G = catalog()[name]
+    K = make_field(p, n)
+    classes = p_subgroups_up_to_conjugacy(G, p)
+    inputs = [regular_module(G, K)] + [induce(trivial_module(Q.group, K), G) for Q in classes]
+    for M in inputs:
+        for W, _ in decompose(M).summands:
+            for Q in classes:
+                want = _source_outcome(lambda: _induced_module_source(W, Q))
+                got = _source_outcome(lambda: source(W, Q))
+                assert got == want, (name, p, n, W.dim, Q.order)
+
+
+@pytest.mark.parametrize("name", ["A4", "S4"])
+def test_source_solves_no_hom_space_larger_than_the_module(name, monkeypatch):
+    # Frobenius reciprocity: hom solves on Res V and its summands only, and
+    # no induced module is built
+    assert not hasattr(green, "induce") and not hasattr(green, "_is_summand")
+    G = catalog()[name]
+    classes = p_subgroups_up_to_conjugacy(G, 2)
+    inputs = [induce(trivial_module(Q.group, F2), G) for Q in classes]
+    summands = [W for M in inputs for W, _ in decompose(M).summands]
+    sides = []
+    real_hom = modrep.hom_basis_and_seeds
+
+    def hom(field, src, tgt, d_src, d_tgt):
+        sides.append((d_src, d_tgt))
+        return real_hom(field, src, tgt, d_src, d_tgt)
+
+    def no_induce(*args):
+        raise AssertionError("source built an induced module")
+
+    monkeypatch.setattr(modrep, "hom_basis_and_seeds", hom)
+    monkeypatch.setattr(modrep, "induce", no_induce)
+    for W in summands:
+        sides.clear()
+        source(W)
+        for Q in classes:
+            try:
+                source(W, Q)
+            except InputError as exc:
+                assert "not projective relative" in str(exc)
+        assert sides and max(max(s) for s in sides) <= W.dim, (W.dim, sides)
+
+
+def test_cap_corner_sources_of_an_induced_module():
+    # Ind_<(0 1)>^(S4 x C8) 1 over GF(2) splits as 32 + 64; at <(0 1)>, of
+    # index 96, the induced modules of the candidates have dimension 96 or 192
+    fix = tuple(range(4, 12))
+    swap, c8 = (1, 0, 2, 3) + fix, tuple(range(4)) + (5, 6, 7, 8, 9, 10, 11, 4)
+    G = PermGroup(12, [swap, (1, 2, 3, 0) + fix, c8])
+    H = G.generated_subgroup([swap])
+    M = induce(trivial_module(H.group, F2), G)
+    got = sorted((W.dim, source(W, H).source.dim) for W, _ in decompose(M).summands)
+    assert got == [(32, 1), (64, 2)]
 
 
 def test_source_with_given_subgroup_rejects_decomposable():

@@ -242,6 +242,13 @@ def test_generated_subgroup_standalone_group():
     assert set(H.group.elements) == set(H.elements)
 
 
+def test_subgroup_membership():
+    G = catalog()["S4"]
+    H = G.generated_subgroup([(1, 0, 2, 3)])
+    assert (1, 0, 2, 3) in H and [0, 1, 2, 3] in H
+    assert (1, 2, 3, 0) in G and (1, 2, 3, 0) not in H
+
+
 def test_normalizer_examples():
     G = catalog()["S3"]
     C2 = G.generated_subgroup([(1, 0, 2)])
