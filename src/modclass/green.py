@@ -20,6 +20,7 @@ module is never built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,8 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     """Minimal subgroup (up to conjugacy) relative to which V is projective.
 
     Only defined for indecomposable modules; decompose first otherwise.
+    The scan starts at Green's bound: |G:D|_p divides dim V for a vertex D
+    (J. A. Green, Math. Z. 70, 1959), so |D| >= |G|_p / (dim V)_p.
     """
     if V.dim == 0:
         raise InputError("the zero module has no vertex")
@@ -133,7 +136,9 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     by_order: dict[int, list[Subgroup]] = {}
     for Q in reps:
         by_order.setdefault(Q.order, []).append(Q)
-    for order in sorted(by_order):
+    # Green's bound; p^(bit length of m) > m, so gcd(m, it) is the p-part of m
+    gp, dp = (math.gcd(m, p ** m.bit_length()) for m in (G.order, V.dim))
+    for order in sorted(o for o in by_order if o * dp >= gp):
         hits = [Q for Q in by_order[order] if is_relatively_projective(V, Q)]
         if hits:
             if len(hits) != 1:
@@ -194,12 +199,9 @@ def green_correspondent(V: Rep, Q: Subgroup, H: Subgroup, seed: int = 0) -> Rep:
     G = V.group
     if Q.parent is not G or H.parent is not G:
         raise InputError("subgroups must belong to the module's group")
-    qset = set(Q.elements)
-    hset = set(H.elements)
-    if not qset <= hset:
+    if not all(g in H for g in Q.elements):
         raise InputError("the vertex subgroup must lie inside H")
-    N = normalizer(G, Q)
-    if not set(N.elements) <= hset:
+    if not all(g in H for g in normalizer(G, Q).elements):
         raise InputError("H must contain the normalizer of the vertex")
     vx = vertex(V, seed=seed)
     if not are_conjugate(G, vx, Q):

@@ -4,11 +4,19 @@ A permutation is a tuple of images; ``pmul(a, b)`` is "apply a, then b",
 so representation matrices multiply in the same order as the group law.
 Element lists are always sorted lexicographically, which places the
 identity first.  All enumeration here is deterministic.
+
+Inside this module the group law is one (n x n) table of element indices,
+built on first use: ``table[i, j]`` is the index of elements[i] *
+elements[j], and ``conj[g, h]`` that of g^-1 h g.  Indices follow the sorted
+element list, so sorting indices sorts permutations.  Classes, normalizers,
+cosets, subgroup closures and p-subgroups are reads of these two tables.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import InputError, LimitError, _require
 from . import limits
@@ -95,6 +103,7 @@ class PermGroup:
         # kept on the instance because subgroups are tied to it by identity
         self._p_subgroups: dict[int, tuple[Subgroup, ...]] = {}
         self._classes: tuple[tuple[Perm, ...], ...] | None = None
+        self._law: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def order(self) -> int:
@@ -116,18 +125,41 @@ class PermGroup:
         except KeyError:
             raise InputError("permutation is not a group element") from None
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, conj) of element indices, as in the module docstring."""
+        if self._law is None:
+            n, index = self.order, self._index
+            right = [np.array([index[pmul(g, s)] for g in self.elements]) for s in self.generators]
+            # column j, right multiplication by elements[j], along its word
+            table = np.empty((n, n), np.intp)
+            for h, word in self._words.items():
+                col = np.arange(n)
+                for k in word:
+                    col = right[k][col]
+                table[:, index[h]] = col
+            inv = (table == 0).argmax(axis=1)
+            self._law = table, table[table[inv], np.arange(n)[:, None]]
+        return self._law
+
+    def _span(self, gens) -> np.ndarray:
+        """Ascending indices of the subgroup generated by element indices."""
+        gens, mask = np.asarray(gens, np.intp), np.zeros(self.order, bool)
+        mask[0] = True
+        while True:
+            members = mask.nonzero()[0]
+            mask[self._tables()[0][np.ix_(members, gens)]] = True
+            if mask.sum() == members.size:
+                return members
+
     def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
         """Classes as sorted tuples; the identity's class comes first."""
         if self._classes is None:
-            seen: set[Perm] = set()
-            classes = []
-            for g in self.elements:
-                if g in seen:
-                    continue
-                orbit = {pmul(pmul(pinv(h), g), h) for h in self.elements}
-                seen |= orbit
-                classes.append(tuple(sorted(orbit)))
-            self._classes = tuple(classes)
+            # column h of conj is the class of h; order classes by least element
+            least = self._tables()[1].min(axis=0)
+            self._classes = tuple(
+                tuple(self.elements[i] for i in (least == r).nonzero()[0])
+                for r in (least == np.arange(self.order)).nonzero()[0]
+            )
         return list(self._classes)
 
     def p_regular_class_count(self, p: int) -> int:
@@ -170,8 +202,11 @@ class PermGroup:
         return Subgroup(self, elements)
 
     def generated_subgroup(self, gens) -> "Subgroup":
-        elems = _close({identity_perm(self.degree), *(tuple(g) for g in gens)})
-        return Subgroup(self, elems)
+        try:
+            idx = [self._index[tuple(g)] for g in gens]
+        except KeyError:
+            raise InputError("subgroup element is not in the parent group") from None
+        return Subgroup(self, [self.elements[i] for i in self._span(idx)])
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, [identity_perm(self.degree)])
@@ -193,22 +228,26 @@ class PermGroup:
 
 
 class Subgroup:
-    """A subgroup given by its element set, tied to a parent group."""
+    """A subgroup given by its element set, tied to a parent group.
+
+    Held as the ascending indices `_idx` of its elements in the parent and a
+    membership mask `_mask` over the parent's elements.
+    """
 
     def __init__(self, parent: PermGroup, elements):
         self.parent = parent
-        elems = sorted({tuple(int(x) for x in e) for e in elements})
-        for e in elems:
-            if e not in parent:
-                raise InputError("subgroup element is not in the parent group")
-        if not elems or elems[0] != identity_perm(parent.degree):
+        try:
+            idx = sorted({parent._index[tuple(int(x) for x in e)] for e in elements})
+        except KeyError:
+            raise InputError("subgroup element is not in the parent group") from None
+        if not idx or idx[0] != 0:
             raise InputError("subgroup must contain the identity")
-        self._members = frozenset(elems)
-        for a in elems:
-            for b in elems:
-                if pmul(a, b) not in self._members:
-                    raise InputError("element set is not closed under the product")
-        self.elements: tuple[Perm, ...] = tuple(elems)
+        self._idx = np.array(idx, np.intp)
+        self._mask = np.zeros(parent.order, bool)
+        self._mask[self._idx] = True
+        if not self._mask[parent._tables()[0][np.ix_(self._idx, self._idx)]].all():
+            raise InputError("element set is not closed under the product")
+        self.elements: tuple[Perm, ...] = tuple(parent.elements[i] for i in idx)
         self._group: PermGroup | None = None
 
     @property
@@ -223,18 +262,13 @@ class Subgroup:
         result is deterministic.
         """
         if self._group is None:
-            gens: list[Perm] = []
-            have = {identity_perm(self.parent.degree)}
-            for g in self.elements:
-                if g in have:
-                    continue
-                gens.append(g)
-                have = _close(have | {g})
-                if len(have) == self.order:
-                    break
-            if not gens:
-                gens = [identity_perm(self.parent.degree)]
-            grp = PermGroup(self.parent.degree, gens, max_order=self.order + 1)
+            G, gens, have = self.parent, [], np.zeros(1, np.intp)
+            for i in self._idx:
+                if i not in have:
+                    gens.append(i)
+                    have = G._span(gens)
+            perms = [G.elements[i] for i in gens] or [identity_perm(G.degree)]
+            grp = PermGroup(G.degree, perms, max_order=self.order + 1)
             _require(
                 set(grp.elements) == set(self.elements),
                 "chosen generators do not generate the subgroup",
@@ -253,43 +287,29 @@ class Subgroup:
         return hash((id(self.parent), self.elements))
 
     def __contains__(self, perm):
-        return tuple(perm) in self._members
+        i = self.parent._index.get(tuple(perm))
+        return i is not None and bool(self._mask[i])
 
     def __repr__(self):
         return "<Subgroup order=%d of %r>" % (self.order, self.parent)
 
 
-def _close(elems: set[Perm]) -> set[Perm]:
-    out = set(elems)
-    queue = list(elems)
-    while queue:
-        a = queue.pop()
-        for b in list(out):
-            for c in (pmul(a, b), pmul(b, a)):
-                if c not in out:
-                    out.add(c)
-                    queue.append(c)
-    return out
+def _rebased(G: PermGroup, H: Subgroup) -> Subgroup:
+    return H if H.parent is G else Subgroup(G, H.elements)
 
 
-def _normalizing(G: PermGroup, S: frozenset) -> list[Perm]:
-    """The elements g of G, in order, with g^-1 S g = S."""
-    return [g for g in G.elements if all(pmul(pmul(pinv(g), h), g) in S for h in S)]
+def _carries(G: PermGroup, A: Subgroup, B: Subgroup) -> np.ndarray:
+    """Mask of the g in G with g^-1 A g inside B."""
+    A, B = _rebased(G, A), _rebased(G, B)
+    return B._mask[G._tables()[1][:, A._idx]].all(axis=1)
 
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    return Subgroup(G, _normalizing(G, frozenset(H.elements)))
+    return Subgroup(G, [G.elements[i] for i in _carries(G, H, H).nonzero()[0]])
 
 
 def are_conjugate(G: PermGroup, A: Subgroup, B: Subgroup) -> bool:
-    if A.order != B.order:
-        return False
-    bset = set(B.elements)
-    for g in G.elements:
-        gi = pinv(g)
-        if all(pmul(pmul(gi, h), g) in bset for h in A.elements):
-            return True
-    return False
+    return A.order == B.order and bool(_carries(G, A, B).any())
 
 
 def right_transversal(G: PermGroup, H: Subgroup) -> list[Perm]:
@@ -297,70 +317,46 @@ def right_transversal(G: PermGroup, H: Subgroup) -> list[Perm]:
 
     The identity represents H itself and comes first.
     """
-    covered: set[Perm] = set()
-    reps = []
-    for t in G.elements:
-        if t in covered:
-            continue
-        reps.append(t)
-        for h in H.elements:
-            covered.add(pmul(h, t))
-    return reps
+    least = G._tables()[0][_rebased(G, H)._idx].min(axis=0)  # least of Ht, per t
+    return [G.elements[t] for t in (least == np.arange(G.order)).nonzero()[0]]
 
 
 def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
     """Conjugacy class representatives of all p-subgroups, ascending order.
 
-    Built level by level: each class rep of order p^k is extended inside its
-    normalizer by p-elements; every class of order p^(k+1) subgroups arises
-    this way because p-groups have normal maximal subgroups.
+    Built level by level: each class rep S of order p^k is extended by the
+    x in its normalizer with x^p in S, to S u Sx u ... u Sx^(p-1); every
+    class of order p^(k+1) subgroups arises this way because p-groups have
+    normal maximal subgroups.  A class is named by its least conjugate,
+    the least row of sort(conj[:, S]).
 
     The classes are computed once per group and prime; each call returns a
     fresh list of the same Subgroup objects.
     """
-    cached = G._p_subgroups.get(p)
-    if cached is None:
-        cached = G._p_subgroups[p] = tuple(_p_subgroup_classes(G, p))
-    return list(cached)
+    if p not in G._p_subgroups:
+        G._p_subgroups[p] = tuple(_p_subgroup_classes(G, p))
+    return list(G._p_subgroups[p])
 
 
 def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
-    ident = identity_perm(G.degree)
-    trivial = frozenset([ident])
-
-    def canonical_rep(S: frozenset) -> tuple:
-        best = None
-        for g in G.elements:
-            gi = pinv(g)
-            conj = tuple(sorted(pmul(pmul(gi, h), g) for h in S))
-            if best is None or conj < best:
-                best = conj
-        return best
-
-    all_reps: list[frozenset] = [trivial]
-    current = [trivial]
+    (table, conj), n = G._tables(), G.order
+    xp = np.arange(n)  # x^p per x; x^1 if p does not divide n, and then no x extends
+    for _ in range(p - 1 if n % p == 0 else 0):
+        xp = table[xp, np.arange(n)]
+    reps = current = [G.trivial_subgroup()]
     while current:
-        found: dict[tuple, frozenset] = {}
+        found: set[tuple] = set()
         for S in current:
-            for x in _normalizing(G, S):
-                if x in S:
-                    continue
-                k = perm_order(x)
-                while k % p == 0:
-                    k //= p
-                if k != 1:
-                    continue  # not a p-element
-                T = frozenset(_close(set(S) | {x}))
-                if len(T) == p * len(S):
-                    key = canonical_rep(T)
-                    if key not in found:
-                        found[key] = frozenset(key)
-        current = list(found.values())
-        current.sort(key=lambda s: tuple(sorted(s)))
-        all_reps.extend(current)
-    subs = [Subgroup(G, list(S)) for S in all_reps]
-    subs.sort(key=lambda H: (H.order, H.elements))
-    return subs
+            todo = _carries(G, S, S) & ~S._mask & S._mask[xp]
+            while todo.any():
+                x, T = todo.argmax(), S._idx  # least x not in an earlier <S, y>
+                for _ in range(p - 1):  # T = S u Sx u ... u Sx^(p-1)
+                    T = np.concatenate([S._idx, table[T, x]])
+                todo[T] = False
+                found.add(min(map(tuple, np.sort(conj[:, T], axis=1).tolist())))
+        current = [Subgroup(G, [G.elements[i] for i in key]) for key in sorted(found)]
+        reps = reps + current
+    return reps
 
 
 _CATALOG: dict[str, PermGroup] = {}

@@ -520,6 +520,38 @@ def test_cap_corner_sources_of_an_induced_module():
     assert got == [(32, 1), (64, 2)]
 
 
+def _vertex_by_full_scan(V):
+    # the scan of vertex from order 1, without Green's bound
+    by_order = {}
+    for Q in p_subgroups_up_to_conjugacy(V.group, V.field.p):
+        by_order.setdefault(Q.order, []).append(Q)
+    for order in sorted(by_order):
+        hits = [Q for Q in by_order[order] if is_relatively_projective(V, Q)]
+        if hits:
+            assert len(hits) == 1, (order, len(hits))
+            return hits[0]
+    raise AssertionError("no vertex found")
+
+
+@pytest.mark.parametrize("name, p", GROUP_PRIMES)
+def test_vertex_from_greens_bound_matches_full_scan(name, p):
+    G = catalog()[name]
+    K = make_field(p, 1)
+    inputs = [regular_module(G, K)]
+    inputs += [induce(trivial_module(Q.group, K), G) for Q in p_subgroups_up_to_conjugacy(G, p)]
+    for M in inputs:
+        for W, _ in decompose(M).summands:
+            assert vertex(W) is _vertex_by_full_scan(W), (name, p, W.dim)
+
+
+def test_cap_corner_vertex_of_the_trivial_module():
+    # S4 x C8 has order 192 = 2^6 * 3; the trivial module's vertex is a Sylow 2-subgroup
+    fix = tuple(range(4, 12))
+    c8 = tuple(range(4)) + (5, 6, 7, 8, 9, 10, 11, 4)
+    G = PermGroup(12, [(1, 0, 2, 3) + fix, (1, 2, 3, 0) + fix, c8])
+    assert vertex(trivial_module(G, F2)).order == 64
+
+
 def test_source_with_given_subgroup_rejects_decomposable():
     G = catalog()["S3"]
     reg = regular_module(G, F2)

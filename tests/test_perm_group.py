@@ -1,7 +1,10 @@
 """Permutation groups, conjugacy, subgroup enumeration, transversals.
 
 The p-regular class counts and p-subgroup class counts are cross-checked
-against brute-force reimplementations written directly in this file.
+against brute-force reimplementations written directly in this file.  The
+subgroup routines, which read a table of element indices, are checked
+against the earlier versions that composed permutation tuples, kept here
+as oracles.
 """
 
 import itertools
@@ -303,3 +306,168 @@ def test_p_subgroup_classes_are_computed_once_per_group():
     other = p_subgroups_up_to_conjugacy(PermGroup(4, G.generators), 2)
     assert [H.elements for H in other] == [H.elements for H in second]
     assert all(H.parent is not G for H in other)
+
+
+# the subgroup routines as they were before the index table: each composes
+# permutation tuples over the whole group
+
+def _tuple_close(elems):
+    out = set(elems)
+    queue = list(elems)
+    while queue:
+        a = queue.pop()
+        for b in list(out):
+            for c in (pmul(a, b), pmul(b, a)):
+                if c not in out:
+                    out.add(c)
+                    queue.append(c)
+    return out
+
+
+def _tuple_conjugacy_classes(G):
+    seen = set()
+    classes = []
+    for g in G.elements:
+        if g in seen:
+            continue
+        orbit = {pmul(pmul(pinv(h), g), h) for h in G.elements}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def _tuple_normalizing(G, S):
+    return [g for g in G.elements if all(pmul(pmul(pinv(g), h), g) in S for h in S)]
+
+
+def _tuple_are_conjugate(G, A, B):
+    if A.order != B.order:
+        return False
+    bset = set(B.elements)
+    for g in G.elements:
+        gi = pinv(g)
+        if all(pmul(pmul(gi, h), g) in bset for h in A.elements):
+            return True
+    return False
+
+
+def _tuple_right_transversal(G, H):
+    covered = set()
+    reps = []
+    for t in G.elements:
+        if t in covered:
+            continue
+        reps.append(t)
+        for h in H.elements:
+            covered.add(pmul(h, t))
+    return reps
+
+
+def _tuple_p_subgroup_classes(G, p):
+    """Element tuples of the class representatives, by (order, elements)."""
+    trivial = frozenset([identity_perm(G.degree)])
+
+    def canonical_rep(S):
+        best = None
+        for g in G.elements:
+            gi = pinv(g)
+            conj = tuple(sorted(pmul(pmul(gi, h), g) for h in S))
+            if best is None or conj < best:
+                best = conj
+        return best
+
+    all_reps = [trivial]
+    current = [trivial]
+    while current:
+        found = {}
+        for S in current:
+            for x in _tuple_normalizing(G, S):
+                if x in S:
+                    continue
+                k = perm_order(x)
+                while k % p == 0:
+                    k //= p
+                if k != 1:
+                    continue  # not a p-element
+                T = frozenset(_tuple_close(set(S) | {x}))
+                if len(T) == p * len(S):
+                    key = canonical_rep(T)
+                    if key not in found:
+                        found[key] = frozenset(key)
+        current = list(found.values())
+        current.sort(key=lambda s: tuple(sorted(s)))
+        all_reps.extend(current)
+    return sorted((tuple(sorted(S)) for S in all_reps), key=lambda S: (len(S), S))
+
+
+def _tuple_generators(H):
+    # the greedy generator choice of Subgroup.group
+    gens, have = [], {identity_perm(H.parent.degree)}
+    for g in H.elements:
+        if g not in have:
+            gens.append(g)
+            have = _tuple_close(have | {g})
+    return tuple(gens) or (identity_perm(H.parent.degree),)
+
+
+def _elementary_abelian_2(k):
+    # C2^k as k disjoint transpositions on 2k points
+    return PermGroup(2 * k, [tuple(j ^ 1 if j // 2 == i else j for j in range(2 * k)) for i in range(k)])
+
+
+def _s4_x_c8():
+    # the cap corner: order 192, degree 12
+    fix = tuple(range(4, 12))
+    c8 = tuple(range(4)) + (5, 6, 7, 8, 9, 10, 11, 4)
+    return PermGroup(12, [(1, 0, 2, 3) + fix, (1, 2, 3, 0) + fix, c8])
+
+
+EXTRA_GROUPS = {
+    "S5": lambda: PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    "C2^4": lambda: _elementary_abelian_2(4),
+    "C2^5": lambda: _elementary_abelian_2(5),
+    "S4xC8": _s4_x_c8,
+    # S3 x S3 has a Sylow 3-subgroup C3 x C3, so extensions at p = 3 stack
+    "S3xS3": lambda: PermGroup(6, [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)]),
+}
+ORACLE_CASES = [
+    (name, p) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0
+] + [("S3", 5), ("S5", 2), ("S5", 3), ("S5", 5), ("C2^4", 2), ("S3xS3", 2), ("S3xS3", 3)]
+
+
+@pytest.mark.parametrize("name, p", ORACLE_CASES)
+def test_index_table_routines_match_tuple_oracles(name, p):
+    G = catalog()[name] if name in catalog() else EXTRA_GROUPS[name]()
+    assert G.conjugacy_classes() == _tuple_conjugacy_classes(G)
+    subs = p_subgroups_up_to_conjugacy(G, p)
+    assert [H.elements for H in subs] == _tuple_p_subgroup_classes(G, p)
+    # conjugates of the representatives give pairs that are conjugate
+    others = list(subs)
+    for H in subs:
+        for g in (G.elements[-1], *G.generators):
+            others.append(G.subgroup({pmul(pmul(pinv(g), h), g) for h in H.elements}))
+    for A in subs:
+        assert normalizer(G, A).elements == tuple(_tuple_normalizing(G, frozenset(A.elements)))
+        assert right_transversal(G, A) == _tuple_right_transversal(G, A)
+        assert [are_conjugate(G, A, B) for B in others] == [_tuple_are_conjugate(G, A, B) for B in others]
+    for H in others:
+        assert H.group.generators == _tuple_generators(H)
+        assert G.generated_subgroup(H.group.generators) == H
+
+
+def test_p_subgroup_classes_of_c2_5_match_tuple_oracle():
+    # 374 classes; the tuple oracle takes about 18 s here
+    G = EXTRA_GROUPS["C2^5"]()
+    assert [H.elements for H in p_subgroups_up_to_conjugacy(G, 2)] == _tuple_p_subgroup_classes(G, 2)
+
+
+@pytest.mark.parametrize("name, count", [("S4xC8", 57), ("C2^5", 374)])
+def test_cap_corner_2_subgroup_class_counts(name, count):
+    subs = p_subgroups_up_to_conjugacy(EXTRA_GROUPS[name](), 2)
+    assert len(subs) == count
+    assert all(H.order <= K.order for H, K in zip(subs, subs[1:]))
+
+
+def test_generated_subgroup_rejects_a_non_element():
+    with pytest.raises(InputError, match="not in the parent group"):
+        catalog()["A4"].generated_subgroup([(1, 0, 2, 3)])
