@@ -63,10 +63,6 @@ def classify_module(V: Rep, seed: int = 0) -> ModuleFlags:
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("classify_memo", default=None)
 
 
-def _content(V: Rep) -> tuple:
-    return (V.group, V.field, V.dim, b"".join(M.tobytes() for M in V.matrices))
-
-
 def _recall(key, compute):
     """compute(), or its stored result when a memo is in scope.
 
@@ -83,7 +79,7 @@ def _recall(key, compute):
 def _summand_classes(V: Rep, seed: int = 0) -> list[tuple[Rep, int]]:
     return list(
         _recall(
-            lambda: ("decompose", seed, _content(V)),
+            lambda: ("decompose", seed, V.key()),
             lambda: tuple(decompose(V, seed=seed).summands),
         )
     )
@@ -91,14 +87,14 @@ def _summand_classes(V: Rep, seed: int = 0) -> list[tuple[Rep, int]]:
 
 def _iso(V: Rep, U: Rep, seed: int) -> bool:
     return _recall(
-        lambda: ("iso", seed, _content(V), _content(U)),
+        lambda: ("iso", seed, V.key(), U.key()),
         lambda: bool(is_isomorphic(V, U, seed=seed)),
     )
 
 
 def _simple(V: Rep, seed: int) -> bool:
     return _recall(
-        lambda: ("simple", seed, _content(V)), lambda: bool(is_simple(V, seed=seed))
+        lambda: ("simple", seed, V.key()), lambda: bool(is_simple(V, seed=seed))
     )
 
 
@@ -188,15 +184,19 @@ def trace_to_prime_field(V: Rep, seed: int = 0) -> Rep:
     return W
 
 
+def _components_under(U: Rep, K: FiniteField, seed: int):
+    """The summand classes of U restricted to the subfield K that lie under
+    U, in decomposition order."""
+    for V, _ in _summand_classes(restrict_scalars(U, K), seed):
+        if up_relation(V, U, seed=seed):
+            yield V
+
+
 def indecomposable_trace(V: Rep, seed: int = 0) -> Rep:
     """The unique indecomposable prime-field module lying under V."""
-    K = V.field
-    F = make_field(K.p, 1)
-    h, rad_dim, local = end_structure(V, seed=seed)
-    if not local:
+    if not end_structure(V, seed=seed)[2]:
         raise InputError("the partition map expects an indecomposable module")
-    classes = _summand_classes(restrict_scalars(V, F), seed)
-    hits = [Y for Y, _ in classes if up_relation(Y, V, seed=seed)]
+    hits = list(_components_under(V, make_field(V.field.p, 1), seed))
     if len(hits) != 1:
         raise ConsistencyError(
             "expected exactly one prime-field component lying under the module, got %d"
@@ -238,11 +238,11 @@ def splitting_fiber(W: Rep, seed: int = 0) -> FiberLevel:
     def defect(V: Rep) -> str | None:
         if not _simple(V, seed):
             return "constituent is not simple"
-        if len(V.endomorphisms()[0]) != 1:
+        if len(V.endomorphisms()) != 1:
             return "constituent is not absolutely simple"
         return None
 
-    m = len(W.endomorphisms()[0])
+    m = len(W.endomorphisms())
     return _splitting_level(W, m, "simple", defect, seed)
 
 
@@ -275,10 +275,10 @@ def descend_component(U: Rep, K: FiniteField, seed: int = 0) -> Rep:
         raise NotSubfieldError("target field is not a subfield of the coefficients")
     if not is_indecomposable(U, seed=seed):
         raise InputError("descent is defined for indecomposable modules; decompose first")
-    for V, _ in _summand_classes(restrict_scalars(U, K), seed):
-        if up_relation(V, U, seed=seed):
-            return V
-    raise ConsistencyError("no restriction component lies under the module")
+    V = next(_components_under(U, K, seed), None)
+    if V is None:
+        raise ConsistencyError("no restriction component lies under the module")
+    return V
 
 
 @dataclass
@@ -292,7 +292,6 @@ class ReportRow:
 
 @dataclass
 class ClassificationReport:
-    group_name: str | None
     p: int
     rows: list[ReportRow]
     total: int
@@ -303,9 +302,7 @@ class ClassificationReport:
         return self.total == self.p_regular_classes
 
 
-def count_absolutely_simple(
-    G: PermGroup, p: int, seed: int = 0, group_name: str | None = None
-) -> ClassificationReport:
+def count_absolutely_simple(G: PermGroup, p: int, seed: int = 0) -> ClassificationReport:
     """Count absolutely simple classes over the closure by summing fiber
     sizes of the prime-field simples, then compare with the independent
     p-regular conjugacy class count."""
@@ -325,7 +322,7 @@ def count_absolutely_simple(
             )
         )
         total += len(level.entries)
-    return ClassificationReport(group_name, p, rows, total, G.p_regular_class_count(p))
+    return ClassificationReport(p, rows, total, G.p_regular_class_count(p))
 
 
 @dataclass
@@ -337,7 +334,6 @@ class ClauseCheck:
 
 @dataclass
 class VerificationReport:
-    group_name: str | None
     p: int
     bound: int
     clauses: list[ClauseCheck]
@@ -356,11 +352,7 @@ def _clause(name: str, fn) -> ClauseCheck:
 
 
 def verify_classification(
-    G: PermGroup,
-    p: int,
-    bound: int | None = None,
-    seed: int = 0,
-    group_name: str | None = None,
+    G: PermGroup, p: int, bound: int | None = None, seed: int = 0
 ) -> VerificationReport:
     """Check the classification statements on one group and prime, through
     field extensions of degree up to `bound` (at least 1)."""
@@ -490,4 +482,4 @@ def verify_classification(
         ]
     finally:
         _MEMO.reset(token)
-    return VerificationReport(group_name, p, bound, clauses)
+    return VerificationReport(p, bound, clauses)

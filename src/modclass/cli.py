@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from .errors import ConsistencyError, InputError, ModclassError
 from . import limits
@@ -256,16 +257,7 @@ def _cmd_count(args) -> int:
         doc = {
             "group": gdoc,
             "p": args.p,
-            "rows": [
-                {
-                    "index": r.index,
-                    "dim": r.dim,
-                    "end_degree": r.end_degree,
-                    "splitting_degree": r.splitting_degree,
-                    "fiber_size": r.fiber_size,
-                }
-                for r in rep.rows
-            ],
+            "rows": [asdict(r) for r in rep.rows],
             "total": rep.total,
             "p_regular_classes": rep.p_regular_classes,
             "agree": rep.agree,
@@ -321,10 +313,7 @@ def _cmd_verify(args) -> int:
             "group": gdoc,
             "p": args.p,
             "bound": rep.bound,
-            "clauses": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in rep.clauses
-            ],
+            "clauses": [asdict(c) for c in rep.clauses],
             "passed": rep.passed,
         }
         lines = ["verification for p=%d through extension degree %d" % (args.p, rep.bound)]

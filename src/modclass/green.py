@@ -7,15 +7,15 @@ coefficient field.  Relative traces and the identity are G-maps, and a
 G-map psi is zero once psi e_s = 0 for the unit vectors e_s that generate V
 as a KG-module (psi g e_s = g psi e_s), so the system needs only the
 columns of the traces at those k seeds: d k equations instead of d^2.  The
-trace is linear, so one (d k, d^2) trace matrix, built from the group
-elements, gives the system for every Q.  The vertex is found by scanning
-conjugacy class representatives of p-subgroups in ascending order; at the
-first order with a projectivity witness exactly one class can succeed, and
-a second success raises ConsistencyError.  A source is the first summand U
-of the restriction to the vertex with V a summand of Ind U, decided exactly
-by Frobenius reciprocity: the composites V -> Ind U -> V are the relative
-traces of the composites of Q-maps Res V -> U -> Res V, so the induced
-module is never built.
+trace is linear, so one (d k, d^2) trace matrix, built from the right
+transversal of Q, gives the system for every map in End_Q(V).  The vertex
+is found by scanning conjugacy class representatives of p-subgroups in
+ascending order; at the first order with a projectivity witness exactly
+one class can succeed, and a second success raises ConsistencyError.  A
+source is the first summand U of the restriction to the vertex with V a
+summand of Ind U, decided exactly by Frobenius reciprocity: the composites
+V -> Ind U -> V are the relative traces of the composites of Q-maps
+Res V -> U -> Res V, so the induced module is never built.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     field, d = V.field, V.dim
     if d == 0:
         return ProjectivityResult(True, field.zeros(0, 0))
-    q_mats = [V.element_matrix(g) for g in Q.group.generators]
+    q_mats = restrict_subgroup(V, Q).matrices
     inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
-    seeds = V.endomorphisms()[1]
+    seeds = V.seeds()
     A = _trace_matrix(field, inv, fwd, seeds)
     if all(np.array_equal(M, field.identity(d)) for M in q_mats):
         basis = None  # coefficient i d + j is that of E_ij
@@ -173,17 +173,16 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
         betas = hom_basis_matrices(field, U.matrices, res.matrices, U.dim, d) if alphas else []
         if not betas:
             continue
-        a, b, e = len(alphas), len(betas), U.dim
-        # the (|T| e x d) alphas [a t]_t side by side, the (d x |T| e) betas
-        # [t^-1 b]_t stacked: block (j, i) of their product is Tr(b_j a_i)
+        a, e = len(alphas), U.dim
+        # the (|T| e x d) alphas [a t]_t side by side; times the (d x |T| e)
+        # [t^-1 b]_t of one beta, block i of the product is Tr(b a_i)
         alpha = field.mat_mul(np.concatenate(alphas), fwd.transpose(1, 0, 2).reshape(d, -1))
         alpha = alpha.reshape(a, e, -1, d).transpose(2, 1, 0, 3).reshape(-1, a * d)
-        beta = field.mat_mul(inv.reshape(-1, d), np.concatenate(betas, axis=1))
-        beta = beta.reshape(-1, d, b, e).transpose(2, 1, 0, 3).reshape(b * d, -1)
-        prods = field.mat_mul(beta, alpha)
-        composites = prods.reshape(b, d, a, d).transpose(0, 2, 1, 3).reshape(b * a, d, d)
-        if any(linalg.is_invertible(field, c) for c in composites):
-            return VertexSource(Q, U)
+        for b in betas:  # stop at the first invertible composite
+            beta = field.mat_mul(inv.reshape(-1, d), b).reshape(-1, d, e).transpose(1, 0, 2)
+            composites = field.mat_mul(beta.reshape(d, -1), alpha).reshape(d, a, d).transpose(1, 0, 2)
+            if any(linalg.is_invertible(field, c) for c in composites):
+                return VertexSource(Q, U)
     # only a given Q can fail Higman's criterion; testing it here, not
     # first, leaves the call with a vertex Q at its old cost
     if not is_relatively_projective(V, Q):

@@ -26,12 +26,12 @@ trivially acting module falls apart into lines, and a sum of two regular
 modules into the two.  Each transitive piece then splits along End.
 
 Splitting reads each endomorphism on the unit vectors e_s that generate
-V as a KG-module, the seeds the standard-basis hom solve spins from.  A
-G-map phi commutes with the action, so f(phi) e_s = 0 for every seed gives
-f(phi) = 0 on V = sum_s KG e_s: the minimal polynomial of phi is the lcm of
-the order polynomials of the k seeds, k Krylov chains instead of up to d.
-It is unique, so the splitting is the one a full minimal polynomial gives.
-The products in E are read on the seed columns too.
+V as a KG-module (`Rep.seeds`).  A G-map phi commutes with the action, so
+f(phi) e_s = 0 for every seed gives f(phi) = 0 on V = sum_s KG e_s: the
+minimal polynomial of phi is the lcm of the order polynomials of the k
+seeds, k Krylov chains instead of up to d.  It is unique, so the splitting
+is the one a full minimal polynomial gives.  The products in E are read on
+the seed columns too.
 
 A piece split off along End(V) needs no hom solve of its own: with e the
 projection onto it along the other pieces, End(eV) is the corner algebra
@@ -84,7 +84,6 @@ from .perm_group import PermGroup
 class SimplicityResult:
     simple: bool
     witness: np.ndarray | None  # rows spanning a proper invariant subspace
-    note: str
 
     def __bool__(self) -> bool:
         return self.simple
@@ -105,15 +104,6 @@ class Decomposition:
     module: Rep
     summands: list[tuple[Rep, int]]
     basis: np.ndarray  # rows are the new basis vectors, grouped by summand
-
-    def conjugated_matrices(self) -> list[np.ndarray]:
-        field = self.module.field
-        C = self.basis.T
-        Cinv = linalg.inverse(field, C)
-        return [field.mat_mul(field.mat_mul(Cinv, M), C) for M in self.module.matrices]
-
-    def total_dim(self) -> int:
-        return sum(W.dim * m for W, m in self.summands)
 
 
 def _random_algebra_element(field: FiniteField, mats, dim: int, rng) -> np.ndarray:
@@ -239,9 +229,7 @@ def is_simple(V: Rep, seed: int = 0) -> SimplicityResult:
         raise InputError("simplicity is undefined for the zero module")
     rng = np.random.default_rng(seed)
     ok, witness = _norton(V.field, list(V.matrices), V.dim, rng)
-    if ok:
-        return SimplicityResult(True, None, "conclusive Norton witness")
-    return SimplicityResult(False, witness, "explicit invariant subspace")
+    return SimplicityResult(ok, witness)
 
 
 def composition_factors(V: Rep, seed: int = 0) -> list[Rep]:
@@ -291,8 +279,6 @@ def algebra_structure(field: FiniteField, basis, seeds, rng) -> tuple[int, int, 
     dimension n dim D, the quotient sum n^2 dim D).
     """
     h = len(basis)
-    if h == 1:
-        return 1, 0, True
     mults = _algebra_right_mults(field, basis, seeds)
     factors = _chop(field, mults, h, rng)
     rad_dim = _radical_coords(field, factors).shape[0]
@@ -301,16 +287,27 @@ def algebra_structure(field: FiniteField, basis, seeds, rng) -> tuple[int, int, 
 
 def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
     """(dim End, dim rad End, local?) of a module's endomorphism algebra, kept
-    on the module: the verdict is certified, so it does not depend on the seed.
+    on the module: the verdict is certified, so it does not depend on the seed."""
+    return _end_structure(V, seed)
+
+
+def _end_structure(V: Rep, rng) -> tuple[int, int, bool]:
+    """`end_structure` drawing from `rng`, a generator or the seed of one
+    made only for a draw; the one writer of ``V._structure`` besides
+    Schur's lemma in `simple_modules`.
 
     When every generator acts as the identity, End is the full matrix
-    algebra M_d(K), read off without solving for its d^2 unit maps."""
+    algebra M_d(K), read off without solving for its d^2 unit maps; a line
+    and a module whose End is the field are local with no random draw."""
     if V._structure is None:
         d = V.dim
-        if all(np.array_equal(M, V.field.identity(d)) for M in V.matrices):
+        if d == 1 or all(np.array_equal(M, V.field.identity(d)) for M in V.matrices):
             V._structure = (d * d, 0, d == 1)
+        elif len(V.endomorphisms()) == 1:  # End(V) is the field
+            V._structure = (1, 0, True)
         else:
-            V._structure = algebra_structure(V.field, *V.endomorphisms(), np.random.default_rng(seed))
+            rng = np.random.default_rng(rng)  # a generator passes through unchanged
+            V._structure = algebra_structure(V.field, V.endomorphisms(), V.seeds(), rng)
     return V._structure
 
 
@@ -319,8 +316,6 @@ def is_indecomposable(V: Rep, seed: int = 0) -> bool:
     orbit is decomposable (as in :func:`_try_split`), so it needs no End."""
     if V.dim == 0:
         raise InputError("indecomposability is undefined for the zero module")
-    if V.dim == 1:
-        return True
     orbits = point_orbits(V.matrices, V.dim)
     if orbits is not None and len(orbits) > 1:
         return False
@@ -337,7 +332,7 @@ def is_absolutely_indecomposable(V: Rep, seed: int = 0) -> bool:
 def is_absolutely_simple(V: Rep, seed: int = 0) -> bool:
     if not is_simple(V, seed):
         return False
-    return len(V.endomorphisms()[0]) == 1
+    return len(V.endomorphisms()) == 1
 
 
 # ----- Krull-Schmidt decomposition -----
@@ -418,11 +413,10 @@ def _split_with_corners(V: Rep, pieces):
     The projection e_i = p_i^T pi_i onto P_i along the other pieces is an
     idempotent of E = End(V), and End(P_i) is the corner algebra e_i E e_i
     (Fitting), in piece coordinates the span of pi_i phi p_i^T over the
-    basis of E.  Its canonical basis is checked to intertwine, and its seeds
-    are those of a spin of P_i from its unit vectors, as the hom solver's are.
+    basis of E.  Its canonical basis is checked to intertwine.
     """
     field, d = V.field, V.dim
-    basis = V.endomorphisms()[0]
+    basis = V.endomorphisms()
     projs = _projections(field, pieces)
     spans: list[list[np.ndarray]] = [[] for _ in pieces]
     m = max(1, _CORNER_CELLS // (d * d))
@@ -441,9 +435,7 @@ def _split_with_corners(V: Rep, pieces):
         end = modrep._canonical_hom_basis(field, np.concatenate(span), mats, mats, W.dim, W.dim)
         for b in end:
             b.setflags(write=False)
-        log: list = []
-        linalg.spin(field, mats, list(field.identity(W.dim)), log=log)
-        W._end = tuple(end), tuple(g for j, g, _ in log if j < 0)
+        W._end = tuple(end)
         out.append((rows, W))
     return out
 
@@ -457,25 +449,21 @@ def _try_split(V: Rep, rng):
     Raises InconclusiveError only when the endomorphism algebra is too big
     to scan and randomized search failed; never returns a wrong None.
     """
-    if V.dim == 1:
-        V._structure = (1, 0, True)
-        return None
     field = V.field
     orbits = point_orbits(V.matrices, V.dim)
     if orbits is not None and len(orbits) > 1:  # KG e_x = K[orbit of x]
         unit = field.identity(V.dim)
         return [(unit[orbit], _submodule(V, unit[orbit])) for orbit in orbits]
-    basis, seeds = V.endomorphisms()
-    if len(basis) == 1:  # End(V) is the field
-        V._structure = (1, 0, True)
+    if V.dim == 1 or len(V.endomorphisms()) == 1:  # End(V) is the field
+        _end_structure(V, rng)
         return None
+    basis, seeds = V.endomorphisms(), V.seeds()
     for phi in basis:  # deterministic candidates first
         pieces = _split_by_min_poly(field, phi, seeds)
         if pieces:
             break
     else:
-        V._structure = algebra_structure(field, basis, seeds, rng)
-        if V._structure[2]:
+        if _end_structure(V, rng)[2]:
             return None
         # a non-local algebra owns a nontrivial idempotent, whose minimal
         # polynomial x(x - 1) splits, so a complete scan cannot miss
@@ -511,16 +499,13 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
     field = V.field
     rng = np.random.default_rng(seed)
     root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)  # V itself caches nothing
-    root._end = V._end  # an End already solved on V is reused, not solved again
-
-    def key(W: Rep) -> tuple:  # equal matrices over one group and field: the same module
-        return (W.dim, *(M.tobytes() for M in W.matrices))
+    root._end, root._seeds = V._end, V._seeds  # what V has solved is reused, not solved again
 
     # key -> (rows of the piece's leaves in the piece, stacked; the leaves).
     # A piece is split after every piece before it in depth-first order is
     # done, so an entry is complete when a copy of its piece looks it up.
     leaves: dict[tuple, tuple[np.ndarray, list[Rep]]] = {}
-    stack: list = [(key(root), root)] if V.dim else []  # (key, piece) to visit, (key, split) to finish
+    stack: list = [(root.key(), root)] if V.dim else []  # (key, piece) to visit, (key, split) to finish
     while stack:
         k, item = stack.pop()
         if isinstance(item, Rep):
@@ -530,7 +515,7 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
             if split is None:
                 leaves[k] = (field.identity(item.dim), [item])
                 continue
-            split = [(rows, key(W), W) for rows, W in split]
+            split = [(rows, W.key(), W) for rows, W in split]
             stack.append((k, [(rows, sk) for rows, sk, _ in split]))
             stack.extend((sk, W) for _, sk, W in reversed(split))
         else:
@@ -539,7 +524,7 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
 
     classes = [(rep, []) for rep in reps]  # (rep, [(leaf rows, leaf -> rep map)])
     placed: dict = {}  # leaf -> (members of its class, its map), for later copies of the leaf
-    rows, found = leaves[key(root)] if V.dim else (field.zeros(0, 0), [])
+    rows, found = leaves[root.key()] if V.dim else (field.zeros(0, 0), [])
     off = 0
     for leaf in found:
         r = rows[off : off + leaf.dim]
@@ -591,7 +576,7 @@ def is_isomorphic(V: Rep, U: Rep, seed: int = 0) -> IsoResult:
         raise InputError("isomorphism test requires a common coefficient field")
     if V.dim == U.dim == 0:
         return IsoResult(True, V.field.zeros(0, 0), "zero modules")
-    if V.dim == U.dim and all(map(np.array_equal, V.matrices, U.matrices)):
+    if V.key() == U.key():
         return IsoResult(True, V.field.identity(V.dim), "identical")
     res = _basis_iso(V, U)
     if res is not None:
@@ -652,12 +637,6 @@ class SimpleSet:
 
     def __len__(self) -> int:
         return len(self.modules)
-
-    def index_of(self, W: Rep, seed: int = 0) -> int:
-        for i, M in enumerate(self.modules):
-            if is_isomorphic(W, M, seed=seed):
-                return i
-        raise ConsistencyError("module is not isomorphic to any listed simple module")
 
 
 def _add_new_factors(V: Rep, classes: list[Rep], rng, seed: int) -> None:
@@ -724,7 +703,7 @@ def simple_modules(G: PermGroup, K: FiniteField, seed: int = 0) -> SimpleSet:
     canon = [try_canonical_form(W) for W in reps]
     keys = [() if C is None else tuple(M.tobytes() for M in C.matrices) for C in canon]
     canon = [C or W for C, W in zip(canon, reps)]
-    degrees = [len(W.endomorphisms()[0]) for W in canon]
+    degrees = [len(W.endomorphisms()) for W in canon]
     for W, e in zip(canon, degrees):  # by Schur's lemma End(W) is a field
         W._structure = (e, 0, True)
     _require(

@@ -63,6 +63,7 @@ class Rep:
         self._element_cache: dict = {group_identity(group): identity}
         self._char_polys = None
         self._end = None
+        self._seeds = None
         self._structure = None  # (dim End, dim rad End, local?), kept by meataxe
 
     def element_matrix(self, g) -> np.ndarray:
@@ -103,22 +104,43 @@ class Rep:
             )
         return self._char_polys
 
-    def endomorphisms(self):
-        """(basis, seeds) of End(V) from :func:`hom_basis_and_seeds`, solved once.
+    def endomorphisms(self) -> tuple[np.ndarray, ...]:
+        """The basis of End(V) from :func:`hom_basis_matrices`, solved once.
 
-        The seeds index unit vectors e_s with V = sum_s KG e_s; a G-map is
-        zero as soon as it kills every e_s, so it is determined by those
-        columns.  A piece that ``meataxe.decompose`` splits off along the End
-        of its parent comes with its End already set, the corner eEe of the
+        A piece that ``meataxe.decompose`` splits off along the End of its
+        parent comes with its End already set, the corner eEe of the
         parent's End, equal to what the solve would return.
         """
         if self._end is None:
             mats = list(self.matrices)
-            basis, seeds = hom_basis_and_seeds(self.field, mats, mats, self.dim, self.dim)
+            basis = hom_basis_matrices(self.field, mats, mats, self.dim, self.dim)
             for b in basis:
                 b.setflags(write=False)
-            self._end = tuple(basis), tuple(seeds)
+            self._end = tuple(basis)
         return self._end
+
+    def seeds(self) -> tuple[int, ...]:
+        """Ascending indices s of unit vectors e_s with V = sum_s KG e_s.
+
+        A G-map is zero as soon as it kills every e_s, so it is determined
+        by those columns.  For a permutation module KG e_x = K[orbit of x],
+        and the seeds are the least points of the orbits; for any other
+        module they are the unit vectors a spin from e_0, e_1, ... takes.
+        """
+        if self._seeds is None:
+            perms = _permutations(self.matrices) if self.dim else []
+            if perms is not None:
+                seeds = np.flatnonzero(_orbit_labels(perms, self.dim) == np.arange(self.dim)).tolist()
+            else:
+                log: list = []
+                linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
+                seeds = [g for j, g, _ in log if j < 0]
+            self._seeds = tuple(seeds)
+        return self._seeds
+
+    def key(self) -> tuple:
+        """Equal keys mean the same module: one group, one field and equal matrices."""
+        return (self.group, self.field, self.dim, *(M.tobytes() for M in self.matrices))
 
     def __repr__(self):
         return "<Rep dim=%d over %r of %r>" % (self.dim, self.field, self.group)
@@ -305,37 +327,28 @@ class HomSpace:
 
 
 def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """Matrices M with M A_g = B_g M for all generator pairs (A_g, B_g),
-    solved by :func:`hom_basis_and_seeds`."""
-    return hom_basis_and_seeds(field, mats_src, mats_tgt, d_src, d_tgt)[0]
-
-
-def hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """(basis, seeds): the canonical basis of the matrices M with
-    M A_g = B_g M for all generator pairs (A_g, B_g), and the indices s of
-    unit vectors e_s that generate the source (both empty when either
-    dimension is 0).
+    """The canonical basis of the matrices M with M A_g = B_g M for all
+    generator pairs (A_g, B_g), empty when either dimension is 0.
 
     The basis is the one that is the identity on the free columns of the
     Kronecker system for the row-major vec(M), that is, the reduced echelon
     form of the solution space with its columns reversed, listed by
     ascending position of the last nonzero entry of vec(M).  Randomized
-    callers rely on this order.  The seeds are the unit vectors a spin of
-    the source from e_0, e_1, ... takes, in ascending order.
+    callers rely on this order.
 
     When every A_g and B_g is a permutation matrix (identity matrices and an
     empty list included), the basis comes without a linear solve
-    (`_orbital_hom_basis_and_seeds`): one 0/1 matrix per orbit of the
-    generators on the cells of M (Schur's centralizer ring).
-    Every other input is solved by spinning (`_spin_hom_basis_and_seeds`).
+    (`_orbital_hom_basis`): one 0/1 matrix per orbit of the generators on
+    the cells of M (Schur's centralizer ring).  Every other input is solved
+    by spinning (`_spin_hom_basis`).
     """
     if d_src * d_tgt == 0:
-        return [], []
+        return []
     perms_src = _permutations(mats_src)
     perms_tgt = _permutations(mats_tgt) if perms_src is not None else None
     if perms_tgt is not None:
-        return _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src, d_tgt)
-    return _spin_hom_basis_and_seeds(field, mats_src, mats_tgt, d_src, d_tgt)
+        return _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src, d_tgt)
+    return _spin_hom_basis(field, mats_src, mats_tgt, d_src, d_tgt)
 
 
 def _permutation(M: np.ndarray):
@@ -394,15 +407,14 @@ def point_orbits(mats, dim: int):
     return [np.flatnonzero(lab == r) for r in np.flatnonzero(lab == np.arange(dim))]
 
 
-def _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_tgt: int):
+def _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_tgt: int):
     """Hom between permutation modules: one indicator matrix per orbit.
 
     With A_g[i, sigma_g[i]] = 1 and B_g[j, tau_g[j]] = 1, M A_g = B_g M
     reads M[j, x] = M[tau_g[j], sigma_g[x]], so the solutions are the
     matrices constant on the orbits of the pairs (tau_g, sigma_g) on the
     cells (j, x).  The indicators have disjoint supports, so listed by
-    ascending last cell of vec(M) they are the canonical basis.  KG e_x is
-    K[orbit of x], so the least point of each orbit on the source is a seed.
+    ascending last cell of vec(M) they are the canonical basis.
     """
     D = d_src * d_tgt
     cells = np.arange(D)
@@ -422,12 +434,11 @@ def _orbital_hom_basis_and_seeds(mats_src, mats_tgt, perms_src, perms_tgt, d_src
     for A, B in zip(mats_src, mats_tgt):
         if not np.array_equal(cls[:, A.argmax(axis=0)], cls[B.argmax(axis=1), :]):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
-    seeds = np.flatnonzero(_orbit_labels(perms_src, d_src) == np.arange(d_src))
-    return list(basis), seeds.tolist()
+    return list(basis)
 
 
-def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """:func:`hom_basis_and_seeds` by the standard-basis method (Lux &
+def _spin_hom_basis(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
+    """:func:`hom_basis_matrices` by the standard-basis method (Lux &
     Szoke, Exp. Math. 12, 2003), for any nonzero dimensions.
 
     Spin the source from the unit vectors e_0, e_1, ...  A spun vector
@@ -435,7 +446,8 @@ def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int
     where t_s = M s is the image of the seed s it was spun from.  Each
     dependent image A_g v_j = sum_l c_l v_l gives d_tgt linear equations
     B_g W_j t_s(j) = sum_l c_l W_l t_s(l), so the system has only
-    (number of seeds) * d_tgt unknowns.
+    (number of seeds) * d_tgt unknowns.  The seeds are those of
+    :meth:`Rep.seeds`.
     """
     D = d_src * d_tgt
     log: list = []
@@ -443,18 +455,17 @@ def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int
     W: list[np.ndarray] = []  # M v_j = W[j] t_seed_of[j]
     seed_of: list[int] = []
     relations = []
-    seeds: list[int] = []
+    k = 0  # seeds so far
     for j, g, coords in log:
         if coords is not None:
             relations.append((j, g, coords))
         elif j < 0:
-            seed_of.append(len(seeds))
-            seeds.append(g)
+            seed_of.append(k)
+            k += 1
             W.append(field.identity(d_tgt))
         else:
             seed_of.append(seed_of[j])
             W.append(field.mat_mul(mats_tgt[g], W[j]))
-    k = len(seeds)
     seed_of = np.array(seed_of)
     Wst = np.stack(W)
     by_seed = [np.nonzero(seed_of == s)[0] for s in range(k)]
@@ -482,7 +493,7 @@ def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int
     N = linalg.nullspace(field, E.reshape(-1, k * d_tgt))
     h = N.shape[0]
     if h == 0:
-        return [], seeds
+        return []
 
     # images of the spun vectors, then M = [M v_j] P^-1 with P = [v_j]
     T = N.reshape(h, k, d_tgt)
@@ -494,11 +505,11 @@ def _spin_hom_basis_and_seeds(field: FiniteField, mats_src, mats_tgt, d_src: int
     basis = _canonical_hom_basis(field, X, mats_src, mats_tgt, d_src, d_tgt)
     if len(basis) != h:
         raise ConsistencyError("spun homomorphisms are linearly dependent")
-    return basis, seeds
+    return basis
 
 
 def _canonical_hom_basis(field: FiniteField, X: np.ndarray, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """The canonical basis (as in :func:`hom_basis_and_seeds`) of the span of
+    """The canonical basis (as in :func:`hom_basis_matrices`) of the span of
     the rows of X, each the row-major vec(M) of a map M from the source to
     the target: the reduced echelon form of X with its columns reversed,
     listed by ascending position of the last nonzero entry.  Raises
@@ -525,12 +536,14 @@ def hom_space(V: Rep, U: Rep) -> HomSpace:
     return HomSpace(V, U, basis)
 
 
-def validate(V: Rep, full: bool = False) -> list[str]:
+def validate(V: Rep) -> list[str]:
     """Check invertibility and the homomorphism law; returns found issues.
 
-    Checking every (element, generator) pair already proves multiplicativity
-    for all pairs by induction on word length; full mode checks every pair
-    anyway.
+    Only the pairs (element, generator) are checked, and that proves the
+    law for every pair by induction on the word length of the second
+    factor: if rho(a) rho(b) = rho(ab) for all a, then
+    rho(a) rho(b s) = rho(a) rho(b) rho(s) = rho(ab) rho(s) = rho(abs)
+    for each generator s.
     """
     issues = []
     for k, M in enumerate(V.matrices):
@@ -539,7 +552,7 @@ def validate(V: Rep, full: bool = False) -> list[str]:
     if issues:
         return issues
     G = V.group
-    pairs = [(a, b) for a in G.elements for b in (G.elements if full else G.generators)]
+    pairs = [(a, b) for a in G.elements for b in G.generators]
     for a, b in pairs:
         lhs = V.field.mat_mul(V.element_matrix(a), V.element_matrix(b))
         if not np.array_equal(lhs, V.element_matrix(pmul(a, b))):

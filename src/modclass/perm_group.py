@@ -40,34 +40,6 @@ def pinv(a: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(a: Perm) -> int:
-    seen = [False] * len(a)
-    order = 1
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
-
-
-def perm_power(a: Perm, k: int) -> Perm:
-    """a^k for an integer k >= 0, by repeated squaring."""
-    out = identity_perm(len(a))
-    k %= perm_order(a)
-    while k:
-        if k & 1:
-            out = pmul(out, a)
-        a = pmul(a, a)
-        k >>= 1
-    return out
-
-
 def _validate_perm(images, degree: int) -> Perm:
     t = tuple(int(x) for x in images)
     if len(t) != degree or sorted(t) != list(range(degree)):
@@ -151,6 +123,31 @@ class PermGroup:
             if mask.sum() == members.size:
                 return members
 
+    def _power(self, k: int) -> np.ndarray:
+        """Entry x is the index of elements[x]^k, by square-and-multiply on
+        the table; x^|G| = 1, so k counts modulo |G| (and may be negative)."""
+        table = self._tables()[0]
+        out, sq, k = np.zeros(self.order, np.intp), np.arange(self.order), k % self.order
+        while k:
+            if k & 1:
+                out = table[out, sq]
+            sq, k = table[sq, sq], k >> 1
+        return out
+
+    def _class_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(roots, where): the index of the least element of each class of
+        `conjugacy_classes()`, ascending, and the class number of each element."""
+        roots = np.array([self._index[cls[0]] for cls in self.conjugacy_classes()])
+        return roots, np.searchsorted(roots, self._tables()[1].min(axis=0))
+
+    def _p_regular_classes(self, p: int) -> list[int]:
+        """Indices, in `conjugacy_classes()`, of the classes of elements of
+        order prime to p: those x with x^m = 1 for the p'-part m of |G|."""
+        m = self.order
+        while m % p == 0:
+            m //= p
+        return (self._power(m)[self._class_roots()[0]] == 0).nonzero()[0].tolist()
+
     def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
         """Classes as sorted tuples; the identity's class comes first."""
         if self._classes is None:
@@ -164,14 +161,13 @@ class PermGroup:
 
     def p_regular_class_count(self, p: int) -> int:
         """Number of conjugacy classes of elements of order prime to p."""
-        return sum(1 for cls in self.conjugacy_classes() if perm_order(cls[0]) % p != 0)
+        return len(self._p_regular_classes(p))
 
     def power_map(self, k: int) -> list[int]:
         """Entry i is the index, in `conjugacy_classes()`, of the class of g^k
         for g in class i."""
-        classes = self.conjugacy_classes()
-        where = {g: i for i, cls in enumerate(classes) for g in cls}
-        return [where[perm_power(cls[0], k)] for cls in classes]
+        roots, where = self._class_roots()
+        return where[self._power(k)[roots]].tolist()
 
     def berman_orbit_lengths(self, p: int, q: int) -> list[int]:
         """Sorted lengths of the orbits of C -> C^q on the p-regular classes.
@@ -182,9 +178,8 @@ class PermGroup:
         of those modules.  Raising to the power q permutes the p-regular
         classes because q is prime to their element orders.
         """
-        classes = self.conjugacy_classes()
         image = self.power_map(q)
-        todo = {i for i, cls in enumerate(classes) if perm_order(cls[0]) % p != 0}
+        todo = set(self._p_regular_classes(p))
         lengths = []
         while todo:
             orbit = [min(todo)]
@@ -197,9 +192,6 @@ class PermGroup:
             todo -= set(orbit)
             lengths.append(len(orbit))
         return sorted(lengths)
-
-    def subgroup(self, elements) -> "Subgroup":
-        return Subgroup(self, elements)
 
     def generated_subgroup(self, gens) -> "Subgroup":
         try:
@@ -339,10 +331,7 @@ def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
 
 
 def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
-    (table, conj), n = G._tables(), G.order
-    xp = np.arange(n)  # x^p per x; x^1 if p does not divide n, and then no x extends
-    for _ in range(p - 1 if n % p == 0 else 0):
-        xp = table[xp, np.arange(n)]
+    (table, conj), xp = G._tables(), G._power(p)
     reps = current = [G.trivial_subgroup()]
     while current:
         found: set[tuple] = set()

@@ -89,7 +89,7 @@ def test_acceptance_closure_count():
     failures = []
     try:
         for name, p in BATTERY:
-            rep = count_absolutely_simple(catalog()[name], p, group_name=name)
+            rep = count_absolutely_simple(catalog()[name], p)
             if rep.total != rep.p_regular_classes:
                 failures.append("%s p=%d: %d != %d" % (name, p, rep.total, rep.p_regular_classes))
             if rep.total != EXPECTED_COUNTS[(name, p)]:
@@ -118,7 +118,7 @@ def test_acceptance_splitting_fibers():
                 for V, mult in level.entries:
                     if mult != 1 or not is_simple(V):
                         failures.append("%s p=%d simple %d entry" % (name, p, i))
-                    if len(V.endomorphisms()[0]) != 1:
+                    if len(V.endomorphisms()) != 1:
                         failures.append("%s p=%d simple %d not absolutely simple" % (name, p, i))
         ok, detail = not failures, "; ".join(failures)
     except Exception as exc:
@@ -161,7 +161,7 @@ def test_acceptance_statement_suite():
     failures = []
     try:
         for name, p in BATTERY:
-            rep = verify_classification(catalog()[name], p, bound=4, group_name=name)
+            rep = verify_classification(catalog()[name], p, bound=4)
             names = [c.name for c in rep.clauses]
             for w in wanted:
                 if w not in names:
@@ -256,7 +256,7 @@ def test_acceptance_full_verification():
     failures = []
     try:
         for name, p in BATTERY:
-            rep = verify_classification(catalog()[name], p, bound=6, group_name=name)
+            rep = verify_classification(catalog()[name], p, bound=6)
             for c in rep.clauses:
                 if not c.passed:
                     failures.append("%s p=%d %s: %s" % (name, p, c.name, c.detail))

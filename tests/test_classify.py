@@ -143,7 +143,7 @@ def test_splitting_fiber_sizes_match_end_degrees(name, p):
 
 @pytest.mark.parametrize("name, p", sorted(COUNTS))
 def test_count_absolutely_simple_battery(name, p):
-    rep = count_absolutely_simple(catalog()[name], p, group_name=name)
+    rep = count_absolutely_simple(catalog()[name], p)
     assert rep.total == COUNTS[(name, p)]
     assert rep.agree
     assert rep.p_regular_classes == COUNTS[(name, p)]
@@ -260,7 +260,7 @@ def test_classify_module_flags():
 
 
 def test_verify_classification_small():
-    rep = verify_classification(catalog()["S3"], 2, bound=3, group_name="S3")
+    rep = verify_classification(catalog()["S3"], 2, bound=3)
     assert rep.passed
     names = [c.name for c in rep.clauses]
     assert "subfield-lattice" in names

@@ -57,6 +57,15 @@ def _field(p):
     return {2: F2, 3: F3, 5: F5}[p]
 
 
+def _random_basis(V: Rep, rng) -> Rep:
+    K = V.field
+    C = None
+    while C is None or not linalg.is_invertible(K, C):
+        C = K.rand_codes(rng, (V.dim, V.dim))
+    Ci = linalg.inverse(K, C)
+    return Rep(V.group, K, [K.mat_mul(K.mat_mul(Ci, M), C) for M in V.matrices], check=False)
+
+
 def _sylow_order(order, p):
     """The largest power of p dividing order."""
     s = 1
@@ -228,10 +237,33 @@ def test_seeds_that_do_not_generate_fail_the_full_trace_check(monkeypatch):
     P = next(W for W, _ in decompose(regular_module(G, F2)).summands if W.dim == 2)
     V = direct_sum(P, trivial_module(G, F2))
     assert not is_projective(V)
-    real = Rep.endomorphisms
-    monkeypatch.setattr(Rep, "endomorphisms", lambda self: (real(self)[0], real(self)[1][:-1]))
+    real = Rep.seeds
+    monkeypatch.setattr(Rep, "seeds", lambda self: real(self)[:-1])
     with pytest.raises(ConsistencyError, match="relative trace of the Higman solution"):
         is_projective(direct_sum(P, trivial_module(G, F2)))
+
+
+@pytest.mark.parametrize("name, p", [("S3", 2), ("A4", 2), ("S4", 3)])
+def test_higman_on_a_fresh_module_solves_no_end_g(name, p, monkeypatch):
+    # the seeds come from a spin of V, not from a solve of End_G(V); the
+    # modules are in a random basis, so none is a permutation module, and
+    # the verdicts are those in the natural basis
+    G = catalog()[name]
+    K = _field(p)
+    rng = np.random.default_rng(G.order)
+    reg = regular_module(G, K)
+    naturals = [reg, direct_sum(reg, trivial_module(G, K))]
+    classes = p_subgroups_up_to_conjugacy(G, p)
+    want = [[bool(is_relatively_projective(W, Q)) for Q in classes] for W in naturals]
+    mods = [_random_basis(W, rng) for W in naturals]
+
+    def forbidden(self):
+        raise AssertionError("Higman's criterion solved End_G(V)")
+
+    monkeypatch.setattr(Rep, "endomorphisms", forbidden)
+    for V, verdicts in zip(mods, want):
+        assert bool(is_projective(V)) == verdicts[0]
+        assert [bool(is_relatively_projective(V, Q)) for Q in classes] == verdicts
 
 
 def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatch):
@@ -247,7 +279,7 @@ def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatc
     def same(mats, ref, equal):
         return len(mats) == len(ref) and all(equal(a, b) for a, b in zip(mats, ref))
 
-    real_hom, real_structure = modrep.hom_basis_and_seeds, meataxe.algebra_structure
+    real_hom, real_structure = modrep.hom_basis_matrices, meataxe.algebra_structure
 
     def hom(field, src, tgt, *dims):
         for W in summands:  # a summand's own matrix objects on both sides: its End_G
@@ -259,7 +291,8 @@ def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatc
         repeats.extend(("structure", len(E)) for E in ends if same(basis, E, np.array_equal))
         return real_structure(field, basis, *args)
 
-    monkeypatch.setattr(modrep, "hom_basis_and_seeds", hom)
+    for mod in (modrep, meataxe, green):
+        monkeypatch.setattr(mod, "hom_basis_matrices", hom)
     monkeypatch.setattr(meataxe, "algebra_structure", structure)
     for W in summands:
         Q = vertex(W)
@@ -486,7 +519,7 @@ def test_source_solves_no_hom_space_larger_than_the_module(name, monkeypatch):
     inputs = [induce(trivial_module(Q.group, F2), G) for Q in classes]
     summands = [W for M in inputs for W, _ in decompose(M).summands]
     sides = []
-    real_hom = modrep.hom_basis_and_seeds
+    real_hom = modrep.hom_basis_matrices
 
     def hom(field, src, tgt, d_src, d_tgt):
         sides.append((d_src, d_tgt))
@@ -495,7 +528,8 @@ def test_source_solves_no_hom_space_larger_than_the_module(name, monkeypatch):
     def no_induce(*args):
         raise AssertionError("source built an induced module")
 
-    monkeypatch.setattr(modrep, "hom_basis_and_seeds", hom)
+    for mod in (modrep, meataxe, green):
+        monkeypatch.setattr(mod, "hom_basis_matrices", hom)
     monkeypatch.setattr(modrep, "induce", no_induce)
     for W in summands:
         sides.clear()
@@ -568,7 +602,7 @@ def _unit_map_system_higman(V, Q):
     q_mats = [V.element_matrix(g) for g in Q.group.generators]
     stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
     h = len(stack)
-    seeds = V.endomorphisms()[1]
+    seeds = V.seeds()
     A = _relative_trace(V, right_transversal(V.group, Q), stack, seeds).reshape(h, -1).T
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:

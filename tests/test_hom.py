@@ -7,7 +7,8 @@ vec(M).  ``hom_basis_matrices`` must return exactly the basis that the
 reference's nullspace returns, matrix for matrix and in the same order,
 because the randomized searches downstream take their branches from it.
 Between permutation modules the basis comes from the orbits on the cells
-of M; there the spin solver is a second oracle, seeds included.
+of M; there the spin solver is a second oracle.  ``Rep.seeds`` is checked
+against the seed bookkeeping of a logged spin from e_0, e_1, ...
 """
 
 import os
@@ -24,7 +25,6 @@ from modclass.meataxe import composition_factors, decompose, simple_modules
 from modclass.modrep import (
     Rep,
     direct_sum,
-    hom_basis_and_seeds,
     hom_basis_matrices,
     induce,
     permutation_module,
@@ -60,13 +60,22 @@ def _assert_same_basis(got, want):
         assert M.tobytes() == R.tobytes()
 
 
+def spin_log_seeds(V: Rep) -> tuple[int, ...]:
+    """Oracle for ``V.seeds()``: the unit vectors that a logged spin of V
+    from e_0, e_1, ... takes, the seeds the spin solver starts its chains at."""
+    log: list = []
+    linalg.spin(V.field, list(V.matrices), list(V.field.identity(V.dim)), log=log)
+    return tuple(g for j, g, _ in log if j < 0)
+
+
 def _assert_same_hom(V, U):
-    """hom_basis_and_seeds equals the spin solver byte for byte, seeds included."""
+    """hom_basis_matrices equals the spin solver byte for byte, and the
+    seeds of V equal the spin-log oracle."""
     K = V.field
-    basis, seeds = hom_basis_and_seeds(K, V.matrices, U.matrices, V.dim, U.dim)
-    spun, spun_seeds = modrep._spin_hom_basis_and_seeds(K, V.matrices, U.matrices, V.dim, U.dim)
+    basis = hom_basis_matrices(K, V.matrices, U.matrices, V.dim, U.dim)
+    spun = modrep._spin_hom_basis(K, V.matrices, U.matrices, V.dim, U.dim)
     _assert_same_basis(basis, spun)
-    assert seeds == spun_seeds
+    assert V.seeds() == spin_log_seeds(V)
 
 
 def _permutation_modules(G, K):
@@ -138,19 +147,19 @@ def test_orbital_basis_matches_spin_solver_over_gf_2_20():
 
 def test_permutation_modules_never_enter_the_spin_solver(monkeypatch):
     calls = []
-    spin = modrep._spin_hom_basis_and_seeds
+    spin = modrep._spin_hom_basis
 
     def counting(*args):
         calls.append(args[3:])
         return spin(*args)
 
-    monkeypatch.setattr(modrep, "_spin_hom_basis_and_seeds", counting)
+    monkeypatch.setattr(modrep, "_spin_hom_basis", counting)
     for name in ("S3", "A4", "S4"):
         G = catalog()[name]
         K = make_field(2, 2)
         reg = regular_module(G, K)
         for V in [reg, direct_sum(reg, trivial_module(G, K)), *_permutation_modules(G, K)]:
-            assert len(V.endomorphisms()[0]) >= 1
+            assert len(V.endomorphisms()) >= 1
         for Q in p_subgroups_up_to_conjugacy(G, 2):
             assert green.is_relatively_projective(reg, Q)
     assert calls == []
@@ -158,6 +167,23 @@ def test_permutation_modules_never_enter_the_spin_solver(monkeypatch):
     moved = _random_basis(regular_module(catalog()["S3"], make_field(2, 2)), np.random.default_rng(1))
     moved.endomorphisms()
     assert calls == [(6, 6)]
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4"])
+def test_seeds_of_permutation_modules_are_read_off_the_orbits(name, monkeypatch):
+    # the least point of each orbit, as the spin-log oracle finds it, and no spin
+    G = catalog()[name]
+    K = make_field(3, 1)
+    reg = regular_module(G, K)
+    mods = [*_permutation_modules(G, K), direct_sum(reg, trivial_module(G, K)), trivial_module(G, K)]
+    want = [spin_log_seeds(V) for V in mods]
+
+    def no_spin(*args, **kwargs):
+        raise AssertionError("the seeds of a permutation module were spun")
+
+    monkeypatch.setattr(linalg, "spin", no_spin)
+    assert [V.seeds() for V in mods] == want
+    assert [len(s) for s in want[-2:]] == [2, 1]
 
 
 def test_corrupted_permutation_decode_fails_the_intertwining_check(monkeypatch):
@@ -207,16 +233,18 @@ def test_rep_endomorphisms_are_the_hom_basis_solved_once(monkeypatch):
     reg = regular_module(catalog()["S3"], K)
     mods = [reg, _random_basis(reg, np.random.default_rng(5)), direct_sum(reg, trivial_module(reg.group, K))]
     mods.append(Rep(PermGroup(1, []), K, [], dim=2))
-    solved = [V.endomorphisms() for V in mods]
+    solved = [(V.endomorphisms(), V.seeds()) for V in mods]
     for V, (basis, seeds) in zip(mods, solved):
         _assert_same_basis(basis, hom_basis_matrices(K, V.matrices, V.matrices, V.dim, V.dim))
         assert seeds and tuple(sorted(seeds)) == seeds
 
     def forbidden(*args):
-        raise AssertionError("End solved a second time")
+        raise AssertionError("End or the seeds solved a second time")
 
-    monkeypatch.setattr(modrep, "hom_basis_and_seeds", forbidden)
-    assert all(V.endomorphisms() is got for V, got in zip(mods, solved))
+    monkeypatch.setattr(modrep, "hom_basis_matrices", forbidden)
+    monkeypatch.setattr(linalg, "spin", forbidden)
+    monkeypatch.setattr(modrep, "_orbit_labels", forbidden)
+    assert all(V.endomorphisms() is got[0] and V.seeds() is got[1] for V, got in zip(mods, solved))
 
 
 def test_trivial_action_and_gf_2_20_end_fit_in_one_gib():
@@ -230,7 +258,7 @@ def test_trivial_action_and_gf_2_20_end_fit_in_one_gib():
         "S5 = mc.PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])\n"
         "res = restrict_subgroup(mc.regular_module(S5, mc.make_field(2, 1)), S5.trivial_subgroup())\n"
         "print([(W.dim, m) for W, m in mc.decompose(res).summands])\n"
-        "print(len(mc.regular_module(S5, mc.make_field(2, 20)).endomorphisms()[0]))\n"
+        "print(len(mc.regular_module(S5, mc.make_field(2, 20)).endomorphisms()))\n"
     )
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -248,7 +276,7 @@ def test_regular_s5_mod_5_decomposes():
     S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
     K = make_field(5, 1)
     dec = decompose(regular_module(S5, K))
-    assert dec.total_dim() == 120
+    assert sum(W.dim * m for W, m in dec.summands) == 120
     # each projective indecomposable occurs as often as its simple head's dimension
     dims = sorted(W.dim for W in simple_modules(S5, K).modules)
     assert len(dec.summands) == len(dims)

@@ -5,6 +5,9 @@ Frozen dimension and endomorphism-degree tables were derived independently
 structure) before being fixed here.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +50,22 @@ F5 = make_field(5, 1)
 
 def _fields():
     return {2: F2, 3: F3, 5: F5}
+
+
+def _conjugated_matrices(dec):
+    """The generator matrices of the module in the splitting basis of `dec`."""
+    field = dec.module.field
+    C = dec.basis.T
+    Cinv = linalg.inverse(field, C)
+    return [field.mat_mul(field.mat_mul(Cinv, M), C) for M in dec.module.matrices]
+
+
+def _index_of(S, W, seed=0):
+    """The index of the simple module of S isomorphic to W."""
+    for i, M in enumerate(S.modules):
+        if is_isomorphic(W, M, seed=seed):
+            return i
+    raise AssertionError("module is not isomorphic to any listed simple module")
 
 
 def _is_invariant(K, B, mats):
@@ -117,14 +136,14 @@ def test_simple_modules_battery(name, p):
     assert list(S.end_degrees) == ends
     for W in S.modules:
         assert is_simple(W)
-        assert len(W.endomorphisms()[0]) == ends[S.modules.index(W)]
+        assert len(W.endomorphisms()) == ends[S.modules.index(W)]
 
 
 def test_decompose_regular_s3_block_structure():
     reg = regular_module(catalog()["S3"], F2)
     dec = decompose(reg)
     assert sorted((W.dim, m) for W, m in dec.summands) == [(2, 1), (2, 2)]
-    conj = dec.conjugated_matrices()
+    conj = _conjugated_matrices(dec)
     off = 0
     for W, m in dec.summands:
         for _ in range(m):
@@ -134,7 +153,7 @@ def test_decompose_regular_s3_block_structure():
                 assert not Mc[off : off + W.dim, : off].any()
                 assert not Mc[off : off + W.dim, off + W.dim :].any()
             off += W.dim
-    assert dec.total_dim() == 6
+    assert off == 6
 
 
 def test_decompose_regular_a4():
@@ -281,7 +300,7 @@ def test_simple_set_index_of():
     S3 = catalog()["S3"]
     S = simple_modules(S3, F2)
     for i, W in enumerate(S.modules):
-        assert S.index_of(W) == i
+        assert _index_of(S, W) == i
 
 
 def test_zero_module_rejected():
@@ -292,7 +311,7 @@ def test_zero_module_rejected():
 def test_decompose_zero_module():
     dec = decompose(Rep(catalog()["C2"], F2, [np.zeros((0, 0), dtype=np.int64)]))
     assert dec.summands == []
-    assert [M.shape for M in dec.conjugated_matrices()] == [(0, 0)]
+    assert [M.shape for M in _conjugated_matrices(dec)] == [(0, 0)]
 
 
 def _full_scan_canonical_form(V):
@@ -741,7 +760,7 @@ def _decompose_without_orbit_split(V, seed, monkeypatch):
 
 def _assert_splitting_basis(dec):
     # the basis conjugates the module into the summands, block for block
-    conj = dec.conjugated_matrices()
+    conj = _conjugated_matrices(dec)
     off = 0
     for W, mult in dec.summands:
         for _ in range(mult):
@@ -787,8 +806,10 @@ def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
     # copies join the line's class by the identity: no hom solve at all
     V = restrict_subgroup(regular_module(catalog()["S4"], F2), catalog()["S4"].trivial_subgroup())
     sizes = []
-    real = modrep.hom_basis_and_seeds
-    monkeypatch.setattr(modrep, "hom_basis_and_seeds", lambda K, a, b, d, e: sizes.append((d, e)) or real(K, a, b, d, e))
+    real = modrep.hom_basis_matrices
+    counting = lambda K, a, b, d, e: sizes.append((d, e)) or real(K, a, b, d, e)
+    for mod in (modrep, meataxe):
+        monkeypatch.setattr(mod, "hom_basis_matrices", counting)
     dec = decompose(V)
     assert [(W.dim, m) for W, m in dec.summands] == [(1, 24)]
     assert sizes == []
@@ -835,30 +856,29 @@ def _corner_end_inputs():
 @pytest.mark.parametrize("moved", [False, True], ids=["natural", "random"])
 @pytest.mark.parametrize("index", range(8))
 def test_corner_end_equals_the_hom_solver(monkeypatch, index, moved):
-    # End of every summand is byte-equal to the spin solver's, seeds included,
-    # and below the root no End is solved by spinning
+    # End of every summand is byte-equal to the spin solver's, and below the
+    # root no End is solved by spinning
     V = _corner_end_inputs()[index]
     if moved:
         V = _random_conjugate(V, np.random.default_rng(index))
     end_solves = []
-    real = modrep._spin_hom_basis_and_seeds
+    real = modrep._spin_hom_basis
 
     def counting(K, a, b, d, e):
         if a is b:  # Rep.endomorphisms passes one list twice
             end_solves.append(d)
         return real(K, a, b, d, e)
 
-    monkeypatch.setattr(modrep, "_spin_hom_basis_and_seeds", counting)
+    monkeypatch.setattr(modrep, "_spin_hom_basis", counting)
     dec = decompose(V)
     assert end_solves == ([V.dim] if moved else [])
     monkeypatch.undo()
     for W, _ in dec.summands:
-        basis, seeds = W.endomorphisms()
-        spun, spun_seeds = real(W.field, W.matrices, W.matrices, W.dim, W.dim)
-        assert [(M.dtype, M.shape, M.tobytes()) for M in basis] == [
+        spun = real(W.field, W.matrices, W.matrices, W.dim, W.dim)
+        assert [(M.dtype, M.shape, M.tobytes()) for M in W.endomorphisms()] == [
             (M.dtype, M.shape, M.tobytes()) for M in spun
         ]
-        assert list(seeds) == spun_seeds
+        assert W.seeds() == _spin_seeds(W)
 
 
 def test_corner_end_is_checked(monkeypatch):
@@ -875,6 +895,20 @@ def test_corner_end_is_checked(monkeypatch):
         decompose(V)
 
 
+def test_one_function_writes_the_end_structure():
+    # `_end_structure` decides every recorded verdict; Schur's lemma in
+    # simple_modules is the one other writer
+    tree = ast.parse(inspect.getsource(meataxe))
+    writers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "_structure" and isinstance(node.ctx, ast.Store)
+    }
+    assert writers == {"_end_structure", "simple_modules"}
+
+
 def test_decompose_reuses_the_solved_end_of_its_module(monkeypatch):
     # not a permutation module, so End(V) is spun; after end_structure
     # decompose must not spin it again, and V itself stays as it was
@@ -882,8 +916,8 @@ def test_decompose_reuses_the_solved_end_of_its_module(monkeypatch):
     structure = end_structure(V)
     end = V._end
     dims = []
-    real = modrep._spin_hom_basis_and_seeds
-    monkeypatch.setattr(modrep, "_spin_hom_basis_and_seeds", lambda K, a, b, d, e: dims.append(d) or real(K, a, b, d, e))
+    real = modrep._spin_hom_basis
+    monkeypatch.setattr(modrep, "_spin_hom_basis", lambda K, a, b, d, e: dims.append(d) or real(K, a, b, d, e))
     assert _summand_multiset(V) == [(8, 1), (8, 2)]
     assert V.dim not in dims
     assert V._end is end and V._structure == structure
@@ -1032,7 +1066,7 @@ def _modular_pair(draw):
 
 def _factor_classes(S, V, seed):
     """Composition factors of V as sorted indices into the simple set S."""
-    return sorted(S.index_of(W) for W in composition_factors(V, seed=seed))
+    return sorted(_index_of(S, W) for W in composition_factors(V, seed=seed))
 
 
 @_PROPERTY
@@ -1070,7 +1104,7 @@ def _assert_seed_min_polys(V, rng):
     # every End basis map and a random combination of them, as _try_split
     # and its span search meet them
     K = V.field
-    basis, seeds = V.endomorphisms()
+    basis, seeds = V.endomorphisms(), V.seeds()
     assert seeds == _spin_seeds(V)
     stack = np.stack(basis)
     combo = meataxe._combo(K, stack, K.rand_codes(rng, len(basis)))
@@ -1116,9 +1150,9 @@ def test_seeds_that_do_not_generate_raise(monkeypatch):
     # alone the End basis maps E_00 and E_11 read as e_0 and 0
     C2 = catalog()["C2"]
     sign = Rep(C2, F3, [np.array([[2]], dtype=np.int64)])
-    real = Rep.endomorphisms
+    real = Rep.seeds
     with monkeypatch.context() as m:
-        m.setattr(Rep, "endomorphisms", lambda self: (real(self)[0], real(self)[1][:-1]))
+        m.setattr(Rep, "seeds", lambda self: real(self)[:-1])
         with pytest.raises(ConsistencyError, match="algebra basis is linearly dependent"):
             decompose(direct_sum(trivial_module(C2, F3), sign))
     # the same seeds for the splitting alone: no End map splits there, yet
@@ -1167,7 +1201,7 @@ def _regular_chop_oracle(G, K):
     for W in composition_factors(regular_module(G, K)):
         if not any(is_isomorphic(W, M) for M in classes):
             classes.append(W)
-    return [(W, len(W.endomorphisms()[0])) for W in classes]
+    return [(W, len(W.endomorphisms())) for W in classes]
 
 
 def test_extra_groups_have_the_expected_orders():
@@ -1180,10 +1214,10 @@ def test_simple_modules_match_regular_module_oracle(name, p, n):
     S = simple_modules(G, K)
     oracle = _regular_chop_oracle(G, K)
     assert len(S) == len(oracle)
-    hits = sorted(S.index_of(W) for W, _ in oracle)
+    hits = sorted(_index_of(S, W) for W, _ in oracle)
     assert hits == list(range(len(S)))
     for W, degree in oracle:
-        assert S.end_degrees[S.index_of(W)] == degree
+        assert S.end_degrees[_index_of(S, W)] == degree
     assert sorted(S.end_degrees) == G.berman_orbit_lengths(p, K.q)
 
 
@@ -1289,7 +1323,7 @@ def test_end_degrees_are_the_berman_orbit_lengths(case, s):
     natural = permutation_module(G, K)
     start = direct_sum(_random_conjugate(natural, np.random.default_rng(s)), natural)
     found = meataxe._tensor_closure(start, len(lengths), s % 103)
-    degrees = [len(W.endomorphisms()[0]) for W in found]
+    degrees = [len(W.endomorphisms()) for W in found]
     assert sorted(degrees) == lengths
 
 

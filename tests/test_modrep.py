@@ -30,7 +30,7 @@ def test_regular_module_is_permutation_action():
     G = catalog()["S3"]
     reg = regular_module(G, F2)
     assert reg.dim == 6
-    assert validate(reg, full=True) == []
+    assert validate(reg) == []
     for g in G.elements:
         M = reg.element_matrix(g)
         assert np.array_equal(M.sum(axis=0), np.ones(6, dtype=np.int64))
@@ -90,11 +90,11 @@ def test_validate_catches_wrong_relations():
 def test_trivial_and_direct_sum():
     G = catalog()["S3"]
     t = trivial_module(G, F2)
-    assert t.dim == 1 and validate(t, full=True) == []
+    assert t.dim == 1 and validate(t) == []
     reg = regular_module(G, F2)
     s = direct_sum(t, reg)
     assert s.dim == 7
-    assert validate(s, full=True) == []
+    assert validate(s) == []
 
 
 def test_extend_scalars_embeds_entries():
@@ -102,7 +102,7 @@ def test_extend_scalars_embeds_entries():
     reg = regular_module(G, F2)
     ext = extend_scalars(reg, F4)
     assert ext.field is F4 and ext.dim == 3
-    assert validate(ext, full=True) == []
+    assert validate(ext) == []
     # permutation matrices have 0/1 entries, fixed by any embedding
     assert all(np.array_equal(a, b) for a, b in zip(ext.matrices, reg.matrices))
     with pytest.raises(NotSubfieldError):
@@ -114,7 +114,7 @@ def test_restrict_scalars_interleaves_coordinates():
     tr = trivial_module(G, F4)
     down = restrict_scalars(tr, F2)
     assert down.dim == 2 and down.field is F2
-    assert validate(down, full=True) == []
+    assert validate(down) == []
     # the trivial GF(4)-line restricts to the identity on 2 coordinates
     assert np.array_equal(down.matrices[0], F2.identity(2))
 
@@ -145,7 +145,7 @@ def test_restrict_subgroup_picks_generator_images():
     H = G.generated_subgroup([(1, 0, 2)])
     res = restrict_subgroup(reg, H)
     assert res.dim == 6 and res.group == H.group
-    assert validate(res, full=True) == []
+    assert validate(res) == []
     for k, h in enumerate(H.group.generators):
         assert np.array_equal(res.matrices[k], reg.element_matrix(h))
 
@@ -156,7 +156,7 @@ def test_induce_regular_gives_regular():
     regH = regular_module(H.group, F2)
     ind = induce(regH, G)
     assert ind.dim == 6
-    assert validate(ind, full=True) == []
+    assert validate(ind) == []
 
 
 def test_induce_trivial_is_coset_permutation_module():
@@ -164,7 +164,7 @@ def test_induce_trivial_is_coset_permutation_module():
     H = G.generated_subgroup([(1, 0, 2)])
     ind = induce(trivial_module(H.group, F2), G)
     assert ind.dim == 3
-    assert validate(ind, full=True) == []
+    assert validate(ind) == []
     for M in ind.matrices:
         assert np.array_equal(M.sum(axis=0), np.ones(3, dtype=np.int64))
 

@@ -2,12 +2,13 @@
 
 The p-regular class counts and p-subgroup class counts are cross-checked
 against brute-force reimplementations written directly in this file.  The
-subgroup routines, which read a table of element indices, are checked
-against the earlier versions that composed permutation tuples, kept here
-as oracles.
+subgroup routines and element powers, which read a table of element
+indices, are checked against the earlier versions that composed
+permutation tuples, kept here as oracles.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -20,8 +21,6 @@ from modclass.perm_group import (
     identity_perm,
     normalizer,
     p_subgroups_up_to_conjugacy,
-    perm_order,
-    perm_power,
     pinv,
     pmul,
     right_transversal,
@@ -76,6 +75,60 @@ FROZEN_ORDERS = {
     "C2": 2, "C3": 3, "C4": 4, "V4": 4, "C7": 7,
     "S3": 6, "D8": 8, "Q8": 8, "A4": 12, "S4": 24,
 }
+
+
+# tuple oracles of the element powers: orders and powers of one permutation
+
+
+def perm_order(a):
+    seen = [False] * len(a)
+    order = 1
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = a[j]
+            length += 1
+        order = order * length // math.gcd(order, length)
+    return order
+
+
+def perm_power(a, k):
+    """a^k for an integer k, by repeated squaring."""
+    out = identity_perm(len(a))
+    k %= perm_order(a)
+    while k:
+        if k & 1:
+            out = pmul(out, a)
+        a = pmul(a, a)
+        k >>= 1
+    return out
+
+
+def _tuple_power_map(G, k):
+    classes = G.conjugacy_classes()
+    where = {g: i for i, cls in enumerate(classes) for g in cls}
+    return [where[perm_power(cls[0], k)] for cls in classes]
+
+
+def _tuple_p_regular_classes(G, p):
+    return [i for i, cls in enumerate(G.conjugacy_classes()) if perm_order(cls[0]) % p != 0]
+
+
+def _tuple_berman_orbit_lengths(G, p, q):
+    image = _tuple_power_map(G, q)
+    todo = set(_tuple_p_regular_classes(G, p))
+    lengths = []
+    while todo:
+        orbit = [min(todo)]
+        while image[orbit[-1]] != orbit[0]:
+            orbit.append(image[orbit[-1]])
+        todo -= set(orbit)
+        lengths.append(len(orbit))
+    return sorted(lengths)
 
 
 def test_catalog_orders():
@@ -141,18 +194,19 @@ def test_p_regular_class_count_battery(name, p):
         1 for c in _bf_classes(G.elements) if _bf_order(next(iter(c))) % p != 0
     )
     assert oracle == BATTERY_PREG[(name, p)]
-    assert G.p_regular_class_count(p) == oracle
+    assert G.p_regular_class_count(p) == oracle == len(_tuple_p_regular_classes(G, p))
 
 
 def test_power_map_matches_brute_force():
     for G in catalog().values():
         classes = G.conjugacy_classes()
-        for k in (0, 1, 2, 3, 5, 2**20):
+        for k in (0, 1, 2, 3, 5, 2**20, -1):
             image = G.power_map(k)
+            assert image == _tuple_power_map(G, k)
             for cls, j in zip(classes, image):
                 g = cls[0]
                 power = tuple(range(G.degree))
-                for _ in range(k % _bf_order(g)):
+                for _ in range(k % _bf_order(g)):  # k % n is in [0, n) also for k < 0
                     power = _bf_mul(power, g)
                 assert perm_power(g, k) == power
                 assert power in classes[j]
@@ -172,7 +226,7 @@ BERMAN = {
 def test_berman_orbit_lengths(name, p, q):
     G = catalog()[name]
     lengths = G.berman_orbit_lengths(p, q)
-    assert lengths == BERMAN[(name, p, q)]
+    assert lengths == BERMAN[(name, p, q)] == _tuple_berman_orbit_lengths(G, p, q)
     assert sum(lengths) == G.p_regular_class_count(p)
 
 
@@ -231,9 +285,9 @@ def test_p_subgroup_classes_match_brute_force(name, p, expected_orders):
 def test_subgroup_requires_closure_and_identity():
     G = catalog()["S3"]
     with pytest.raises(InputError):
-        G.subgroup([(1, 0, 2)])  # no identity
+        Subgroup(G, [(1, 0, 2)])  # no identity
     with pytest.raises(InputError):
-        G.subgroup([(0, 1, 2), (1, 2, 0)])  # not closed
+        Subgroup(G, [(0, 1, 2), (1, 2, 0)])  # not closed
     H = G.generated_subgroup([(1, 2, 0)])
     assert H.order == 3
 
@@ -432,7 +486,7 @@ EXTRA_GROUPS = {
 }
 ORACLE_CASES = [
     (name, p) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0
-] + [("S3", 5), ("S5", 2), ("S5", 3), ("S5", 5), ("C2^4", 2), ("S3xS3", 2), ("S3xS3", 3)]
+] + [("S3", 5), ("S5", 2), ("S5", 3), ("S5", 5), ("C2^4", 2), ("S3xS3", 2), ("S3xS3", 3), ("S4xC8", 3)]
 
 
 @pytest.mark.parametrize("name, p", ORACLE_CASES)
@@ -445,7 +499,7 @@ def test_index_table_routines_match_tuple_oracles(name, p):
     others = list(subs)
     for H in subs:
         for g in (G.elements[-1], *G.generators):
-            others.append(G.subgroup({pmul(pmul(pinv(g), h), g) for h in H.elements}))
+            others.append(Subgroup(G, {pmul(pmul(pinv(g), h), g) for h in H.elements}))
     for A in subs:
         assert normalizer(G, A).elements == tuple(_tuple_normalizing(G, frozenset(A.elements)))
         assert right_transversal(G, A) == _tuple_right_transversal(G, A)
@@ -453,6 +507,13 @@ def test_index_table_routines_match_tuple_oracles(name, p):
     for H in others:
         assert H.group.generators == _tuple_generators(H)
         assert G.generated_subgroup(H.group.generators) == H
+    # element powers on the table against the tuple oracles
+    for k in (0, 1, 2, p, p - 1, G.order + 1, 2**20, -1):
+        assert G.power_map(k) == _tuple_power_map(G, k), k
+    for r in (2, 3, 5, 7):
+        assert G.p_regular_class_count(r) == len(_tuple_p_regular_classes(G, r))
+        for q in (r, r * r):
+            assert G.berman_orbit_lengths(r, q) == _tuple_berman_orbit_lengths(G, r, q), (r, q)
 
 
 def test_p_subgroup_classes_of_c2_5_match_tuple_oracle():
