@@ -42,7 +42,7 @@ from .modrep import (
     restrict_scalars,
     trivial_module,
 )
-from .perm_group import catalog
+from .perm_group import _validate_perm, catalog
 from . import serialize
 
 CACHE_SCHEMA = 1
@@ -98,11 +98,7 @@ def _parse_perm_list(text: str, degree: int):
         raise InputError(
             "expected a JSON list of permutations (0-based image lists), got %r" % text
         )
-    perms = [tuple(serialize._int(x, "permutation image") for x in g) for g in data]
-    for g in perms:
-        if sorted(g) != list(range(degree)):
-            raise InputError("not a permutation of 0..%d: %r" % (degree - 1, list(g)))
-    return perms
+    return [_validate_perm([serialize._int(x, "permutation image") for x in g], degree) for g in data]
 
 
 # ---------------------------------------------------------------- caching
@@ -131,7 +127,7 @@ def _cache_read(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("cache_schema") != CACHE_SCHEMA:
+        if not isinstance(doc, dict) or doc.get("cache_schema") != CACHE_SCHEMA:
             raise ValueError("wrong cache schema")
         output = doc["output"]
         code = doc["exit_code"]

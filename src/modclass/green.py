@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConsistencyError, InputError
 from . import linalg
 from .meataxe import decompose, is_indecomposable
-from .modrep import Rep, hom_basis_matrices, restrict_subgroup
+from .modrep import Rep, hom_space, restrict_subgroup
 from .perm_group import (
     Subgroup,
     are_conjugate,
@@ -93,14 +93,14 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     field, d = V.field, V.dim
     if d == 0:
         return ProjectivityResult(True, field.zeros(0, 0))
-    q_mats = restrict_subgroup(V, Q).matrices
+    res = restrict_subgroup(V, Q)
     inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
     seeds = V.seeds()
     A = _trace_matrix(field, inv, fwd, seeds)
-    if all(np.array_equal(M, field.identity(d)) for M in q_mats):
+    if all(np.array_equal(M, field.identity(d)) for M in res.matrices):
         basis = None  # coefficient i d + j is that of E_ij
     else:  # row i is vec(phi_i)
-        basis = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d)).reshape(-1, d * d)
+        basis = np.stack(hom_space(res, res)).reshape(-1, d * d)
         A = field.mat_mul(A, basis.T)  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
@@ -169,8 +169,8 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     field, d, res = V.field, V.dim, restrict_subgroup(V, Q)
     inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
     for U, _ in decompose(res, seed=seed).summands:
-        alphas = hom_basis_matrices(field, res.matrices, U.matrices, d, U.dim)
-        betas = hom_basis_matrices(field, U.matrices, res.matrices, U.dim, d) if alphas else []
+        alphas = hom_space(res, U)
+        betas = hom_space(U, res) if alphas else []
         if not betas:
             continue
         a, e = len(alphas), U.dim

@@ -20,13 +20,16 @@ shortcut is unsound in characteristic p, so it is not used).  A module
 keeps E and the verdict; the summands `decompose` returns carry both.
 
 A permutation module, one whose generators all act by permutation
-matrices, splits along the orbits on its unit vectors before any End is
+matrices, splits along the orbits on its unit vectors
+(`Rep.point_orbits`, worked out once per module) before any End is
 solved: KG e_x = K[orbit of x], so each orbit spans a summand.  A
 trivially acting module falls apart into lines, and a sum of two regular
 modules into the two.  Each transitive piece then splits along End.
 
 Splitting reads each endomorphism on the unit vectors e_s that generate
-V as a KG-module (`Rep.seeds`).  A G-map phi commutes with the action, so
+V as a KG-module (`Rep.seeds`): the least points of the orbits of a
+permutation module, else the seeds that the spin solving End(V) took up,
+so V is not spun again for them.  A G-map phi commutes with the action, so
 f(phi) e_s = 0 for every seed gives f(phi) = 0 on V = sum_s KG e_s: the
 minimal polynomial of phi is the lcm of the order polynomials of the k
 seeds, k Krylov chains instead of up to d.  It is unique, so the splitting
@@ -69,14 +72,7 @@ from . import limits
 from . import linalg
 from . import modrep
 from . import polynomials as P
-from .modrep import (
-    Rep,
-    hom_basis_matrices,
-    permutation_module,
-    point_orbits,
-    regular_module,
-    tensor_product,
-)
+from .modrep import Rep, hom_space, permutation_module, regular_module, tensor_product
 from .perm_group import PermGroup
 
 
@@ -316,8 +312,7 @@ def is_indecomposable(V: Rep, seed: int = 0) -> bool:
     orbit is decomposable (as in :func:`_try_split`), so it needs no End."""
     if V.dim == 0:
         raise InputError("indecomposability is undefined for the zero module")
-    orbits = point_orbits(V.matrices, V.dim)
-    if orbits is not None and len(orbits) > 1:
+    if V.point_orbits is not None and len(V.point_orbits) > 1:
         return False
     return end_structure(V, seed)[2]
 
@@ -431,8 +426,7 @@ def _split_with_corners(V: Rep, pieces):
     out = []
     for rows, span in zip(pieces, spans):
         W = _submodule(V, rows)
-        mats = list(W.matrices)
-        end = modrep._canonical_hom_basis(field, np.concatenate(span), mats, mats, W.dim, W.dim)
+        end = modrep._canonical_hom_basis(np.concatenate(span), W, W)
         for b in end:
             b.setflags(write=False)
         W._end = tuple(end)
@@ -450,7 +444,7 @@ def _try_split(V: Rep, rng):
     to scan and randomized search failed; never returns a wrong None.
     """
     field = V.field
-    orbits = point_orbits(V.matrices, V.dim)
+    orbits = V.point_orbits
     if orbits is not None and len(orbits) > 1:  # KG e_x = K[orbit of x]
         unit = field.identity(V.dim)
         return [(unit[orbit], _submodule(V, unit[orbit])) for orbit in orbits]
@@ -498,8 +492,10 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
     found, and a class no summand joins keeps multiplicity 0."""
     field = V.field
     rng = np.random.default_rng(seed)
-    root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)  # V itself caches nothing
-    root._end, root._seeds = V._end, V._seeds  # what V has solved is reused, not solved again
+    # the root takes every fact V has worked out, but not a verdict on V,
+    # which would skip the draws of its End structure
+    root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)
+    vars(root).update((k, v) for k, v in vars(V).items() if k != "_structure")
 
     # key -> (rows of the piece's leaves in the piece, stacked; the leaves).
     # A piece is split after every piece before it in depth-first order is
@@ -558,7 +554,7 @@ def _basis_iso(V: Rep, U: Rep) -> IsoResult | None:
     if V.dim != U.dim:
         return IsoResult(False, None, "different dimensions")
     field = V.field
-    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    basis = hom_space(V, U)
     if not basis:
         return IsoResult(False, None, "no nonzero homomorphisms")
     for M in basis:

@@ -5,7 +5,16 @@ group generator; matrices act on column vectors, and the assignment extends
 to all elements along breadth-first words.  Permutation modules, tensor
 products, the scalar functors (extension and restriction along a subfield),
 the subgroup functors (restriction and induction), Frobenius twists and
-homomorphism spaces all live here.  A module solves End(V) only once.
+homomorphism spaces all live here.
+
+`hom_space(V, U)` is the one Hom solver: it takes two modules and returns
+the canonical basis of Hom(V, U) as a list of matrices.  Between
+permutation modules the basis comes from orbitals, else from spinning V
+(the standard-basis method).  Each module works out its facts once and
+keeps them: whether its generators act by permutation matrices, its orbits
+on the unit vectors, its seeds and End(V).  The seeds of a module that is
+not a permutation module are read off the log of the first spin of it,
+which is that of its End solve when that comes first.
 """
 
 from __future__ import annotations
@@ -105,19 +114,33 @@ class Rep:
         return self._char_polys
 
     def endomorphisms(self) -> tuple[np.ndarray, ...]:
-        """The basis of End(V) from :func:`hom_basis_matrices`, solved once.
+        """The basis of End(V) from :func:`hom_space`, solved once.
 
         A piece that ``meataxe.decompose`` splits off along the End of its
         parent comes with its End already set, the corner eEe of the
         parent's End, equal to what the solve would return.
         """
         if self._end is None:
-            mats = list(self.matrices)
-            basis = hom_basis_matrices(self.field, mats, mats, self.dim, self.dim)
+            basis = hom_space(self, self)
             for b in basis:
                 b.setflags(write=False)
             self._end = tuple(basis)
         return self._end
+
+    @functools.cached_property
+    def permutations(self) -> list[np.ndarray] | None:
+        """sigma_g with A_g[i, sigma_g[i]] = 1 for the generator images A_g
+        when all are permutation matrices, else None; checked once."""
+        return _permutations(self.matrices) if self.dim else []
+
+    @functools.cached_property
+    def point_orbits(self) -> list[np.ndarray] | None:
+        """The orbits on the unit vectors when every generator acts by a
+        permutation matrix, as index arrays by ascending least point, else None."""
+        if self.permutations is None:
+            return None
+        lab = _orbit_labels(self.permutations, self.dim)
+        return [np.flatnonzero(lab == r) for r in np.flatnonzero(lab == np.arange(self.dim))]
 
     def seeds(self) -> tuple[int, ...]:
         """Ascending indices s of unit vectors e_s with V = sum_s KG e_s.
@@ -125,18 +148,24 @@ class Rep:
         A G-map is zero as soon as it kills every e_s, so it is determined
         by those columns.  For a permutation module KG e_x = K[orbit of x],
         and the seeds are the least points of the orbits; for any other
-        module they are the unit vectors a spin from e_0, e_1, ... takes.
+        module they are the unit vectors a spin from e_0, e_1, ... takes,
+        kept from the spin that solved a Hom out of V if one came first.
         """
         if self._seeds is None:
-            perms = _permutations(self.matrices) if self.dim else []
-            if perms is not None:
-                seeds = np.flatnonzero(_orbit_labels(perms, self.dim) == np.arange(self.dim)).tolist()
+            if self.point_orbits is not None:
+                self._seeds = tuple(int(orbit[0]) for orbit in self.point_orbits)
             else:
-                log: list = []
-                linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
-                seeds = [g for j, g, _ in log if j < 0]
-            self._seeds = tuple(seeds)
+                self._spin_units()
         return self._seeds
+
+    def _spin_units(self):
+        """(space, log) of a logged spin from e_0, e_1, ...; the unit vectors
+        the log takes up are the seeds, and unset seeds are set to them."""
+        log: list = []
+        space = linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
+        if self._seeds is None:
+            self._seeds = tuple(g for j, g, _ in log if j < 0)
+        return space, log
 
     def key(self) -> tuple:
         """Equal keys mean the same module: one group, one field and equal matrices."""
@@ -310,25 +339,9 @@ def frobenius_twist(V: Rep, sigma: FieldAutomorphism | int) -> Rep:
     return Rep(V.group, V.field, [sigma.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
 
 
-class HomSpace:
-    """Basis of the space of module homomorphisms between two reps."""
-
-    def __init__(self, source: Rep, target: Rep, basis: list[np.ndarray]):
-        self.source = source
-        self.target = target
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __repr__(self):
-        return "<HomSpace dim=%d: %d -> %d>" % (self.dim, self.source.dim, self.target.dim)
-
-
-def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """The canonical basis of the matrices M with M A_g = B_g M for all
-    generator pairs (A_g, B_g), empty when either dimension is 0.
+def hom_space(V: Rep, U: Rep) -> list[np.ndarray]:
+    """The canonical basis of the maps M with M rho_V(g) = rho_U(g) M for
+    every generator g, empty when either dimension is 0.
 
     The basis is the one that is the identity on the free columns of the
     Kronecker system for the row-major vec(M), that is, the reduced echelon
@@ -336,19 +349,21 @@ def hom_basis_matrices(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt
     ascending position of the last nonzero entry of vec(M).  Randomized
     callers rely on this order.
 
-    When every A_g and B_g is a permutation matrix (identity matrices and an
-    empty list included), the basis comes without a linear solve
+    When both modules are permutation modules (identity matrices and no
+    generators included), the basis comes without a linear solve
     (`_orbital_hom_basis`): one 0/1 matrix per orbit of the generators on
-    the cells of M (Schur's centralizer ring).  Every other input is solved
-    by spinning (`_spin_hom_basis`).
+    the cells of M (Schur's centralizer ring).  Every other pair is solved
+    by spinning V (`_spin_hom_basis`).
     """
-    if d_src * d_tgt == 0:
+    if V.group != U.group:
+        raise InputError("hom space requires modules of the same group")
+    if V.field is not U.field:
+        raise InputError("hom space requires a common coefficient field")
+    if V.dim * U.dim == 0:
         return []
-    perms_src = _permutations(mats_src)
-    perms_tgt = _permutations(mats_tgt) if perms_src is not None else None
-    if perms_tgt is not None:
-        return _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src, d_tgt)
-    return _spin_hom_basis(field, mats_src, mats_tgt, d_src, d_tgt)
+    if V.permutations is not None and U.permutations is not None:
+        return _orbital_hom_basis(V, U)
+    return _spin_hom_basis(V, U)
 
 
 def _permutation(M: np.ndarray):
@@ -396,18 +411,7 @@ def _orbit_labels(perms, n: int) -> np.ndarray:
         lab = new
 
 
-def point_orbits(mats, dim: int):
-    """The orbits of a module whose generators all act by permutation
-    matrices on its unit vectors, as index arrays by ascending least point;
-    None if some generator matrix is not a permutation matrix."""
-    perms = _permutations(mats)
-    if perms is None:
-        return None
-    lab = _orbit_labels(perms, dim)
-    return [np.flatnonzero(lab == r) for r in np.flatnonzero(lab == np.arange(dim))]
-
-
-def _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_tgt: int):
+def _orbital_hom_basis(V: Rep, U: Rep):
     """Hom between permutation modules: one indicator matrix per orbit.
 
     With A_g[i, sigma_g[i]] = 1 and B_g[j, tau_g[j]] = 1, M A_g = B_g M
@@ -416,9 +420,10 @@ def _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_t
     cells (j, x).  The indicators have disjoint supports, so listed by
     ascending last cell of vec(M) they are the canonical basis.
     """
+    d_src, d_tgt = V.dim, U.dim
     D = d_src * d_tgt
     cells = np.arange(D)
-    lab = _orbit_labels([(t[:, None] * d_src + s).ravel() for s, t in zip(perms_src, perms_tgt)], D)
+    lab = _orbit_labels([(t[:, None] * d_src + s).ravel() for s, t in zip(V.permutations, U.permutations)], D)
     last = np.zeros(D, dtype=np.int64)
     np.maximum.at(last, lab, cells)
     roots = np.flatnonzero(lab == cells)
@@ -431,27 +436,27 @@ def _orbital_hom_basis(mats_src, mats_tgt, perms_src, perms_tgt, d_src: int, d_t
     # M A = M[:, i(x)] with A[i(x), x] = 1, and B M = M[j'(j), :] with B[j, j'(j)] = 1;
     # basis[c] is 1 exactly where cls is c, so checking cls checks every basis matrix
     cls = rank[lab].reshape(d_tgt, d_src)
-    for A, B in zip(mats_src, mats_tgt):
+    for A, B in zip(V.matrices, U.matrices):
         if not np.array_equal(cls[:, A.argmax(axis=0)], cls[B.argmax(axis=1), :]):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
     return list(basis)
 
 
-def _spin_hom_basis(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """:func:`hom_basis_matrices` by the standard-basis method (Lux &
-    Szoke, Exp. Math. 12, 2003), for any nonzero dimensions.
+def _spin_hom_basis(V: Rep, U: Rep):
+    """:func:`hom_space` by the standard-basis method (Lux & Szoke, Exp.
+    Math. 12, 2003), for any nonzero dimensions.
 
-    Spin the source from the unit vectors e_0, e_1, ...  A spun vector
+    Spin V from the unit vectors e_0, e_1, ...  A spun vector
     v_j = A_g v_parent carries W_j = B_g W_parent, so that M v_j = W_j t_s
     where t_s = M s is the image of the seed s it was spun from.  Each
-    dependent image A_g v_j = sum_l c_l v_l gives d_tgt linear equations
+    dependent image A_g v_j = sum_l c_l v_l gives dim U linear equations
     B_g W_j t_s(j) = sum_l c_l W_l t_s(l), so the system has only
-    (number of seeds) * d_tgt unknowns.  The seeds are those of
-    :meth:`Rep.seeds`.
+    (number of seeds) * dim U unknowns.  The seeds are those of
+    :meth:`Rep.seeds`, and the spin sets them on V if they are unset.
     """
+    field, d_src, d_tgt = V.field, V.dim, U.dim
     D = d_src * d_tgt
-    log: list = []
-    space = linalg.spin(field, mats_src, list(field.identity(d_src)), log=log)
+    space, log = V._spin_units()
     W: list[np.ndarray] = []  # M v_j = W[j] t_seed_of[j]
     seed_of: list[int] = []
     relations = []
@@ -465,7 +470,7 @@ def _spin_hom_basis(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: i
             W.append(field.identity(d_tgt))
         else:
             seed_of.append(seed_of[j])
-            W.append(field.mat_mul(mats_tgt[g], W[j]))
+            W.append(field.mat_mul(U.matrices[g], W[j]))
     seed_of = np.array(seed_of)
     Wst = np.stack(W)
     by_seed = [np.nonzero(seed_of == s)[0] for s in range(k)]
@@ -480,7 +485,7 @@ def _spin_hom_basis(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: i
         E[:, :, s, :] = field.neg(comb.T).reshape(-1, d_tgt, d_tgt)
     rel_j = np.array([j for j, _, _ in relations])
     rel_g = np.array([g for _, g, _ in relations])
-    for g, B in enumerate(mats_tgt):
+    for g, B in enumerate(U.matrices):
         rs = np.nonzero(rel_g == g)[0]
         if not rs.size:
             continue
@@ -502,38 +507,29 @@ def _spin_hom_basis(field: FiniteField, mats_src, mats_tgt, d_src: int, d_tgt: i
         Y[idx] = field.mat_mul(Wst[idx].reshape(-1, d_tgt), T[:, s, :].T).reshape(-1, d_tgt, h)
     Pinv = linalg.inverse(field, np.stack(space.raw_basis_rows(), axis=1))
     X = field.mat_mul(Y.transpose(2, 1, 0).reshape(h * d_tgt, d_src), Pinv).reshape(h, D)
-    basis = _canonical_hom_basis(field, X, mats_src, mats_tgt, d_src, d_tgt)
+    basis = _canonical_hom_basis(X, V, U)
     if len(basis) != h:
         raise ConsistencyError("spun homomorphisms are linearly dependent")
     return basis
 
 
-def _canonical_hom_basis(field: FiniteField, X: np.ndarray, mats_src, mats_tgt, d_src: int, d_tgt: int):
-    """The canonical basis (as in :func:`hom_basis_matrices`) of the span of
-    the rows of X, each the row-major vec(M) of a map M from the source to
-    the target: the reduced echelon form of X with its columns reversed,
-    listed by ascending position of the last nonzero entry.  Raises
+def _canonical_hom_basis(X: np.ndarray, V: Rep, U: Rep):
+    """The canonical basis (as in :func:`hom_space`) of the span of the
+    rows of X, each the row-major vec(M) of a map M from V to U: the
+    reduced echelon form of X with its columns reversed, listed by
+    ascending position of the last nonzero entry.  Raises
     ConsistencyError unless every basis map intertwines every generator pair.
     """
+    field, d_src, d_tgt = V.field, V.dim, U.dim
     R, pivots = linalg.rref(field, X[:, ::-1])
     h = len(pivots)
     basis = np.ascontiguousarray(R[:h][::-1, ::-1]).reshape(h, d_tgt, d_src)
-    for A, B in zip(mats_src, mats_tgt):
+    for A, B in zip(V.matrices, U.matrices):
         left = field.mat_mul(basis.reshape(h * d_tgt, d_src), A).reshape(h, d_tgt, d_src)
         right_t = field.mat_mul(basis.transpose(0, 2, 1).reshape(h * d_src, d_tgt), B.T)
         if not np.array_equal(left, right_t.reshape(h, d_src, d_tgt).transpose(0, 2, 1)):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
     return list(basis)
-
-
-def hom_space(V: Rep, U: Rep) -> HomSpace:
-    """All M over the common field with M @ rho_V(g) = rho_U(g) @ M."""
-    if V.group != U.group:
-        raise InputError("hom space requires modules of the same group")
-    if V.field is not U.field:
-        raise InputError("hom space requires a common coefficient field")
-    basis = hom_basis_matrices(V.field, V.matrices, U.matrices, V.dim, U.dim)
-    return HomSpace(V, U, basis)
 
 
 def validate(V: Rep) -> list[str]:

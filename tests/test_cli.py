@@ -170,6 +170,16 @@ def test_green_refuses_non_integer_permutations(tmp_path, capsys, gens):
     assert not os.path.exists(tmp_path / "green.json")
 
 
+def test_green_refuses_a_repeated_image(tmp_path, capsys):
+    path = str(tmp_path / "triv.json")
+    _run(capsys, ["make", "trivial", "-g", "S4", "-p", "2", "-o", path])
+    argv = ["green", "--module", path, "--vertex-gens", "[[0, 0, 1, 2]]", "--subgroup-gens", "[[1, 0, 2, 3]]"]
+    code, out, err = _run(capsys, argv + ["-o", str(tmp_path / "green.json")])
+    assert (code, out) == (1, "")
+    assert err == "error: not a permutation of 0..3: [0, 0, 1, 2]\n"
+    assert not os.path.exists(tmp_path / "green.json")
+
+
 def test_fiber_from_group_and_from_file(tmp_path, capsys):
     code, out, _ = _run(
         capsys,
@@ -335,13 +345,15 @@ def test_cache_key_separates_formats(tmp_path, capsys):
     assert len(entries) == 2
 
 
-def test_cache_recovers_from_corruption(tmp_path, capsys):
+# not JSON, and JSON that is not an object
+@pytest.mark.parametrize("content", ["{broken", "[]", "null", "1", '"x"'])
+def test_cache_recovers_from_corruption(tmp_path, capsys, content):
     cache = str(tmp_path / "cache")
     argv = ["--cache-dir", cache, "count", "-g", "S3", "-p", "2"]
     _, out1, _ = _run(capsys, argv)
     entry = [f for f in os.listdir(cache) if f.endswith(".json")][0]
     with open(os.path.join(cache, entry), "w") as fh:
-        fh.write("{broken")
+        fh.write(content)
     code, out2, err = _run(capsys, argv)
     assert code == 0
     assert out2 == out1

@@ -23,7 +23,7 @@ from modclass.meataxe import decompose, is_isomorphic, simple_modules
 from modclass.modrep import (
     Rep,
     direct_sum,
-    hom_basis_matrices,
+    hom_space,
     induce,
     regular_module,
     restrict_subgroup,
@@ -273,26 +273,26 @@ def test_vertex_and_source_of_summands_reuse_the_end_decompose_solved(monkeypatc
     Q2 = [Q for Q in p_subgroups_up_to_conjugacy(G, 2) if Q.order == 2][0]
     V = direct_sum(regular_module(G, F2), induce(trivial_module(Q2.group, F2), G))
     summands = [W for W, _ in decompose(V).summands]
-    ends = [hom_basis_matrices(F2, W.matrices, W.matrices, W.dim, W.dim) for W in summands]
+    ends = [hom_space(W, W) for W in summands]
     repeats = []
 
     def same(mats, ref, equal):
         return len(mats) == len(ref) and all(equal(a, b) for a, b in zip(mats, ref))
 
-    real_hom, real_structure = modrep.hom_basis_matrices, meataxe.algebra_structure
+    real_hom, real_structure = modrep.hom_space, meataxe.algebra_structure
 
-    def hom(field, src, tgt, *dims):
+    def hom(src, tgt):
         for W in summands:  # a summand's own matrix objects on both sides: its End_G
-            if same(src, W.matrices, op.is_) and same(tgt, W.matrices, op.is_):
+            if same(src.matrices, W.matrices, op.is_) and same(tgt.matrices, W.matrices, op.is_):
                 repeats.append(("End", W.dim))
-        return real_hom(field, src, tgt, *dims)
+        return real_hom(src, tgt)
 
     def structure(field, basis, *args):
         repeats.extend(("structure", len(E)) for E in ends if same(basis, E, np.array_equal))
         return real_structure(field, basis, *args)
 
     for mod in (modrep, meataxe, green):
-        monkeypatch.setattr(mod, "hom_basis_matrices", hom)
+        monkeypatch.setattr(mod, "hom_space", hom)
     monkeypatch.setattr(meataxe, "algebra_structure", structure)
     for W in summands:
         Q = vertex(W)
@@ -333,8 +333,8 @@ def _full_system_higman(V, Q):
     # Higman's criterion on all d^2 entries of the relative traces
     field = V.field
     d = V.dim
-    q_mats = [V.element_matrix(g) for g in Q.group.generators]
-    stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
+    res = restrict_subgroup(V, Q)
+    stack = np.stack(hom_space(res, res))
     T = right_transversal(V.group, Q)
     A = _relative_trace(V, T, stack, range(d)).reshape(len(stack), -1).T
     coeffs = linalg.solve(field, A, field.identity(d).reshape(-1))
@@ -412,8 +412,8 @@ def test_batched_relative_trace_matches_per_map_reference(name, p, n):
     for V in (trivial_module(G, K), reg, pim):
         d = V.dim
         for Q in p_subgroups_up_to_conjugacy(G, p):
-            q_mats = [V.element_matrix(g) for g in Q.group.generators]
-            basis = np.stack(hom_basis_matrices(K, q_mats, q_mats, d, d))
+            res = restrict_subgroup(V, Q)
+            basis = np.stack(hom_space(res, res))
             T = right_transversal(G, Q)
             want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
             by_matrix = K.mat_mul(_trace_matrix(K, *_coset_stacks(V, T), range(d)), basis.reshape(-1, d * d).T)
@@ -460,8 +460,8 @@ def _is_summand(V: Rep, W: Rep) -> bool:
     """
     field = V.field
     d, e = V.dim, W.dim
-    alphas = hom_basis_matrices(field, V.matrices, W.matrices, d, e)
-    betas = hom_basis_matrices(field, W.matrices, V.matrices, e, d) if alphas else []
+    alphas = hom_space(V, W)
+    betas = hom_space(W, V) if alphas else []
     if not betas:
         return False
     a, b = len(alphas), len(betas)
@@ -519,17 +519,17 @@ def test_source_solves_no_hom_space_larger_than_the_module(name, monkeypatch):
     inputs = [induce(trivial_module(Q.group, F2), G) for Q in classes]
     summands = [W for M in inputs for W, _ in decompose(M).summands]
     sides = []
-    real_hom = modrep.hom_basis_matrices
+    real_hom = modrep.hom_space
 
-    def hom(field, src, tgt, d_src, d_tgt):
-        sides.append((d_src, d_tgt))
-        return real_hom(field, src, tgt, d_src, d_tgt)
+    def hom(src, tgt):
+        sides.append((src.dim, tgt.dim))
+        return real_hom(src, tgt)
 
     def no_induce(*args):
         raise AssertionError("source built an induced module")
 
     for mod in (modrep, meataxe, green):
-        monkeypatch.setattr(mod, "hom_basis_matrices", hom)
+        monkeypatch.setattr(mod, "hom_space", hom)
     monkeypatch.setattr(modrep, "induce", no_induce)
     for W in summands:
         sides.clear()
@@ -599,8 +599,8 @@ def _unit_map_system_higman(V, Q):
     # End_Q(V) basis, which at a trivially acting Q holds all d^2 unit maps
     field = V.field
     d = V.dim
-    q_mats = [V.element_matrix(g) for g in Q.group.generators]
-    stack = np.stack(hom_basis_matrices(field, q_mats, q_mats, d, d))
+    res = restrict_subgroup(V, Q)
+    stack = np.stack(hom_space(res, res))
     h = len(stack)
     seeds = V.seeds()
     A = _relative_trace(V, right_transversal(V.group, Q), stack, seeds).reshape(h, -1).T

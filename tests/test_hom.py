@@ -3,7 +3,7 @@ Kronecker solver and against each other.
 
 The reference solves M A_g = B_g M for all d_src * d_tgt entries of M at
 once, as one (g * d_tgt * d_src) x (d_tgt * d_src) system on the row-major
-vec(M).  ``hom_basis_matrices`` must return exactly the basis that the
+vec(M).  ``hom_space`` must return exactly the basis that the
 reference's nullspace returns, matrix for matrix and in the same order,
 because the randomized searches downstream take their branches from it.
 Between permutation modules the basis comes from the orbits on the cells
@@ -25,7 +25,7 @@ from modclass.meataxe import composition_factors, decompose, simple_modules
 from modclass.modrep import (
     Rep,
     direct_sum,
-    hom_basis_matrices,
+    hom_space,
     induce,
     permutation_module,
     regular_module,
@@ -35,15 +35,16 @@ from modclass.modrep import (
 from modclass.perm_group import PermGroup, catalog, p_subgroups_up_to_conjugacy
 
 
-def kronecker_hom_basis(field, mats_src, mats_tgt, d_src, d_tgt):
+def kronecker_hom_basis(V, U):
     """Reference solver: the nullspace of the Kronecker system for vec(M)."""
+    field, d_src, d_tgt = V.field, V.dim, U.dim
     D = d_src * d_tgt
     if D == 0:
         return []
     blocks = []
     eye_t = np.eye(d_tgt, dtype=np.int64)
     eye_s = np.eye(d_src, dtype=np.int64)
-    for A, B in zip(mats_src, mats_tgt):
+    for A, B in zip(V.matrices, U.matrices):
         left = np.kron(eye_t, A.T)  # vec(M A), row-major vec
         right = np.kron(B, eye_s)  # vec(B M)
         blocks.append(field.sub(left, right))
@@ -69,13 +70,15 @@ def spin_log_seeds(V: Rep) -> tuple[int, ...]:
 
 
 def _assert_same_hom(V, U):
-    """hom_basis_matrices equals the spin solver byte for byte, and the
-    seeds of V equal the spin-log oracle."""
-    K = V.field
-    basis = hom_basis_matrices(K, V.matrices, U.matrices, V.dim, U.dim)
-    spun = modrep._spin_hom_basis(K, V.matrices, U.matrices, V.dim, U.dim)
-    _assert_same_basis(basis, spun)
+    """hom_space equals the spin solver byte for byte, and the seeds of V
+    equal the spin-log oracle, before and after the spin solver sets them
+    on a fresh copy of V."""
+    basis = hom_space(V, U)
     assert V.seeds() == spin_log_seeds(V)
+    fresh = Rep(V.group, V.field, V.matrices, check=False, dim=V.dim)
+    spun = modrep._spin_hom_basis(fresh, U)
+    _assert_same_basis(basis, spun)
+    assert fresh._seeds == V.seeds()
 
 
 def _permutation_modules(G, K):
@@ -129,9 +132,7 @@ def test_spinning_matches_kronecker_oracle(name, p, n):
     for group in (mods, trivial, bare):
         for V in group:
             for U in group:
-                got = hom_basis_matrices(K, V.matrices, U.matrices, V.dim, U.dim)
-                want = kronecker_hom_basis(K, V.matrices, U.matrices, V.dim, U.dim)
-                _assert_same_basis(got, want)
+                _assert_same_basis(hom_space(V, U), kronecker_hom_basis(V, U))
                 _assert_same_hom(V, U)
 
 
@@ -149,9 +150,9 @@ def test_permutation_modules_never_enter_the_spin_solver(monkeypatch):
     calls = []
     spin = modrep._spin_hom_basis
 
-    def counting(*args):
-        calls.append(args[3:])
-        return spin(*args)
+    def counting(V, U):
+        calls.append((V.dim, U.dim))
+        return spin(V, U)
 
     monkeypatch.setattr(modrep, "_spin_hom_basis", counting)
     for name in ("S3", "A4", "S4"):
@@ -212,20 +213,25 @@ def test_permutation_test_short_circuits_on_the_first_other_matrix(monkeypatch):
 def test_empty_generator_list_and_zero_dimension():
     K = make_field(3, 2)
     # no generators (trivial group): every matrix is a homomorphism
-    _assert_same_basis(hom_basis_matrices(K, [], [], 2, 3), kronecker_hom_basis(K, [], [], 2, 3))
-    assert len(hom_basis_matrices(K, [], [], 2, 3)) == 6
+    bare = PermGroup(1, [])
+    V, U = Rep(bare, K, [], dim=2), Rep(bare, K, [], dim=3)
+    _assert_same_basis(hom_space(V, U), kronecker_hom_basis(V, U))
+    assert len(hom_space(V, U)) == 6
     # identity generators on both sides (a trivial subgroup) act like none;
     # on one side only they do not
     I2, I3 = np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)
     P3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int64)
-    for src, tgt in (([I2, I2], [I3, I3]), ([I2], [P3])):
-        _assert_same_basis(hom_basis_matrices(K, src, tgt, 2, 3), kronecker_hom_basis(K, src, tgt, 2, 3))
-    assert len(hom_basis_matrices(K, [I2], [P3], 2, 3)) == 2
-    A = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    empty = np.zeros((0, 0), dtype=np.int64)
-    assert hom_basis_matrices(K, [empty], [A], 0, 2) == []
-    assert hom_basis_matrices(K, [A], [empty], 2, 0) == []
-    assert hom_basis_matrices(K, [empty], [empty], 0, 0) == []
+    twice, c3 = PermGroup(1, [(0,), (0,)]), PermGroup(3, [(1, 2, 0)])
+    for G, src, tgt in ((twice, [I2, I2], [I3, I3]), (c3, [I2], [P3])):
+        V, U = Rep(G, K, src), Rep(G, K, tgt)
+        _assert_same_basis(hom_space(V, U), kronecker_hom_basis(V, U))
+    assert len(hom_space(V, U)) == 2
+    c2 = PermGroup(2, [(1, 0)])
+    A = Rep(c2, K, [np.array([[0, 1], [1, 0]], dtype=np.int64)])
+    empty = Rep(c2, K, [np.zeros((0, 0), dtype=np.int64)])
+    assert hom_space(empty, A) == []
+    assert hom_space(A, empty) == []
+    assert hom_space(empty, empty) == []
 
 
 def test_rep_endomorphisms_are_the_hom_basis_solved_once(monkeypatch):
@@ -235,16 +241,29 @@ def test_rep_endomorphisms_are_the_hom_basis_solved_once(monkeypatch):
     mods.append(Rep(PermGroup(1, []), K, [], dim=2))
     solved = [(V.endomorphisms(), V.seeds()) for V in mods]
     for V, (basis, seeds) in zip(mods, solved):
-        _assert_same_basis(basis, hom_basis_matrices(K, V.matrices, V.matrices, V.dim, V.dim))
+        _assert_same_basis(basis, hom_space(V, V))
         assert seeds and tuple(sorted(seeds)) == seeds
 
     def forbidden(*args):
         raise AssertionError("End or the seeds solved a second time")
 
-    monkeypatch.setattr(modrep, "hom_basis_matrices", forbidden)
+    monkeypatch.setattr(modrep, "hom_space", forbidden)
     monkeypatch.setattr(linalg, "spin", forbidden)
     monkeypatch.setattr(modrep, "_orbit_labels", forbidden)
     assert all(V.endomorphisms() is got[0] and V.seeds() is got[1] for V, got in zip(mods, solved))
+
+
+def test_end_solve_gives_the_seeds_without_a_second_spin(monkeypatch):
+    # a module that is not a permutation module is spun once, by its End
+    # solve, and its seeds are read off the log of that spin
+    V = _random_basis(regular_module(catalog()["S4"], make_field(2, 1)), np.random.default_rng(3))
+    want = spin_log_seeds(V)
+    spins = []
+    real = linalg.spin
+    monkeypatch.setattr(linalg, "spin", lambda *args, **kwargs: spins.append(args) or real(*args, **kwargs))
+    V.endomorphisms()
+    assert V.seeds() == want
+    assert len(spins) == 1
 
 
 def test_trivial_action_and_gf_2_20_end_fit_in_one_gib():

@@ -6,6 +6,7 @@ structure) before being fixed here.
 """
 
 import ast
+import collections
 import inspect
 
 import numpy as np
@@ -20,7 +21,7 @@ from modclass.modrep import (
     Rep,
     direct_sum,
     extend_scalars,
-    hom_basis_matrices,
+    hom_space,
     induce,
     permutation_module,
     regular_module,
@@ -435,7 +436,7 @@ def _oracle_is_isomorphic(V, U, seed=0):
     field = V.field
     if V.dim != U.dim:
         return False, None
-    basis = hom_basis_matrices(field, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    basis = hom_space(V, U)
     h = len(basis)
     if field.q**h > limits.SCAN_CAP:
         return None
@@ -506,7 +507,7 @@ def test_is_isomorphic_matches_exhaustive_oracle(name, p, n):
 
 def test_is_isomorphic_of_indecomposables_makes_no_search(monkeypatch):
     P1, P2 = (W for W, _ in decompose(regular_module(catalog()["S4"], F2)).summands)
-    assert len(hom_basis_matrices(F2, list(P1.matrices), list(P2.matrices), 8, 8)) >= 2
+    assert len(hom_space(P1, P2)) >= 2
 
     def no_search(*args):
         raise AssertionError("span search on indecomposable modules")
@@ -553,7 +554,7 @@ def test_krull_schmidt_matches_decomposable_modules_in_a_random_basis():
     T, PT = _s3_trivial_and_projective_cover()
     V = direct_sum(_power(PT, 3), T)
     U = _random_conjugate(V, np.random.default_rng(1))
-    assert F2.q ** len(hom_basis_matrices(F2, list(V.matrices), list(U.matrices), 7, 7)) > limits.SCAN_CAP
+    assert F2.q ** len(hom_space(V, U)) > limits.SCAN_CAP
     for A, B in ((V, U), (U, V)):
         res = is_isomorphic(A, B)
         assert res.reason == "equal indecomposable summands"
@@ -604,7 +605,7 @@ def _invertible_in_span(V, U):
     """`_span_search` for an invertible map in Hom(V, U); `_try_split` runs
     the same search for a splitting endomorphism."""
     K = V.field
-    basis = hom_basis_matrices(K, list(V.matrices), list(U.matrices), V.dim, U.dim)
+    basis = hom_space(V, U)
     invertible = lambda M: M if linalg.is_invertible(K, M) else None
     return meataxe._span_search(K, basis, np.random.default_rng(0), invertible)
 
@@ -715,7 +716,7 @@ def test_end_structure_matches_quotient_algebra_oracle(name, p, n):
     sums = [direct_sum(summands[0], W) for W in summands[:2]]
     simples = list(simple_modules(G, K).modules)  # their structure comes from Schur's lemma
     for V in modules + summands + sums + simples:
-        basis = hom_basis_matrices(K, list(V.matrices), list(V.matrices), V.dim, V.dim)
+        basis = hom_space(V, V)
         want = _oracle_algebra_structure(K, basis, np.random.default_rng(0))
         assert end_structure(V) == want, (V.dim, want)
     assert not any(end_structure(V)[2] for V in sums)  # a sum of two is never local
@@ -754,7 +755,7 @@ def test_decompose_groups_leaves_without_end_solves_or_searches(monkeypatch, n):
 def _decompose_without_orbit_split(V, seed, monkeypatch):
     # decompose as it was before permutation modules split by orbits first
     with monkeypatch.context() as m:
-        m.setattr(meataxe, "point_orbits", lambda mats, dim: None)
+        m.setattr(Rep, "point_orbits", property(lambda self: None))
         return decompose(V, seed=seed)
 
 
@@ -792,7 +793,7 @@ def _intransitive_permutation_modules():
 @pytest.mark.parametrize("index", range(6))
 def test_orbit_split_matches_decompose_without_it(monkeypatch, index):
     V = _intransitive_permutation_modules()[index]
-    assert len(modrep.point_orbits(V.matrices, V.dim)) > 1
+    assert len(V.point_orbits) > 1
     for seed in (0, 5):
         got = decompose(V, seed=seed)
         want = _decompose_without_orbit_split(V, seed, monkeypatch)
@@ -806,14 +807,27 @@ def test_orbit_split_needs_no_end_of_the_module(monkeypatch):
     # copies join the line's class by the identity: no hom solve at all
     V = restrict_subgroup(regular_module(catalog()["S4"], F2), catalog()["S4"].trivial_subgroup())
     sizes = []
-    real = modrep.hom_basis_matrices
-    counting = lambda K, a, b, d, e: sizes.append((d, e)) or real(K, a, b, d, e)
+    real = modrep.hom_space
+    counting = lambda W, U: sizes.append((W.dim, U.dim)) or real(W, U)
     for mod in (modrep, meataxe):
-        monkeypatch.setattr(mod, "hom_basis_matrices", counting)
+        monkeypatch.setattr(mod, "hom_space", counting)
     dec = decompose(V)
     assert [(W.dim, m) for W, m in dec.summands] == [(1, 24)]
     assert sizes == []
     _assert_splitting_basis(dec)
+
+
+def test_decompose_checks_each_piece_for_permutation_matrices_once(monkeypatch):
+    # the orbit split, the End solve and the isomorphism tests of a piece
+    # all read one check of its generators
+    reg = regular_module(catalog()["S4"], F2)
+    seen = []  # keeps every checked matrix alive, so no id is reused
+    real = modrep._permutation
+    monkeypatch.setattr(modrep, "_permutation", lambda M: seen.append(M) or real(M))
+    dec = decompose(direct_sum(reg, reg))
+    assert [(W.dim, m) for W, m in dec.summands] == [(8, 2), (8, 4)]
+    counts = collections.Counter(id(M) for M in seen)
+    assert seen and max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("K", [F2, F3], ids=["GF(2)", "GF(3)"])
@@ -864,21 +878,21 @@ def test_corner_end_equals_the_hom_solver(monkeypatch, index, moved):
     end_solves = []
     real = modrep._spin_hom_basis
 
-    def counting(K, a, b, d, e):
-        if a is b:  # Rep.endomorphisms passes one list twice
-            end_solves.append(d)
-        return real(K, a, b, d, e)
+    def counting(W, U):
+        if W is U:  # Rep.endomorphisms passes one module twice
+            end_solves.append(W.dim)
+        return real(W, U)
 
     monkeypatch.setattr(modrep, "_spin_hom_basis", counting)
     dec = decompose(V)
     assert end_solves == ([V.dim] if moved else [])
     monkeypatch.undo()
     for W, _ in dec.summands:
-        spun = real(W.field, W.matrices, W.matrices, W.dim, W.dim)
+        assert W.seeds() == _spin_seeds(W)
+        spun = real(W, W)
         assert [(M.dtype, M.shape, M.tobytes()) for M in W.endomorphisms()] == [
             (M.dtype, M.shape, M.tobytes()) for M in spun
         ]
-        assert W.seeds() == _spin_seeds(W)
 
 
 def test_corner_end_is_checked(monkeypatch):
@@ -917,7 +931,7 @@ def test_decompose_reuses_the_solved_end_of_its_module(monkeypatch):
     end = V._end
     dims = []
     real = modrep._spin_hom_basis
-    monkeypatch.setattr(modrep, "_spin_hom_basis", lambda K, a, b, d, e: dims.append(d) or real(K, a, b, d, e))
+    monkeypatch.setattr(modrep, "_spin_hom_basis", lambda W, U: dims.append(W.dim) or real(W, U))
     assert _summand_multiset(V) == [(8, 1), (8, 2)]
     assert V.dim not in dims
     assert V._end is end and V._structure == structure
@@ -942,7 +956,7 @@ def test_identical_pieces_split_once(monkeypatch, index):
     # A4 ind PIM4 has four identical orbit blocks, S4 reg + reg two: only the
     # first copy splits, so a block costs the root one more split
     V = _corner_end_inputs()[index]
-    orbits = modrep.point_orbits(V.matrices, V.dim)
+    orbits = V.point_orbits
     block = meataxe._submodule(V, V.field.identity(V.dim)[orbits[0]])
     one, one_dims = _splits(monkeypatch, block)
     dec, dims = _splits(monkeypatch, V)
@@ -1052,8 +1066,8 @@ def test_frobenius_reciprocity_on_regular_summands(case):
     parts = [U for U, _ in decompose(res).summands]
     U = parts[(s // len(summands)) % len(parts)]
     ind = induce(U, G)
-    up = hom_basis_matrices(K, list(ind.matrices), list(V.matrices), ind.dim, V.dim)
-    down = hom_basis_matrices(K, list(U.matrices), list(res.matrices), U.dim, res.dim)
+    up = hom_space(ind, V)
+    down = hom_space(U, res)
     assert len(up) == len(down)
 
 
@@ -1371,7 +1385,7 @@ def test_krull_schmidt_settles_decomposable_modules_with_unequal_char_polys(monk
     W = next(M for M in simple_modules(S3, F2).modules if M.dim == 2)
     V = direct_sum(direct_sum(T, T), W)
     U = direct_sum(direct_sum(T, T), direct_sum(T, T))
-    basis = hom_basis_matrices(F2, list(V.matrices), list(U.matrices), 4, 4)
+    basis = hom_space(V, U)
     assert len(basis) >= 2 and not any(linalg.is_invertible(F2, M) for M in basis)
     assert V.generator_char_polys() != U.generator_char_polys()
 
