@@ -100,7 +100,7 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     if all(np.array_equal(M, field.identity(d)) for M in res.matrices):
         basis = None  # coefficient i d + j is that of E_ij
     else:  # row i is vec(phi_i)
-        basis = np.stack(hom_space(res, res)).reshape(-1, d * d)
+        basis = hom_space(res, res).reshape(-1, d * d)
         A = field.mat_mul(A, basis.T)  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
@@ -169,16 +169,13 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     field, d, res = V.field, V.dim, restrict_subgroup(V, Q)
     inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
     for U, _ in decompose(res, seed=seed).summands:
-        alphas = hom_space(res, U)
-        betas = hom_space(U, res) if alphas else []
-        if not betas:
-            continue
+        alphas = hom_space(res, U)  # U | res, so neither Hom is zero
         a, e = len(alphas), U.dim
         # the (|T| e x d) alphas [a t]_t side by side; times the (d x |T| e)
         # [t^-1 b]_t of one beta, block i of the product is Tr(b a_i)
-        alpha = field.mat_mul(np.concatenate(alphas), fwd.transpose(1, 0, 2).reshape(d, -1))
+        alpha = field.mat_mul(alphas.reshape(a * e, d), fwd.transpose(1, 0, 2).reshape(d, -1))
         alpha = alpha.reshape(a, e, -1, d).transpose(2, 1, 0, 3).reshape(-1, a * d)
-        for b in betas:  # stop at the first invertible composite
+        for b in hom_space(U, res):  # stop at the first invertible composite
             beta = field.mat_mul(inv.reshape(-1, d), b).reshape(-1, d, e).transpose(1, 0, 2)
             composites = field.mat_mul(beta.reshape(d, -1), alpha).reshape(d, a, d).transpose(1, 0, 2)
             if any(linalg.is_invertible(field, c) for c in composites):

@@ -17,7 +17,11 @@ dim E/rad(E).  By Wedderburn E/rad(E) = prod M_n(D), whose simple modules
 have dimension n dim D against sum n^2 dim D, so only a division algebra
 passes.  rad(E) is the annihilator of those factors (the trace-form
 shortcut is unsound in characteristic p, so it is not used).  A module
-keeps E and the verdict; the summands `decompose` returns carry both.
+keeps E and the verdict; the summands `decompose` returns carry both, and
+`decompose` works on V itself, so V keeps them too.  `end_structure` and
+`_span_search` each make their generator from the seed they are given, so
+no search shifts the draws of another, and a decomposition depends only on
+the module's matrices and the seed, not on what the module already holds.
 
 A permutation module, one whose generators all act by permutation
 matrices, splits along the orbits on its unit vectors
@@ -62,7 +66,7 @@ and certifies its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,16 +244,16 @@ def composition_factors(V: Rep, seed: int = 0) -> list[Rep]:
 # ----- endomorphism algebra structure -----
 
 
-def _algebra_right_mults(field: FiniteField, basis, seeds):
-    """Right multiplication matrices of an algebra given by a matrix basis,
-    read on the columns `seeds`, on which every element is determined."""
-    h = len(basis)
-    d = basis[0].shape[0]
+def _algebra_right_mults(field: FiniteField, basis: np.ndarray, seeds):
+    """Right multiplication matrices of an algebra given by an (h, d, d)
+    matrix basis, read on the columns `seeds`, on which every element is
+    determined."""
+    h, d, _ = basis.shape
     space = linalg.RowSpace(field, d * len(seeds), track=True)
-    for b in basis:
-        if not space.add(b[:, seeds].reshape(-1)):
-            raise ConsistencyError("algebra basis is linearly dependent")
-    stack = np.concatenate(basis)  # (h * d, d)
+    added, _ = space._insert_rows(basis[:, :, list(seeds)].reshape(h, -1))
+    if not all(added):
+        raise ConsistencyError("algebra basis is linearly dependent")
+    stack = basis.reshape(h * d, d)
     mults = []
     for b in basis:
         # row j of the products is (basis[j] @ b)[:, seeds], flattened
@@ -283,14 +287,9 @@ def algebra_structure(field: FiniteField, basis, seeds, rng) -> tuple[int, int, 
 
 def end_structure(V: Rep, seed: int = 0) -> tuple[int, int, bool]:
     """(dim End, dim rad End, local?) of a module's endomorphism algebra, kept
-    on the module: the verdict is certified, so it does not depend on the seed."""
-    return _end_structure(V, seed)
-
-
-def _end_structure(V: Rep, rng) -> tuple[int, int, bool]:
-    """`end_structure` drawing from `rng`, a generator or the seed of one
-    made only for a draw; the one writer of ``V._structure`` besides
-    Schur's lemma in `simple_modules`.
+    on the module: the verdict is certified, so it does not depend on the
+    seed.  The one writer of ``V._structure`` besides Schur's lemma in
+    `simple_modules`.
 
     When every generator acts as the identity, End is the full matrix
     algebra M_d(K), read off without solving for its d^2 unit maps; a line
@@ -302,7 +301,7 @@ def _end_structure(V: Rep, rng) -> tuple[int, int, bool]:
         elif len(V.endomorphisms()) == 1:  # End(V) is the field
             V._structure = (1, 0, True)
         else:
-            rng = np.random.default_rng(rng)  # a generator passes through unchanged
+            rng = np.random.default_rng(seed)
             V._structure = algebra_structure(V.field, V.endomorphisms(), V.seeds(), rng)
     return V._structure
 
@@ -339,18 +338,20 @@ def _combo(field: FiniteField, stack: np.ndarray, coeffs) -> np.ndarray:
     return field.mat_mul(np.asarray(coeffs)[None], flat).reshape(stack.shape[1:])
 
 
-def _span_search(field: FiniteField, basis, rng, test):
-    """First non-None test(x) over nonzero combinations x of a matrix basis.
+def _span_search(field: FiniteField, basis: np.ndarray, seed: int, test):
+    """First non-None test(x) over nonzero combinations x of an (h, m, n)
+    matrix basis.
 
-    Seeded random combinations are the attempts of `_las_vegas`, every
-    combination its scan: None means that none passes the test, and a span
-    of more than SCAN_CAP elements raises InconclusiveError instead.
+    Random combinations drawn from the seed are the attempts of
+    `_las_vegas`, every combination its scan: None means that none passes
+    the test, and a span of more than SCAN_CAP elements raises
+    InconclusiveError instead.
     """
-    stack = np.stack(basis)
     h = len(basis)
+    rng = np.random.default_rng(seed)
 
     def test_combo(coeffs):
-        return test(_combo(field, stack, coeffs)) if coeffs.any() else None
+        return test(_combo(field, basis, coeffs)) if coeffs.any() else None
 
     def scan():
         found = map(test_combo, _nonzero_vectors(field, h))
@@ -416,7 +417,7 @@ def _split_with_corners(V: Rep, pieces):
     spans: list[list[np.ndarray]] = [[] for _ in pieces]
     m = max(1, _CORNER_CELLS // (d * d))
     for start in range(0, len(basis), m):
-        chunk = np.stack(basis[start : start + m])
+        chunk = basis[start : start + m]
         n = len(chunk)
         for rows, pi, span in zip(pieces, projs, spans):
             k = len(rows)
@@ -426,15 +427,13 @@ def _split_with_corners(V: Rep, pieces):
     out = []
     for rows, span in zip(pieces, spans):
         W = _submodule(V, rows)
-        end = modrep._canonical_hom_basis(np.concatenate(span), W, W)
-        for b in end:
-            b.setflags(write=False)
-        W._end = tuple(end)
+        W._end = modrep._canonical_hom_basis(np.concatenate(span), W, W)
+        W._end.setflags(write=False)
         out.append((rows, W))
     return out
 
 
-def _try_split(V: Rep, rng):
+def _try_split(V: Rep, seed: int):
     """One splitting of V into submodules, as (rows in V, submodule) pairs,
     or None if V is indecomposable, which leaves End(V) and its structure
     solved on V.  Pieces split off along End(V) carry their End
@@ -449,7 +448,7 @@ def _try_split(V: Rep, rng):
         unit = field.identity(V.dim)
         return [(unit[orbit], _submodule(V, unit[orbit])) for orbit in orbits]
     if V.dim == 1 or len(V.endomorphisms()) == 1:  # End(V) is the field
-        _end_structure(V, rng)
+        end_structure(V, seed)
         return None
     basis, seeds = V.endomorphisms(), V.seeds()
     for phi in basis:  # deterministic candidates first
@@ -457,11 +456,11 @@ def _try_split(V: Rep, rng):
         if pieces:
             break
     else:
-        if _end_structure(V, rng)[2]:
+        if end_structure(V, seed)[2]:
             return None
         # a non-local algebra owns a nontrivial idempotent, whose minimal
         # polynomial x(x - 1) splits, so a complete scan cannot miss
-        pieces = _span_search(field, basis, rng, lambda phi: _split_by_min_poly(field, phi, seeds))
+        pieces = _span_search(field, basis, seed, lambda phi: _split_by_min_poly(field, phi, seeds))
         if pieces is None:
             raise ConsistencyError("non-local algebra without nontrivial idempotent")
     return _split_with_corners(V, pieces)
@@ -479,9 +478,12 @@ def decompose(V: Rep, seed: int = 0) -> Decomposition:
     solve; a piece with the same matrices as one split before reuses its
     leaves without splitting again.  A piece that does not split is
     indecomposable and keeps End and that proof; the first invertible basis
-    map of Hom(leaf, rep) decides its class.  The multiset of (dimension,
-    multiplicity) pairs is seed-independent by the Krull-Schmidt theorem;
-    the basis itself may vary with the seed.
+    map of Hom(leaf, rep) decides its class.  V is the root piece, so what
+    its split works out (End, seeds, orbits, a locality verdict) stays on V.
+    The multiset of (dimension, multiplicity) pairs is seed-independent by
+    the Krull-Schmidt theorem; the basis may vary with the seed, but every
+    split draws from a generator made from the seed alone, so it is the
+    same on every call, whatever V already holds.
     """
     return _decompose(V, seed, [])
 
@@ -491,23 +493,17 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
     order `decompose` returns classes; that order stands when no new class is
     found, and a class no summand joins keeps multiplicity 0."""
     field = V.field
-    rng = np.random.default_rng(seed)
-    # the root takes every fact V has worked out, but not a verdict on V,
-    # which would skip the draws of its End structure
-    root = Rep(V.group, field, V.matrices, check=False, dim=V.dim)
-    vars(root).update((k, v) for k, v in vars(V).items() if k != "_structure")
-
     # key -> (rows of the piece's leaves in the piece, stacked; the leaves).
     # A piece is split after every piece before it in depth-first order is
     # done, so an entry is complete when a copy of its piece looks it up.
     leaves: dict[tuple, tuple[np.ndarray, list[Rep]]] = {}
-    stack: list = [(root.key(), root)] if V.dim else []  # (key, piece) to visit, (key, split) to finish
+    stack: list = [(V.key(), V)] if V.dim else []  # (key, piece) to visit, (key, split) to finish
     while stack:
         k, item = stack.pop()
         if isinstance(item, Rep):
             if k in leaves:
                 continue
-            split = _try_split(item, rng)
+            split = _try_split(item, seed)
             if split is None:
                 leaves[k] = (field.identity(item.dim), [item])
                 continue
@@ -520,7 +516,7 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
 
     classes = [(rep, []) for rep in reps]  # (rep, [(leaf rows, leaf -> rep map)])
     placed: dict = {}  # leaf -> (members of its class, its map), for later copies of the leaf
-    rows, found = leaves[root.key()] if V.dim else (field.zeros(0, 0), [])
+    rows, found = leaves[V.key()] if V.dim else (field.zeros(0, 0), [])
     off = 0
     for leaf in found:
         r = rows[off : off + leaf.dim]
@@ -555,7 +551,7 @@ def _basis_iso(V: Rep, U: Rep) -> IsoResult | None:
         return IsoResult(False, None, "different dimensions")
     field = V.field
     basis = hom_space(V, U)
-    if not basis:
+    if not len(basis):
         return IsoResult(False, None, "no nonzero homomorphisms")
     for M in basis:
         if linalg.is_invertible(field, M):
@@ -629,7 +625,6 @@ class SimpleSet:
     field: FiniteField
     modules: tuple[Rep, ...]
     end_degrees: tuple[int, ...]
-    seed: int = dc_field(default=0)
 
     def __len__(self) -> int:
         return len(self.modules)
@@ -712,10 +707,4 @@ def simple_modules(G: PermGroup, K: FiniteField, seed: int = 0) -> SimpleSet:
         range(len(canon)),
         key=lambda i: (canon[i].dim, degrees[i], _module_key(canon[i]), keys[i]),
     )
-    return SimpleSet(
-        G,
-        K,
-        tuple(canon[i] for i in order),
-        tuple(degrees[i] for i in order),
-        seed,
-    )
+    return SimpleSet(G, K, tuple(canon[i] for i in order), tuple(degrees[i] for i in order))

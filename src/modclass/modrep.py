@@ -8,13 +8,14 @@ the subgroup functors (restriction and induction), Frobenius twists and
 homomorphism spaces all live here.
 
 `hom_space(V, U)` is the one Hom solver: it takes two modules and returns
-the canonical basis of Hom(V, U) as a list of matrices.  Between
-permutation modules the basis comes from orbitals, else from spinning V
-(the standard-basis method).  Each module works out its facts once and
-keeps them: whether its generators act by permutation matrices, its orbits
-on the unit vectors, its seeds and End(V).  The seeds of a module that is
-not a permutation module are read off the log of the first spin of it,
-which is that of its End solve when that comes first.
+the canonical basis of Hom(V, U) as one (h, dim U, dim V) array, which
+callers index and reshape; `Rep.endomorphisms` keeps End(V) as that array,
+read-only.  Between permutation modules the basis comes from orbitals,
+else from spinning V (the standard-basis method).  Each module works out
+its facts once and keeps them: whether its generators act by permutation
+matrices, its orbits on the unit vectors, its seeds and End(V).  The seeds
+of a module that is not a permutation module are read off the log of the
+first spin of it, which is that of its End solve when that comes first.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class Rep:
         if not dims:
             raise InputError("a module of a group without generators needs an explicit dimension")
         self.dim = dims.pop()
+        if self.dim < 0:
+            raise InputError("module dimension must be >= 0, got %d" % self.dim)
         self.matrices = tuple(mats)
         if check:
             for M in self.matrices:
@@ -113,18 +116,16 @@ class Rep:
             )
         return self._char_polys
 
-    def endomorphisms(self) -> tuple[np.ndarray, ...]:
-        """The basis of End(V) from :func:`hom_space`, solved once.
+    def endomorphisms(self) -> np.ndarray:
+        """The basis of End(V) from :func:`hom_space`, solved once and read-only.
 
         A piece that ``meataxe.decompose`` splits off along the End of its
         parent comes with its End already set, the corner eEe of the
         parent's End, equal to what the solve would return.
         """
         if self._end is None:
-            basis = hom_space(self, self)
-            for b in basis:
-                b.setflags(write=False)
-            self._end = tuple(basis)
+            self._end = hom_space(self, self)
+            self._end.setflags(write=False)
         return self._end
 
     @functools.cached_property
@@ -339,9 +340,10 @@ def frobenius_twist(V: Rep, sigma: FieldAutomorphism | int) -> Rep:
     return Rep(V.group, V.field, [sigma.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
 
 
-def hom_space(V: Rep, U: Rep) -> list[np.ndarray]:
+def hom_space(V: Rep, U: Rep) -> np.ndarray:
     """The canonical basis of the maps M with M rho_V(g) = rho_U(g) M for
-    every generator g, empty when either dimension is 0.
+    every generator g, as one (h, dim U, dim V) array; h = 0 when either
+    dimension is 0.
 
     The basis is the one that is the identity on the free columns of the
     Kronecker system for the row-major vec(M), that is, the reduced echelon
@@ -360,7 +362,7 @@ def hom_space(V: Rep, U: Rep) -> list[np.ndarray]:
     if V.field is not U.field:
         raise InputError("hom space requires a common coefficient field")
     if V.dim * U.dim == 0:
-        return []
+        return np.zeros((0, U.dim, V.dim), dtype=np.int64)
     if V.permutations is not None and U.permutations is not None:
         return _orbital_hom_basis(V, U)
     return _spin_hom_basis(V, U)
@@ -439,7 +441,7 @@ def _orbital_hom_basis(V: Rep, U: Rep):
     for A, B in zip(V.matrices, U.matrices):
         if not np.array_equal(cls[:, A.argmax(axis=0)], cls[B.argmax(axis=1), :]):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
-    return list(basis)
+    return basis
 
 
 def _spin_hom_basis(V: Rep, U: Rep):
@@ -498,7 +500,7 @@ def _spin_hom_basis(V: Rep, U: Rep):
     N = linalg.nullspace(field, E.reshape(-1, k * d_tgt))
     h = N.shape[0]
     if h == 0:
-        return []
+        return np.zeros((0, d_tgt, d_src), dtype=np.int64)
 
     # images of the spun vectors, then M = [M v_j] P^-1 with P = [v_j]
     T = N.reshape(h, k, d_tgt)
@@ -529,7 +531,7 @@ def _canonical_hom_basis(X: np.ndarray, V: Rep, U: Rep):
         right_t = field.mat_mul(basis.transpose(0, 2, 1).reshape(h * d_src, d_tgt), B.T)
         if not np.array_equal(left, right_t.reshape(h, d_src, d_tgt).transpose(0, 2, 1)):
             raise ConsistencyError("computed homomorphism does not intertwine the actions")
-    return list(basis)
+    return basis
 
 
 def validate(V: Rep) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 from modclass import cli, limits, perm_group
 from modclass.errors import LimitError
 from modclass.finite_field import make_field
-from modclass.serialize import load_module
+from modclass.serialize import field_to_doc, load_module
 
 COUNT_S3_P2_TABLE = """\
 absolutely simple classes over the closure of GF(2)
@@ -283,6 +283,25 @@ def test_exit_code_malformed_module_entry(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_exit_code_negative_module_dimension(tmp_path, capsys):
+    # a group without generators: the file's "dim" is the only dimension
+    path = str(tmp_path / "neg.json")
+    doc = {
+        "kind": "module",
+        "schema_version": 1,
+        "group": {"degree": 1, "generators": []},
+        "field": field_to_doc(make_field(2, 1)),
+        "dim": -1,
+        "matrices": [],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(capsys, ["decompose", "--module", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_exit_code_usage_error(capsys):

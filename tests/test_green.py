@@ -8,6 +8,7 @@ against a summand test run on the induced module itself and against
 decomposing it.
 """
 
+import collections
 import operator as op
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from modclass import green, linalg, meataxe, modrep
 from modclass.errors import ConsistencyError, InputError
 from modclass.finite_field import make_field
-from modclass.meataxe import decompose, is_isomorphic, simple_modules
+from modclass.meataxe import decompose, is_indecomposable, is_isomorphic, simple_modules
 from modclass.modrep import (
     Rep,
     direct_sum,
@@ -461,8 +462,8 @@ def _is_summand(V: Rep, W: Rep) -> bool:
     field = V.field
     d, e = V.dim, W.dim
     alphas = hom_space(V, W)
-    betas = hom_space(W, V) if alphas else []
-    if not betas:
+    betas = hom_space(W, V) if len(alphas) else []
+    if not len(betas):
         return False
     a, b = len(alphas), len(betas)
     # one product: the (b d) x e stack of betas times the e x (a d) block of alphas
@@ -507,6 +508,22 @@ def test_source_by_reciprocity_matches_induced_module_criterion(name, p, n):
                 want = _source_outcome(lambda: _induced_module_source(W, Q))
                 got = _source_outcome(lambda: source(W, Q))
                 assert got == want, (name, p, n, W.dim, Q.order)
+
+
+def test_source_checks_the_restriction_for_permutation_matrices_once(monkeypatch):
+    # decompose works on the restriction itself, so the check its split
+    # makes is the one the hom solves of the source test read
+    A4 = catalog()["A4"]
+    W = next(U for U, _ in decompose(regular_module(A4, F2)).summands if U.dim == 4)
+    Q = p_subgroups_up_to_conjugacy(A4, 2)[-1]
+    restricted = {M.tobytes() for M in restrict_subgroup(W, Q).matrices}
+    assert is_indecomposable(W)  # checks W's own generators before counting
+    seen = []
+    real = modrep._permutation
+    monkeypatch.setattr(modrep, "_permutation", lambda M: seen.append(M.tobytes()) or real(M))
+    source(W, Q)
+    counts = collections.Counter(b for b in seen if b in restricted)
+    assert list(counts.values()) == [1] * len(restricted)
 
 
 @pytest.mark.parametrize("name", ["A4", "S4"])

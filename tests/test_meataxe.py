@@ -578,17 +578,41 @@ def test_krull_schmidt_isomorphism_is_checked(monkeypatch):
         is_isomorphic(V, U)
 
 
+def _allow_only_inside_try_split(monkeypatch, *names):
+    """Make each named meataxe function raise unless `_try_split` is running."""
+    splitting = []
+    real_split = meataxe._try_split
+
+    def split(*args):
+        splitting.append(True)
+        try:
+            return real_split(*args)
+        finally:
+            splitting.pop()
+
+    def guarded(name):
+        real = getattr(meataxe, name)
+
+        def call(*args, **kwargs):
+            if not splitting:
+                raise AssertionError("%s called outside splitting" % name)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(meataxe, "_try_split", split)
+    for name in names:
+        monkeypatch.setattr(meataxe, name, guarded(name))
+
+
 def test_krull_schmidt_runs_without_end_structure(monkeypatch):
-    # neither side carries a locality verdict, so none is solved for: on
-    # S4 reg + reg over GF(2) that End costs more than the decompositions
+    # neither side carries a locality verdict, so none is solved for before
+    # Krull-Schmidt (only a split may ask for one): on S4 reg + reg over
+    # GF(2) that End costs more than the decompositions
     reg = regular_module(catalog()["S4"], F2)
     V = direct_sum(reg, reg)
     U = _random_conjugate(V, np.random.default_rng(0))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("end_structure solved before Krull-Schmidt")
-
-    monkeypatch.setattr(meataxe, "end_structure", forbidden)
+    _allow_only_inside_try_split(monkeypatch, "end_structure")
     res = is_isomorphic(V, U)
     assert res.reason == "equal indecomposable summands"
     _assert_isomorphism(V, U, res.map)
@@ -607,7 +631,7 @@ def _invertible_in_span(V, U):
     K = V.field
     basis = hom_space(V, U)
     invertible = lambda M: M if linalg.is_invertible(K, M) else None
-    return meataxe._span_search(K, basis, np.random.default_rng(0), invertible)
+    return meataxe._span_search(K, basis, 0, invertible)
 
 
 def test_span_search_random_hit(monkeypatch):
@@ -725,28 +749,12 @@ def test_end_structure_matches_quotient_algebra_oracle(name, p, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_decompose_groups_leaves_without_end_solves_or_searches(monkeypatch, n):
     # leaves are indecomposable, so grouping them needs only the first
-    # invertible basis map; span searches may run only to split a piece
-    splitting = []
-    real_split, real_search = meataxe._try_split, meataxe._span_search
-
-    def split(*args):
-        splitting.append(True)
-        try:
-            return real_split(*args)
-        finally:
-            splitting.pop()
-
-    def search(*args):
-        if not splitting:
-            raise AssertionError("span search outside splitting")
-        return real_search(*args)
-
+    # invertible basis map; span searches and End structures may run only
+    # to split a piece
     def forbidden(*args, **kwargs):
-        raise AssertionError("end_structure or is_isomorphic called by decompose")
+        raise AssertionError("is_isomorphic called by decompose")
 
-    monkeypatch.setattr(meataxe, "_try_split", split)
-    monkeypatch.setattr(meataxe, "_span_search", search)
-    monkeypatch.setattr(meataxe, "end_structure", forbidden)
+    _allow_only_inside_try_split(monkeypatch, "_span_search", "end_structure")
     monkeypatch.setattr(meataxe, "is_isomorphic", forbidden)
     reg = regular_module(catalog()["S4"], make_field(2, n))
     assert _summand_multiset(reg) == [(8, 1), (8, 2)]
@@ -895,6 +903,48 @@ def test_corner_end_equals_the_hom_solver(monkeypatch, index, moved):
         ]
 
 
+def _fresh_copy(V):
+    return Rep(V.group, V.field, V.matrices, check=False, dim=V.dim)
+
+
+def _decomposition_bytes(dec):
+    return [(m, [M.tobytes() for M in W.matrices]) for W, m in dec.summands], dec.basis.tobytes()
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["natural", "random"])
+@pytest.mark.parametrize("index", range(8))
+def test_decompose_depends_only_on_the_module_and_the_seed(index, moved):
+    # every search makes its generator from the seed, so neither a verdict
+    # nor an End already on V nor an earlier decomposition moves a draw
+    V = _corner_end_inputs()[index]
+    if moved:
+        V = _random_conjugate(V, np.random.default_rng(index))
+    for seed in (0, 3):
+        want = _decomposition_bytes(decompose(_fresh_copy(V), seed))
+        W = _fresh_copy(V)
+        end_structure(W, 1)
+        assert _decomposition_bytes(decompose(W, seed)) == want
+        W = _fresh_copy(V)
+        is_indecomposable(W)
+        assert _decomposition_bytes(decompose(W, seed)) == want
+        W = _fresh_copy(V)
+        decompose(W, seed)
+        assert _decomposition_bytes(decompose(W, seed)) == want
+
+
+def test_decompose_leaves_its_end_on_the_module(monkeypatch):
+    # the root of the decomposition is V itself, so the End its split
+    # solved is not solved again
+    reg = regular_module(catalog()["S4"], F2)
+    V = _random_conjugate(reg, np.random.default_rng(4))
+    dec = decompose(V)
+    monkeypatch.setattr(modrep, "_spin_hom_basis", lambda W, U: pytest.fail("End of V solved again"))
+    end = V.endomorphisms()
+    assert end.shape == reg.endomorphisms().shape == (24, 24, 24)  # reg's End comes from orbitals
+    # one read-only array per End, the corner End of every summand too
+    assert not any(E.flags.writeable for E in [end] + [W.endomorphisms() for W, _ in dec.summands])
+
+
 def test_corner_end_is_checked(monkeypatch):
     V = _random_conjugate(regular_module(catalog()["S4"], F2), np.random.default_rng(0))
     real = meataxe._projections
@@ -910,7 +960,7 @@ def test_corner_end_is_checked(monkeypatch):
 
 
 def test_one_function_writes_the_end_structure():
-    # `_end_structure` decides every recorded verdict; Schur's lemma in
+    # `end_structure` decides every recorded verdict; Schur's lemma in
     # simple_modules is the one other writer
     tree = ast.parse(inspect.getsource(meataxe))
     writers = {
@@ -920,7 +970,7 @@ def test_one_function_writes_the_end_structure():
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and node.attr == "_structure" and isinstance(node.ctx, ast.Store)
     }
-    assert writers == {"_end_structure", "simple_modules"}
+    assert writers == {"end_structure", "simple_modules"}
 
 
 def test_decompose_reuses_the_solved_end_of_its_module(monkeypatch):
@@ -942,9 +992,9 @@ def _splits(monkeypatch, V):
     dims = []
     real = meataxe._try_split
 
-    def counting(W, rng):
+    def counting(W, seed):
         dims.append(W.dim)
-        return real(W, rng)
+        return real(W, seed)
 
     with monkeypatch.context() as m:
         m.setattr(meataxe, "_try_split", counting)

@@ -220,6 +220,12 @@ def test_hom_space_requires_matching_group_and_field():
         hom_space(V, U)
 
 
+def test_negative_explicit_dimension_is_refused():
+    # a group without generators takes its dimension from `dim` alone
+    with pytest.raises(InputError, match="dimension must be >= 0, got -1"):
+        Rep(PermGroup(1, []), F2, [], dim=-1)
+
+
 def _word_fold(V, g):
     # the image of g as the product of generator images along its word, letter by letter
     M = V.field.identity(V.dim)
