@@ -34,7 +34,6 @@ from .perm_group import (
     are_conjugate,
     normalizer,
     p_subgroups_up_to_conjugacy,
-    pinv,
     right_transversal,
 )
 
@@ -54,10 +53,13 @@ class VertexSource:
     source: Rep
 
 
-def _coset_stacks(V: Rep, transversal) -> tuple[np.ndarray, np.ndarray]:
-    """The (|T|, d, d) stacks of the matrices of t^-1 and of t, t in T."""
-    inv = np.stack([V.element_matrix(pinv(t)) for t in transversal])
-    return inv, np.stack([V.element_matrix(t) for t in transversal])
+def _coset_stacks(V: Rep, Q: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The (|T|, d, d) stacks of the matrices of t^-1 and of t, t in the
+    right transversal T of Q: two reads of `V.element_matrices()`, at the
+    indices of T and at those of their inverses."""
+    G, stack = V.group, V.element_matrices()
+    t = right_transversal(G, Q)
+    return stack[G._tables()[2][t]], stack[t]
 
 
 def _trace_matrix(field, inv: np.ndarray, fwd: np.ndarray, cols) -> np.ndarray:
@@ -90,17 +92,22 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
+    return _higman(V, Q, restrict_subgroup(V, Q))
+
+
+def _higman(V: Rep, Q: Subgroup, res: Rep) -> ProjectivityResult:
+    """`is_relatively_projective` on the restriction res of V to Q; the
+    End_Q(V) it solves stays on res."""
     field, d = V.field, V.dim
     if d == 0:
         return ProjectivityResult(True, field.zeros(0, 0))
-    res = restrict_subgroup(V, Q)
-    inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
+    inv, fwd = _coset_stacks(V, Q)
     seeds = V.seeds()
     A = _trace_matrix(field, inv, fwd, seeds)
     if all(np.array_equal(M, field.identity(d)) for M in res.matrices):
         basis = None  # coefficient i d + j is that of E_ij
     else:  # row i is vec(phi_i)
-        basis = hom_space(res, res).reshape(-1, d * d)
+        basis = res.endomorphisms().reshape(-1, d * d)
         A = field.mat_mul(A, basis.T)  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
@@ -126,6 +133,12 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     The scan starts at Green's bound: |G:D|_p divides dim V for a vertex D
     (J. A. Green, Math. Z. 70, 1959), so |D| >= |G|_p / (dim V)_p.
     """
+    return _vertex(V, seed)[0]
+
+
+def _vertex(V: Rep, seed: int) -> tuple[Subgroup, Rep]:
+    """(vertex, restriction of V to it), the restriction with the End it
+    solved for Higman's criterion; those of the failing classes are dropped."""
     if V.dim == 0:
         raise InputError("the zero module has no vertex")
     if not is_indecomposable(V, seed=seed):
@@ -139,7 +152,7 @@ def vertex(V: Rep, seed: int = 0) -> Subgroup:
     # Green's bound; p^(bit length of m) > m, so gcd(m, it) is the p-part of m
     gp, dp = (math.gcd(m, p ** m.bit_length()) for m in (G.order, V.dim))
     for order in sorted(o for o in by_order if o * dp >= gp):
-        hits = [Q for Q in by_order[order] if is_relatively_projective(V, Q)]
+        hits = [(Q, res) for Q in by_order[order] if _higman(V, Q, res := restrict_subgroup(V, Q))]
         if hits:
             if len(hits) != 1:
                 raise ConsistencyError(
@@ -159,15 +172,15 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     invertible.  By Frobenius reciprocity these maps are [a t]_t and
     [t^-1 b]_t for a, b in bases of Hom_Q(Res V, U) and Hom_Q(U, Res V),
     and the composite is the relative trace sum_t t^-1 b a t, so the
-    induced module is never built.  A given Q that V is not projective
-    relative to (Higman's criterion) raises InputError.
+    induced module is never built.  Without Q, the restriction is the one
+    the vertex scan kept, so End_Q(Res V) is solved once.  A given Q that V
+    is not projective relative to (Higman's criterion) raises InputError.
     """
-    if Q is None:
-        Q = vertex(V, seed=seed)
-    elif not is_indecomposable(V, seed=seed):
+    if Q is not None and not is_indecomposable(V, seed=seed):
         raise InputError("source is defined for indecomposable modules; decompose first")
-    field, d, res = V.field, V.dim, restrict_subgroup(V, Q)
-    inv, fwd = _coset_stacks(V, right_transversal(V.group, Q))
+    Q, res = _vertex(V, seed) if Q is None else (Q, restrict_subgroup(V, Q))
+    field, d = V.field, V.dim
+    inv, fwd = _coset_stacks(V, Q)
     for U, _ in decompose(res, seed=seed).summands:
         alphas = hom_space(res, U)  # U | res, so neither Hom is zero
         a, e = len(alphas), U.dim
@@ -182,7 +195,7 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
                 return VertexSource(Q, U)
     # only a given Q can fail Higman's criterion; testing it here, not
     # first, leaves the call with a vertex Q at its old cost
-    if not is_relatively_projective(V, Q):
+    if not _higman(V, Q, res):
         raise InputError("the module is not projective relative to the given subgroup")
     raise ConsistencyError("no summand of the restriction induces back to the module")
 

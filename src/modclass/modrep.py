@@ -1,11 +1,12 @@
 """Modules over group algebras KG: matrix representations and functors.
 
 A :class:`Rep` assigns one invertible matrix over a finite field to each
-group generator; matrices act on column vectors, and the assignment extends
-to all elements along breadth-first words.  Permutation modules, tensor
-products, the scalar functors (extension and restriction along a subfield),
-the subgroup functors (restriction and induction), Frobenius twists and
-homomorphism spaces all live here.
+group generator; matrices act on column vectors, and the images of all
+elements form one stack per module, built level by level along the
+group's breadth-first word tree (`Rep.element_matrices`).  Permutation
+modules, tensor products, the scalar functors (extension and restriction
+along a subfield), the subgroup functors (restriction and induction),
+Frobenius twists and homomorphism spaces all live here.
 
 `hom_space(V, U)` is the one Hom solver: it takes two modules and returns
 the canonical basis of Hom(V, U) as one (h, dim U, dim V) array, which
@@ -27,11 +28,12 @@ import numpy as np
 from .errors import ConsistencyError, InputError, NotSubfieldError, _require
 from .finite_field import FieldAutomorphism, FiniteField, embed, make_field
 from . import linalg
-from .perm_group import PermGroup, Subgroup, pinv, pmul, right_transversal
+from .perm_group import PermGroup, Subgroup, right_transversal
 
 
 class Rep:
-    """A KG-module: one matrix per generator of the group.
+    """A KG-module: one matrix per generator of the group, and the stack of
+    the images of all elements (`element_matrices`) once it is asked for.
 
     The dimension is read off the matrices; a group without generators has
     none, so its modules need an explicit ``dim``.
@@ -70,41 +72,36 @@ class Rep:
                     raise InputError("matrix entry out of range for %r" % field)
                 if self.dim and not linalg.is_invertible(field, M):
                     raise InputError("generator image is singular")
-        identity = field.identity(self.dim)
-        identity.setflags(write=False)
-        self._element_cache: dict = {group_identity(group): identity}
+        self._stack = None
         self._char_polys = None
         self._end = None
         self._seeds = None
         self._structure = None  # (dim End, dim rad End, local?), kept by meataxe
 
-    def element_matrix(self, g) -> np.ndarray:
-        """Image of an arbitrary group element, the product of the images of
-        the generators along its breadth-first word.
+    def element_matrices(self) -> np.ndarray:
+        """The (|G|, d, d) stack of the images of all group elements, in the
+        order of ``group.elements``; built once and read-only.
 
-        Words are prefix-closed (the word of h = g * gen_k is the word of g
-        followed by k), so every prefix of a word names an element, and
-        each element costs one product on top of its cached prefix.  The
-        products come in the order of the word, so the bytes equal a
+        It is built level by level along the group's breadth-first word
+        tree: the elements whose words end in generator k at one level are
+        their parents times the image of k, one product for all of them.
+        The products come in the order of the words, so the bytes equal a
         letter-by-letter fold.
         """
-        g = tuple(g)
-        cache = self._element_cache
-        M = cache.get(g)
-        if M is None:
-            word = self.group.word(g)
-            prefixes = [group_identity(self.group)]
-            for k in word:
-                prefixes.append(pmul(prefixes[-1], self.group.generators[k]))
-            i = len(word) - 1
-            while prefixes[i] not in cache:
-                i -= 1
-            M = cache[prefixes[i]]
-            for k, h in zip(word[i:], prefixes[i + 1 :]):
-                M = self.field.mat_mul(M, self.matrices[k])
-                M.setflags(write=False)
-                cache[h] = M
-        return M
+        if self._stack is None:
+            G, d = self.group, self.dim
+            stack = np.empty((G.order, d, d), dtype=np.int64)
+            stack[0] = self.field.identity(d)
+            for k, idx in G._steps:
+                prod = self.field.mat_mul(stack[G._parent[idx]].reshape(len(idx) * d, d), self.matrices[k])
+                stack[idx] = prod.reshape(len(idx), d, d)
+            stack.setflags(write=False)
+            self._stack = stack
+        return self._stack
+
+    def element_matrix(self, g) -> np.ndarray:
+        """Image of an arbitrary group element, read off `element_matrices`."""
+        return self.element_matrices()[self.group.index_of(g)]
 
     def generator_char_polys(self):
         """Characteristic polynomials of the generator images (an invariant)."""
@@ -176,10 +173,6 @@ class Rep:
         return "<Rep dim=%d over %r of %r>" % (self.dim, self.field, self.group)
 
 
-def group_identity(group: PermGroup):
-    return group.elements[0] if group.elements else ()
-
-
 def trivial_module(group: PermGroup, field: FiniteField) -> Rep:
     one = np.ones((1, 1), dtype=np.int64)
     return Rep(group, field, [one for _ in group.generators], check=False, dim=1)
@@ -187,23 +180,14 @@ def trivial_module(group: PermGroup, field: FiniteField) -> Rep:
 
 def regular_module(group: PermGroup, field: FiniteField) -> Rep:
     """Right multiplication on the group's own element list."""
-    n = group.order
-    mats = []
-    for gen in group.generators:
-        M = np.zeros((n, n), dtype=np.int64)
-        for i, x in enumerate(group.elements):
-            M[i, group.index_of(pmul(x, gen))] = 1
-        mats.append(M)
+    n, table = group.order, group._tables()[0]
+    mats = [np.eye(n, dtype=np.int64)[table[:, group.index_of(gen)]] for gen in group.generators]
     return Rep(group, field, mats, check=False, dim=n)
 
 
 def permutation_module(group: PermGroup, field: FiniteField) -> Rep:
     """The natural module: the group permuting the unit vectors of K^degree."""
-    mats = []
-    for gen in group.generators:
-        M = np.zeros((group.degree, group.degree), dtype=np.int64)
-        M[np.arange(group.degree), gen] = 1
-        mats.append(M)
+    mats = [np.eye(group.degree, dtype=np.int64)[list(gen)] for gen in group.generators]
     return Rep(group, field, mats, check=False, dim=group.degree)
 
 
@@ -299,34 +283,31 @@ def restrict_subgroup(V: Rep, H: Subgroup) -> Rep:
     """The same space seen as a module for a subgroup."""
     if H.parent is not V.group:
         raise InputError("subgroup does not belong to the module's group")
-    mats = [V.element_matrix(g) for g in H.group.generators]
+    mats = [V.element_matrix(g) for g in H.group.generators]  # reads of the element stack
     return Rep(H.group, V.field, mats, check=False, dim=V.dim)
 
 
 def induce(V: Rep, G: PermGroup) -> Rep:
-    """Induction from a subgroup to G, on coset-block coordinates."""
+    """Induction from a subgroup H to G, on coset-block coordinates: over the
+    right transversal t_0, t_1, ... of H, a generator s sends block i to the
+    block j of the coset H t_j that holds t_i s, by the image of t_i s t_j^-1."""
     H = V.group
     if H.degree != G.degree or any(h not in G for h in H.elements):
         raise InputError("the module's group is not a subgroup of the target group")
-    sub = Subgroup(G, H.elements)
-    T = right_transversal(G, sub)
-    hset = set(H.elements)
-    coset_of = {}
-    for j, t in enumerate(T):
-        for h in H.elements:
-            coset_of[pmul(h, t)] = j
-    d = V.dim
-    k = len(T)
+    sub = Subgroup(G, H.elements)  # sub._idx lists H's elements in H's own order
+    (table, _, inv), t = G._tables(), right_transversal(G, sub)
+    k, d = len(t), V.dim
+    coset = np.empty(G.order, dtype=np.intp)
+    coset[table[np.ix_(sub._idx, t)]] = np.arange(k)
     mats = []
-    for gen in G.generators:
-        M = np.zeros((k * d, k * d), dtype=np.int64)
-        for i, t in enumerate(T):
-            u = pmul(t, gen)
-            j = coset_of[u]
-            h = pmul(u, pinv(T[j]))
-            _require(h in hset, "coset representative product is not in the subgroup")
-            M[i * d : (i + 1) * d, j * d : (j + 1) * d] = V.element_matrix(h)
-        mats.append(M)
+    for s in G.generators:
+        u = table[t, G.index_of(s)]
+        j = coset[u]
+        h = table[u, inv[t[j]]]
+        _require(sub._mask[h].all(), "coset representative product is not in the subgroup")
+        M = np.zeros((k, d, k, d), dtype=np.int64)
+        M[np.arange(k), :, j, :] = V.element_matrices()[np.searchsorted(sub._idx, h)]
+        mats.append(M.reshape(k * d, k * d))
     return Rep(G, V.field, mats, check=False, dim=k * d)
 
 
@@ -363,6 +344,9 @@ def hom_space(V: Rep, U: Rep) -> np.ndarray:
         raise InputError("hom space requires a common coefficient field")
     if V.dim * U.dim == 0:
         return np.zeros((0, U.dim, V.dim), dtype=np.int64)
+    if V.dim == U.dim == 1:  # a nonzero scalar intertwines equal actions only
+        same = all(np.array_equal(A, B) for A, B in zip(V.matrices, U.matrices))
+        return np.ones((1, 1, 1), dtype=np.int64) if same else np.zeros((0, 1, 1), dtype=np.int64)
     if V.permutations is not None and U.permutations is not None:
         return _orbital_hom_basis(V, U)
     return _spin_hom_basis(V, U)
@@ -549,11 +533,13 @@ def validate(V: Rep) -> list[str]:
             issues.append("generator %d image is singular" % k)
     if issues:
         return issues
-    G = V.group
-    pairs = [(a, b) for a in G.elements for b in G.generators]
-    for a, b in pairs:
-        lhs = V.field.mat_mul(V.element_matrix(a), V.element_matrix(b))
-        if not np.array_equal(lhs, V.element_matrix(pmul(a, b))):
-            issues.append("multiplicativity fails at element pair %r, %r" % (a, b))
-            return issues
+    G, stack = V.group, V.element_matrices()
+    table, gens = G._tables()[0], [G.index_of(b) for b in G.generators]
+    bad = np.zeros((G.order, len(gens)), dtype=bool)
+    for k, b in enumerate(gens):  # every rho(a) rho(b) at once
+        lhs = V.field.mat_mul(stack.reshape(G.order * V.dim, V.dim), stack[b])
+        bad[:, k] = (lhs.reshape(stack.shape) != stack[table[:, b]]).any(axis=(1, 2))
+    if bad.any():
+        a, k = divmod(int(bad.argmax()), len(gens))
+        issues.append("multiplicativity fails at element pair %r, %r" % (G.elements[a], G.generators[k]))
     return issues

@@ -5,11 +5,15 @@ so representation matrices multiply in the same order as the group law.
 Element lists are always sorted lexicographically, which places the
 identity first.  All enumeration here is deterministic.
 
-Inside this module the group law is one (n x n) table of element indices,
-built on first use: ``table[i, j]`` is the index of elements[i] *
-elements[j], and ``conj[g, h]`` that of g^-1 h g.  Indices follow the sorted
-element list, so sorting indices sorts permutations.  Classes, normalizers,
-cosets, subgroup closures and p-subgroups are reads of these two tables.
+The group law is one (n x n) table of element indices, built on first
+use: ``table[i, j]`` is the index of elements[i] * elements[j], ``conj[g,
+h]`` that of g^-1 h g and ``inv[g]`` that of g^-1.  Indices follow the
+sorted element list, so sorting indices sorts permutations.  Classes,
+normalizers, cosets, subgroup closures and p-subgroups are reads of these
+tables.  The breadth-first search that closes the group leaves its word
+tree as index arrays: each element is its parent times one generator, one
+level down, so modules build their element matrices (and this module its
+table) level by level.
 """
 
 from __future__ import annotations
@@ -33,13 +37,6 @@ def pmul(a: Perm, b: Perm) -> Perm:
     return tuple(b[x] for x in a)
 
 
-def pinv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
 def _validate_perm(images, degree: int) -> Perm:
     t = tuple(int(x) for x in images)
     if len(t) != degree or sorted(t) != list(range(degree)):
@@ -55,27 +52,38 @@ class PermGroup:
         self.generators = tuple(_validate_perm(g, degree) for g in generators)
         cap = limits.MAX_GROUP_ORDER if max_order is None else max_order
         ident = identity_perm(degree)
-        words: dict[Perm, tuple[int, ...]] = {ident: ()}
-        queue = [ident]
+        # the breadth-first word tree, in visiting order: each new element is
+        # its parent times one generator, one level below the parent
+        seen, queue, nodes = {ident}, [ident], [(0, -1, 0)]  # (parent, generator, level)
         i = 0
         while i < len(queue):
-            g = queue[i]
-            i += 1
             for k, gen in enumerate(self.generators):
-                h = pmul(g, gen)
-                if h not in words:
-                    if len(words) >= cap:
+                h = pmul(queue[i], gen)
+                if h not in seen:
+                    if len(seen) >= cap:
                         raise LimitError("group order exceeds cap %d" % cap)
-                    words[h] = words[g] + (k,)
+                    seen.add(h)
                     queue.append(h)
-        self.elements: tuple[Perm, ...] = tuple(sorted(words))
-        self._words = words
+                    nodes.append((i, k, nodes[i][2] + 1))
+            i += 1
+        self.elements: tuple[Perm, ...] = tuple(sorted(queue))
         self._index = {g: i for i, g in enumerate(self.elements)}
+        # by element index: parent index, last generator and level of each word
+        at, nodes = np.array([self._index[g] for g in queue], np.intp), np.array(nodes, np.intp).T
+        nodes[0] = at[nodes[0]]
+        self._parent, self._gen, self._level = tree = np.empty_like(nodes)
+        tree[:, at] = nodes
+        # (k, idx) per level and generator, level by level: the elements idx
+        # whose words end in generator k, ascending
+        key = self._level * len(self.generators) + self._gen  # the identity's is -1
+        order = np.argsort(key, kind="stable")[1:]
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        self._steps = [(int(self._gen[idx[0]]), idx) for idx in np.split(order, cuts) if idx.size]
         # p-subgroup class representatives per prime, filled on first request;
         # kept on the instance because subgroups are tied to it by identity
         self._p_subgroups: dict[int, tuple[Subgroup, ...]] = {}
         self._classes: tuple[tuple[Perm, ...], ...] | None = None
-        self._law: tuple[np.ndarray, np.ndarray] | None = None
+        self._law: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def order(self) -> int:
@@ -90,27 +98,18 @@ class PermGroup:
         except KeyError:
             raise InputError("permutation is not a group element") from None
 
-    def word(self, perm: Perm) -> tuple[int, ...]:
-        """Generator indices whose ordered product equals the element."""
-        try:
-            return self._words[tuple(perm)]
-        except KeyError:
-            raise InputError("permutation is not a group element") from None
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(table, conj) of element indices, as in the module docstring."""
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(table, conj, inv) of element indices, as in the module docstring."""
         if self._law is None:
             n, index = self.order, self._index
             right = [np.array([index[pmul(g, s)] for g in self.elements]) for s in self.generators]
-            # column j, right multiplication by elements[j], along its word
+            # column h, right multiplication by elements[h], from its parent's column
             table = np.empty((n, n), np.intp)
-            for h, word in self._words.items():
-                col = np.arange(n)
-                for k in word:
-                    col = right[k][col]
-                table[:, index[h]] = col
+            table[:, 0] = np.arange(n)
+            for k, idx in self._steps:
+                table[:, idx] = right[k][table[:, self._parent[idx]]]
             inv = (table == 0).argmax(axis=1)
-            self._law = table, table[table[inv], np.arange(n)[:, None]]
+            self._law = table, table[table[inv], np.arange(n)[:, None]], inv
         return self._law
 
     def _span(self, gens) -> np.ndarray:
@@ -304,13 +303,14 @@ def are_conjugate(G: PermGroup, A: Subgroup, B: Subgroup) -> bool:
     return A.order == B.order and bool(_carries(G, A, B).any())
 
 
-def right_transversal(G: PermGroup, H: Subgroup) -> list[Perm]:
-    """Representatives of the right cosets Ht, lex-first per coset.
+def right_transversal(G: PermGroup, H: Subgroup) -> np.ndarray:
+    """Representatives of the right cosets Ht, lex-first per coset, as
+    ascending element indices.
 
-    The identity represents H itself and comes first.
+    The identity (index 0) represents H itself and comes first.
     """
     least = G._tables()[0][_rebased(G, H)._idx].min(axis=0)  # least of Ht, per t
-    return [G.elements[t] for t in (least == np.arange(G.order)).nonzero()[0]]
+    return (least == np.arange(G.order)).nonzero()[0]
 
 
 def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
@@ -331,7 +331,7 @@ def p_subgroups_up_to_conjugacy(G: PermGroup, p: int) -> list["Subgroup"]:
 
 
 def _p_subgroup_classes(G: PermGroup, p: int) -> list[Subgroup]:
-    (table, conj), xp = G._tables(), G._power(p)
+    (table, conj, _), xp = G._tables(), G._power(p)
     reps = current = [G.trivial_subgroup()]
     while current:
         found: set[tuple] = set()

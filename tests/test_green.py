@@ -45,7 +45,6 @@ from modclass.perm_group import (
     catalog,
     normalizer,
     p_subgroups_up_to_conjugacy,
-    pinv,
     right_transversal,
 )
 
@@ -65,6 +64,15 @@ def _random_basis(V: Rep, rng) -> Rep:
         C = K.rand_codes(rng, (V.dim, V.dim))
     Ci = linalg.inverse(K, C)
     return Rep(V.group, K, [K.mat_mul(K.mat_mul(Ci, M), C) for M in V.matrices], check=False)
+
+
+def _pinv(a):
+    return tuple(int(i) for i in np.argsort(a))
+
+
+def _transversal(G, Q):
+    # the right transversal of Q as permutations
+    return [G.elements[t] for t in right_transversal(G, Q)]
 
 
 def _sylow_order(order, p):
@@ -258,8 +266,12 @@ def test_higman_on_a_fresh_module_solves_no_end_g(name, p, monkeypatch):
     want = [[bool(is_relatively_projective(W, Q)) for Q in classes] for W in naturals]
     mods = [_random_basis(W, rng) for W in naturals]
 
-    def forbidden(self):
-        raise AssertionError("Higman's criterion solved End_G(V)")
+    real = Rep.endomorphisms
+
+    def forbidden(self):  # End_Q of a restriction is Higman's own system
+        if self.group is G:
+            raise AssertionError("Higman's criterion solved End_G(V)")
+        return real(self)
 
     monkeypatch.setattr(Rep, "endomorphisms", forbidden)
     for V, verdicts in zip(mods, want):
@@ -325,7 +337,7 @@ def _relative_trace(V: Rep, transversal, phis: np.ndarray, cols) -> np.ndarray:
         right = np.concatenate([V.element_matrix(t)[:, cols] for t in chunk], axis=1)
         images = field.mat_mul(stack, right)  # block (i, t) is phi_i t[:, cols]
         images = images.reshape(h, d, n, k).transpose(2, 1, 0, 3).reshape(n * d, h * k)
-        left = np.concatenate([V.element_matrix(pinv(t)) for t in chunk], axis=1)
+        left = np.concatenate([V.element_matrix(_pinv(t)) for t in chunk], axis=1)
         acc = field.add(acc, field.mat_mul(left, images))
     return acc.reshape(d, h, k).transpose(1, 0, 2)
 
@@ -336,7 +348,7 @@ def _full_system_higman(V, Q):
     d = V.dim
     res = restrict_subgroup(V, Q)
     stack = np.stack(hom_space(res, res))
-    T = right_transversal(V.group, Q)
+    T = _transversal(V.group, Q)
     A = _relative_trace(V, T, stack, range(d)).reshape(len(stack), -1).T
     coeffs = linalg.solve(field, A, field.identity(d).reshape(-1))
     if coeffs is None:
@@ -390,7 +402,7 @@ def _reference_relative_trace(V, transversal, phi):
     field = V.field
     acc = field.zeros(V.dim, V.dim)
     for t in transversal:
-        left = V.element_matrix(pinv(t))
+        left = V.element_matrix(_pinv(t))
         right = V.element_matrix(t)
         acc = field.add(acc, field.mat_mul(field.mat_mul(left, phi), right))
     return acc
@@ -415,9 +427,9 @@ def test_batched_relative_trace_matches_per_map_reference(name, p, n):
         for Q in p_subgroups_up_to_conjugacy(G, p):
             res = restrict_subgroup(V, Q)
             basis = np.stack(hom_space(res, res))
-            T = right_transversal(G, Q)
+            T = _transversal(G, Q)
             want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
-            by_matrix = K.mat_mul(_trace_matrix(K, *_coset_stacks(V, T), range(d)), basis.reshape(-1, d * d).T)
+            by_matrix = K.mat_mul(_trace_matrix(K, *_coset_stacks(V, Q), range(d)), basis.reshape(-1, d * d).T)
             for got in (_relative_trace(V, T, basis, range(d)), by_matrix.T.reshape(-1, d, d)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (name, p, n, d, Q.order)
@@ -526,6 +538,32 @@ def test_source_checks_the_restriction_for_permutation_matrices_once(monkeypatch
     assert list(counts.values()) == [1] * len(restricted)
 
 
+def test_source_solves_end_of_the_restriction_once(monkeypatch):
+    # the vertex scan hands its restriction, End_Q solved, to source, which
+    # decomposes it; counted per (group, matrices) because each restriction
+    # is a new module
+    S4 = catalog()["S4"]
+    rng = np.random.default_rng(4)
+    inputs = [induce(trivial_module(Q.group, F2), S4) for Q in p_subgroups_up_to_conjugacy(S4, 2)]
+    summands = [W for M in inputs for W, _ in decompose(_random_basis(M, rng)).summands]
+    solves = collections.Counter()
+    real = modrep._spin_hom_basis
+
+    def spin(V, U):
+        if V is U:
+            solves[(V.group, *(M.tobytes() for M in V.matrices))] += 1
+        return real(V, U)
+
+    monkeypatch.setattr(modrep, "_spin_hom_basis", spin)
+    solved = set()
+    for W in summands:
+        solves.clear()
+        vs = source(W)
+        assert max(solves.values(), default=1) == 1, (W.dim, vs.vertex.order, solves.values())
+        solved |= {W.dim for key in solves if key[0] is vs.vertex.group}
+    assert {4, 6, 12} <= solved
+
+
 @pytest.mark.parametrize("name", ["A4", "S4"])
 def test_source_solves_no_hom_space_larger_than_the_module(name, monkeypatch):
     # Frobenius reciprocity: hom solves on Res V and its summands only, and
@@ -620,7 +658,7 @@ def _unit_map_system_higman(V, Q):
     stack = np.stack(hom_space(res, res))
     h = len(stack)
     seeds = V.seeds()
-    A = _relative_trace(V, right_transversal(V.group, Q), stack, seeds).reshape(h, -1).T
+    A = _relative_trace(V, _transversal(V.group, Q), stack, seeds).reshape(h, -1).T
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
         return None

@@ -234,6 +234,37 @@ def test_empty_generator_list_and_zero_dimension():
     assert hom_space(empty, empty).shape == (0, 0, 0)
 
 
+@pytest.mark.parametrize("name", list(catalog()))
+def test_one_dimensional_hom_matches_orbital_and_spin(name, monkeypatch):
+    # Hom between two lines is [[1]] when they carry the same action, else
+    # zero, and needs no solve; the lines are the 1-dimensional simple
+    # modules over GF(p) and GF(p^2)
+    G = catalog()[name]
+    fields = [make_field(p, n) for p in sorted({2, 3} | {p for p in (5, 7) if G.order % p == 0}) for n in (1, 2)]
+    pairs = []
+    for K in fields:
+        lines = [W for W in simple_modules(G, K).modules if W.dim == 1]
+        pairs += [(V, U) for V in lines for U in lines]
+    want = []
+    for V, U in pairs:
+        spin = modrep._spin_hom_basis(V, U)
+        if V.permutations is not None and U.permutations is not None:
+            orbital = modrep._orbital_hom_basis(V, U)
+            assert orbital.shape == spin.shape and orbital.tobytes() == spin.tobytes()
+        want.append(spin)
+
+    def solve(*args):
+        raise AssertionError("a Hom between lines was solved")
+
+    monkeypatch.setattr(modrep, "_spin_hom_basis", solve)
+    monkeypatch.setattr(modrep, "_orbital_hom_basis", solve)
+    for (V, U), w in zip(pairs, want):
+        got = hom_space(V, U)
+        assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
+    # distinct lines over one field have no map between them
+    assert sorted({len(w) for w in want}) == ([0, 1] if len(pairs) > len(fields) else [1])
+
+
 def test_rep_endomorphisms_are_the_hom_basis_solved_once(monkeypatch):
     K = make_field(2, 2)
     reg = regular_module(catalog()["S3"], K)

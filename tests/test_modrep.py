@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from modclass import modrep
+from modclass import linalg, modrep
 from modclass.errors import InputError, NotSubfieldError
 from modclass.finite_field import make_field
-from modclass.perm_group import PermGroup, catalog, pmul
+from modclass.perm_group import (
+    PermGroup,
+    Subgroup,
+    catalog,
+    p_subgroups_up_to_conjugacy,
+    pmul,
+    right_transversal,
+)
 from modclass.modrep import (
     Rep,
     direct_sum,
@@ -226,10 +233,19 @@ def test_negative_explicit_dimension_is_refused():
         Rep(PermGroup(1, []), F2, [], dim=-1)
 
 
+def _word(G, g):
+    # generator indices of the word of g, rebuilt from the breadth-first word tree
+    i, word = G.index_of(g), []
+    while i:
+        word.append(int(G._gen[i]))
+        i = G._parent[i]
+    return word[::-1]
+
+
 def _word_fold(V, g):
     # the image of g as the product of generator images along its word, letter by letter
     M = V.field.identity(V.dim)
-    for k in V.group.word(g):
+    for k in _word(V.group, g):
         M = V.field.mat_mul(M, V.matrices[k])
     return M
 
@@ -237,20 +253,129 @@ def _word_fold(V, g):
 C199 = PermGroup(199, [tuple(range(1, 199)) + (0,)])
 
 
-@pytest.mark.parametrize("case", ["S4", "Q8", "A4", "C199"])
-def test_element_matrix_matches_word_fold(case):
-    # words up to length 198 in C199; asked in a random order, so elements
-    # come both after and before their prefixes
+def _word_fold_case(case):
     if case == "C199":
-        K = make_field(199, 1)
-        V = Rep(C199, K, [np.array([[1, 1], [0, 1]])])
-    else:
-        K = F3 if case == "A4" else F4
-        G = catalog()[case]
-        V = direct_sum(regular_module(G, K), trivial_module(G, K))
-    elements = list(V.group.elements)
+        return Rep(C199, make_field(199, 1), [np.array([[1, 1], [0, 1]])])
+    if case == "no-generators":
+        return Rep(PermGroup(3, []), F4, [], dim=3)
+    if case == "zero-dim":
+        return Rep(catalog()["S4"], F3, [np.zeros((0, 0), dtype=np.int64)] * 2)
+    K = F3 if case == "A4" else F4
+    G = catalog()[case]
+    return direct_sum(regular_module(G, K), trivial_module(G, K))
+
+
+@pytest.mark.parametrize("case", ["S4", "Q8", "A4", "C199", "no-generators", "zero-dim"])
+def test_element_matrix_matches_word_fold(case):
+    # the whole stack, and single elements asked in a random order; words
+    # up to length 198 in C199, one level per letter
+    V = _word_fold_case(case)
+    G, d = V.group, V.dim
+    stack = V.element_matrices()
+    assert stack.shape == (G.order, d, d) and stack.dtype == np.int64
+    assert not stack.flags.writeable and V.element_matrices() is stack
+    for g, got in zip(G.elements, stack):
+        want = _word_fold(V, g)
+        assert got.tobytes() == want.tobytes(), g
+        assert len(_word(G, g)) == G._level[G.index_of(g)]
+    elements = list(G.elements)
     np.random.default_rng(5).shuffle(elements)
     for g in elements:
         got, want = V.element_matrix(g), _word_fold(V, g)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), g
         assert not got.flags.writeable
+    if case == "C199":
+        assert G._level.max() == 198
+
+
+def test_element_matrix_of_a_permutation_outside_the_group_is_refused():
+    V = regular_module(catalog()["A4"], F2)
+    with pytest.raises(InputError, match="not a group element"):
+        V.element_matrix((1, 0, 2, 3))  # a transposition, odd
+    with pytest.raises(InputError, match="not a group element"):
+        V.element_matrix((0, 1, 2))  # wrong degree
+
+
+def _induce_by_cosets(V, G):
+    # the coset loop that induce replaced: coset, representative and block
+    # of each (coset, generator) by permutation products
+    H = V.group
+    T = [G.elements[t] for t in right_transversal(G, Subgroup(G, H.elements))]
+    coset_of = {pmul(h, t): j for j, t in enumerate(T) for h in H.elements}
+    d, k = V.dim, len(T)
+    mats = []
+    for gen in G.generators:
+        M = np.zeros((k * d, k * d), dtype=np.int64)
+        for i, t in enumerate(T):
+            u = pmul(t, gen)
+            j = coset_of[u]
+            h = pmul(u, tuple(int(x) for x in np.argsort(T[j])))  # u t_j^-1
+            assert h in H.elements
+            M[i * d : (i + 1) * d, j * d : (j + 1) * d] = _word_fold(V, h)
+        mats.append(M)
+    return mats
+
+
+def _random_basis(V, rng):
+    K = V.field
+    C = None
+    while C is None or not linalg.is_invertible(K, C):
+        C = K.rand_codes(rng, (V.dim, V.dim))
+    Ci = linalg.inverse(K, C)
+    return Rep(V.group, K, [K.mat_mul(K.mat_mul(Ci, M), C) for M in V.matrices], check=False)
+
+
+S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
+
+@pytest.mark.parametrize("name", [*catalog(), "S5"])
+def test_induce_matches_coset_loop_oracle(name):
+    # from every p-subgroup class, of the trivial module and of the regular
+    # module in a random basis (no permutation matrices)
+    G = S5 if name == "S5" else catalog()[name]
+    rng = np.random.default_rng(G.order)
+    for p in (2, 3, 5, 7):
+        if G.order % p:
+            continue
+        K = make_field(p, 1)
+        for Q in p_subgroups_up_to_conjugacy(G, p):
+            for V in (trivial_module(Q.group, K), _random_basis(regular_module(Q.group, K), rng)):
+                got = induce(V, G)
+                want = _induce_by_cosets(V, G)
+                assert got.dim == len(G.elements) // Q.order * V.dim
+                assert [M.tobytes() for M in got.matrices] == [M.tobytes() for M in want], (name, p, Q.order)
+
+
+def _validate_by_pairs(V):
+    # the pair loop that validate replaced, on word folds
+    singular = [k for k, M in enumerate(V.matrices) if V.dim and not linalg.is_invertible(V.field, M)]
+    if singular:
+        return ["generator %d image is singular" % k for k in singular]
+    for a in V.group.elements:
+        for b in V.group.generators:
+            lhs = V.field.mat_mul(_word_fold(V, a), _word_fold(V, b))
+            if not np.array_equal(lhs, _word_fold(V, pmul(a, b))):
+                return ["multiplicativity fails at element pair %r, %r" % (a, b)]
+    return []
+
+
+def _broken_modules():
+    # the C4 generator sent to a matrix of order 3, regular S4 with one
+    # generator's rows swapped, and a singular generator
+    yield Rep(catalog()["C4"], F2, [np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])], check=False)
+    S4 = catalog()["S4"]
+    for k, (r, s) in [(0, (0, 1)), (1, (3, 17)), (1, (22, 23))]:
+        mats = [M.copy() for M in regular_module(S4, F3).matrices]
+        mats[k][[r, s]] = mats[k][[s, r]]
+        yield Rep(S4, F3, mats, check=False)
+    yield Rep(catalog()["S3"], F2, [np.eye(2, dtype=np.int64), np.ones((2, 2), dtype=np.int64)], check=False)
+
+
+def test_validate_matches_pair_loop_oracle():
+    for V in _broken_modules():
+        got = validate(V)
+        assert got and got == _validate_by_pairs(V)
+    for name in ("S4", "Q8"):
+        V = direct_sum(regular_module(catalog()[name], F4), trivial_module(catalog()[name], F4))
+        assert validate(V) == _validate_by_pairs(V) == []
+    assert validate(_word_fold_case("zero-dim")) == validate(_word_fold_case("no-generators")) == []

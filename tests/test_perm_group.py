@@ -21,7 +21,6 @@ from modclass.perm_group import (
     identity_perm,
     normalizer,
     p_subgroups_up_to_conjugacy,
-    pinv,
     pmul,
     right_transversal,
 )
@@ -31,6 +30,13 @@ from modclass.perm_group import (
 
 def _bf_mul(a, b):
     return tuple(b[x] for x in a)
+
+
+def pinv(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
 
 
 def _bf_order(a):
@@ -159,7 +165,11 @@ def test_word_reconstructs_element():
     G = catalog()["S4"]
     for g in G.elements:
         acc = identity_perm(G.degree)
-        for k in G.word(g):
+        word, i = [], G.index_of(g)  # rebuilt from the breadth-first word tree
+        while i:
+            word, i = [int(G._gen[i])] + word, G._parent[i]
+        assert len(word) == G._level[G.index_of(g)]
+        for k in word:
             acc = pmul(acc, G.generators[k])
         assert acc == g
 
@@ -329,7 +339,7 @@ def test_are_conjugate():
 def test_right_transversal_covers_cosets():
     G = catalog()["S3"]
     H = G.generated_subgroup([(1, 2, 0)])
-    T = right_transversal(G, H)
+    T = [G.elements[t] for t in right_transversal(G, H)]
     assert len(T) == 2 and T[0] == identity_perm(3)
     covered = {pmul(h, t) for t in T for h in H.elements}
     assert covered == set(G.elements)
@@ -493,6 +503,7 @@ ORACLE_CASES = [
 def test_index_table_routines_match_tuple_oracles(name, p):
     G = catalog()[name] if name in catalog() else EXTRA_GROUPS[name]()
     assert G.conjugacy_classes() == _tuple_conjugacy_classes(G)
+    assert [G.elements[i] for i in G._tables()[2]] == [pinv(g) for g in G.elements]
     subs = p_subgroups_up_to_conjugacy(G, p)
     assert [H.elements for H in subs] == _tuple_p_subgroup_classes(G, p)
     # conjugates of the representatives give pairs that are conjugate
@@ -502,7 +513,7 @@ def test_index_table_routines_match_tuple_oracles(name, p):
             others.append(Subgroup(G, {pmul(pmul(pinv(g), h), g) for h in H.elements}))
     for A in subs:
         assert normalizer(G, A).elements == tuple(_tuple_normalizing(G, frozenset(A.elements)))
-        assert right_transversal(G, A) == _tuple_right_transversal(G, A)
+        assert [G.elements[t] for t in right_transversal(G, A)] == _tuple_right_transversal(G, A)
         assert [are_conjugate(G, A, B) for B in others] == [_tuple_are_conjugate(G, A, B) for B in others]
     for H in others:
         assert H.group.generators == _tuple_generators(H)
