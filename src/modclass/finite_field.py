@@ -17,10 +17,13 @@ stay in int64.  An extension field with at most
 element on first use and certifies them; its ``mul``, ``inv``, ``pow`` and
 ``frobenius`` are table lookups, and small matrix products gather
 ``exp[log A + log B]`` and reduce over the inner index.  Larger extension
-fields multiply by digit convolution.  Every extension field takes large
-matrix products as one float64 BLAS product of digit planes, exact while
-k*n*(p-1)^2 < 2^53.  In characteristic 2 addition and subtraction are XOR
-of codes.
+fields multiply by digit convolution; there ``frobenius`` (a -> a^(p^e))
+is F_p-linear on digit vectors, one product with an n x n matrix built
+once per e, where ``pow`` would take about e log2(p) squarings by digit
+convolution (the p-th roots of squarefree factorization have e = n - 1).
+Every extension field takes large matrix products as one float64 BLAS
+product of digit planes, exact while k*n*(p-1)^2 < 2^53.  In
+characteristic 2 addition and subtraction are XOR of codes.
 
 Row reduction in :mod:`modclass.linalg` does its row arithmetic through
 ``sub_outer`` (R -= c ⊗ row on a stack of rows, in place), ``mul`` (a row
@@ -138,6 +141,7 @@ class FiniteField:
             [self._reduction[s : s + n] for s in range(n)], axis=1
         ).reshape(n, n * n).astype(np.float64)
         self._inv_table: np.ndarray | None = None  # prime fields, built on first use
+        self._frobenius_maps: dict[int, np.ndarray] = {}  # above the table cap, by exponent
         # extension fields up to the cap use log/exp tables, built on first use
         self._zech = n > 1 and self.q <= _TABLE_CAP
         self._log: np.ndarray | None = None
@@ -387,12 +391,26 @@ class FiniteField:
     # ----- frobenius -----
 
     def frobenius(self, a, e: int = 1) -> np.ndarray:
-        """Elementwise a**(p**e)."""
+        """Elementwise a**(p**e).
+
+        Above the table cap it is one product of digit vectors with the
+        matrix of the F_p-linear map, whose row i holds the digits of
+        x^(i p^e); the matrix is built once per e.
+        """
         e %= self.n
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
             return a.copy()
-        return self.pow(a, self.p**e)
+        if self._zech:
+            return self.pow(a, self.p**e)
+        M = self._frobenius_maps.get(e)
+        if M is None:
+            y = self.pow(np.int64(self.gen_code), self.p**e)  # x^(p^e)
+            rows = [np.int64(1)]
+            for _ in range(self.n - 1):
+                rows.append(self.mul(rows[-1], y))
+            M = self._frobenius_maps[e] = self.decode(np.array(rows))
+        return self.encode(self.decode(a) @ M % self.p)
 
     # ----- misc -----
 

@@ -92,6 +92,7 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
+    V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restriction does too
     return _higman(V, Q, restrict_subgroup(V, Q))
 
 
@@ -151,6 +152,7 @@ def _vertex(V: Rep, seed: int) -> tuple[Subgroup, Rep]:
         by_order.setdefault(Q.order, []).append(Q)
     # Green's bound; p^(bit length of m) > m, so gcd(m, it) is the p-part of m
     gp, dp = (math.gcd(m, p ** m.bit_length()) for m in (G.order, V.dim))
+    V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restrictions do too
     for order in sorted(o for o in by_order if o * dp >= gp):
         hits = [(Q, res) for Q in by_order[order] if _higman(V, Q, res := restrict_subgroup(V, Q))]
         if hits:
@@ -178,7 +180,11 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     """
     if Q is not None and not is_indecomposable(V, seed=seed):
         raise InputError("source is defined for indecomposable modules; decompose first")
-    Q, res = _vertex(V, seed) if Q is None else (Q, restrict_subgroup(V, Q))
+    if Q is None:
+        Q, res = _vertex(V, seed)
+    else:
+        V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restriction does too
+        res = restrict_subgroup(V, Q)
     field, d = V.field, V.dim
     inv, fwd = _coset_stacks(V, Q)
     for U, _ in decompose(res, seed=seed).summands:

@@ -390,8 +390,7 @@ def _images(field: FiniteField, rows: np.ndarray, mats: list[np.ndarray]) -> np.
 
 def _space_of(field: FiniteField, basis_rows: np.ndarray, track: bool = False) -> RowSpace:
     space = RowSpace(field, basis_rows.shape[1], track=track)
-    for row in basis_rows:
-        space.add(row)
+    space._insert_rows(np.asarray(basis_rows, dtype=np.int64))
     return space
 
 

@@ -1,15 +1,19 @@
 """MeatAxe-style structure algorithms: simplicity, chopping, Krull-Schmidt.
 
 Simplicity testing uses Norton's criterion: for a random element z of the
-enveloping algebra and an irreducible factor f of its minimal polynomial
-with nullity(f(z)) = deg f, one spin of a null vector plus one spin of a
-transpose null vector is conclusive.  It and splitting along End (below,
-`_span_search`) are the only Las Vegas searches, both run by `_las_vegas`:
-random attempts, then a complete scan of a space of at most SCAN_CAP
-elements.  Verdicts are verified, so a bad random stream can at worst raise
-InconclusiveError, never a wrong verdict.  Norton's scan spins one vector
-per projective point, as the canonical form of a small simple module does,
-every point in lockstep (`linalg.spin_each`).
+enveloping algebra and an irreducible factor f of its characteristic
+polynomial (the same factors as its minimal polynomial's) with
+nullity(f(z)) = deg f, one spin of a null vector plus one spin of a
+transpose null vector is conclusive.  Chopping a module factors the
+characteristic polynomial of its first generator once, at the root of the
+chop tree, and hands each part of a split its share (`_chop`).  Norton's
+test and splitting along End (below, `_span_search`) are the only Las
+Vegas searches, both run by `_las_vegas`: random attempts, then a complete
+scan of a space of at most SCAN_CAP elements.  Verdicts are verified, so a
+bad random stream can at worst raise InconclusiveError, never a wrong
+verdict.  Norton's scan spins one vector per projective point, as the
+canonical form of a small simple module does, every point in lockstep
+(`linalg.spin_each`).
 
 Indecomposability is decided exactly: E = End(V) is local if and only if
 every composition factor of the regular module of E has dimension
@@ -169,14 +173,23 @@ def _exhaustive_simple(field: FiniteField, mats, dim: int):
     return False, linalg.spin(field, mats, [points[short[0]]]).echelon_matrix()
 
 
-def _norton(field: FiniteField, mats, dim: int, rng):
+def _char_factors(field: FiniteField, M: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The factorization of the characteristic polynomial of M."""
+    return P.factor(field, P.char_poly(field, M))
+
+
+def _norton(field: FiniteField, mats, dim: int, rng, facs=None):
     """(True, None) if the module is simple, else (False, witness_rows).
 
     An attempt of `_las_vegas` tests z = the first generator, then random
-    algebra elements.  A proper spin of any kernel vector proves
-    reducibility.  The simple verdict needs Norton's good case nullity(f(z))
-    = deg f, which need not exist when composition factors repeat, so bad
-    factors still get their kernels sampled before moving on.
+    algebra elements, on the irreducible factors f of the characteristic
+    polynomial of z, which are those of its minimal polynomial (Parker
+    1984; Holt & Rees 1994); `facs` is that factorization for the first
+    generator, when the caller knows it.  A proper spin of any kernel
+    vector proves reducibility.  The simple verdict needs Norton's good
+    case nullity(f(z)) = deg f, which need not exist when composition
+    factors repeat, so bad factors still get their kernels sampled before
+    moving on.
     """
     if dim == 1:
         return True, None
@@ -185,9 +198,13 @@ def _norton(field: FiniteField, mats, dim: int, rng):
     mats_t = [np.ascontiguousarray(M.T) for M in mats]
 
     def attempt(k):
-        z = mats[0] if k == 0 else _random_algebra_element(field, mats, dim, rng)
-        mu = P.min_poly_mat(field, z)
-        for f, _ in P.factor(field, mu):
+        if k == 0:
+            z = mats[0]
+            factors = facs if facs is not None else _char_factors(field, z)
+        else:
+            z = _random_algebra_element(field, mats, dim, rng)
+            factors = _char_factors(field, z)
+        for f, _ in factors:
             fz = P.eval_matrix(field, f, z)
             null = linalg.nullspace(field, fz)
             good = null.shape[0] == P.degree(f)
@@ -210,17 +227,39 @@ def _norton(field: FiniteField, mats, dim: int, rng):
     return _las_vegas(field, dim, attempt, scan, "Norton's test")
 
 
-def _chop(field: FiniteField, mats, dim: int, rng):
-    """Composition factors of a matrix-list module as (mats, dim) pairs."""
+def _chop(field: FiniteField, mats, dim: int, rng, facs=None):
+    """Composition factors of a matrix-list module as (mats, dim) pairs.
+
+    `facs` is the factorization of the characteristic polynomial of the
+    first generator, worked out at the root of the chop tree and handed
+    down: a split is block triangular, so that polynomial is the product of
+    the parts' ones.  The smaller part's own is split over the irreducible
+    factors of `facs` by trial division, and the larger part gets the
+    multiplicities that are left, so below the root the larger part's
+    Krylov chain is never spun and `factor` runs only in random attempts.
+    """
     if dim == 0:
         return []
-    ok, witness = _norton(field, mats, dim, rng)
+    if facs is None and dim > 1 and mats:
+        facs = _char_factors(field, mats[0])
+    ok, witness = _norton(field, mats, dim, rng, facs)
     if ok:
         return [(mats, dim)]
     sub = linalg.action_on_subspace(field, witness, mats)
     quo, _ = linalg.action_on_quotient(field, witness, mats)
     k = witness.shape[0]
-    return _chop(field, sub, k, rng) + _chop(field, quo, dim - k, rng)
+    sub_facs = quo_facs = None
+    if mats:
+        small = sub if 2 * k <= dim else quo
+        own = P.multiplicities(field, P.char_poly(field, small[0]), [f for f, _ in facs])
+        _require(
+            all(m <= n for (_, n), m in zip(facs, own)),
+            "characteristic polynomial of a part does not divide the module's",
+        )
+        mine = [(f, m) for (f, _), m in zip(facs, own) if m]
+        rest = [(f, n - m) for (f, n), m in zip(facs, own) if n > m]
+        sub_facs, quo_facs = (mine, rest) if small is sub else (rest, mine)
+    return _chop(field, sub, k, rng, sub_facs) + _chop(field, quo, dim - k, rng, quo_facs)
 
 
 def is_simple(V: Rep, seed: int = 0) -> SimplicityResult:

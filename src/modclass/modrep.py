@@ -100,8 +100,22 @@ class Rep:
         return self._stack
 
     def element_matrix(self, g) -> np.ndarray:
-        """Image of an arbitrary group element, read off `element_matrices`."""
-        return self.element_matrices()[self.group.index_of(g)]
+        """Image of an arbitrary group element, read-only: read off
+        `element_matrices` once the stack is built, else folded letter by
+        letter along g's word in the word tree (the same bytes), so a few
+        reads do not build all |G| images."""
+        G, i = self.group, self.group.index_of(g)
+        if self._stack is not None:
+            return self._stack[i]
+        word = []
+        while i:
+            word.append(int(G._gen[i]))
+            i = G._parent[i]
+        M = self.field.identity(self.dim)
+        for k in reversed(word):
+            M = self.field.mat_mul(M, self.matrices[k])
+        M.setflags(write=False)
+        return M
 
     def generator_char_polys(self):
         """Characteristic polynomials of the generator images (an invariant)."""
@@ -283,7 +297,7 @@ def restrict_subgroup(V: Rep, H: Subgroup) -> Rep:
     """The same space seen as a module for a subgroup."""
     if H.parent is not V.group:
         raise InputError("subgroup does not belong to the module's group")
-    mats = [V.element_matrix(g) for g in H.group.generators]  # reads of the element stack
+    mats = [V.element_matrix(g) for g in H.group.generators]
     return Rep(H.group, V.field, mats, check=False, dim=V.dim)
 
 

@@ -27,7 +27,10 @@ The kernels own the scalar inverse of every field (``FiniteField.inv1``, and
 prime-field kernel runs the irreducibility test of each defining polynomial.
 
 Characteristic and minimal polynomials come from Krylov chains of unit
-vectors in a tracked :class:`~modclass.linalg.RowSpace`.
+vectors in a tracked :class:`~modclass.linalg.RowSpace`.  `multiplicities`
+splits a polynomial over irreducible factors known in advance by trial
+division, as the chop tree of :mod:`modclass.meataxe` does with the
+characteristic polynomial of a part.
 """
 
 from __future__ import annotations
@@ -381,7 +384,7 @@ def _derivative(k: _Kernel, a: list) -> list:
 def _pth_root(k: _Kernel, a: list) -> list:
     # a = g(x^p); recover g, taking p-th roots of the surviving coefficients
     F = k.field
-    return _trim(F.pow(_array(a[:: F.p]), F.p ** (F.n - 1)).tolist())
+    return _trim(F.frobenius(_array(a[:: F.p]), F.n - 1).tolist())
 
 
 def _squarefree(k: _Kernel, f: list) -> list[tuple[list, int]]:
@@ -434,8 +437,9 @@ def _distinct_degree(k: _Kernel, f: list) -> list[tuple[list, int]]:
     return out
 
 
-def _equal_degree(k: _Kernel, f: list, d: int, rng: np.random.Generator) -> list[list]:
-    """Cantor-Zassenhaus split of f (product of degree-d irreducibles)."""
+def _equal_degree(k: _Kernel, f: list, d: int, rng: np.random.Generator | None) -> list[list]:
+    """Cantor-Zassenhaus split of f (product of degree-d irreducibles); an
+    irreducible f is returned as it is, so it needs no generator."""
     f = _monic(k, f)
     deg = len(f) - 1
     if deg == d:
@@ -500,14 +504,33 @@ def factor(field: FiniteField, f, seed: int = 0) -> list[tuple[np.ndarray, int]]
     f = _codes(f)
     if len(f) < 2:
         raise InputError("factor requires a polynomial of degree >= 1")
-    rng = np.random.default_rng(seed)
+    rng = None  # made only when an equal-degree split needs one
     found: list[tuple[list, int]] = []
     for g, mult in _squarefree(k, f):
         for h, d in _distinct_degree(k, g):
-            for irr in _equal_degree(k, h, d, rng):
-                found.append((irr, mult))
+            if rng is None and len(h) - 1 > d:
+                rng = np.random.default_rng(seed)
+            found.extend((irr, mult) for irr in _equal_degree(k, h, d, rng))
     found.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return [(_array(g), m) for g, m in found]
+
+
+def multiplicities(field: FiniteField, f, irreducibles) -> list[int]:
+    """The multiplicity in f of each monic irreducible of `irreducibles`, by
+    trial division; f must be a product of them times a unit."""
+    k = _kernel(field)
+    rest = _monic(k, _codes(f))
+    out = []
+    for g in irreducibles:
+        g, m = _codes(g), 0
+        while len(rest) >= len(g):
+            quo, r = _divmod(k, rest, g)
+            if r:
+                break
+            rest, m = quo, m + 1
+        out.append(m)
+    _require(rest == [1], "polynomial is not a product of the given irreducibles")
+    return out
 
 
 def roots_in_field(f, field: FiniteField) -> list[int]:

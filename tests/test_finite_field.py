@@ -603,6 +603,18 @@ def test_fixed_field_of_frobenius_power():
     assert sorted(fixed.tolist()) == sorted(image.tolist())
 
 
+@pytest.mark.parametrize("p, n", [(2, 20), (3, 12), (5, 8), (3, 4)])
+def test_frobenius_matches_pow_for_every_exponent(p, n):
+    # above the table cap frobenius is a cached digit-vector map, on a
+    # table field a table lookup; both agree with squaring
+    K = make_field(p, n)
+    a = K.rand_codes(np.random.default_rng(p * n), 300)
+    a[:3] = 0, 1, K.gen_code
+    for e in range(2 * n + 1):
+        assert _same(K.frobenius(a, e), K.pow(a, p**e)), e
+    assert sorted(K._frobenius_maps) == ([] if K._zech else list(range(1, n)))
+
+
 def test_frobenius_table_matches_pow():
     K = make_field(3, 3)
     codes = np.arange(K.q, dtype=np.int64)

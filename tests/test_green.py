@@ -428,8 +428,9 @@ def test_batched_relative_trace_matches_per_map_reference(name, p, n):
             res = restrict_subgroup(V, Q)
             basis = np.stack(hom_space(res, res))
             T = _transversal(G, Q)
-            want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
+            # built first, the coset stacks leave the element stack for the reference to read
             by_matrix = K.mat_mul(_trace_matrix(K, *_coset_stacks(V, Q), range(d)), basis.reshape(-1, d * d).T)
+            want = np.stack([_reference_relative_trace(V, T, phi) for phi in basis])
             for got in (_relative_trace(V, T, basis, range(d)), by_matrix.T.reshape(-1, d, d)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (name, p, n, d, Q.order)

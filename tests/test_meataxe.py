@@ -7,6 +7,7 @@ structure) before being fixed here.
 
 import ast
 import collections
+import hashlib
 import inspect
 
 import numpy as np
@@ -1395,17 +1396,25 @@ def test_end_degrees_are_the_berman_orbit_lengths(case, s):
 
 
 def _record_char_polys(monkeypatch):
-    """Count char_poly calls and collect the modules that asked for them."""
+    """Count the char_poly calls made inside Rep.generator_char_polys, and
+    collect the modules that asked for them; Norton's test and the chop
+    tree call char_poly directly, and those calls are not counted."""
     calls, asked = [], []
+    inside = [0]
     real_cp, real_gcp = P.char_poly, Rep.generator_char_polys
 
     def char_poly(field, M):
-        calls.append(M.shape[0])
+        if inside[0]:
+            calls.append(M.shape[0])
         return real_cp(field, M)
 
     def generator_char_polys(self):
         asked.append(self)
-        return real_gcp(self)
+        inside[0] += 1
+        try:
+            return real_gcp(self)
+        finally:
+            inside[0] -= 1
 
     monkeypatch.setattr(P, "char_poly", char_poly)
     monkeypatch.setattr(Rep, "generator_char_polys", generator_char_polys)
@@ -1447,3 +1456,170 @@ def test_krull_schmidt_settles_decomposable_modules_with_unequal_char_polys(monk
         res = is_isomorphic(A, B)
         assert not res
         assert res.reason == "indecomposable summands differ"
+
+
+# --------------------------- Norton's test on characteristic polynomials
+
+
+def _norton_min_poly_oracle(field, mats, dim, rng):
+    """Norton's test on the factors of the minimal polynomial of z, one
+    factorization per attempt: the test as it was before it read the
+    characteristic polynomial, factored once per chop tree."""
+    if dim == 1:
+        return True, None
+    if not mats:
+        return False, field.identity(dim)[:1]
+    mats_t = [np.ascontiguousarray(M.T) for M in mats]
+
+    def attempt(k):
+        z = mats[0] if k == 0 else meataxe._random_algebra_element(field, mats, dim, rng)
+        for f, _ in P.factor(field, P.min_poly_mat(field, z)):
+            fz = P.eval_matrix(field, f, z)
+            null = linalg.nullspace(field, fz)
+            good = null.shape[0] == P.degree(f)
+            extra = 0 if good else 3
+            for v in meataxe._kernel_samples(field, null, rng, extra):
+                span = linalg.spin(field, mats, [v])
+                if span.dim < dim:
+                    return False, span.echelon_matrix()
+            null_t = linalg.nullspace(field, fz.T)
+            for w in meataxe._kernel_samples(field, null_t, rng, extra):
+                span_t = linalg.spin(field, mats_t, [w])
+                if span_t.dim < dim:
+                    return False, linalg.nullspace(field, span_t.echelon_matrix())
+            if good:
+                return True, None
+        return None
+
+    scan = lambda: meataxe._exhaustive_simple(field, mats, dim)
+    return meataxe._las_vegas(field, dim, attempt, scan, "Norton's test")
+
+
+def _chop_oracle(field, mats, dim, rng, log=None):
+    """The chop tree on `_norton_min_poly_oracle`, with no factorization
+    handed down; each verdict goes to `log` as `_norton_record` has it."""
+    if dim == 0:
+        return []
+    ok, witness = _norton_min_poly_oracle(field, mats, dim, rng)
+    if log is not None:
+        log.append(_norton_record((ok, witness), rng))
+    if ok:
+        return [(mats, dim)]
+    sub = linalg.action_on_subspace(field, witness, mats)
+    quo, _ = linalg.action_on_quotient(field, witness, mats)
+    k = witness.shape[0]
+    return _chop_oracle(field, sub, k, rng, log) + _chop_oracle(field, quo, dim - k, rng, log)
+
+
+def _norton_record(result, rng):
+    """Verdict, witness bytes and the generator state after the call."""
+    ok, witness = result
+    return ok, None if witness is None else (witness.shape, witness.tobytes()), rng.bit_generator.state
+
+
+NORTON_GRID = [
+    (name, p, n)
+    for name, G in [("S5", S5)] + sorted(catalog().items())
+    for p in (2, 3, 5, 7)
+    if G.order % p == 0
+    for n in ((1, 2, 20) if p == 2 else (1, 2))
+]
+
+
+def _norton_modules(G, K):
+    """Natural, regular, tensor-square and random-basis modules.  Over
+    GF(2^20), whose products are digit convolutions, modules of more than
+    25 dimensions are left out (a chop of regular S5 there takes 25 s)."""
+    natural = permutation_module(G, K)
+    tensor = tensor_product(natural, natural)
+    rng = np.random.default_rng(K.q)
+    mods = {
+        "natural": natural,
+        "regular": regular_module(G, K),
+        "tensor": tensor,
+        "random": _random_conjugate(tensor if tensor.dim <= 25 else natural, rng),
+    }
+    return {kind: V for kind, V in mods.items() if V.dim <= 25 or K.n < 20}
+
+
+def _bytes_of(reps):
+    return [(W.dim, b"".join(M.tobytes() for M in W.matrices)) for W in reps]
+
+
+@pytest.mark.parametrize("name, p, n", NORTON_GRID)
+def test_norton_on_char_polys_matches_min_poly_oracle(monkeypatch, name, p, n):
+    # at every node of every chop tree: the factorization handed down is the
+    # node's own, and verdict, witness and generator state equal the oracle's
+    G, K = (S5 if name == "S5" else catalog()[name]), make_field(p, n)
+    real = meataxe._norton
+
+    def recorded(field, mats, dim, rng, facs=None):
+        if dim > 1 and mats:  # no node factors the first generator itself
+            assert facs is not None
+            want = P.factor(field, P.char_poly(field, mats[0]))
+            assert [(f.tobytes(), m) for f, m in facs] == [(f.tobytes(), m) for f, m in want]
+        got = real(field, mats, dim, rng, facs)
+        log.append(_norton_record(got, rng))
+        return got
+
+    for kind, V in _norton_modules(G, K).items():
+        mats = list(V.matrices)
+        for seed in (0, 3):  # as is_simple calls it, with no factorization
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _norton_record(real(K, mats, V.dim, rng), rng)
+            assert got == _norton_record(_norton_min_poly_oracle(K, mats, V.dim, twin), twin)
+        log, want = [], []
+        with monkeypatch.context() as m:
+            m.setattr(meataxe, "_norton", recorded)
+            got = composition_factors(V, seed=3)
+        oracle = _chop_oracle(K, mats, V.dim, np.random.default_rng(3), want)
+        assert len(log) > 1 and log == want, kind
+        oracle = [(dim, b"".join(M.tobytes() for M in fmats)) for fmats, dim in oracle]
+        assert _bytes_of(got) == sorted(oracle, key=lambda f: f[0]), kind
+    S = simple_modules(G, K)
+    with monkeypatch.context() as m:
+        m.setattr(meataxe, "_chop", _chop_oracle)
+        T = simple_modules(G, K)
+    assert S.end_degrees == T.end_degrees
+    assert _bytes_of(S.modules) == _bytes_of(T.modules)
+
+
+def test_chop_factors_only_at_the_root_and_in_random_attempts(monkeypatch):
+    # regular S4 over GF(3): one factorization for the whole chop tree unless
+    # some node needs a random attempt, and each of those factors one z
+    calls, attempts = [], []
+    real_factor, real_element = P.factor, meataxe._random_algebra_element
+    monkeypatch.setattr(P, "factor", lambda *a, **k: calls.append(1) or real_factor(*a, **k))
+    monkeypatch.setattr(
+        meataxe, "_random_algebra_element", lambda *a: attempts.append(1) or real_element(*a)
+    )
+    factors = composition_factors(regular_module(catalog()["S4"], F3))
+    assert len(factors) > 2
+    assert len(calls) == 1 + len(attempts)
+
+
+def _chop_basis_digest(S):
+    """sha256 of the matrices of the simple modules that `try_canonical_form`
+    leaves in the basis the chop tree gave them."""
+    h = hashlib.sha256()
+    for W in S.modules:
+        if try_canonical_form(W) is None:
+            for M in W.matrices:
+                h.update(repr(M.shape).encode())
+                h.update(M.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "G, K, digest",
+    [
+        (S5, F5, "31999ffd8f403345136c3fe91ff36952012efeb0815e7da62bb3314fdd9a0975"),
+        (catalog()["S4"], make_field(2, 12), "acc4a5b4708bc2f5bceb4d7d1b6c2b0c5ab601258fb047112aaedd4f4295f23e"),
+    ],
+    ids=["S5-GF5", "S4-GF4096"],
+)
+def test_simple_modules_keep_their_chop_bases(G, K, digest):
+    # frozen bytes of the representatives without a canonical form (the two
+    # 5-dimensional simples of S5 over GF(5); the trivial and 2-dimensional
+    # simples of S4 over GF(2^12), where q^d exceeds the orbit cap)
+    assert _chop_basis_digest(simple_modules(G, K)) == digest

@@ -329,6 +329,26 @@ S5 = PermGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
 @pytest.mark.parametrize("name", [*catalog(), "S5"])
+def test_element_matrix_folds_words_until_the_stack_is_built(name):
+    # on a fresh module each element's word is folded, with the bytes of
+    # the stack; neither the fold nor a restriction builds the stack
+    G = S5 if name == "S5" else catalog()[name]
+    K = make_field(min(p for p in (2, 3, 5, 7) if G.order % p == 0), 2)
+    natural = _random_basis(modrep.permutation_module(G, K), np.random.default_rng(1))
+    for V in (regular_module(G, K), natural):
+        stack = Rep(G, K, V.matrices, check=False).element_matrices()
+        for i, g in enumerate(G.elements):
+            M = V.element_matrix(g)
+            assert M.dtype == np.int64 and M.tobytes() == stack[i].tobytes(), g
+            assert not M.flags.writeable
+        for Q in p_subgroups_up_to_conjugacy(G, K.p):
+            res = restrict_subgroup(V, Q)
+            want = [stack[G.index_of(h)].tobytes() for h in Q.group.generators]
+            assert [M.tobytes() for M in res.matrices] == want
+        assert V._stack is None
+
+
+@pytest.mark.parametrize("name", [*catalog(), "S5"])
 def test_induce_matches_coset_loop_oracle(name):
     # from every p-subgroup class, of the trivial module and of the regular
     # module in a random basis (no permutation matrices)
