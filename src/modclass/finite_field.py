@@ -439,8 +439,11 @@ def make_field(p: int, n: int) -> FiniteField:
     p, n = int(p), int(n)
     if n < 1:
         raise InputError("extension degree must be >= 1, got %d" % n)
-    if p**n > limits.MAX_FIELD_SIZE:  # before the primality test, which trial-divides
-        raise LimitError("field size %d^%d exceeds cap %d" % (p, n, limits.MAX_FIELD_SIZE))
+    # before the primality test, which trial-divides; p^n >= 2^n exceeds the
+    # cap from n = its bit length on, so a huge n never computes p**n
+    cap = limits.MAX_FIELD_SIZE
+    if p >= 2 and (n >= cap.bit_length() or p**n > cap):
+        raise LimitError("field size %d^%d exceeds cap %d" % (p, n, cap))
     if not is_prime(p):
         raise InputError("p = %d is not prime" % p)
     key = (p, n)
@@ -477,16 +480,17 @@ class FieldEmbedding:
         f = self.source.min_poly.copy()  # prime-subfield codes are valid in any GF(p^k)
         roots = P.roots_in_field(f, self.target)
         _require(len(roots) == self.source.n, "defining polynomial must split in the target")
-        return int(min(roots))
+        return roots[0]
 
     def _build_table(self) -> np.ndarray:
+        """sum_i a_i x^i -> sum_i a_i g^i is F_p-linear on digit vectors: one
+        product of the source's digits with the digit rows of the powers g^i."""
         src, tgt = self.source, self.target
-        digits = src.decode(np.arange(src.q, dtype=np.int64))  # (q_src, m)
-        table = np.zeros(src.q, dtype=np.int64)
-        g_pow = np.int64(1)
-        for i in range(src.n):
-            table = tgt.add(table, tgt.mul(digits[:, i], g_pow))
-            g_pow = tgt.mul(g_pow, np.int64(self.generator_image))
+        powers = [np.int64(1)]
+        for _ in range(src.n - 1):
+            powers.append(tgt.mul(powers[-1], np.int64(self.generator_image)))
+        digits = src.decode(np.arange(src.q, dtype=np.int64)) @ tgt.decode(np.array(powers))
+        table = tgt.encode(digits % tgt.p)
         table.setflags(write=False)
         return table
 

@@ -92,17 +92,18 @@ def is_relatively_projective(V: Rep, Q: Subgroup) -> ProjectivityResult:
     """
     if Q.parent is not V.group:
         raise InputError("subgroup belongs to a different group")
-    V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restriction does too
-    return _higman(V, Q, restrict_subgroup(V, Q))
+    return _higman(V, Q)[0]
 
 
-def _higman(V: Rep, Q: Subgroup, res: Rep) -> ProjectivityResult:
-    """`is_relatively_projective` on the restriction res of V to Q; the
-    End_Q(V) it solves stays on res."""
+def _higman(V: Rep, Q: Subgroup) -> tuple[ProjectivityResult, Rep]:
+    """`is_relatively_projective`, and the restriction res of V to Q with the
+    End_Q(V) it solved.  res is made after the coset stacks, so it reads V's
+    element stack instead of folding words."""
     field, d = V.field, V.dim
-    if d == 0:
-        return ProjectivityResult(True, field.zeros(0, 0))
     inv, fwd = _coset_stacks(V, Q)
+    res = restrict_subgroup(V, Q)
+    if d == 0:
+        return ProjectivityResult(True, field.zeros(0, 0)), res
     seeds = V.seeds()
     A = _trace_matrix(field, inv, fwd, seeds)
     if all(np.array_equal(M, field.identity(d)) for M in res.matrices):
@@ -112,14 +113,14 @@ def _higman(V: Rep, Q: Subgroup, res: Rep) -> ProjectivityResult:
         A = field.mat_mul(A, basis.T)  # (d k, h)
     coeffs = linalg.solve(field, A, field.identity(d)[:, seeds].reshape(-1))
     if coeffs is None:
-        return ProjectivityResult(False, None)
+        return ProjectivityResult(False, None), res
     phi = (coeffs if basis is None else field.mat_mul(coeffs[None], basis)).reshape(d, d)
     # sum_t t^-1 phi t: the t^-1 phi side by side, times the t stacked
     left = field.mat_mul(inv.reshape(-1, d), phi).reshape(-1, d, d).transpose(1, 0, 2)
     trace = field.mat_mul(left.reshape(d, -1), fwd.reshape(-1, d))
     if not np.array_equal(trace, field.identity(d)):
         raise ConsistencyError("relative trace of the Higman solution is not the identity")
-    return ProjectivityResult(True, phi)
+    return ProjectivityResult(True, phi), res
 
 
 def is_projective(V: Rep) -> ProjectivityResult:
@@ -152,9 +153,9 @@ def _vertex(V: Rep, seed: int) -> tuple[Subgroup, Rep]:
         by_order.setdefault(Q.order, []).append(Q)
     # Green's bound; p^(bit length of m) > m, so gcd(m, it) is the p-part of m
     gp, dp = (math.gcd(m, p ** m.bit_length()) for m in (G.order, V.dim))
-    V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restrictions do too
     for order in sorted(o for o in by_order if o * dp >= gp):
-        hits = [(Q, res) for Q in by_order[order] if _higman(V, Q, res := restrict_subgroup(V, Q))]
+        found = [(Q, *_higman(V, Q)) for Q in by_order[order]]
+        hits = [(Q, res) for Q, result, res in found if result]
         if hits:
             if len(hits) != 1:
                 raise ConsistencyError(
@@ -183,7 +184,6 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
     if Q is None:
         Q, res = _vertex(V, seed)
     else:
-        V.element_matrices()  # `_coset_stacks` reads the whole stack, so the restriction does too
         res = restrict_subgroup(V, Q)
     field, d = V.field, V.dim
     inv, fwd = _coset_stacks(V, Q)
@@ -201,7 +201,7 @@ def source(V: Rep, Q: Subgroup | None = None, seed: int = 0) -> VertexSource:
                 return VertexSource(Q, U)
     # only a given Q can fail Higman's criterion; testing it here, not
     # first, leaves the call with a vertex Q at its old cost
-    if not _higman(V, Q, res):
+    if not _higman(V, Q)[0]:
         raise InputError("the module is not projective relative to the given subgroup")
     raise ConsistencyError("no summand of the restriction induces back to the module")
 

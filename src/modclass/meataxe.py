@@ -39,10 +39,13 @@ V as a KG-module (`Rep.seeds`): the least points of the orbits of a
 permutation module, else the seeds that the spin solving End(V) took up,
 so V is not spun again for them.  A G-map phi commutes with the action, so
 f(phi) e_s = 0 for every seed gives f(phi) = 0 on V = sum_s KG e_s: the
-minimal polynomial of phi is the lcm of the order polynomials of the k
-seeds, k Krylov chains instead of up to d.  It is unique, so the splitting
-is the one a full minimal polynomial gives.  The products in E are read on
-the seed columns too.
+minimal polynomial of phi on V is its minimal polynomial on the span W of
+the seeds' k Krylov chains, and so divides the characteristic polynomial
+of phi on W, which one spin of k chains gives.  An irreducible factor f
+of multiplicity m there has at most that multiplicity in the minimal
+polynomial, so ker f(phi)^m is f's generalized eigenspace and the
+splitting is the one a full minimal polynomial gives.  The products in E
+are read on the seed columns too.
 
 A piece split off along End(V) needs no hom solve of its own: with e the
 projection onto it along the other pieces, End(eV) is the corner algebra
@@ -400,22 +403,24 @@ def _span_search(field: FiniteField, basis: np.ndarray, seed: int, test):
     return _las_vegas(field, h, attempt, scan, "span search")
 
 
-def _split_by_min_poly(field: FiniteField, phi: np.ndarray, seeds):
+def _split_by_char_poly(field: FiniteField, phi: np.ndarray, seeds):
     """Generalized eigenspace splitting from a G-endomorphism, if any.
 
-    `seeds` index unit vectors that generate the module; the minimal
-    polynomial is read on them alone.  A seed list that does not generate
-    yields a divisor of it, whose eigenspaces fall short of the module and
-    raise ConsistencyError, or a single factor and no split.
+    `seeds` index unit vectors that generate the module; the characteristic
+    polynomial is read on the span W of their Krylov chains alone.  An
+    irreducible factor f of multiplicity m there has at most multiplicity m
+    in the minimal polynomial, which is the same on W as on the module, so
+    ker f(phi)^m is f's generalized eigenspace.  A seed list that does not
+    generate yields eigenspaces that fall short of the module and raise
+    ConsistencyError, or a single factor and no split.
     """
-    mu = P.min_poly_mat(field, phi, seeds)
-    facs = P.factor(field, mu)
+    facs = P.factor(field, P.char_poly(field, phi, seeds))
     if len(facs) < 2:
         return None
     pieces = []
-    for f, e in facs:
+    for f, m in facs:
         power = f
-        for _ in range(e - 1):
+        for _ in range(m - 1):
             power = P.mul(field, power, f)
         pieces.append(linalg.nullspace(field, P.eval_matrix(field, power, phi)))
     if sum(piece.shape[0] for piece in pieces) != phi.shape[0]:
@@ -491,7 +496,7 @@ def _try_split(V: Rep, seed: int):
         return None
     basis, seeds = V.endomorphisms(), V.seeds()
     for phi in basis:  # deterministic candidates first
-        pieces = _split_by_min_poly(field, phi, seeds)
+        pieces = _split_by_char_poly(field, phi, seeds)
         if pieces:
             break
     else:
@@ -499,7 +504,7 @@ def _try_split(V: Rep, seed: int):
             return None
         # a non-local algebra owns a nontrivial idempotent, whose minimal
         # polynomial x(x - 1) splits, so a complete scan cannot miss
-        pieces = _span_search(field, basis, seed, lambda phi: _split_by_min_poly(field, phi, seeds))
+        pieces = _span_search(field, basis, seed, lambda phi: _split_by_char_poly(field, phi, seeds))
         if pieces is None:
             raise ConsistencyError("non-local algebra without nontrivial idempotent")
     return _split_with_corners(V, pieces)

@@ -26,11 +26,14 @@ The kernels own the scalar inverse of every field (``FiniteField.inv1``, and
 ``inv`` above the table cap, call them after refusing zero), and the
 prime-field kernel runs the irreducibility test of each defining polynomial.
 
-Characteristic and minimal polynomials come from Krylov chains of unit
-vectors in a tracked :class:`~modclass.linalg.RowSpace`.  `multiplicities`
-splits a polynomial over irreducible factors known in advance by trial
-division, as the chop tree of :mod:`modclass.meataxe` does with the
-characteristic polynomial of a part.
+Factorization is the one root finder: `roots_in_field` reads the roots off
+the linear factors.  Characteristic polynomials come from Krylov chains of
+unit vectors in one tracked :class:`~modclass.linalg.RowSpace`
+(`char_poly`): of every unit vector, or of a given few, which gives the
+characteristic polynomial on the invariant subspace the few generate.
+`multiplicities` splits a polynomial over irreducible factors known in
+advance by trial division, as the chop tree of :mod:`modclass.meataxe`
+does with the characteristic polynomial of a part.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import InputError, _require
 
 if TYPE_CHECKING:  # finite_field imports this module for its kernels
     from .finite_field import FiniteField
-    from .linalg import RowSpace
 
 def degree(c) -> int:
     return len(c) - 1
@@ -202,21 +204,15 @@ class _ArrayKernel(_Kernel):
 
     Multiplying by a fixed c is F_p-linear on digit vectors: digits(c * y)
     = digits(y) @ M_c mod p, where M_c[u, t] = sum_s c_s (digit t of
-    x^(s+u)) comes from the field's shift table.  A row times c is then one
-    small integer product instead of a digit convolution per element.
+    x^(s+u)) comes from the field's shift table (``_shifts[s, u*n + t]``,
+    symmetric in s and u).  A row times c is then one small integer product
+    instead of a digit convolution per element.
     """
-
-    def __init__(self, field):
-        super().__init__(field)
-        n = field.n
-        # _planes[s, u*n + t] is digit t of x^(s+u)
-        shifts = field._shifts.astype(np.int64).reshape(n, n, n)
-        self._planes = shifts.transpose(1, 0, 2).reshape(n, n * n)
 
     def _times(self, c: int, a: list) -> np.ndarray:
         """Digit vectors of c * a, not yet reduced mod p."""
         F = self.field
-        M = (F.decode(c) @ self._planes).reshape(F.n, F.n) % F.p
+        M = (F.decode(c) @ F._shifts).astype(np.int64).reshape(F.n, F.n) % F.p
         return F.decode(_array(a)) @ M
 
     def neg1(self, x):
@@ -475,15 +471,6 @@ def mul(field: FiniteField, a, b) -> np.ndarray:
     return _array(_mul(_kernel(field), _codes(a), _codes(b)))
 
 
-def eval_codes(field: FiniteField, a: np.ndarray, points) -> np.ndarray:
-    """Evaluate at an array of element codes, vectorized Horner."""
-    points = np.asarray(points, dtype=np.int64)
-    acc = np.zeros_like(points)
-    for c in a[::-1]:
-        acc = field.add(field.mul(acc, points), np.full_like(points, c))
-    return acc
-
-
 def eval_matrix(field: FiniteField, a: np.ndarray, M: np.ndarray) -> np.ndarray:
     d = M.shape[0]
     acc = field.zeros(d, d)
@@ -534,53 +521,27 @@ def multiplicities(field: FiniteField, f, irreducibles) -> list[int]:
 
 
 def roots_in_field(f, field: FiniteField) -> list[int]:
-    """Roots (as element codes, ascending) of f with coefficients read in `field`."""
+    """The distinct roots in `field` of f, its coefficients read there, as
+    element codes, ascending: from the linear factors x + c of `factor`,
+    each with root -c (a constant or zero f has none listed)."""
+    if len(_codes(f)) < 2:
+        return []
     k = _kernel(field)
-    f = _monic(k, _codes(f))
-    if len(f) < 2:
-        return []
-    if field.q <= 4096:
-        points = np.arange(field.q, dtype=np.int64)
-        values = eval_codes(field, _array(f), points)
-        return [int(r) for r in points[values == 0]]
-    x = [0, 1]
-    lin = _gcd(k, _sub(k, _pow_mod(k, x, field.q, f), x), f)
-    if len(lin) < 2:
-        return []
-    rng = np.random.default_rng(0)
-    # each factor is x + c, with root -c
-    return sorted(k.neg1(g[0]) for g in _equal_degree(k, lin, 1, rng))
+    return sorted(k.neg1(int(g[0])) for g, _ in factor(field, f) if len(g) == 2)
 
 
-# ----- characteristic and minimal polynomials -----
+# ----- characteristic polynomials -----
 
 
-def _unit(d: int, s: int) -> np.ndarray:
-    e = np.zeros(d, dtype=np.int64)
-    e[s] = 1
-    return e
+def char_poly(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
+    """Characteristic polynomial of M on the span of the Krylov chains of
+    the unit vectors e_s, s in `seeds`; every s by default, which gives
+    det(xI - M).
 
-
-def _krylov_relation(field: FiniteField, M: np.ndarray, vec: np.ndarray, space: RowSpace) -> list:
-    """The monic relation, as a list, of the first vector of vec, M vec,
-    M^2 vec, ... that depends on the tracked RowSpace `space` and the ones
-    before it, in the coordinates of the chain; the chain joins `space`."""
-    d = M.shape[0]
-    start = space.dim
-    while True:
-        added, E = space._insert_rows(vec[None])
-        if not added[0]:  # E[0] is (0 | -coords) of the dependent vector
-            return E[0, d + start : d + space.dim].tolist() + [1]
-        vec = field.mat_vec(M, vec)
-
-
-def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial via spinning standard vectors.
-
-    The product of the relative order polynomials of the unit vectors
-    against the growing Krylov subspace equals det(xI - M).  All chains
-    share one tracked RowSpace: once M^j e_s depends on what is there, its
-    coordinates on the current chain give e_s's relative order polynomial.
+    All chains share one tracked RowSpace: once M^j e_s depends on what is
+    there, its coordinates on e_s's own chain are e_s's relative order
+    polynomial.  M is block triangular on the chains, so the product of
+    these polynomials is the characteristic polynomial on their span.
     """
     from .linalg import RowSpace
 
@@ -588,39 +549,17 @@ def char_poly(field: FiniteField, M: np.ndarray) -> np.ndarray:
     d = M.shape[0]
     result = [1]
     space = RowSpace(field, d, track=True)
-    for s in range(d):
+    for s in range(d) if seeds is None else seeds:
         if space.dim == d:
             break
-        result = _mul(k, result, _krylov_relation(field, M, _unit(d, s), space))
-    _require(len(result) - 1 == d, "characteristic polynomial has the wrong degree")
+        start = space.dim
+        vec = np.zeros(d, dtype=np.int64)
+        vec[s] = 1
+        while True:
+            added, E = space._insert_rows(vec[None])
+            if not added[0]:  # E[0] is (0 | -coords) of the dependent vector
+                break
+            vec = field.mat_vec(M, vec)
+        result = _mul(k, result, E[0, d + start : d + space.dim].tolist() + [1])
+    _require(seeds is not None or len(result) - 1 == d, "characteristic polynomial has the wrong degree")
     return _array(result)
-
-
-def min_poly_mat(field: FiniteField, M: np.ndarray, seeds=None) -> np.ndarray:
-    """Minimal polynomial: lcm of the order polynomials of the unit vectors
-    e_s, s in `seeds` (every s by default).
-
-    Seeds that generate the space under some algebra commuting with M
-    suffice: f(M) e_s = 0 then gives f(M) a e_s = a f(M) e_s = 0 for every
-    algebra element a.  Other seeds give the minimal polynomial of M on the
-    M-invariant subspace they span, a divisor of the true one.
-    """
-    from .linalg import RowSpace
-
-    k = _kernel(field)
-    d = M.shape[0]
-    lam = [1]
-    seen = RowSpace(field, d)
-    for s in range(d) if seeds is None else seeds:
-        if seen.dim == d or len(lam) - 1 == d:
-            break
-        seed = _unit(d, s)
-        # a nonzero member of the span leads at a pivot column, so e_s can
-        # lie in it only if s is one; the product decides those
-        if s in seen.pivot_columns() and not seen.reduce_rows(seed[None])[0].any():
-            continue
-        chain = RowSpace(field, d, track=True)
-        mu = _krylov_relation(field, M, seed, chain)
-        lam = _divmod(k, _mul(k, lam, mu), _gcd(k, lam, mu))[0]
-        seen._insert_rows(np.stack(chain.raw_basis_rows()))
-    return _array(_monic(k, lam))

@@ -251,6 +251,30 @@ def test_group_order_cap_applies_to_a_module_file_naming_its_group(tmp_path, cap
     assert "group order exceeds cap 10" in err
 
 
+def test_huge_field_degree_exits_1_within_a_second(tmp_path, capsys):
+    # -n, fiber and extend --degree, and a module file's n all reach
+    # make_field, which refuses n past the cap's bit length without
+    # computing 3**(10**12)
+    n = 10**12
+    path, big = str(tmp_path / "reg.json"), str(tmp_path / "big.json")
+    assert _run(capsys, ["make", "regular", "-g", "S3", "-p", "3", "-o", path])[0] == 0
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["field"]["n"] = n
+    with open(big, "w") as fh:
+        json.dump(doc, fh)
+    for argv in (
+        ["simples", "-g", "S3", "-p", "3", "-n", str(n)],
+        ["fiber", "-g", "S3", "-p", "3", "--index", "0", "--degree", str(n)],
+        ["extend", "--module", path, "--degree", str(n)],
+        ["decompose", "--module", big],
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "" and "exceeds cap" in err, argv
+
+
 def test_exit_code_unknown_group(capsys):
     code, _, err = _run(capsys, ["count", "-g", "M11", "-p", "2"])
     assert code == 1

@@ -9,12 +9,14 @@ digit-plane arithmetic against the digit-convolution product and the
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modclass import finite_field, limits
+from modclass import polynomials as P
 from modclass.errors import ConsistencyError, InputError, LimitError, NotSubfieldError
 from modclass.finite_field import (
     FieldAutomorphism,
@@ -25,6 +27,7 @@ from modclass.finite_field import (
     is_prime,
     make_field,
 )
+from oracles import brute_force_roots, roots_in_field
 
 
 # ---------------------------------------------------------------- oracle
@@ -567,6 +570,43 @@ def test_embedding_rejects_non_subfield():
         embed(make_field(2, 1), make_field(3, 1))
 
 
+def _table_by_powers(src, tgt, g):
+    """The embedding table as FieldEmbedding built it before: sum_i a_i g^i,
+    one field product per digit of every source element."""
+    digits = src.decode(np.arange(src.q, dtype=np.int64))
+    table = np.zeros(src.q, dtype=np.int64)
+    g_pow = np.int64(1)
+    for i in range(src.n):
+        table = tgt.add(table, tgt.mul(digits[:, i], g_pow))
+        g_pow = tgt.mul(g_pow, np.int64(g))
+    return table
+
+
+@pytest.mark.parametrize("p, n", [(2, 20), (2, 12), (3, 12), (5, 8), (7, 6)])
+def test_embedding_tables_match_root_oracles(p, n):
+    # every subfield GF(p^m): the generator goes to the least root of its
+    # defining polynomial, as the removed root search finds the roots, as
+    # the Galois conjugates of one of them, and (m < n) by brute force over
+    # the subfield of order p^m, the fixed points of a -> a^(p^m)
+    K = make_field(p, n)
+    codes = np.arange(K.q, dtype=np.int64)
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        S = make_field(p, m)
+        roots = roots_in_field(S.min_poly, K)
+        conjugates = {int(K.frobenius(np.int64(roots[-1]), e)) for e in range(m)}
+        assert P.roots_in_field(S.min_poly, K) == roots == sorted(conjugates)
+        if m < n:
+            sub = codes[K.frobenius(codes, m) == codes]
+            assert len(sub) == S.q and brute_force_roots(S.min_poly, K, sub) == roots
+            want = _table_by_powers(S, K, roots[0])
+        else:  # GF(p^n) into itself: the automorphism taking x to that root
+            e = next(e for e in range(n) if K.frobenius(np.int64(K.gen_code), e) == roots[0])
+            want = K.frobenius(codes, e)
+        E = embed(S, K)
+        assert E.generator_image == roots[0]
+        assert _same(E.apply_codes(np.arange(S.q)), want), m
+
+
 # ---------------------------------------------------------------- frobenius
 
 def test_frobenius_is_field_automorphism():
@@ -641,6 +681,29 @@ def test_size_cap_comes_before_the_primality_test(monkeypatch):
     monkeypatch.setattr(finite_field, "is_prime", forbidden)
     with pytest.raises(LimitError):
         make_field(10**18 + 3, 1)
+
+
+def test_huge_degree_is_refused_before_the_field_size_is_computed():
+    # p^n >= 2^n passes the cap from n = its bit length on, so no power is
+    # taken: 3**(10**12) alone would not finish
+    from modclass.classify import fiber
+    from modclass.modrep import trivial_module
+    from modclass.perm_group import catalog
+    from modclass.serialize import field_to_doc, module_from_doc, module_to_doc
+
+    n = 10**12
+    doc = module_to_doc(trivial_module(catalog()["S3"], make_field(3, 1)), "S3")
+    doc["field"] = dict(field_to_doc(make_field(3, 1)), n=n)
+    calls = [lambda p=p: make_field(p, n) for p in (2, 3, 10**18 + 3)]
+    calls += [lambda: fiber(trivial_module(catalog()["S3"], make_field(3, 1)), n), lambda: module_from_doc(doc)]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="exceeds cap"):
+            call()
+        assert time.perf_counter() - start < 1
+    assert make_field(2, limits.MAX_FIELD_SIZE.bit_length() - 1).q == limits.MAX_FIELD_SIZE
+    with pytest.raises(InputError, match="not prime"):
+        make_field(1, n)
 
 
 def test_field_cache_identity():

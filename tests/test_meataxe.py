@@ -43,6 +43,7 @@ from modclass.meataxe import (
     try_canonical_form,
 )
 from modclass.perm_group import PermGroup, catalog, p_subgroups_up_to_conjugacy
+from oracles import min_poly_mat
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -1147,7 +1148,7 @@ def test_composition_factors_ignore_basis_and_add_over_direct_sums(case):
     assert _factor_classes(S, both, s % 89) == sorted(want + _factor_classes(S, W, 0))
 
 
-# ------------------------------------------- minimal polynomials on the seeds
+# ------------------------------------- End splitting on the seeds' Krylov span
 
 
 def _end_cases(G, K):
@@ -1174,8 +1175,50 @@ def _assert_seed_min_polys(V, rng):
     stack = np.stack(basis)
     combo = meataxe._combo(K, stack, K.rand_codes(rng, len(basis)))
     for phi in list(stack) + [combo]:
-        got = P.min_poly_mat(K, phi, seeds)
-        assert got.tobytes() == P.min_poly_mat(K, phi).tobytes(), (V.dim, seeds)
+        got = min_poly_mat(K, phi, seeds)
+        assert got.tobytes() == min_poly_mat(K, phi).tobytes(), (V.dim, seeds)
+
+
+def _split_by_min_poly(field, phi, seeds):
+    """Generalized eigenspaces from the minimal polynomial read on the
+    seeds, as splitting took them before it read the characteristic
+    polynomial on the seeds' span."""
+    facs = P.factor(field, min_poly_mat(field, phi, seeds))
+    if len(facs) < 2:
+        return None
+    pieces = []
+    for f, e in facs:
+        power = f
+        for _ in range(e - 1):
+            power = P.mul(field, power, f)
+        pieces.append(linalg.nullspace(field, P.eval_matrix(field, power, phi)))
+    return pieces
+
+
+_SPLIT_GRID = [
+    (name, p, n)
+    for name, G in [("S5", S5)] + sorted(catalog().items())
+    for p in (2, 3, 5, 7)
+    if G.order % p == 0
+    for n in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name, p, n", _SPLIT_GRID)
+def test_char_poly_split_matches_min_poly_split(name, p, n):
+    # every End basis map of the natural and regular modules and of one in
+    # a random basis (the natural module for S5): byte-equal pieces
+    G, K = (S5 if name == "S5" else catalog()[name]), make_field(p, n)
+    natural, regular = permutation_module(G, K), regular_module(G, K)
+    rng = np.random.default_rng(K.q)
+    for V in (natural, regular, _random_conjugate(natural if name == "S5" else regular, rng)):
+        seeds = V.seeds()
+        for phi in V.endomorphisms():
+            got = meataxe._split_by_char_poly(K, phi, seeds)
+            want = _split_by_min_poly(K, phi, seeds)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], V.dim
 
 
 def _decompose_bytes(V, seed):
@@ -1191,9 +1234,13 @@ def test_seed_min_poly_matches_full_min_poly(monkeypatch, name, p, n):
     for V in mods:
         _assert_seed_min_polys(V, rng)
     got = [_decompose_bytes(V, 3) for V in mods]
-    full = P.min_poly_mat
-    monkeypatch.setattr(P, "min_poly_mat", lambda field, M, seeds=None: full(field, M))
-    assert got == [_decompose_bytes(V, 3) for V in mods]
+    fresh = lambda: [_decompose_bytes(V, 3) for V in _end_cases(catalog()[name], make_field(p, n))]
+    with monkeypatch.context() as m:  # the characteristic polynomial on all of V
+        full = P.char_poly
+        m.setattr(P, "char_poly", lambda field, M, seeds=None: full(field, M))
+        assert got == fresh()
+    monkeypatch.setattr(meataxe, "_split_by_char_poly", _split_by_min_poly)
+    assert got == fresh()
 
 
 @_PROPERTY
@@ -1207,10 +1254,10 @@ def test_seed_min_poly_ignores_basis(case):
 
 def test_seeds_that_do_not_generate_raise(monkeypatch):
     # diag(0, 1, 2) commutes with any action on three trivial summands; on
-    # e_0 and e_1 alone its minimal polynomial misses the root 2
+    # e_0 and e_1 alone its characteristic polynomial misses the root 2
     phi = np.diag([0, 1, 2]).astype(np.int64)
     with pytest.raises(ConsistencyError, match="generalized eigenspaces do not fill the module"):
-        meataxe._split_by_min_poly(F3, phi, [0, 1])
+        meataxe._split_by_char_poly(F3, phi, [0, 1])
     # T + sign for C2 over GF(3) without the seed of sign: on the seed of T
     # alone the End basis maps E_00 and E_11 read as e_0 and 0
     C2 = catalog()["C2"]
@@ -1222,8 +1269,8 @@ def test_seeds_that_do_not_generate_raise(monkeypatch):
             decompose(direct_sum(trivial_module(C2, F3), sign))
     # the same seeds for the splitting alone: no End map splits there, yet
     # the algebra is not local
-    split = meataxe._split_by_min_poly
-    monkeypatch.setattr(meataxe, "_split_by_min_poly", lambda K, phi, seeds: split(K, phi, seeds[:-1]))
+    split = meataxe._split_by_char_poly
+    monkeypatch.setattr(meataxe, "_split_by_char_poly", lambda K, phi, seeds: split(K, phi, seeds[:-1]))
     with pytest.raises(ConsistencyError, match="non-local algebra without nontrivial idempotent"):
         decompose(direct_sum(trivial_module(C2, F3), sign))
 
@@ -1403,10 +1450,10 @@ def _record_char_polys(monkeypatch):
     inside = [0]
     real_cp, real_gcp = P.char_poly, Rep.generator_char_polys
 
-    def char_poly(field, M):
+    def char_poly(field, M, seeds=None):
         if inside[0]:
             calls.append(M.shape[0])
-        return real_cp(field, M)
+        return real_cp(field, M, seeds)
 
     def generator_char_polys(self):
         asked.append(self)
@@ -1473,7 +1520,7 @@ def _norton_min_poly_oracle(field, mats, dim, rng):
 
     def attempt(k):
         z = mats[0] if k == 0 else meataxe._random_algebra_element(field, mats, dim, rng)
-        for f, _ in P.factor(field, P.min_poly_mat(field, z)):
+        for f, _ in P.factor(field, min_poly_mat(field, z)):
             fz = P.eval_matrix(field, f, z)
             null = linalg.nullspace(field, fz)
             good = null.shape[0] == P.degree(f)

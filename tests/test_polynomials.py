@@ -1,6 +1,7 @@
-"""Polynomial arithmetic, factorization, characteristic and minimal polynomials.
+"""Polynomial arithmetic, factorization, roots and characteristic polynomials.
 
-Coefficient arrays are constant-first throughout.
+Coefficient arrays are constant-first throughout.  Minimal polynomials and
+the evaluation root search live in the tests only, as oracles (`oracles`).
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from modclass.finite_field import make_field
 from modclass import linalg
 from modclass import polynomials as P
+from oracles import brute_force_roots, eval_codes, min_poly_mat, roots_in_field
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -111,6 +113,8 @@ def test_roots_in_field():
     assert P.roots_in_field(f, F3) == []
     # x^2 + x over GF(4): roots 0 and 1
     assert P.roots_in_field(codes(0, 1, 1), F4) == [0, 1]
+    # a constant has none, and neither does the zero polynomial
+    assert P.roots_in_field(codes(3), F5) == P.roots_in_field(codes(), F5) == []
 
 
 def test_char_poly_of_companion_matrix():
@@ -142,7 +146,7 @@ def test_min_poly_divides_char_poly_and_annihilates():
         for _ in range(6):
             d = int(rng.integers(1, 6))
             M = K.rand_codes(rng, (d, d))
-            mu = P.min_poly_mat(K, M)
+            mu = min_poly_mat(K, M)
             chi = P.char_poly(K, M)
             _, r = divmod_poly(K, chi, mu)
             assert P.degree(r) < 0  # mu | chi
@@ -153,7 +157,7 @@ def test_min_poly_of_nilpotent_jordan_block():
     # one 2-block and one 1-block: char x^3, min x^2
     N = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int64)
     assert [int(c) for c in P.char_poly(F2, N)] == [0, 0, 0, 1]
-    assert [int(c) for c in P.min_poly_mat(F2, N)] == [0, 0, 1]
+    assert [int(c) for c in min_poly_mat(F2, N)] == [0, 0, 1]
 
 
 def test_factor_is_deterministic_across_seeds():
@@ -167,7 +171,7 @@ def test_factor_is_deterministic_across_seeds():
 def test_eval_codes_horner():
     f = codes(3, 0, 2)  # 2x^2 + 3 over GF(5)
     pts = np.arange(5, dtype=np.int64)
-    vals = P.eval_codes(F5, f, pts)
+    vals = eval_codes(F5, f, pts)
     assert [int(v) for v in vals] == [(2 * x * x + 3) % 5 for x in range(5)]
 
 
@@ -410,7 +414,7 @@ def test_polynomial_arithmetic_matches_numpy_oracles(p, n):
     for _ in range(6):
         f = _random_poly(K, rng, int(rng.integers(1, 9)), monic=True)
         _same_factors(P.factor(K, f, seed=3), _np_factor(K, f))
-    if K.q > 4096:  # the root search by gcd with x^q - x
+    if K.q > 4096:  # against the root search by gcd with x^q - x
         for _ in range(3):
             lin = [_random_poly(K, rng, 1, monic=True) for _ in range(3)]
             f = _np_mul(K, _np_mul(K, lin[0], lin[1]), _np_mul(K, lin[2], _random_poly(K, rng, 3)))
@@ -539,13 +543,13 @@ def test_krylov_polynomials_match_separate_loop_oracles(p, n):
         mats.append(M)
     for M in mats:
         for got, want in ((P.char_poly(K, M), _char_poly_oracle(K, M)),
-                          (P.min_poly_mat(K, M), _min_poly_oracle(K, M))):
+                          (min_poly_mat(K, M), _min_poly_oracle(K, M))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _char_poly_inline(field, M):
     """char_poly with its own Krylov loop, as it was before it shared one
-    with min_poly_mat."""
+    with the minimal polynomial."""
     from modclass.linalg import RowSpace
 
     k = P._kernel(field)
@@ -556,7 +560,8 @@ def _char_poly_inline(field, M):
         if space.dim == d:
             break
         start = space.dim
-        vec = P._unit(d, s)
+        vec = P._array([0] * d)
+        vec[s] = 1
         while True:
             added, E = space._insert_rows(vec[None])
             if not added[0]:
@@ -567,32 +572,13 @@ def _char_poly_inline(field, M):
     return P._array(result)
 
 
-def _min_poly_inline(field, M, seeds=None):
-    """min_poly_mat with its own Krylov loop, one fresh RowSpace per seed."""
-    from modclass.linalg import RowSpace
-
-    k = P._kernel(field)
-    d = M.shape[0]
-    lam = [1]
-    seen = RowSpace(field, d)
-    for s in range(d) if seeds is None else seeds:
-        if seen.dim == d or len(lam) - 1 == d:
-            break
-        vec = P._unit(d, s)
-        if s in seen.pivot_columns() and not seen.reduce_rows(vec[None])[0].any():
-            continue
-        space = RowSpace(field, d, track=True)
-        chain = []
-        while True:
-            added, E = space._insert_rows(vec[None])
-            if not added[0]:
-                mu = E[0, d : d + space.dim].tolist() + [1]
-                break
-            chain.append(vec)
-            vec = field.mat_vec(M, vec)
-        lam = P._divmod(k, P._mul(k, lam, mu), P._gcd(k, lam, mu))[0]
-        seen._insert_rows(np.stack(chain))
-    return P._array(P._monic(k, lam))
+def _char_poly_on_span(field, M, seeds):
+    """The characteristic polynomial of M on the span of the Krylov chains
+    of the unit vectors at `seeds`: spin them, restrict M to the span and
+    take the full characteristic polynomial there."""
+    W = linalg.spin(field, [M], list(field.identity(M.shape[0])[seeds]))
+    A = linalg.action_on_subspace(field, np.stack(W.raw_basis_rows()), [M])[0]
+    return P.char_poly(field, A)
 
 
 def _blocks(K, rng, d):
@@ -625,9 +611,15 @@ def test_shared_krylov_loop_matches_inline_loops(p, n):
     for d in range(1, 13):
         for M in (K.rand_codes(rng, (d, d)), _blocks(K, rng, d), _blocks(K, rng, d)):
             _same(P.char_poly(K, M), _char_poly_inline(K, M))
-            _same(P.min_poly_mat(K, M), _min_poly_inline(K, M))
+            _same(P.char_poly(K, M, range(d)), _char_poly_inline(K, M))
             seeds = rng.permutation(d)[: int(rng.integers(1, d + 1))].tolist()
-            _same(P.min_poly_mat(K, M, seeds), _min_poly_inline(K, M, seeds))
+            chi = P.char_poly(K, M, seeds)
+            _same(chi, _char_poly_on_span(K, M, seeds))
+            # the minimal polynomial on the span divides chi, with the same
+            # irreducible factors, each to at most its multiplicity in chi
+            mu, facs = P.factor(K, min_poly_mat(K, M, seeds)), P.factor(K, chi)
+            assert [f.tobytes() for f, _ in mu] == [f.tobytes() for f, _ in facs]
+            assert all(e <= m for (_, e), (_, m) in zip(mu, facs))
 
 
 def test_corrupted_krylov_relation_fails_the_degree_check(monkeypatch):
