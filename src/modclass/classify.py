@@ -3,18 +3,23 @@
 A module over GF(p^k) is treated as a descent datum for a module over the
 algebraic closure.  The key relation is "lies under": V over K lies under U
 over L (K a subfield of L) when U is a direct summand of V extended to L,
-equivalently when V is a summand of U restricted to K; both routes are
-computed and cross-checked.  Restricting a simple module to the prime field
-lands on a single simple class (its trace), extensions split into one
-Galois orbit of components, and the absolutely simple constituents of a
-simple W live over the extension of degree dim End(W), in exactly
-dim End(W) classes.  Summing those fiber sizes reproduces the number of
-p-regular conjugacy classes, which this module checks against an
-independent count.
+equivalently when V is a summand of U restricted to K.  `up_relation`
+computes both routes and cross-checks them.  The extension route
+decomposes Ext_L V and looks for U among its summand classes.  The
+restriction route decomposes nothing: for an indecomposable V, whose End
+is local, V is a summand of M exactly when some composite V -> M -> V of
+Hom basis maps is invertible (`_is_summand`; Auslander, Reiten & Smalo,
+Representation Theory of Artin Algebras, 1995).  Restricting a simple
+module to the prime field lands on a single simple class (its trace),
+extensions split into one Galois orbit of components, and the absolutely
+simple constituents of a simple W live over the extension of degree
+dim End(W), in exactly dim End(W) classes.  Summing those fiber sizes
+reproduces the number of p-regular conjugacy classes, which this module
+checks against an independent count.
 
-Inside one `verify_classification` call, decompositions, isomorphism tests
-and simplicity tests are kept by module content and computed once per
-distinct input; the memo ends with the call.
+Inside one `verify_classification` call, decompositions, Hom bases,
+isomorphism tests and simplicity tests are kept by module content and
+computed once per distinct input; the memo ends with the call.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, InconclusiveError, InputError, NotSubfieldError
 from .finite_field import FiniteField, automorphisms, embed, make_field
+from . import linalg
 from .meataxe import (
     SimpleSet,
     decompose,
@@ -33,7 +39,7 @@ from .meataxe import (
     is_simple,
     simple_modules,
 )
-from .modrep import Rep, extend_scalars, frobenius_twist, restrict_scalars
+from .modrep import Rep, extend_scalars, frobenius_twist, hom_space, restrict_scalars
 from .perm_group import PermGroup
 
 
@@ -98,26 +104,79 @@ def _simple(V: Rep, seed: int) -> bool:
     )
 
 
-def up_relation(lower: Rep, upper: Rep, seed: int = 0) -> bool:
-    """Does `lower` (over K) lie under `upper` (over L)?
+def _hom(V: Rep, U: Rep):
+    """The basis of Hom(V, U) from `hom_space`, read-only; it does not
+    depend on the seed."""
 
-    True when `upper` is a summand of `lower` extended to L; equivalently
-    when `lower` is a summand of `upper` restricted to K.  Both characterisations
-    are evaluated and must agree.
+    def solve():
+        basis = hom_space(V, U)
+        basis.setflags(write=False)
+        return basis
+
+    return _recall(lambda: ("hom", V.key(), U.key()), solve)
+
+
+def _is_summand(X: Rep, M: Rep) -> bool:
+    """Is the indecomposable X a direct summand of M?
+
+    End(X) is local, so its non-units form the ideal rad End(X), and the
+    composites g f of f: X -> M and g: M -> X span a two-sided ideal.  X
+    is a summand exactly when that ideal holds a unit, that is, when some
+    composite of basis maps is invertible.
+    """
+    field, d = X.field, X.dim
+    fs = _hom(X, M)
+    if not len(fs):
+        return False
+    # the (dim M x h d) maps f_i side by side; g times them gives every g f_i
+    stacked = fs.transpose(1, 0, 2).reshape(M.dim, -1)
+    for g in _hom(M, X):  # stop at the first invertible composite
+        composites = field.mat_mul(g, stacked).reshape(d, len(fs), d).transpose(1, 0, 2)
+        if any(linalg.is_invertible(field, c) for c in composites):
+            return True
+    return False
+
+
+def _check_restriction(V: Rep, W: Rep, seed: int) -> None:
+    """Raise ConsistencyError unless V is simple and its restriction to the
+    field of the simple module W is a sum of copies of W.
+
+    For a simple W, dim Hom(W, M) = [soc M : W] dim End(W), so M is W^s
+    exactly when dim Hom(W, M) dim W = dim End(W) dim M.
+    """
+    if not _simple(V, seed):
+        raise ConsistencyError("a dim %d component over %r is not simple" % (V.dim, V.field))
+    M = restrict_scalars(V, W.field)
+    h, e = len(_hom(W, M)), len(W.endomorphisms())
+    if h * W.dim != e * M.dim:
+        raise ConsistencyError(
+            "restriction of a dim %d component over %r is not a sum of copies of "
+            "the dim %d simple: dim Hom %d, dim End %d" % (V.dim, V.field, W.dim, h, e)
+        )
+
+
+def up_relation(lower: Rep, upper: Rep, seed: int = 0) -> bool:
+    """Does the indecomposable `lower` (over K) lie under the indecomposable
+    `upper` (over L)?
+
+    Two routes, which must agree.  Extension: `upper` is isomorphic to a
+    summand class of the decomposition of `lower` extended to L.
+    Restriction: `lower` is a summand of `upper` restricted to K, decided
+    by the Hom pairing test of `_is_summand`, which decomposes nothing.  A
+    decomposable `lower` or `upper` raises InputError.
     """
     if lower.group != upper.group:
         raise InputError("modules of different groups are never related")
     K, L = lower.field, upper.field
     if K.p != L.p or L.n % K.n != 0:
         return False
+    if not (is_indecomposable(lower, seed=seed) and is_indecomposable(upper, seed=seed)):
+        raise InputError("lies-under is defined for indecomposable modules; decompose first")
     via_extension = any(
         _iso(W, upper, seed)
         for W, _ in _summand_classes(extend_scalars(lower, L), seed)
     )
-    via_restriction = any(
-        _iso(W, lower, seed)
-        for W, _ in _summand_classes(restrict_scalars(upper, K), seed)
-    )
+    via_restriction = _is_summand(lower, restrict_scalars(upper, K))
     if via_extension != via_restriction:
         raise ConsistencyError(
             "the two characterisations of the lies-under relation disagree"
@@ -397,13 +456,13 @@ def verify_classification(
         return "%d subfield pairs checked" % checked
 
     def restriction_homogeneous() -> str:
+        # each component restricts to copies of its own simple W, certified
+        # by dim Hom(W, Res V) against the known W, with no decomposition
         checked = 0
         for i, W in enumerate(S.modules):
             for n in range(1, bound + 1):
                 for V, _ in get_level(i, n).entries:
-                    T = trace_to_prime_field(V, seed=seed)
-                    if not _iso(T, W, seed):
-                        raise ConsistencyError("restriction lands on the wrong simple class")
+                    _check_restriction(V, W, seed)
                     checked += 1
         return "%d components restricted and matched" % checked
 
@@ -420,8 +479,11 @@ def verify_classification(
         top = min(4, bound)
         for i, W in enumerate(S.modules):
             for n in range(1, top + 1):
+                # up_relation cross-checks both routes: the extension route
+                # reads fiber()'s decomposition of Ext W from the memo, the
+                # restriction route pairs Hom(W, Res V) with Hom(Res V, W)
                 for V, _ in get_level(i, n).entries:
-                    if not up_relation(W, V, seed=seed):  # cross-checks both routes
+                    if not up_relation(W, V, seed=seed):
                         raise ConsistencyError("component does not lie over its own simple")
                     checked += 1
                 # negative case: components of a different simple never relate
@@ -436,12 +498,13 @@ def verify_classification(
         return "%d relation instances checked" % checked
 
     def fiber_partition() -> str:
+        # the splitting fibers of the GF(p) simples partition the absolutely
+        # simple classes, so their sizes sum to the p-regular class count
         total = 0
         for i, W in enumerate(S.modules):
             level = splitting_fiber(W, seed=seed)
-            for V, _ in level.entries:
-                if not _iso(trace_to_prime_field(V, seed=seed), W, seed):
-                    raise ConsistencyError("splitting fiber entry escapes its class")
+            for V, _ in level.entries:  # each entry restricts into W's class
+                _check_restriction(V, W, seed)
             total += len(level.entries)
         oracle = G.p_regular_class_count(p)
         if total != oracle:

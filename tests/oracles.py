@@ -1,4 +1,4 @@
-"""Independent polynomial routines the library replaced, kept as test oracles.
+"""Independent routines the library replaced, kept as test oracles.
 
 * `min_poly_mat`: the minimal polynomial as the lcm of the order polynomials
   of unit vectors, one fresh Krylov chain per vector.  End splitting reads
@@ -7,12 +7,17 @@
   to 4096 elements, else by gcd with x^q - x and an equal-degree split.  The
   library reads roots off `factor`.  `brute_force_roots` evaluates at every
   element of any field.
+* `is_summand_by_decomposition`: an indecomposable X is a summand of M when
+  some summand class of `decompose(M)` is isomorphic to X, the restriction
+  route `classify.up_relation` used to take.  The library pairs Hom(X, M)
+  with Hom(M, X) instead (`classify._is_summand`) and decomposes nothing.
 """
 
 import numpy as np
 
 from modclass import polynomials as P
 from modclass.linalg import RowSpace
+from modclass.meataxe import decompose, is_isomorphic
 
 
 def min_poly_mat(field, M, seeds=None):
@@ -74,3 +79,9 @@ def roots_in_field(f, field):
     rng = np.random.default_rng(0)
     # each factor is x + c, with root -c
     return sorted(k.neg1(g[0]) for g in P._equal_degree(k, lin, 1, rng))
+
+
+def is_summand_by_decomposition(X, M, seed=0):
+    """Is the indecomposable X a summand of M?  Decompose M and test each
+    summand class for isomorphism with X."""
+    return any(is_isomorphic(W, X, seed=seed) for W, _ in decompose(M, seed=seed).summands)

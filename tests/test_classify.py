@@ -9,6 +9,7 @@ after derivation from endomorphism algebra degrees.
 
 import pytest
 
+from oracles import is_summand_by_decomposition
 from modclass import classify
 from modclass.errors import ConsistencyError, InputError, NotSubfieldError
 from modclass.finite_field import make_field
@@ -23,6 +24,7 @@ from modclass.modrep import (
     extend_scalars,
     frobenius_twist,
     regular_module,
+    restrict_scalars,
     trivial_module,
 )
 from modclass.classify import (
@@ -106,6 +108,69 @@ def test_up_relation_false_across_characteristics():
     tr2 = trivial_module(catalog()["S3"], F2)
     tr3 = trivial_module(catalog()["S3"], F3)
     assert not up_relation(tr2, tr3)
+
+
+# every catalog group with each prime dividing its order
+DIVIDING = sorted(
+    (name, p) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0
+)
+
+
+@pytest.mark.parametrize("name, p", DIVIDING)
+def test_is_summand_matches_decomposition_oracle(name, p):
+    # X | M by the Hom pairing test against the old restriction route,
+    # which decomposes M; M runs over Res_K and Ext_L of the simples and
+    # of their fiber components up to degree 4
+    S = simple_modules(catalog()[name], make_field(p, 1)).modules
+    levels = {(i, n): fiber(W, n) for i, W in enumerate(S) for n in range(1, 5)}
+    cases = []  # (X, M, expected verdict or None)
+    for (i, n), level in levels.items():
+        for V, _ in level.entries:
+            for j, W in enumerate(S):
+                # Res V is a sum of copies of its own simple, and Ext W_j
+                # holds only the fiber of W_j
+                cases.append((W, restrict_scalars(V, W.field), i == j))
+                cases.append((V, extend_scalars(W, V.field), i == j))
+            for m in range(2, n):
+                if n % m == 0:
+                    for Vm, _ in levels[(i, m)].entries:
+                        cases.append((Vm, restrict_scalars(V, Vm.field), None))
+    verdicts = set()
+    for X, M, expected in cases:
+        got = classify._is_summand(X, M)
+        assert got == is_summand_by_decomposition(X, M)
+        assert expected is None or got == expected
+        verdicts.add(got)
+    # negatives need a second simple; a p-group has only the trivial one
+    assert verdicts == ({True, False} if len(S) > 1 else {True})
+
+
+@pytest.mark.parametrize("name, p", [("A4", 2), ("S3", 3), ("S4", 2)])
+def test_is_summand_on_non_semisimple_modules(name, p):
+    # the PIMs are summands of the regular module and no simple non-projective
+    # module is a summand of a PIM; a GF(p^2) constituent of a PIM's
+    # extension restricts back to GF(p) with that PIM as a summand
+    F, L = make_field(p, 1), make_field(p, 2)
+    reg = regular_module(catalog()[name], F)
+    pims = [P for P, _ in decompose(reg).summands]
+    simples = simple_modules(catalog()[name], F).modules
+    cases = [(P, reg) for P in pims] + [(W, P) for W in simples for P in pims]
+    cases += [(P, Q) for P in pims for Q in pims]
+    # W behind a PIM: the first basis maps W -> P + W land in P's socle,
+    # and only a later one splits off W
+    cases += [(W, direct_sum(P, W)) for W in simples for P in pims]
+    for P in pims:
+        for Y, _ in fiber(P, 2).entries:
+            res = restrict_scalars(Y, F)
+            cases += [(Q, res) for Q in pims + list(simples)]
+            cases += [(Y, extend_scalars(Q, L)) for Q in pims]
+    assert name != "A4" or sorted(P.dim for P in pims) == [4, 8]
+    verdicts = set()
+    for X, M in cases:
+        got = classify._is_summand(X, M)
+        assert got == is_summand_by_decomposition(X, M)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_fiber_of_nonsplit_simple():
@@ -202,6 +267,46 @@ def test_splitting_fibers_check_each_level(monkeypatch, kind, doctor, message):
         run(X)
 
 
+@pytest.mark.parametrize("name, bound", [("S3", 6), ("A4", 4)])
+def test_restriction_certificate_matches_trace(name, bound):
+    # on the components the verify reports of the CLI tests reach, the Hom
+    # count against the known simple agrees with restricting, decomposing
+    # and testing isomorphism
+    S = simple_modules(catalog()[name], F2).modules
+    for i, W in enumerate(S):
+        for n in range(1, bound + 1):
+            for V, _ in fiber(W, n).entries:
+                T = trace_to_prime_field(V)
+                for j, U in enumerate(S):
+                    assert bool(is_isomorphic(T, U)) == (i == j)
+                    if i == j:
+                        classify._check_restriction(V, U, 0)
+                    else:
+                        with pytest.raises(ConsistencyError, match="not a sum of copies"):
+                            classify._check_restriction(V, U, 0)
+
+
+def test_restriction_clauses_fail_on_a_foreign_fiber(monkeypatch):
+    # a doctored fiber hands each simple the components of the other one:
+    # the certificate fails against the known simple, and the clauses say so
+    G = catalog()["S3"]
+    S = simple_modules(G, F2).modules
+    real_fiber = classify.fiber
+
+    def foreign(W, degree, seed=0):
+        other = [U for U in S if U.key() != W.key()][0]
+        return real_fiber(other, degree, seed=seed)
+
+    monkeypatch.setattr(classify, "fiber", foreign)
+    rep = verify_classification(G, 2, bound=2)
+    clauses = {c.name: c for c in rep.clauses}
+    assert not rep.passed
+    assert clauses["subfield-lattice"].passed and clauses["galois-orbit"].passed
+    for name in ("restriction-homogeneous", "fiber-partition-count"):
+        assert not clauses[name].passed
+        assert "is not a sum of copies of the dim" in clauses[name].detail
+
+
 def test_indecomposable_trace_round_trip():
     reg = regular_module(catalog()["A4"], F2)
     big = [W for W, _ in decompose(reg).summands if W.dim == 8][0]
@@ -238,6 +343,12 @@ def test_fiber_and_descent_refuse_decomposable_input():
         fiber(both, 2)
     with pytest.raises(InputError, match="decompose first"):
         descend_component(extend_scalars(both, F4), F2)
+    # lies-under relates indecomposables; on T + W the two routes would
+    # disagree, which is an input error, not a mathematical inconsistency
+    with pytest.raises(InputError, match="decompose first"):
+        up_relation(both, extend_scalars(T, F4))
+    with pytest.raises(InputError, match="decompose first"):
+        up_relation(T, extend_scalars(both, F4))
 
 
 def test_classify_module_flags():
@@ -305,6 +416,28 @@ def test_verify_decomposes_each_module_once(monkeypatch):
     assert _verify_clauses(verify_classification(G, 2, bound=4)) == memoized
     assert len(decomposed) > memo_decompose
     assert iso_calls[0] > memo_iso
+
+
+def test_verify_decomposes_no_restricted_module(monkeypatch):
+    # restriction is certified from Hom spaces; only extensions are decomposed
+    restricted, decomposed = [], []  # the module objects, held so ids stay unique
+    real_restrict, real_decompose = classify.restrict_scalars, classify.decompose
+
+    def recording_restrict(V, K):
+        R = real_restrict(V, K)
+        if K is not V.field:  # restriction to the own field is V itself
+            restricted.append(R)
+        return R
+
+    def recording_decompose(V, seed=0):
+        decomposed.append(V)
+        return real_decompose(V, seed=seed)
+
+    monkeypatch.setattr(classify, "restrict_scalars", recording_restrict)
+    monkeypatch.setattr(classify, "decompose", recording_decompose)
+    assert verify_classification(catalog()["A4"], 2, bound=4).passed
+    assert restricted and decomposed
+    assert not {id(R) for R in restricted} & {id(V) for V in decomposed}
 
 
 def test_verify_memo_lives_only_inside_the_call(monkeypatch):
