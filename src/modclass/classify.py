@@ -17,9 +17,11 @@ dim End(W), in exactly dim End(W) classes.  Summing those fiber sizes
 reproduces the number of p-regular conjugacy classes, which this module
 checks against an independent count.
 
-Inside one `verify_classification` call, decompositions, Hom bases,
-isomorphism tests and simplicity tests are kept by module content and
-computed once per distinct input; the memo ends with the call.
+Inside one `verify_classification` call, restrictions of scalars,
+decompositions, Hom bases, isomorphism tests and simplicity tests are kept
+by module content and computed once per distinct input, so each distinct
+(module, subfield) pair has one restricted module, which keeps what is
+worked out on it; the memo ends with the call.
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ def _hom(V: Rep, U: Rep):
     return _recall(lambda: ("hom", V.key(), U.key()), solve)
 
 
+def _restrict(V: Rep, K: FiniteField) -> Rep:
+    """V restricted to the subfield K: one module per distinct (V, K)."""
+    return _recall(lambda: ("restrict", V.key(), K), lambda: restrict_scalars(V, K))
+
+
 def _is_summand(X: Rep, M: Rep) -> bool:
     """Is the indecomposable X a direct summand of M?
 
@@ -146,7 +153,7 @@ def _check_restriction(V: Rep, W: Rep, seed: int) -> None:
     """
     if not _simple(V, seed):
         raise ConsistencyError("a dim %d component over %r is not simple" % (V.dim, V.field))
-    M = restrict_scalars(V, W.field)
+    M = _restrict(V, W.field)
     h, e = len(_hom(W, M)), len(W.endomorphisms())
     if h * W.dim != e * M.dim:
         raise ConsistencyError(
@@ -176,7 +183,7 @@ def up_relation(lower: Rep, upper: Rep, seed: int = 0) -> bool:
         _iso(W, upper, seed)
         for W, _ in _summand_classes(extend_scalars(lower, L), seed)
     )
-    via_restriction = _is_summand(lower, restrict_scalars(upper, K))
+    via_restriction = _is_summand(lower, _restrict(upper, K))
     if via_extension != via_restriction:
         raise ConsistencyError(
             "the two characterisations of the lies-under relation disagree"
@@ -232,7 +239,7 @@ def trace_to_prime_field(V: Rep, seed: int = 0) -> Rep:
     F = make_field(K.p, 1)
     if not _simple(V, seed):
         raise InputError("trace to the prime field expects a simple module")
-    classes = _summand_classes(restrict_scalars(V, F), seed)
+    classes = _summand_classes(_restrict(V, F), seed)
     if len(classes) != 1:
         raise ConsistencyError("restriction of a simple module is not homogeneous")
     W, s = classes[0]
@@ -246,7 +253,7 @@ def trace_to_prime_field(V: Rep, seed: int = 0) -> Rep:
 def _components_under(U: Rep, K: FiniteField, seed: int):
     """The summand classes of U restricted to the subfield K that lie under
     U, in decomposition order."""
-    for V, _ in _summand_classes(restrict_scalars(U, K), seed):
+    for V, _ in _summand_classes(_restrict(U, K), seed):
         if up_relation(V, U, seed=seed):
             yield V
 

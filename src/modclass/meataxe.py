@@ -36,16 +36,16 @@ modules into the two.  Each transitive piece then splits along End.
 
 Splitting reads each endomorphism on the unit vectors e_s that generate
 V as a KG-module (`Rep.seeds`): the least points of the orbits of a
-permutation module, else the seeds that the spin solving End(V) took up,
-so V is not spun again for them.  A G-map phi commutes with the action, so
-f(phi) e_s = 0 for every seed gives f(phi) = 0 on V = sum_s KG e_s: the
-minimal polynomial of phi on V is its minimal polynomial on the span W of
-the seeds' k Krylov chains, and so divides the characteristic polynomial
-of phi on W, which one spin of k chains gives.  An irreducible factor f
-of multiplicity m there has at most that multiplicity in the minimal
-polynomial, so ker f(phi)^m is f's generalized eigenspace and the
-splitting is the one a full minimal polynomial gives.  The products in E
-are read on the seed columns too.
+permutation module, else the seeds of the one logged spin of V that also
+solves End(V), so V is not spun again for them.  A G-map phi commutes
+with the action, so f(phi) e_s = 0 for every seed gives f(phi) = 0 on
+V = sum_s KG e_s: the minimal polynomial of phi on V is its minimal
+polynomial on the span W of the seeds' k Krylov chains, and so divides the
+characteristic polynomial of phi on W, which one spin of k chains gives.
+An irreducible factor f of multiplicity m there has at most that
+multiplicity in the minimal polynomial, so ker f(phi)^m is f's generalized
+eigenspace and the splitting is the one a full minimal polynomial gives.
+The products in E are read on the seed columns too.
 
 A piece split off along End(V) needs no hom solve of its own: with e the
 projection onto it along the other pieces, End(eV) is the corner algebra
@@ -60,8 +60,10 @@ Isomorphism is decided exactly.  When either module is indecomposable,
 some basis map of Hom(V, U) is invertible if V and U are isomorphic at all.
 Otherwise U is decomposed against the classes of V: by Krull-Schmidt they
 are isomorphic exactly when the multiplicities agree, and then the two
-splitting bases compose to an isomorphism.  Generator characteristic
-polynomials serve as sort keys of class representatives.
+splitting bases compose to an isomorphism.  Class representatives are
+sorted by dimension, and generator characteristic polynomials break ties
+within a dimension; they are worked out only for representatives that tie
+(`_sorted_on_ties`).
 
 The simple modules of a group are the composition factors of its natural
 permutation module closed under pairwise tensor products, the smallest
@@ -73,6 +75,7 @@ and certifies its result.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -510,8 +513,15 @@ def _try_split(V: Rep, seed: int):
     return _split_with_corners(V, pieces)
 
 
-def _module_key(V: Rep) -> tuple:
-    return (V.dim, V.generator_char_polys())
+def _sorted_on_ties(items, prefix, tail) -> list:
+    """items sorted by (prefix(x), tail(x)), with tail asked only of items
+    whose prefix ties with another's.  Each sort is stable, so the order is
+    that of one stable sort on the full key."""
+    out = []
+    for _, run in itertools.groupby(sorted(items, key=prefix), key=prefix):
+        run = list(run)
+        out += sorted(run, key=tail) if len(run) > 1 else run
+    return out
 
 
 def decompose(V: Rep, seed: int = 0) -> Decomposition:
@@ -576,7 +586,10 @@ def _decompose(V: Rep, seed: int, reps: list[Rep]) -> Decomposition:
                 placed[leaf] = classes[-1][1], field.identity(leaf.dim)
         members, iso = placed[leaf]
         members.append((r, iso))
-    classes.sort(key=lambda cls: _module_key(cls[0]))
+    # by dimension, then by generator characteristic polynomials within a dimension
+    classes = _sorted_on_ties(
+        classes, lambda cls: cls[0].dim, lambda cls: cls[0].generator_char_polys()
+    )
     adjusted = [
         field.mat_mul(linalg.inverse(field, iso).T, r) for _, ms in classes for r, iso in ms
     ]
@@ -745,10 +758,12 @@ def simple_modules(G: PermGroup, K: FiniteField, seed: int = 0) -> SimpleSet:
         sorted(degrees) == lengths,
         "End degrees %s differ from Berman's orbit lengths %s" % (sorted(degrees), lengths),
     )
-    # the canonical matrices break ties between distinct classes, so the
-    # order does not depend on the seed where try_canonical_form applies
-    order = sorted(
+    # by (dimension, End degree), then by generator characteristic
+    # polynomials; the canonical matrices break the ties left, so the order
+    # does not depend on the seed where try_canonical_form applies
+    order = _sorted_on_ties(
         range(len(canon)),
-        key=lambda i: (canon[i].dim, degrees[i], _module_key(canon[i]), keys[i]),
+        lambda i: (canon[i].dim, degrees[i]),
+        lambda i: (canon[i].generator_char_polys(), keys[i]),
     )
     return SimpleSet(G, K, tuple(canon[i] for i in order), tuple(degrees[i] for i in order))

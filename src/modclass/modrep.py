@@ -13,10 +13,12 @@ the canonical basis of Hom(V, U) as one (h, dim U, dim V) array, which
 callers index and reshape; `Rep.endomorphisms` keeps End(V) as that array,
 read-only.  Between permutation modules the basis comes from orbitals,
 else from spinning V (the standard-basis method).  Each module works out
-its facts once and keeps them: whether its generators act by permutation
-matrices, its orbits on the unit vectors, its seeds and End(V).  The seeds
-of a module that is not a permutation module are read off the log of the
-first spin of it, which is that of its End solve when that comes first.
+its facts once and keeps them: its key, whether its generators act by
+permutation matrices, its orbits on the unit vectors, its seeds, End(V)
+and the logged spin of V from the unit vectors.  That one spin gives the
+seeds of a module that is not a permutation module and serves every Hom
+solved out of it.  `extend_scalars` hands the extended module the End and
+the seeds of V when V holds them: both are the same over the larger field.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ class Rep:
     the images of all elements (`element_matrices`) once it is asked for.
 
     The dimension is read off the matrices; a group without generators has
-    none, so its modules need an explicit ``dim``.
+    none, so its modules need an explicit ``dim``.  The matrices are
+    read-only, so the facts a module works out (its key, End, seeds and the
+    logged spin from the unit vectors) are kept on it.
     """
 
     def __init__(
@@ -76,6 +80,8 @@ class Rep:
         self._char_polys = None
         self._end = None
         self._seeds = None
+        self._spun = None  # (space, log) of the spin from the unit vectors
+        self._key = None
         self._structure = None  # (dim End, dim rad End, local?), kept by meataxe
 
     def element_matrices(self) -> np.ndarray:
@@ -171,17 +177,23 @@ class Rep:
         return self._seeds
 
     def _spin_units(self):
-        """(space, log) of a logged spin from e_0, e_1, ...; the unit vectors
-        the log takes up are the seeds, and unset seeds are set to them."""
-        log: list = []
-        space = linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
-        if self._seeds is None:
-            self._seeds = tuple(g for j, g, _ in log if j < 0)
-        return space, log
+        """(space, log) of a logged spin from e_0, e_1, ..., spun once and
+        kept; the unit vectors the log takes up are the seeds, and unset
+        seeds are set to them.  Callers only read the two."""
+        if self._spun is None:
+            log: list = []
+            space = linalg.spin(self.field, list(self.matrices), list(self.field.identity(self.dim)), log=log)
+            self._spun = space, log
+            if self._seeds is None:
+                self._seeds = tuple(g for j, g, _ in log if j < 0)
+        return self._spun
 
     def key(self) -> tuple:
-        """Equal keys mean the same module: one group, one field and equal matrices."""
-        return (self.group, self.field, self.dim, *(M.tobytes() for M in self.matrices))
+        """Equal keys mean the same module: one group, one field and equal
+        matrices.  Worked out once."""
+        if self._key is None:
+            self._key = (self.group, self.field, self.dim, *(M.tobytes() for M in self.matrices))
+        return self._key
 
     def __repr__(self):
         return "<Rep dim=%d over %r of %r>" % (self.dim, self.field, self.group)
@@ -230,9 +242,24 @@ def direct_sum(V: Rep, U: Rep) -> Rep:
 
 
 def extend_scalars(V: Rep, L: FiniteField) -> Rep:
-    """The same matrices read over an extension field L of the coefficients."""
+    """The same matrices read over an extension field L of the coefficients.
+
+    The new module gets End(V) read over L, read-only, and the seeds of V,
+    whichever of the two V holds; both are what solving afresh would give.
+    The equations of Hom are the K-linear ones of V, so their L-solutions
+    are the K-solutions tensored up, and the reduced echelon form of a
+    K-basis, which the canonical basis is, stays reduced echelon over L.
+    A spin from the unit vectors takes up a vector exactly when it lies
+    outside the span of earlier ones, a rank question over K that L does
+    not change, so it takes the same seeds.
+    """
     emb = embed(V.field, L)  # raises NotSubfieldError if impossible
-    return Rep(V.group, L, [emb.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
+    U = Rep(V.group, L, [emb.apply_codes(M) for M in V.matrices], check=False, dim=V.dim)
+    if V._end is not None:
+        U._end = emb.apply_codes(V._end)
+        U._end.setflags(write=False)
+    U._seeds = V._seeds
+    return U
 
 
 @functools.cache

@@ -11,6 +11,11 @@
   some summand class of `decompose(M)` is isomorphic to X, the restriction
   route `classify.up_relation` used to take.  The library pairs Hom(X, M)
   with Hom(M, X) instead (`classify._is_summand`) and decomposes nothing.
+* `full_key_sorted`: one stable sort on the full key, worked out for every
+  item, the way `meataxe` ordered class representatives when it computed
+  generator characteristic polynomials for all of them.  The library asks
+  for them only within a run of items that tie on the key's prefix
+  (`meataxe._sorted_on_ties`).
 """
 
 import numpy as np
@@ -85,3 +90,11 @@ def is_summand_by_decomposition(X, M, seed=0):
     """Is the indecomposable X a summand of M?  Decompose M and test each
     summand class for isomorphism with X."""
     return any(is_isomorphic(W, X, seed=seed) for W, _ in decompose(M, seed=seed).summands)
+
+
+def full_key_sorted(items, prefix, tail):
+    """items in the order of one stable sort on (prefix(x), tail(x)), with
+    both parts of the key worked out for every item."""
+    items = list(items)
+    keys = [(prefix(x), tail(x)) for x in items]
+    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]

@@ -440,6 +440,31 @@ def test_verify_decomposes_no_restricted_module(monkeypatch):
     assert not {id(R) for R in restricted} & {id(V) for V in decomposed}
 
 
+def test_verify_restricts_each_module_to_each_field_once(monkeypatch, capsys):
+    # inside verify's memo, one restricted module per distinct (module, field)
+    from modclass import cli
+
+    argv = ["--format", "structured", "verify", "-g", "A4", "-p", "2", "--bound", "6"]
+    pairs = []
+    real_restrict = classify.restrict_scalars
+
+    def counting_restrict(V, K):
+        pairs.append((V.key(), K))
+        return real_restrict(V, K)
+
+    monkeypatch.setattr(classify, "restrict_scalars", counting_restrict)
+    assert cli.main(argv) == 0
+    memoized = capsys.readouterr().out
+    assert len(pairs) == len(set(pairs)) == 24
+
+    # every restriction built afresh: more calls, the same bytes
+    pairs.clear()
+    monkeypatch.setattr(classify, "_restrict", counting_restrict)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == memoized
+    assert len(pairs) > 24
+
+
 def test_verify_memo_lives_only_inside_the_call(monkeypatch):
     assert classify._MEMO.get() is None
     verify_classification(catalog()["C3"], 2, bound=2)

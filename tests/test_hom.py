@@ -136,6 +136,60 @@ def test_spinning_matches_kronecker_oracle(name, p, n):
                 _assert_same_hom(V, U)
 
 
+EXTEND_GRID = [(name, p) for name, G in catalog().items() for p in (2, 3, 5, 7) if G.order % p == 0]
+
+
+@pytest.mark.parametrize("name, p", EXTEND_GRID)
+def test_extend_scalars_carries_end_and_seeds(name, p):
+    # End(V) read over L and the seeds of V against a fresh solve on a copy
+    # that holds nothing: GF(p) to GF(p^2) and GF(p^3), GF(p^2) to GF(p^4)
+    G = catalog()[name]
+    rng = np.random.default_rng(G.order * 10 + p)
+    for m, degrees in ((1, (2, 3)), (2, (4,))):
+        K = make_field(p, m)
+        reg = regular_module(G, K)
+        for V in [*simple_modules(G, K).modules, reg, _random_basis(reg, rng)]:
+            V.endomorphisms()
+            V.seeds()
+            for n in degrees:
+                L = make_field(p, n)
+                U = modrep.extend_scalars(V, L)
+                fresh = Rep(G, L, U.matrices, check=False, dim=U.dim)
+                assert U._end is not None and not U._end.flags.writeable
+                want = hom_space(fresh, fresh)
+                assert U._end.dtype == want.dtype and U._end.shape == want.shape
+                assert U._end.tobytes() == want.tobytes()
+                assert U._seeds == fresh.seeds()
+    # a module that has solved nothing hands nothing on
+    V = _random_basis(regular_module(G, make_field(p, 1)), rng)
+    U = modrep.extend_scalars(V, make_field(p, 2))
+    assert U._end is None and U._seeds is None
+    assert U.seeds() == spin_log_seeds(U)
+
+
+def test_one_spin_serves_every_hom_out_of_a_module(monkeypatch):
+    # not a permutation module: the seeds and two hom solves out of V take
+    # one logged spin of V, and the key is worked out once
+    G, K = catalog()["S4"], make_field(2, 1)
+    V = _random_basis(regular_module(G, K), np.random.default_rng(3))
+    U1 = simple_modules(G, K).modules[-1]
+    U2 = _random_basis(direct_sum(U1, trivial_module(G, K)), np.random.default_rng(4))
+    want = spin_log_seeds(Rep(G, K, V.matrices, check=False))
+    logged = []
+    real = linalg.spin
+
+    def counting(field, mats, seeds, log=None):
+        if log is not None:
+            logged.append(len(seeds))
+        return real(field, mats, seeds, log=log)
+
+    monkeypatch.setattr(linalg, "spin", counting)
+    assert len(hom_space(V, U1)) and len(hom_space(V, U2))
+    assert V.seeds() == want
+    assert logged == [V.dim]
+    assert V.key() is V.key()
+
+
 def test_orbital_basis_matches_spin_solver_over_gf_2_20():
     G = catalog()["A4"]
     K = make_field(2, 20)

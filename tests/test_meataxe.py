@@ -43,7 +43,7 @@ from modclass.meataxe import (
     try_canonical_form,
 )
 from modclass.perm_group import PermGroup, catalog, p_subgroups_up_to_conjugacy
-from oracles import min_poly_mat
+from oracles import full_key_sorted, min_poly_mat
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -1473,13 +1473,65 @@ def test_char_polys_are_computed_for_class_representatives_only(monkeypatch):
     S4 = catalog()["S4"]
     reps = [W for W, _ in decompose(regular_module(S4, F2)).summands]
     assert {id(W) for W in asked} <= {id(W) for W in reps}
-    assert len(calls) == len(reps) * len(S4.generators)
+    # only representatives whose dimension ties with another's are asked
+    tied = [W for W in reps if [U.dim for U in reps].count(W.dim) > 1]
+    assert len(calls) == len(tied) * len(S4.generators) == 4
 
     calls.clear()
     asked.clear()
     S = simple_modules(S5, F3)
     assert {id(W) for W in asked} <= {id(W) for W in S.modules}
-    assert len(calls) == len(S) * len(S5.generators)
+    # dimensions 1, 1, 4, 4, 6, every End degree 1: the 6 is asked nothing
+    prefixes = [(W.dim, e) for W, e in zip(S.modules, S.end_degrees)]
+    tied = [k for k in prefixes if prefixes.count(k) > 1]
+    assert len(calls) == len(tied) * len(S5.generators) == 8
+
+
+ORDER_GRID = [
+    (name, p, n)
+    for name, G in catalog().items()
+    for p in (2, 3, 5, 7)
+    if G.order % p == 0
+    for n in (1, 2)
+] + [("S5", p, 1) for p in (2, 3, 5)]
+
+
+def _fresh(V):
+    return Rep(V.group, V.field, V.matrices, check=False, dim=V.dim)
+
+
+@pytest.mark.parametrize("name, p, n", ORDER_GRID)
+def test_tie_keys_order_classes_as_the_full_key(name, p, n, monkeypatch):
+    # decompose and simple_modules against one sort on the full key, each
+    # on fresh copies, so no module holds polynomials the other worked out
+    G = catalog().get(name) or EXTRA_GROUPS[name]
+    K = make_field(p, n)
+    reg = regular_module(G, K)
+    mods = [reg]
+    if G.order <= 24:  # a random basis of S5's regular module takes a minute
+        rng = np.random.default_rng(G.order + p)
+        mods.append(_random_conjugate(direct_sum(reg, trivial_module(G, K)), rng))
+    got = [decompose(_fresh(V), seed=1) for V in mods]
+    simples = simple_modules(G, K, seed=1)
+    monkeypatch.setattr(meataxe, "_sorted_on_ties", full_key_sorted)
+    want = [decompose(_fresh(V), seed=1) for V in mods]
+    want_simples = simple_modules(G, K, seed=1)
+    for a, b in zip(got, want):
+        assert [(W.key(), m) for W, m in a.summands] == [(W.key(), m) for W, m in b.summands]
+        assert a.basis.dtype == b.basis.dtype and a.basis.tobytes() == b.basis.tobytes()
+    assert [W.key() for W in simples.modules] == [W.key() for W in want_simples.modules]
+    assert simples.end_degrees == want_simples.end_degrees
+
+
+def test_tie_keys_decide_within_a_dimension():
+    # S5 over GF(5) has four classes of dimension 5 and two of dimension
+    # 10, ordered by their characteristic polynomials
+    reps = [W for W, _ in decompose(regular_module(S5, F5)).summands]
+    keys = [(W.dim, W.generator_char_polys()) for W in reps]
+    assert keys == sorted(keys) and len({k[0] for k in keys}) < len(keys)
+    assert meataxe._sorted_on_ties(
+        [(2, "b"), (1, "z"), (2, "a"), (3, "c")], lambda x: x[0], lambda x: x[1]
+    ) == [(1, "z"), (2, "a"), (2, "b"), (3, "c")]
 
 
 def test_krull_schmidt_settles_decomposable_modules_with_unequal_char_polys(monkeypatch):
